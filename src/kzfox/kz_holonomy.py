@@ -5,11 +5,15 @@ The transport is computed degree by degree: the word coefficients of the
 solution satisfy a triangular system of iterated integrals which is evaluated
 on adaptive Gauss-Legendre panels, with the quadrature nodes shared across all
 word coefficients of a given degree.  Tangential endpoints are regularized by
-a cutoff, a branch-fixed local correction, and Richardson extrapolation in the
-cutoff.  On top of the transport engine sit the assembled right-hand sides of
-the holonomy identities: the reduced-coaction formula, the pairing formula for
-two paths, the loop-bracket checks on cyclic words, and the projected pentagon
-identity evaluated through the square-zero extension maps.
+one cutoff at 0.3 of the anchor's local scale: the stretch inside the cutoff
+is the analytic local frame (the same panel with the puncture's pole
+conjugated away) times a branch-fixed logarithmic factor, so the result
+carries no cutoff error.  The reported accuracy is the summed subdivision
+residual of the polyline and both frames.  On top of the transport engine sit
+the assembled right-hand sides of the holonomy identities: the
+reduced-coaction formula, the pairing formula for two paths, the loop-bracket
+checks on cyclic words, and the projected pentagon identity evaluated through
+the square-zero extension maps.
 """
 
 from __future__ import annotations
@@ -53,8 +57,11 @@ from .trivial_extension import (
 Word = Tuple[int, ...]
 
 DEFAULT_ACCURACY = 1e-10
-DEFAULT_DELTA = 1e-3
+# cutoff radius at a tangential anchor, as a fraction of its local scale
+_CUTOFF = 0.3
 _MAX_DEPTH = 48
+# absolute floor under the panel tolerance: residuals below it are roundoff
+_ROUNDOFF_FLOOR = 1e-15
 _GL_ORDER = 16
 
 
@@ -143,21 +150,33 @@ def _panel_transport(
     a: float,
     b: float,
     init: Dict[Word, complex],
+    pole: int = 0,
 ) -> Dict[Word, complex]:
     """One Gauss-Legendre panel over the local parameter span [a, b] of the
-    segment z(u) = z0 + dz*u; returns the word coefficients at u = b."""
+    segment z(u) = z0 + dz*u; returns the word coefficients at u = b.
+
+    With a nonzero `pole`, z0 is that puncture, dz a unit ray direction, and
+    the panel integrates the analytic local frame U instead: the transport
+    equation conjugated by the local monodromy factor u^{x_pole/2pi i}.  The
+    conjugation replaces the simple pole at the puncture with the bounded
+    commutator term (x_pole U - U x_pole)/u, so the integrand is analytic up
+    to u = 0."""
     half = 0.5 * (b - a)
     u = 0.5 * (a + b) + half * _GL_NODES
     z = z0 + dz * u
     factors = []
     for i in range(1, conn.n_generators + 1):
-        denom = z - conn.punctures.point(i)
-        factors.append((dz * half / TWO_PI_I) / denom)
+        if i == pole:
+            factors.append((half / TWO_PI_I) / u)
+        else:
+            factors.append((dz * half / TWO_PI_I) / (z - conn.punctures.point(i)))
     scalar = init.get((), 0j)
     node_vals: Dict[Word, np.ndarray] = {(): np.full(_GL_ORDER, scalar)}
     end: Dict[Word, complex] = {(): scalar}
     for word in conn._words:
         g = factors[word[0] - 1] * node_vals[word[1:]]
+        if word[-1] == pole:
+            g = g - factors[pole - 1] * node_vals[word[:-1]]
         base = init.get(word, 0j)
         node_vals[word] = base + _GL_INTMAT @ g
         end[word] = base + complex(_GL_WEIGHTS @ g)
@@ -173,25 +192,33 @@ def _advance(
     init: Dict[Word, complex],
     tol: float,
     depth: int,
-    seg_idx: int,
+    where: str,
+    pole: int = 0,
 ) -> Tuple[Dict[Word, complex], float]:
-    whole = _panel_transport(conn, z0, dz, a, b, init)
+    """Adaptive bisection of a panel until whole and split panels agree to
+    `tol`; returns the state at u = b and the summed panel residual."""
+    whole = _panel_transport(conn, z0, dz, a, b, init, pole)
     mid = 0.5 * (a + b)
-    first = _panel_transport(conn, z0, dz, a, mid, init)
-    halves = _panel_transport(conn, z0, dz, mid, b, first)
+    first = _panel_transport(conn, z0, dz, a, mid, init, pole)
+    halves = _panel_transport(conn, z0, dz, mid, b, first, pole)
     err = max(abs(whole[w] - halves[w]) for w in whole)
     # the roundoff floor keeps deep subdivisions from demanding sub-epsilon
     # panel residuals
-    if err <= max(tol, 1e-15):
+    threshold = max(tol, _ROUNDOFF_FLOOR)
+    if err <= threshold:
         return halves, err
     if depth >= _MAX_DEPTH:
         raise AccuracyError(
-            f"panel subdivision limit exceeded on segment {seg_idx} "
-            f"(residual {err:.3e} > {tol:.3e}); the path may run too close "
-            "to a puncture"
+            f"panel subdivision limit exceeded on {where} "
+            f"(residual {err:.3e} > {threshold:.3e}); the path may run too "
+            "close to a puncture"
         )
-    left, err_l = _advance(conn, z0, dz, a, mid, init, 0.5 * tol, depth + 1, seg_idx)
-    right, err_r = _advance(conn, z0, dz, mid, b, left, 0.5 * tol, depth + 1, seg_idx)
+    left, err_l = _advance(
+        conn, z0, dz, a, mid, init, 0.5 * tol, depth + 1, where, pole
+    )
+    right, err_r = _advance(
+        conn, z0, dz, mid, b, left, 0.5 * tol, depth + 1, where, pole
+    )
     return right, err_l + err_r
 
 
@@ -205,101 +232,14 @@ def _transport_polyline(
     for k in range(n_seg):
         z0 = complex(points[k])
         dz = complex(points[k + 1]) - z0
-        state, err = _advance(conn, z0, dz, 0.0, 1.0, state, tol, 0, k)
+        state, err = _advance(conn, z0, dz, 0.0, 1.0, state, tol, 0, f"segment {k}")
         total_err += err
     return state, total_err
-
-
-def transport(
-    conn: ConnectionSpec, path: PLPath, accuracy: float = DEFAULT_ACCURACY
-) -> FreeSeries:
-    """Parallel transport along a path with regular anchors."""
-    if path.start.kind == TANGENTIAL or path.end.kind == TANGENTIAL:
-        raise ValidationError("transport requires regular anchors at both ends")
-    if path.punctures.points != conn.punctures.points:
-        raise ValidationError("path and connection use different punctures")
-    state, _ = _transport_polyline(conn, path.points, accuracy)
-    return conn._series(state)
 
 
 # ---------------------------------------------------------------------------
 # regularized holonomy
 # ---------------------------------------------------------------------------
-def _panel_frame(
-    conn: ConnectionSpec,
-    puncture: int,
-    zp: complex,
-    v: complex,
-    a: float,
-    b: float,
-    init: Dict[Word, complex],
-) -> Dict[Word, complex]:
-    """One panel of the analytic local frame U along the anchor ray
-    z = zp + v*r, r in [a, b].  U solves the transport equation conjugated by
-    the local monodromy factor r^{x_p/2pi i}; the conjugation replaces the
-    simple pole at the puncture with the bounded commutator term
-    (x_p U - U x_p)/r, so the integrand is analytic up to r = 0."""
-    half = 0.5 * (b - a)
-    r = 0.5 * (a + b) + half * _GL_NODES
-    z = zp + v * r
-    factors = []
-    for i in range(1, conn.n_generators + 1):
-        if i == puncture:
-            factors.append((half / TWO_PI_I) / r)
-        else:
-            factors.append((v * half / TWO_PI_I) / (z - conn.punctures.point(i)))
-    scalar = init.get((), 0j)
-    node_vals: Dict[Word, np.ndarray] = {(): np.full(_GL_ORDER, scalar)}
-    end: Dict[Word, complex] = {(): scalar}
-    pole = factors[puncture - 1]
-    for word in conn._words:
-        g = factors[word[0] - 1] * node_vals[word[1:]]
-        if word[-1] == puncture:
-            g = g - pole * node_vals[word[:-1]]
-        base = init.get(word, 0j)
-        node_vals[word] = base + _GL_INTMAT @ g
-        end[word] = base + complex(_GL_WEIGHTS @ g)
-    return end
-
-
-def _advance_frame(
-    conn: ConnectionSpec,
-    puncture: int,
-    zp: complex,
-    v: complex,
-    a: float,
-    b: float,
-    init: Dict[Word, complex],
-    tol: float,
-    depth: int,
-) -> Dict[Word, complex]:
-    whole = _panel_frame(conn, puncture, zp, v, a, b, init)
-    mid = 0.5 * (a + b)
-    first = _panel_frame(conn, puncture, zp, v, a, mid, init)
-    halves = _panel_frame(conn, puncture, zp, v, mid, b, first)
-    err = max(abs(whole[w] - halves[w]) for w in whole)
-    if err <= max(tol, 1e-15):
-        return halves
-    if depth >= _MAX_DEPTH:
-        raise AccuracyError(
-            f"local frame integration at puncture {puncture} did not converge "
-            f"(residual {err:.3e} > {tol:.3e})"
-        )
-    left = _advance_frame(conn, puncture, zp, v, a, mid, init, 0.5 * tol, depth + 1)
-    return _advance_frame(conn, puncture, zp, v, mid, b, left, 0.5 * tol, depth + 1)
-
-
-def _local_frame(
-    conn: ConnectionSpec, puncture: int, v: complex, length: float, accuracy: float
-) -> FreeSeries:
-    """Analytic frame U at distance `length` from the puncture along the unit
-    ray direction v, normalized by U = 1 at the puncture."""
-    zp = conn.punctures.point(puncture)
-    init: Dict[Word, complex] = {(): 1.0 + 0j}
-    state = _advance_frame(conn, puncture, zp, v, 0.0, length, init, accuracy, 0)
-    return conn._series(state)
-
-
 def _local_scale(conn: ConnectionSpec, puncture: int, tail_length: float) -> float:
     z = conn.punctures.point(puncture)
     dists = [
@@ -311,77 +251,66 @@ def _local_scale(conn: ConnectionSpec, puncture: int, tail_length: float) -> flo
     return min(scale, tail_length)
 
 
-def _holonomy_at_delta(
-    conn: ConnectionSpec, path: PLPath, delta: float, accuracy: float
-) -> Tuple[FreeSeries, dict]:
+def _local_frame(
+    conn: ConnectionSpec, anchor: Anchor, neighbour: complex, accuracy: float
+) -> Tuple[complex, float, FreeSeries, float]:
+    """Cut a tangential anchor off at radius r = _CUTOFF * local scale along
+    its ray.  Returns the cut point, r, the regularizing factor
+    U(r) * exp(log(r) x_p / 2pi i) that transports from the tangential base
+    point to the cut point, and the frame's subdivision residual.
+
+    U is the analytic frame normalized by U = 1 at the puncture.  The local
+    coordinate (z - z_p)/v is real positive on the ray, so the branch factor
+    uses a real logarithm; with U in place the result does not depend on r."""
+    p = anchor.puncture
+    zp = conn.punctures.point(p)
+    v = anchor.direction / abs(anchor.direction)
+    r = _CUTOFF * _local_scale(conn, p, abs(neighbour - zp))
+    state, err = _advance(
+        conn, zp, v, 0.0, r, {(): 1.0 + 0j}, accuracy, 0,
+        f"the local frame at puncture {p}", pole=p,
+    )
+    log_term = conn.generator(p).scale(cmath.log(r) / TWO_PI_I).exp()
+    return zp + v * r, r, conn._series(state) * log_term, err
+
+
+def holonomy_reg(
+    conn: ConnectionSpec, path: PLPath, accuracy: float = DEFAULT_ACCURACY
+) -> HolonomyResult:
+    """Regularized holonomy along a path.
+
+    Each tangential anchor is cut off at a single radius, 0.3 of its local
+    scale (the distance to the nearest other puncture, capped by the tail
+    segment), and the stretch from the tangential base point to the cut is
+    supplied by the analytic local frame with its branch-fixed logarithmic
+    factor.  The polyline between the cuts is transported by adaptive
+    Gauss-Legendre quadrature.  `accuracy_estimate` is the summed subdivision
+    residual of the polyline and of both local frames; the report records
+    the cut radii and the polyline's share as `quadrature_error`."""
+    if path.punctures.points != conn.punctures.points:
+        raise ValidationError("path and connection use different punctures")
     points = list(path.points)
-    pre: Optional[FreeSeries] = None
-    post: Optional[FreeSeries] = None
     report: dict = {}
+    pre = post = None
+    frame_err = 0.0
     if path.start.kind == TANGENTIAL:
-        p = path.start.puncture
-        zp = conn.punctures.point(p)
-        v = path.start.direction / abs(path.start.direction)
-        d_abs = delta * _local_scale(conn, p, abs(points[1] - zp))
-        points[0] = zp + v * d_abs
-        # local coordinate (z - z_p)/v is real positive on the outgoing ray,
-        # so the branch correction uses a real logarithm; the analytic frame
-        # factor removes the O(delta * log delta) cutoff error entirely
-        pre = _local_frame(conn, p, v, d_abs, accuracy) * conn.generator(p).scale(
-            cmath.log(d_abs) / TWO_PI_I
-        ).exp()
-        report["cutoff_start"] = d_abs
-    if path.end.kind == TANGENTIAL:
-        q = path.end.puncture
-        zq = conn.punctures.point(q)
-        v = path.end.direction / abs(path.end.direction)
-        d_abs = delta * _local_scale(conn, q, abs(points[-2] - zq))
-        points[-1] = zq + v * d_abs
-        post = conn.generator(q).scale(-cmath.log(d_abs) / TWO_PI_I).exp() * (
-            _local_frame(conn, q, v, d_abs, accuracy).inverse()
+        points[0], report["cutoff_start"], pre, err = _local_frame(
+            conn, path.start, points[1], accuracy
         )
-        report["cutoff_end"] = d_abs
+        frame_err += err
+    if path.end.kind == TANGENTIAL:
+        points[-1], report["cutoff_end"], post, err = _local_frame(
+            conn, path.end, points[-2], accuracy
+        )
+        frame_err += err
     state, quad_err = _transport_polyline(conn, points, accuracy)
     series = conn._series(state)
     if pre is not None:
         series = series * pre
     if post is not None:
-        series = post * series
+        series = post.inverse() * series
     report["quadrature_error"] = quad_err
-    return series, report
-
-
-def holonomy_reg(
-    conn: ConnectionSpec,
-    path: PLPath,
-    accuracy: float = DEFAULT_ACCURACY,
-    delta: float = DEFAULT_DELTA,
-) -> HolonomyResult:
-    """Regularized holonomy: cutoff + branch-fixed correction at each
-    tangential anchor, Richardson-extrapolated over two cutoff values."""
-    if path.punctures.points != conn.punctures.points:
-        raise ValidationError("path and connection use different punctures")
-    if path.start.kind != TANGENTIAL and path.end.kind != TANGENTIAL:
-        state, quad_err = _transport_polyline(conn, path.points, accuracy)
-        return HolonomyResult(
-            conn._series(state), path, quad_err, {"deltas": [], "quadrature_error": quad_err}
-        )
-    coarse, rep1 = _holonomy_at_delta(conn, path, delta, accuracy)
-    fine, rep2 = _holonomy_at_delta(conn, path, 0.5 * delta, accuracy)
-    raw = (fine - coarse).norm_inf()
-    if raw > 0.25:
-        raise AccuracyError(
-            f"cutoff extrapolation did not converge (|H(d/2)-H(d)| = {raw:.3e})"
-        )
-    # extrapolate in the logarithm so the result stays exactly grouplike
-    extrapolated = (2.0 * fine.log() - coarse.log()).exp()
-    report = {
-        "deltas": [delta, 0.5 * delta],
-        "coarse": rep1,
-        "fine": rep2,
-        "raw_difference": raw,
-    }
-    return HolonomyResult(extrapolated, path, raw, report)
+    return HolonomyResult(series, path, quad_err + frame_err, report)
 
 
 def associator(degree: int, accuracy: float = DEFAULT_ACCURACY) -> FreeSeries:
@@ -504,14 +433,13 @@ def _crossing_sum(
     conn: ConnectionSpec,
     path: PLPath,
     accuracy: float,
-    delta: float,
 ) -> FreeSeries:
     """Sum over self-intersections of sign * Hol(later piece) * Hol(earlier
     piece), the pieces being cut at the crossing."""
     total = FreeSeries.zero(conn.n_generators, conn.trunc_degree, COMPLEX)
     for c in self_intersections(path):
-        front = holonomy_reg(conn, subpath(path, c.s, 1.0), accuracy, delta).series
-        back = holonomy_reg(conn, subpath(path, 0.0, c.t), accuracy, delta).series
+        front = holonomy_reg(conn, subpath(path, c.s, 1.0), accuracy).series
+        back = holonomy_reg(conn, subpath(path, 0.0, c.t), accuracy).series
         total = total + float(c.sign) * (front * back)
     return total
 
@@ -520,7 +448,6 @@ def mu_bar_rhs(
     conn: ConnectionSpec,
     path: PLPath,
     accuracy: float = DEFAULT_ACCURACY,
-    delta: float = DEFAULT_DELTA,
     holonomy: Optional[FreeSeries] = None,
 ) -> FreeSeries:
     """Right-hand side of the reduced-coaction formula for the holonomy of a
@@ -532,13 +459,13 @@ def mu_bar_rhs(
     series = (
         holonomy
         if holonomy is not None
-        else holonomy_reg(conn, path, accuracy, delta).series
+        else holonomy_reg(conn, path, accuracy).series
     )
     rot = snap_half_integer(rotation_number(path))
     out = series * r_zeta_series(p, deg, n, negate_variable=True)
     out = out + rot * series
     out = out - r_zeta_series(q, deg, n) * series
-    out = out + _crossing_sum(conn, path, accuracy, delta)
+    out = out + _crossing_sum(conn, path, accuracy)
     out = out - d_left(p, series) - d_right(q, series)
     if p == q:
         # A loop's smooth model has one more self-intersection than the
@@ -558,7 +485,6 @@ def rho_paths(
     path2: PLPath,
     path1: PLPath,
     accuracy: float = DEFAULT_ACCURACY,
-    delta: float = DEFAULT_DELTA,
 ) -> FreeSeries:
     """Right-hand side of the pairing formula for the holonomies of two paths
     (first argument = second factor of the pairing, as in rho(H2, H1)).
@@ -573,12 +499,12 @@ def rho_paths(
     r = _require_tangential(path2, "start")
     s = _require_tangential(path2, "end")
     n, deg = conn.n_generators, conn.trunc_degree
-    h1 = holonomy_reg(conn, path1, accuracy, delta).series
-    h2 = holonomy_reg(conn, path2, accuracy, delta).series
+    h1 = holonomy_reg(conn, path1, accuracy).series
+    h2 = holonomy_reg(conn, path2, accuracy).series
     total = FreeSeries.zero(n, deg, COMPLEX)
     for c in intersections(path1, path2):
-        front = holonomy_reg(conn, subpath(path2, c.s, 1.0), accuracy, delta).series
-        back = holonomy_reg(conn, subpath(path1, 0.0, c.t), accuracy, delta).series
+        front = holonomy_reg(conn, subpath(path2, c.s, 1.0), accuracy).series
+        back = holonomy_reg(conn, subpath(path1, 0.0, c.t), accuracy).series
         total = total + float(c.sign) * (front * back)
     if p == q == r == s:
         m = p
@@ -604,13 +530,12 @@ def _rerooted(
     path: PLPath,
     t: float,
     accuracy: float,
-    delta: float,
 ) -> FreeSeries:
     """Holonomy of a loop rerooted at the interior point path(t): run the
     tail [t, 1] back to the base first, then the head [0, t], so the product
     is Hol(path[0, t]) * Hol(path[t, 1])."""
-    front = holonomy_reg(conn, subpath(path, t, 1.0), accuracy, delta).series
-    back = holonomy_reg(conn, subpath(path, 0.0, t), accuracy, delta).series
+    front = holonomy_reg(conn, subpath(path, t, 1.0), accuracy).series
+    back = holonomy_reg(conn, subpath(path, 0.0, t), accuracy).series
     return back * front
 
 
@@ -619,7 +544,6 @@ def goldman_bracket_check(
     loop2: PLPath,
     loop1: PLPath,
     accuracy: float = DEFAULT_ACCURACY,
-    delta: float = DEFAULT_DELTA,
 ) -> dict:
     """Compare the necklace bracket of two loop holonomies against the
     crossing formula on cyclic words, and each loop's necklace cobracket
@@ -631,14 +555,14 @@ def goldman_bracket_check(
     if not (m1s == m1e == m2s == m2e):
         raise ValidationError("both loops must share one tangential base point")
     n, deg = conn.n_generators, conn.trunc_degree
-    h1 = holonomy_reg(conn, loop1, accuracy, delta).series
-    h2 = holonomy_reg(conn, loop2, accuracy, delta).series
+    h1 = holonomy_reg(conn, loop1, accuracy).series
+    h2 = holonomy_reg(conn, loop2, accuracy).series
     lhs = necklace_bracket(h2, h1)
     rhs = CyclicSeries.zero(n, deg, COMPLEX)
     crossings = intersections(loop1, loop2)
     for c in crossings:
-        r1 = _rerooted(conn, loop1, c.t, accuracy, delta)
-        r2 = _rerooted(conn, loop2, c.s, accuracy, delta)
+        r1 = _rerooted(conn, loop1, c.t, accuracy)
+        r2 = _rerooted(conn, loop2, c.s, accuracy)
         rhs = rhs + float(c.sign) * (r1 * r2).cyclic_project()
     # The base point is itself an intersection of the two loops; the resolved
     # curves cross there once when the four tail strands alternate.
@@ -650,7 +574,7 @@ def goldman_bracket_check(
         "n_crossings": len(crossings),
         "base_linking": base_sign,
         "cobracket_discrepancy": [
-            _cobracket_discrepancy(conn, loop, h, accuracy, delta)
+            _cobracket_discrepancy(conn, loop, h, accuracy)
             for loop, h in ((loop1, h1), (loop2, h2))
         ],
     }
@@ -665,7 +589,6 @@ def _cobracket_discrepancy(
     loop: PLPath,
     h: FreeSeries,
     accuracy: float,
-    delta: float,
 ) -> float:
     n, deg = conn.n_generators, conn.trunc_degree
     lhs = necklace_cobracket(h)
@@ -675,8 +598,8 @@ def _cobracket_discrepancy(
     one_cyc = FreeSeries.unit(n, deg, COMPLEX).cyclic_project()
     rhs = CyclicWedge.wedge(one_cyc, h.cyclic_project()).scale(rot)
     for c in self_intersections(loop):
-        middle = holonomy_reg(conn, subpath(loop, c.t, c.s), accuracy, delta).series
-        outer = _rerooted_at_crossing(conn, loop, c.t, c.s, accuracy, delta)
+        middle = holonomy_reg(conn, subpath(loop, c.t, c.s), accuracy).series
+        outer = _rerooted_at_crossing(conn, loop, c.t, c.s, accuracy)
         rhs = rhs + CyclicWedge.wedge(
             middle.cyclic_project(), outer.cyclic_project()
         ).scale(float(c.sign))
@@ -691,10 +614,9 @@ def _rerooted_at_crossing(
     t: float,
     s: float,
     accuracy: float,
-    delta: float,
 ) -> FreeSeries:
-    front = holonomy_reg(conn, subpath(loop, s, 1.0), accuracy, delta).series
-    back = holonomy_reg(conn, subpath(loop, 0.0, t), accuracy, delta).series
+    front = holonomy_reg(conn, subpath(loop, s, 1.0), accuracy).series
+    back = holonomy_reg(conn, subpath(loop, 0.0, t), accuracy).series
     return front * back
 
 
@@ -702,7 +624,6 @@ def pentagon_projection_check(
     conn: ConnectionSpec,
     path: PLPath,
     accuracy: float = DEFAULT_ACCURACY,
-    delta: float = DEFAULT_DELTA,
 ) -> dict:
     """Evaluate both sides of the projected pentagon identity for the
     holonomy of a path, using the square-zero extension maps and the
@@ -710,14 +631,14 @@ def pentagon_projection_check(
     p = _require_tangential(path, "start")
     q = _require_tangential(path, "end")
     n, deg = conn.n_generators, conn.trunc_degree
-    h = holonomy_reg(conn, path, accuracy, delta).series
+    h = holonomy_reg(conn, path, accuracy).series
     rot = snap_half_integer(rotation_number(path))
     lhs = associator_tail(SIDE_LEFT, q, deg, n) * h
     lhs = lhs + square_zw(h)
     lhs = lhs + rot * h
     lhs = lhs + h * associator_tail(SIDE_RIGHT, p, deg, n)
     rhs = square_z(q, h) + square_w(p, h)
-    rhs = rhs - _crossing_sum(conn, path, accuracy, delta)
+    rhs = rhs - _crossing_sum(conn, path, accuracy)
     crossings = self_intersections(path)
     return {
         "max_discrepancy": _norm_through((lhs - rhs).coeffs, deg - 1),

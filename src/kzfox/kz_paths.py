@@ -17,7 +17,6 @@ are never reported as crossings.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -258,48 +257,6 @@ class PLPath:
         return PLPath(
             self.punctures, flip(self.end), flip(self.start), self.vertices[::-1]
         )
-
-    def to_json_dict(self) -> dict:
-        def anchor_dict(a: Anchor) -> dict:
-            if a.kind == REGULAR:
-                return {"type": "regular", "point": [a.point.real, a.point.imag]}
-            return {
-                "type": "tangential",
-                "puncture": a.puncture,
-                "direction": [a.direction.real, a.direction.imag],
-            }
-
-        return {
-            "punctures": [[z.real, z.imag] for z in self.punctures.points],
-            "start": anchor_dict(self.start),
-            "vertices": [[v.real, v.imag] for v in self.vertices],
-            "end": anchor_dict(self.end),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PLPath":
-        try:
-            punctures = PunctureConfig([complex(p[0], p[1]) for p in data["punctures"]])
-
-            def anchor(d: dict) -> Anchor:
-                if d["type"] == "regular":
-                    return Anchor.regular(complex(d["point"][0], d["point"][1]))
-                if d["type"] == "tangential":
-                    dr = d.get("direction", [1.0, 0.0])
-                    return Anchor.tangential(d["puncture"], complex(dr[0], dr[1]))
-                raise ValidationError(f"unknown anchor type {d['type']!r}")
-
-            vertices = [complex(v[0], v[1]) for v in data["vertices"]]
-            return cls(punctures, anchor(data["start"]), anchor(data["end"]), vertices)
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ValidationError(f"malformed path data: missing/bad field {exc}")
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "PLPath":
-        return cls.from_json_dict(json.loads(text))
 
 
 # -- crossing detection ------------------------------------------------------

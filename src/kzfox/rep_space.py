@@ -30,7 +30,6 @@ from .fox_calculus import rho_kks
 from .free_hopf import COMPLEX, FreeSeries, TensorSeries, Word
 from .kz_holonomy import (
     DEFAULT_ACCURACY,
-    DEFAULT_DELTA,
     ConnectionSpec,
     _base_linking,
     _require_tangential,
@@ -186,50 +185,29 @@ def _tensor_eval(db: TensorSeries, X: MatrixTuple) -> np.ndarray:
 # finite-difference gradients and the bracket oracle
 # ---------------------------------------------------------------------------
 def _matrix_gradient(
-    matfun: Callable[[MatrixTuple], np.ndarray],
+    fun: Callable[[MatrixTuple], np.ndarray | complex],
     X: MatrixTuple,
     step: float = _FD_STEP,
 ) -> np.ndarray:
-    """Gradient tensor of a matrix-valued function of the tuple:
-    ``grad[l, a, b, i, j] = d matfun(X)[i, j] / d (X_{l+1})_{ab}``,
+    """Gradient tensor of a scalar- or matrix-valued function of the tuple:
+    ``grad[l, a, b, ...] = d fun(X)[...] / d (X_{l+1})_{ab}``,
     by Richardson-improved central differences (entries are holomorphic
     polynomials, so a real step computes the complex derivative)."""
-    n, N = X.n, X.N
-    grad = np.empty((n, N, N, N, N), dtype=complex)
-    for l in range(n):
-        for a in range(N):
-            for b in range(N):
+    rows = []
+    for l in range(X.n):
+        for a in range(X.N):
+            for b in range(X.N):
                 d_full = (
-                    matfun(X.shifted(l + 1, a, b, step))
-                    - matfun(X.shifted(l + 1, a, b, -step))
+                    fun(X.shifted(l + 1, a, b, step))
+                    - fun(X.shifted(l + 1, a, b, -step))
                 ) / (2.0 * step)
                 d_half = (
-                    matfun(X.shifted(l + 1, a, b, 0.5 * step))
-                    - matfun(X.shifted(l + 1, a, b, -0.5 * step))
+                    fun(X.shifted(l + 1, a, b, 0.5 * step))
+                    - fun(X.shifted(l + 1, a, b, -0.5 * step))
                 ) / step
-                grad[l, a, b] = (4.0 * d_half - d_full) / 3.0
-    return grad
-
-
-def _scalar_gradient(
-    F: Callable[[MatrixTuple], complex], X: MatrixTuple, step: float
-) -> np.ndarray:
-    """``grad[l, a, b] = dF/d(X_{l+1})_{ab}`` by the same scheme."""
-    n, N = X.n, X.N
-    grad = np.empty((n, N, N), dtype=complex)
-    for l in range(n):
-        for a in range(N):
-            for b in range(N):
-                d_full = (
-                    F(X.shifted(l + 1, a, b, step))
-                    - F(X.shifted(l + 1, a, b, -step))
-                ) / (2.0 * step)
-                d_half = (
-                    F(X.shifted(l + 1, a, b, 0.5 * step))
-                    - F(X.shifted(l + 1, a, b, -0.5 * step))
-                ) / step
-                grad[l, a, b] = (4.0 * d_half - d_full) / 3.0
-    return grad
+                rows.append((4.0 * d_half - d_full) / 3.0)
+    shape = (X.n, X.N, X.N) + np.shape(rows[0])
+    return np.asarray(rows, dtype=complex).reshape(shape)
 
 
 def kks_oracle(
@@ -247,8 +225,8 @@ def kks_oracle(
     The orientation is fixed by the coordinate bracket
     ``{(x_a)_{ij}, (x_a)_{kl}} = d_{jk} (x_a)_{il} - d_{il} (x_a)_{kj}``.
     """
-    gF = _scalar_gradient(F, X, step)
-    gG = _scalar_gradient(G, X, step)
+    gF = _matrix_gradient(F, X, step)
+    gG = _matrix_gradient(G, X, step)
     total = 0j
     for l in range(X.n):
         nF = gF[l].T
@@ -371,8 +349,8 @@ class BivectorPi:
         G: Callable[[MatrixTuple], complex],
     ) -> complex:
         """Pair two scalar evaluators through finite-difference gradients."""
-        gF = _scalar_gradient(F, self.X, self.step)
-        gG = _scalar_gradient(G, self.X, self.step)
+        gF = _matrix_gradient(F, self.X, self.step)
+        gG = _matrix_gradient(G, self.X, self.step)
         core = self._core_inner + self._core_wedge
         return complex(np.einsum("ckl,ckldwz,dwz->", gF, core, gG))
 
@@ -382,15 +360,15 @@ class BivectorPi:
         G: Callable[[MatrixTuple], complex],
     ) -> complex:
         """Only the left-plus-right (wedge) part of the pairing."""
-        gF = _scalar_gradient(F, self.X, self.step)
-        gG = _scalar_gradient(G, self.X, self.step)
+        gF = _matrix_gradient(F, self.X, self.step)
+        gG = _matrix_gradient(G, self.X, self.step)
         return complex(np.einsum("ckl,ckldwz,dwz->", gF, self._core_wedge, gG))
 
     def gl_action(self, F: Callable[[MatrixTuple], complex]) -> np.ndarray:
         """The diagonal matrix-algebra action on a scalar function:
         ``out[a, b] = sum_{l, c} (X_l)_{ac} dF/d(X_l)_{cb}
         - (X_l)_{cb} dF/d(X_l)_{ac}``."""
-        gF = _scalar_gradient(F, self.X, self.step)
+        gF = _matrix_gradient(F, self.X, self.step)
         out = np.zeros((self.X.N, self.X.N), dtype=complex)
         for l in range(self.X.n):
             Xl = self.X.matrices[l]
@@ -512,7 +490,6 @@ def verify_theorem2(
     loop1: PLPath,
     X: MatrixTuple,
     accuracy: float = DEFAULT_ACCURACY,
-    delta: float = DEFAULT_DELTA,
     tolerance_floor: float = 1e-4,
 ) -> BivectorReport:
     """Three-way check of the loop-holonomy bracket formula.
@@ -531,8 +508,8 @@ def verify_theorem2(
             raise ValidationError("both loops must share one tangential base point")
     if conn.n_generators != X.n:
         raise ShapeError("connection and matrix tuple have different generator counts")
-    h1 = holonomy_reg(conn, loop1, accuracy, delta).series
-    h2 = holonomy_reg(conn, loop2, accuracy, delta).series
+    h1 = holonomy_reg(conn, loop1, accuracy).series
+    h2 = holonomy_reg(conn, loop2, accuracy).series
     M1 = evaluate(h1, X)
     M2 = evaluate(h2, X)
 
@@ -546,10 +523,10 @@ def verify_theorem2(
     crossing = np.zeros((N, N, N, N), dtype=complex)
     cuts = intersections(loop1, loop2)
     for c in cuts:
-        front1 = holonomy_reg(conn, subpath(loop1, c.t, 1.0), accuracy, delta).series
-        back1 = holonomy_reg(conn, subpath(loop1, 0.0, c.t), accuracy, delta).series
-        front2 = holonomy_reg(conn, subpath(loop2, c.s, 1.0), accuracy, delta).series
-        back2 = holonomy_reg(conn, subpath(loop2, 0.0, c.s), accuracy, delta).series
+        front1 = holonomy_reg(conn, subpath(loop1, c.t, 1.0), accuracy).series
+        back1 = holonomy_reg(conn, subpath(loop1, 0.0, c.t), accuracy).series
+        front2 = holonomy_reg(conn, subpath(loop2, c.s, 1.0), accuracy).series
+        back2 = holonomy_reg(conn, subpath(loop2, 0.0, c.s), accuracy).series
         t_a = evaluate(front1, X) @ evaluate(back2, X)
         t_b = evaluate(front2, X) @ evaluate(back1, X)
         crossing += float(c.sign) * np.einsum("uj,iv->ijuv", t_a, t_b)

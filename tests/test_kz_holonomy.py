@@ -20,7 +20,9 @@ from kzfox import (
     subpath,
     zeta,
 )
-from kzfox.errors import DomainError, ValidationError
+from kzfox import kz_holonomy
+from kzfox.cli import main
+from kzfox.errors import AccuracyError, DomainError, ValidationError
 from kzfox.kz_holonomy import goldman_bracket_check, pentagon_projection_check
 
 P3 = PunctureConfig([0.0, 1.0, 2.0])
@@ -105,7 +107,16 @@ def test_multiplicativity_tangential_composition():
     ha = holonomy_reg(conn, a).series
     hb = holonomy_reg(conn, b).series
     hc = holonomy_reg(conn, compose(b, a)).series
-    assert (hc - hb * ha).norm_inf() < 1e-6
+    assert (hc - hb * ha).norm_inf() < 1e-12
+
+
+def test_reversed_path_inverts_holonomy():
+    """Hol(gamma reversed) * Hol(gamma) = 1 at a tangential base point."""
+    conn = ConnectionSpec(P3, 4)
+    loop = _loop(LOOP_A1)
+    h = holonomy_reg(conn, loop).series
+    h_rev = holonomy_reg(conn, loop.reversed()).series
+    assert (h_rev * h - conn.unit()).norm_inf() < 1e-12
 
 
 def test_holonomy_report_fields():
@@ -139,6 +150,31 @@ def test_associator_commutator_coefficient():
     expected = zeta(2) / abs(complex(0, 2 * math.pi)) ** 2
     assert abs(c12 + c21) < 1e-10  # commutator: opposite coefficients
     assert abs(abs(c12) - expected) < 1e-8
+
+
+def test_associator_depth_one_zeta_coefficients():
+    """The coefficient of x1^(k-1) x2 in the associator is
+    -zeta(k) / (2 pi i)^k."""
+    s = associator(6)
+    for k in range(2, 7):
+        c = s.coefficient((1,) * (k - 1) + (2,))
+        assert abs(c + zeta(k) / complex(0, 2 * math.pi) ** k) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# subdivision failure
+# ---------------------------------------------------------------------------
+def test_subdivision_limit_raises_accuracy_error(monkeypatch, load_path, data_dir):
+    monkeypatch.setattr(kz_holonomy, "_MAX_DEPTH", 0)
+    path = load_path("fig8.json")
+    with pytest.raises(AccuracyError, match="subdivision limit exceeded"):
+        holonomy_reg(ConnectionSpec(path.punctures, 3), path)
+    # below the roundoff floor the message names the floor, the threshold
+    # actually applied, not the requested tolerance
+    with pytest.raises(AccuracyError, match=r"> 1\.000e-15\)"):
+        holonomy_reg(ConnectionSpec(path.punctures, 3), path, accuracy=1e-30)
+    code = main(["verify", "coaction", "--path", str(data_dir / "fig8.json")])
+    assert code == 2
 
 
 # ---------------------------------------------------------------------------
