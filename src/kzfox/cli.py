@@ -60,7 +60,7 @@ from .fox_calculus import (
     transpose,
 )
 from .free_hopf import COMPLEX, RATIONAL, FreeSeries, TensorSeries
-from .kz_paths import Anchor, PLPath, PunctureConfig
+from .kz_paths import Anchor, PLPath, PunctureConfig, self_intersections
 from .trivial_extension import (
     GEN_ZW,
     TrivExtElement,
@@ -568,13 +568,20 @@ def _verify_algebra(config: RunConfig, reporter: _Reporter) -> None:
 
 
 def _verify_coaction(config: RunConfig, reporter: _Reporter) -> None:
-    from .kz_holonomy import ConnectionSpec, holonomy_reg, mu_bar_rhs
+    from .kz_holonomy import (
+        ConnectionSpec,
+        crossing_breakpoints,
+        holonomy_reg,
+        mu_bar_rhs,
+    )
 
     path = _load_single_path(config)
     conn = ConnectionSpec(path.punctures, config.degree + 1)
-    h = holonomy_reg(conn, path, config.accuracy).series
-    lhs = mu_bar_kks(h).with_degree(config.degree)
-    rhs = mu_bar_rhs(conn, path, config.accuracy, holonomy=h)
+    hol = holonomy_reg(
+        conn, path, config.accuracy, crossing_breakpoints(self_intersections(path))
+    )
+    lhs = mu_bar_kks(hol.series).with_degree(config.degree)
+    rhs = mu_bar_rhs(conn, path, config.accuracy, holonomy=hol)
     disc = (lhs - rhs).norm_inf()
     tol = config.default_tolerance()
     reporter.emit(

@@ -16,13 +16,6 @@ from typing import Callable
 from .errors import ShapeError
 from .free_hopf import FreeSeries
 
-KIND_KKS = "kks"
-KIND_INNER = "inner"
-KIND_LEFT = "left"
-KIND_RIGHT = "right"
-KIND_CUSTOM = "custom"
-
-
 def d_right(m: int, a: FreeSeries) -> FreeSeries:
     """Strip a leading x_m: coeff of w in d_right(m, a) = coeff of (m, *w) in a."""
     terms = {}
@@ -52,8 +45,7 @@ def _without_counit(a: FreeSeries) -> FreeSeries:
 class FoxPairing:
     """Bilinear pairing object; ``pair(a, b)`` evaluates it."""
 
-    def __init__(self, kind: str, func: Callable[[FreeSeries, FreeSeries], FreeSeries]):
-        self.kind = kind
+    def __init__(self, func: Callable[[FreeSeries, FreeSeries], FreeSeries]):
         self._func = func
 
     def __call__(self, a: FreeSeries, b: FreeSeries) -> FreeSeries:
@@ -67,7 +59,7 @@ class FoxPairing:
         def func(a: FreeSeries, b: FreeSeries) -> FreeSeries:
             return self._func(b.antipode(), a.antipode()).antipode()
 
-        return FoxPairing(KIND_CUSTOM, func)
+        return FoxPairing(func)
 
 
 def _rho_kks_func(a: FreeSeries, b: FreeSeries) -> FreeSeries:
@@ -91,7 +83,7 @@ def _rho_kks_func(a: FreeSeries, b: FreeSeries) -> FreeSeries:
 
 
 def rho_kks_pairing() -> FoxPairing:
-    return FoxPairing(KIND_KKS, _rho_kks_func)
+    return FoxPairing(_rho_kks_func)
 
 
 def rho_kks(a: FreeSeries, b: FreeSeries) -> FreeSeries:
@@ -106,7 +98,7 @@ def rho_inner(g: FreeSeries) -> FoxPairing:
     def func(a: FreeSeries, b: FreeSeries) -> FreeSeries:
         return _without_counit(a) * g * _without_counit(b)
 
-    return FoxPairing(KIND_INNER, func)
+    return FoxPairing(func)
 
 
 def rho_left(m: int) -> FoxPairing:
@@ -115,7 +107,7 @@ def rho_left(m: int) -> FoxPairing:
     def func(a: FreeSeries, b: FreeSeries) -> FreeSeries:
         return d_left(m, a) * _without_counit(b)
 
-    return FoxPairing(KIND_LEFT, func)
+    return FoxPairing(func)
 
 
 def rho_right(m: int) -> FoxPairing:
@@ -124,7 +116,7 @@ def rho_right(m: int) -> FoxPairing:
     def func(a: FreeSeries, b: FreeSeries) -> FreeSeries:
         return _without_counit(a) * d_right(m, b)
 
-    return FoxPairing(KIND_RIGHT, func)
+    return FoxPairing(func)
 
 
 def transpose(rho: FoxPairing) -> FoxPairing:

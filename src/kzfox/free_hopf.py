@@ -206,12 +206,6 @@ class FreeSeries:
                 terms[w] = c if acc is None else acc + c
         return self._like(terms)
 
-    def power(self, k: int) -> "FreeSeries":
-        out = FreeSeries.unit(self.n, self.degree, self.backend)
-        for _ in range(k):
-            out = out * self
-        return out
-
     # -- Hopf structure -------------------------------------------------------
     def counit(self):
         return self.coefficient(())
@@ -241,12 +235,6 @@ class FreeSeries:
             acc = terms.get(rw)
             terms[rw] = c if acc is None else acc + c
         return self._like(terms)
-
-    def negate_generators(self) -> "FreeSeries":
-        """Substitute x_i -> -x_i for every generator."""
-        return self._like(
-            {w: (c if len(w) % 2 == 0 else -c) for w, c in self.coeffs.items()}
-        )
 
     # -- exp / log / inverse ---------------------------------------------------
     def _counit_is(self, value) -> bool:
@@ -334,14 +322,6 @@ class FreeSeries:
             c = complex(self.coeffs[w])
             terms.append({"word": list(w), "re": c.real, "im": c.imag})
         return {"n": self.n, "degree": self.degree, "terms": terms}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FreeSeries":
-        terms = {
-            tuple(t["word"]): complex(t.get("re", 0.0), t.get("im", 0.0))
-            for t in data["terms"]
-        }
-        return cls(data["n"], data["degree"], terms, COMPLEX)
 
 
 class TensorSeries:

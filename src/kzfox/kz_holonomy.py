@@ -9,11 +9,16 @@ one cutoff at 0.3 of the anchor's local scale: the stretch inside the cutoff
 is the analytic local frame (the same panel with the puncture's pole
 conjugated away) times a branch-fixed logarithmic factor, so the result
 carries no cutoff error.  The reported accuracy is the summed subdivision
-residual of the polyline and both frames.  On top of the transport engine sit
-the assembled right-hand sides of the holonomy identities: the
-reduced-coaction formula, the pairing formula for two paths, the loop-bracket
-checks on cyclic words, and the projected pentagon identity evaluated through
-the square-zero extension maps.
+residual of the polyline and both frames; a transport whose summed residual
+exceeds the requested accuracy raises AccuracyError.
+
+Each path is transported once, with breakpoints at the crossing parameters
+an identity needs; the result keeps the prefix holonomies P(t) there, and
+every piece Hol(path[a, b]) = P(b) P(a)^-1 is read off them (Chen's
+identity).  On top of the transport engine sit the assembled right-hand
+sides of the holonomy identities: the reduced-coaction formula, the pairing
+formula for two paths, the loop-bracket checks on cyclic words, and the
+projected pentagon identity evaluated through the square-zero extension maps.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .fox_calculus import d_left, d_right
 from .free_hopf import COMPLEX, CyclicSeries, FreeSeries
 from .kz_paths import (
     Anchor,
+    Crossing,
     PLPath,
     PunctureConfig,
     TANGENTIAL,
@@ -43,7 +49,6 @@ from .kz_paths import (
     rotation_number,
     self_intersections,
     snap_half_integer,
-    subpath,
 )
 from .trivial_extension import (
     SIDE_LEFT,
@@ -60,7 +65,8 @@ DEFAULT_ACCURACY = 1e-10
 # cutoff radius at a tangential anchor, as a fraction of its local scale
 _CUTOFF = 0.3
 _MAX_DEPTH = 48
-# absolute floor under the panel tolerance: residuals below it are roundoff
+# floor under the panel tolerance, per unit of panel conditioning: residuals
+# below it are roundoff
 _ROUNDOFF_FLOOR = 1e-15
 _GL_ORDER = 16
 
@@ -118,12 +124,33 @@ class ConnectionSpec:
 
 @dataclass(frozen=True)
 class HolonomyResult:
-    """Regularized holonomy along a path, with an error report."""
+    """Regularized holonomy along a path, with an error report.
+
+    `prefixes` maps each breakpoint t of the transport to the prefix holonomy
+    P(t) = Hol(path[0, t]); `piece` reads the holonomy of any piece of the
+    path cut at breakpoints off them by Chen's identity."""
 
     series: FreeSeries
     path: PLPath
     accuracy_estimate: float
     regularization_report: dict
+    prefixes: Dict[float, FreeSeries]
+
+    def _prefix(self, t: float) -> FreeSeries:
+        if t == 0.0:
+            return FreeSeries.unit(self.series.n, self.series.degree, COMPLEX)
+        if t == 1.0:
+            return self.series
+        if t not in self.prefixes:
+            raise ValidationError(f"t = {t!r} is not a breakpoint of this transport")
+        return self.prefixes[t]
+
+    def piece(self, a: float, b: float) -> FreeSeries:
+        """Hol(path[a, b]) = P(b) * P(a)^-1; the prefix is grouplike, so its
+        antipode is its inverse."""
+        if a == 0.0:
+            return self._prefix(b)
+        return self._prefix(b) * self._prefix(a).antipode()
 
     def to_json_dict(self) -> dict:
         report = {"accuracy": self.accuracy_estimate}
@@ -183,6 +210,22 @@ def _panel_transport(
     return end
 
 
+def _conditioning(
+    conn: ConnectionSpec, z0: complex, dz: complex, a: float, b: float, pole: int
+) -> float:
+    """max over the panel's nodes z and the punctures z_i other than the pole
+    of (|z| + |z_i|) / |z - z_i|."""
+    z = z0 + dz * (0.5 * (a + b) + 0.5 * (b - a) * _GL_NODES)
+    return max(
+        (
+            float(np.max((np.abs(z) + abs(zi)) / np.abs(z - zi)))
+            for i, zi in enumerate(conn.punctures.points, start=1)
+            if i != pole
+        ),
+        default=1.0,
+    )
+
+
 def _advance(
     conn: ConnectionSpec,
     z0: complex,
@@ -203,8 +246,9 @@ def _advance(
     halves = _panel_transport(conn, z0, dz, mid, b, first, pole)
     err = max(abs(whole[w] - halves[w]) for w in whole)
     # the roundoff floor keeps deep subdivisions from demanding sub-epsilon
-    # panel residuals
-    threshold = max(tol, _ROUNDOFF_FLOOR)
+    # panel residuals; it scales with the panel's conditioning, because the
+    # roundoff in 1/(z - z_i) grows as the gap to a puncture shrinks
+    threshold = max(tol, _ROUNDOFF_FLOOR * _conditioning(conn, z0, dz, a, b, pole))
     if err <= threshold:
         return halves, err
     if depth >= _MAX_DEPTH:
@@ -223,18 +267,43 @@ def _advance(
 
 
 def _transport_polyline(
-    conn: ConnectionSpec, points: Sequence[complex], accuracy: float
-) -> Tuple[Dict[Word, complex], float]:
-    state: Dict[Word, complex] = {(): 1.0 + 0j}
-    n_seg = len(points) - 1
-    tol = accuracy / max(n_seg, 1)
+    conn: ConnectionSpec, points: Sequence[complex], tol: float
+) -> Tuple[List[Dict[Word, complex]], float]:
+    """The transport state at every point of the polyline, and the summed
+    subdivision residual."""
+    states: List[Dict[Word, complex]] = [{(): 1.0 + 0j}]
     total_err = 0.0
-    for k in range(n_seg):
+    for k in range(len(points) - 1):
         z0 = complex(points[k])
         dz = complex(points[k + 1]) - z0
-        state, err = _advance(conn, z0, dz, 0.0, 1.0, state, tol, 0, f"segment {k}")
+        state, err = _advance(
+            conn, z0, dz, 0.0, 1.0, states[-1], tol, 0, f"segment {k}"
+        )
+        states.append(state)
         total_err += err
-    return state, total_err
+    return states, total_err
+
+
+def _with_breakpoints(
+    path: PLPath, breakpoints: Sequence[float]
+) -> Tuple[List[complex], Dict[float, int]]:
+    """The path's points with a vertex added at each breakpoint, and the
+    index of each breakpoint's point among them."""
+    by_segment: Dict[int, List[Tuple[float, float]]] = {}
+    for t in sorted(set(breakpoints)):
+        if not 0.0 < t < 1.0:
+            raise DomainError(f"breakpoint {t} outside (0, 1)")
+        k, u = path.locate(t)
+        by_segment.setdefault(k, []).append((t, u))
+    points = [path.points[0]]
+    index: Dict[float, int] = {}
+    for k in range(path.n_segments):
+        a, b = path.segment(k)
+        for t, u in by_segment.get(k, ()):
+            points.append(a + (b - a) * u)
+            index[t] = len(points) - 1
+        points.append(b)
+    return points, index
 
 
 # ---------------------------------------------------------------------------
@@ -275,42 +344,61 @@ def _local_frame(
 
 
 def holonomy_reg(
-    conn: ConnectionSpec, path: PLPath, accuracy: float = DEFAULT_ACCURACY
+    conn: ConnectionSpec,
+    path: PLPath,
+    accuracy: float = DEFAULT_ACCURACY,
+    breakpoints: Sequence[float] = (),
 ) -> HolonomyResult:
-    """Regularized holonomy along a path.
+    """Regularized holonomy along a path, with the prefix holonomies
+    P(t) = Hol(path[0, t]) at the given breakpoints 0 < t < 1.
 
     Each tangential anchor is cut off at a single radius, 0.3 of its local
-    scale (the distance to the nearest other puncture, capped by the tail
-    segment), and the stretch from the tangential base point to the cut is
-    supplied by the analytic local frame with its branch-fixed logarithmic
-    factor.  The polyline between the cuts is transported by adaptive
-    Gauss-Legendre quadrature.  `accuracy_estimate` is the summed subdivision
-    residual of the polyline and of both local frames; the report records
+    scale (the distance to the nearest other puncture, capped by the nearest
+    vertex or breakpoint on the tail), and the stretch from the tangential
+    base point to the cut is supplied by the analytic local frame with its
+    branch-fixed logarithmic factor.  The polyline between the cuts, with a
+    vertex added at each breakpoint, is transported once by adaptive
+    Gauss-Legendre quadrature; the requested accuracy is shared evenly among
+    its segments and the frames.  `accuracy_estimate` is the summed
+    subdivision residual of the polyline and of both local frames, and an
+    AccuracyError is raised when it exceeds `accuracy`; the report records
     the cut radii and the polyline's share as `quadrature_error`."""
     if path.punctures.points != conn.punctures.points:
         raise ValidationError("path and connection use different punctures")
-    points = list(path.points)
+    points, index = _with_breakpoints(path, breakpoints)
+    n_frames = (path.start.kind == TANGENTIAL) + (path.end.kind == TANGENTIAL)
+    tol = accuracy / (len(points) - 1 + n_frames)
     report: dict = {}
     pre = post = None
     frame_err = 0.0
     if path.start.kind == TANGENTIAL:
         points[0], report["cutoff_start"], pre, err = _local_frame(
-            conn, path.start, points[1], accuracy
+            conn, path.start, points[1], tol
         )
         frame_err += err
     if path.end.kind == TANGENTIAL:
         points[-1], report["cutoff_end"], post, err = _local_frame(
-            conn, path.end, points[-2], accuracy
+            conn, path.end, points[-2], tol
         )
         frame_err += err
-    state, quad_err = _transport_polyline(conn, points, accuracy)
-    series = conn._series(state)
-    if pre is not None:
-        series = series * pre
+    states, quad_err = _transport_polyline(conn, points, tol)
+    total_err = quad_err + frame_err
+    if total_err > accuracy:
+        raise AccuracyError(
+            f"summed subdivision residual {total_err:.3e} exceeds the requested "
+            f"accuracy {accuracy:.3e}; the path may run too close to a puncture"
+        )
+
+    def prefix(i: int) -> FreeSeries:
+        series = conn._series(states[i])
+        return series * pre if pre is not None else series
+
+    series = prefix(-1)
     if post is not None:
         series = post.inverse() * series
     report["quadrature_error"] = quad_err
-    return HolonomyResult(series, path, quad_err + frame_err, report)
+    prefixes = {t: prefix(i) for t, i in index.items()}
+    return HolonomyResult(series, path, total_err, report, prefixes)
 
 
 def associator(degree: int, accuracy: float = DEFAULT_ACCURACY) -> FreeSeries:
@@ -429,43 +517,39 @@ def _base_linking(path1: PLPath, path2: PLPath) -> float:
     return -1.0 if order[(i + 1) % 4][2] == "out" else 1.0
 
 
-def _crossing_sum(
-    conn: ConnectionSpec,
-    path: PLPath,
-    accuracy: float,
-) -> FreeSeries:
-    """Sum over self-intersections of sign * Hol(later piece) * Hol(earlier
-    piece), the pieces being cut at the crossing."""
-    total = FreeSeries.zero(conn.n_generators, conn.trunc_degree, COMPLEX)
-    for c in self_intersections(path):
-        front = holonomy_reg(conn, subpath(path, c.s, 1.0), accuracy).series
-        back = holonomy_reg(conn, subpath(path, 0.0, c.t), accuracy).series
-        total = total + float(c.sign) * (front * back)
-    return total
+def crossing_breakpoints(crossings: Sequence[Crossing]) -> List[float]:
+    """Both parameters of each self-crossing: the breakpoints of a transport
+    that serves every piece the self-crossing terms need."""
+    return [x for c in crossings for x in (c.t, c.s)]
 
 
 def mu_bar_rhs(
     conn: ConnectionSpec,
     path: PLPath,
     accuracy: float = DEFAULT_ACCURACY,
-    holonomy: Optional[FreeSeries] = None,
+    holonomy: Optional[HolonomyResult] = None,
 ) -> FreeSeries:
     """Right-hand side of the reduced-coaction formula for the holonomy of a
     path between tangential points p and q (p = q for loops); the result is
-    truncated to degree D-1, the range on which the assembly is exact."""
+    truncated to degree D-1, the range on which the assembly is exact.
+
+    `holonomy`, when given, is the path's transport with breakpoints at
+    `crossing_breakpoints(self_intersections(path))`; it saves a second
+    transport when the caller needs the holonomy too."""
     p = _require_tangential(path, "start")
     q = _require_tangential(path, "end")
     n, deg = conn.n_generators, conn.trunc_degree
-    series = (
-        holonomy
-        if holonomy is not None
-        else holonomy_reg(conn, path, accuracy).series
+    crossings = self_intersections(path)
+    hol = holonomy or holonomy_reg(
+        conn, path, accuracy, crossing_breakpoints(crossings)
     )
+    series = hol.series
     rot = snap_half_integer(rotation_number(path))
     out = series * r_zeta_series(p, deg, n, negate_variable=True)
     out = out + rot * series
     out = out - r_zeta_series(q, deg, n) * series
-    out = out + _crossing_sum(conn, path, accuracy)
+    for c in crossings:
+        out = out + float(c.sign) * (hol.piece(c.s, 1.0) * hol.piece(0.0, c.t))
     out = out - d_left(p, series) - d_right(q, series)
     if p == q:
         # A loop's smooth model has one more self-intersection than the
@@ -499,13 +583,13 @@ def rho_paths(
     r = _require_tangential(path2, "start")
     s = _require_tangential(path2, "end")
     n, deg = conn.n_generators, conn.trunc_degree
-    h1 = holonomy_reg(conn, path1, accuracy).series
-    h2 = holonomy_reg(conn, path2, accuracy).series
+    cuts = intersections(path1, path2)
+    hol1 = holonomy_reg(conn, path1, accuracy, [c.t for c in cuts])
+    hol2 = holonomy_reg(conn, path2, accuracy, [c.s for c in cuts])
+    h1, h2 = hol1.series, hol2.series
     total = FreeSeries.zero(n, deg, COMPLEX)
-    for c in intersections(path1, path2):
-        front = holonomy_reg(conn, subpath(path2, c.s, 1.0), accuracy).series
-        back = holonomy_reg(conn, subpath(path1, 0.0, c.t), accuracy).series
-        total = total + float(c.sign) * (front * back)
+    for c in cuts:
+        total = total + float(c.sign) * (hol2.piece(c.s, 1.0) * hol1.piece(0.0, c.t))
     if p == q == r == s:
         m = p
         one = FreeSeries.unit(n, deg, COMPLEX)
@@ -525,20 +609,6 @@ def rho_paths(
     return total.with_degree(deg - 1)
 
 
-def _rerooted(
-    conn: ConnectionSpec,
-    path: PLPath,
-    t: float,
-    accuracy: float,
-) -> FreeSeries:
-    """Holonomy of a loop rerooted at the interior point path(t): run the
-    tail [t, 1] back to the base first, then the head [0, t], so the product
-    is Hol(path[0, t]) * Hol(path[t, 1])."""
-    front = holonomy_reg(conn, subpath(path, t, 1.0), accuracy).series
-    back = holonomy_reg(conn, subpath(path, 0.0, t), accuracy).series
-    return back * front
-
-
 def goldman_bracket_check(
     conn: ConnectionSpec,
     loop2: PLPath,
@@ -555,14 +625,21 @@ def goldman_bracket_check(
     if not (m1s == m1e == m2s == m2e):
         raise ValidationError("both loops must share one tangential base point")
     n, deg = conn.n_generators, conn.trunc_degree
-    h1 = holonomy_reg(conn, loop1, accuracy).series
-    h2 = holonomy_reg(conn, loop2, accuracy).series
+    crossings = intersections(loop1, loop2)
+    self1, self2 = self_intersections(loop1), self_intersections(loop2)
+    hol1 = holonomy_reg(
+        conn, loop1, accuracy, [c.t for c in crossings] + crossing_breakpoints(self1)
+    )
+    hol2 = holonomy_reg(
+        conn, loop2, accuracy, [c.s for c in crossings] + crossing_breakpoints(self2)
+    )
+    h1, h2 = hol1.series, hol2.series
     lhs = necklace_bracket(h2, h1)
     rhs = CyclicSeries.zero(n, deg, COMPLEX)
-    crossings = intersections(loop1, loop2)
     for c in crossings:
-        r1 = _rerooted(conn, loop1, c.t, accuracy)
-        r2 = _rerooted(conn, loop2, c.s, accuracy)
+        # each loop rerooted at the crossing: Hol(loop[0, t]) Hol(loop[t, 1])
+        r1 = hol1.piece(0.0, c.t) * hol1.piece(c.t, 1.0)
+        r2 = hol2.piece(0.0, c.s) * hol2.piece(c.s, 1.0)
         rhs = rhs + float(c.sign) * (r1 * r2).cyclic_project()
     # The base point is itself an intersection of the two loops; the resolved
     # curves cross there once when the four tail strands alternate.
@@ -574,8 +651,8 @@ def goldman_bracket_check(
         "n_crossings": len(crossings),
         "base_linking": base_sign,
         "cobracket_discrepancy": [
-            _cobracket_discrepancy(conn, loop, h, accuracy)
-            for loop, h in ((loop1, h1), (loop2, h2))
+            _cobracket_discrepancy(conn, loop, hol, selfs)
+            for loop, hol, selfs in ((loop1, hol1, self1), (loop2, hol2, self2))
         ],
     }
     report["max_discrepancy"] = max(
@@ -587,37 +664,26 @@ def goldman_bracket_check(
 def _cobracket_discrepancy(
     conn: ConnectionSpec,
     loop: PLPath,
-    h: FreeSeries,
-    accuracy: float,
+    hol: HolonomyResult,
+    crossings: Sequence[Crossing],
 ) -> float:
     n, deg = conn.n_generators, conn.trunc_degree
+    h = hol.series
     lhs = necklace_cobracket(h)
     # The rotation term uses the tangent winding of the closed-up smooth
     # curve: the polyline rotation number plus the closing turn at the base.
     rot = snap_half_integer(rotation_number(loop)) + _closure_shift(loop)
     one_cyc = FreeSeries.unit(n, deg, COMPLEX).cyclic_project()
     rhs = CyclicWedge.wedge(one_cyc, h.cyclic_project()).scale(rot)
-    for c in self_intersections(loop):
-        middle = holonomy_reg(conn, subpath(loop, c.t, c.s), accuracy).series
-        outer = _rerooted_at_crossing(conn, loop, c.t, c.s, accuracy)
+    for c in crossings:
+        middle = hol.piece(c.t, c.s)
+        outer = hol.piece(c.s, 1.0) * hol.piece(0.0, c.t)
         rhs = rhs + CyclicWedge.wedge(
             middle.cyclic_project(), outer.cyclic_project()
         ).scale(float(c.sign))
     return _norm_through(
         (lhs - rhs).coeffs, deg - 1, key_len=lambda k: len(k[0]) + len(k[1])
     )
-
-
-def _rerooted_at_crossing(
-    conn: ConnectionSpec,
-    loop: PLPath,
-    t: float,
-    s: float,
-    accuracy: float,
-) -> FreeSeries:
-    front = holonomy_reg(conn, subpath(loop, s, 1.0), accuracy).series
-    back = holonomy_reg(conn, subpath(loop, 0.0, t), accuracy).series
-    return front * back
 
 
 def pentagon_projection_check(
@@ -631,15 +697,17 @@ def pentagon_projection_check(
     p = _require_tangential(path, "start")
     q = _require_tangential(path, "end")
     n, deg = conn.n_generators, conn.trunc_degree
-    h = holonomy_reg(conn, path, accuracy).series
+    crossings = self_intersections(path)
+    hol = holonomy_reg(conn, path, accuracy, crossing_breakpoints(crossings))
+    h = hol.series
     rot = snap_half_integer(rotation_number(path))
     lhs = associator_tail(SIDE_LEFT, q, deg, n) * h
     lhs = lhs + square_zw(h)
     lhs = lhs + rot * h
     lhs = lhs + h * associator_tail(SIDE_RIGHT, p, deg, n)
     rhs = square_z(q, h) + square_w(p, h)
-    rhs = rhs - _crossing_sum(conn, path, accuracy)
-    crossings = self_intersections(path)
+    for c in crossings:
+        rhs = rhs - float(c.sign) * (hol.piece(c.s, 1.0) * hol.piece(0.0, c.t))
     return {
         "max_discrepancy": _norm_through((lhs - rhs).coeffs, deg - 1),
         "rot": rot,

@@ -112,8 +112,6 @@ class Crossing:
     s: float
     point: complex
     sign: int
-    seg_first: int = -1
-    seg_second: int = -1
 
 
 class PLPath:
@@ -223,17 +221,6 @@ class PLPath:
                 width = cum[k + 1] - cum[k]
                 return k, (t - cum[k]) / width
         raise DomainError("unreachable")
-
-    def point_at(self, t: float) -> complex:
-        k, u = self.locate(t)
-        a, b = self.segment(k)
-        return a + (b - a) * u
-
-    def velocity_at(self, t: float) -> complex:
-        """Unit direction of the segment containing t."""
-        k, _ = self.locate(t)
-        a, b = self.segment(k)
-        return (b - a) / abs(b - a)
 
     def global_param(self, k: int, u: float) -> float:
         cum = self.cum_params
@@ -433,8 +420,6 @@ def self_intersections(path: PLPath) -> List[Crossing]:
                     s=path.global_param(j, float(u)),
                     point=pt,
                     sign=sign,
-                    seg_first=i,
-                    seg_second=j,
                 )
             )
     out.sort(key=lambda cr: (cr.t, cr.s))
@@ -487,8 +472,6 @@ def intersections(path1: PLPath, path2: PLPath) -> List[Crossing]:
                     s=path2.global_param(j, float(u)),
                     point=pt,
                     sign=sign,
-                    seg_first=i,
-                    seg_second=j,
                 )
             )
     out.sort(key=lambda cr: (cr.t, cr.s))

@@ -35,7 +35,7 @@ from .kz_holonomy import (
     _require_tangential,
     holonomy_reg,
 )
-from .kz_paths import PLPath, intersections, subpath
+from .kz_paths import PLPath, intersections
 
 __all__ = [
     "MatrixTuple",
@@ -167,18 +167,6 @@ def vdb_bracket(
     for (w1, w2), c in db.coeffs.items():
         total += complex(c) * product(w1)[u, j] * product(w2)[i, v]
     return total
-
-
-def _tensor_eval(db: TensorSeries, X: MatrixTuple) -> np.ndarray:
-    """All entry brackets at once: ``out[i, j, u, v] = vdb_bracket(db, X,
-    i, j, u, v)``."""
-    N = X.N
-    product = _product_cache(X.matrices)
-    out = np.zeros((N, N, N, N), dtype=complex)
-    for (w1, w2), c in db.coeffs.items():
-        # out[i, j, u, v] += c * P1[u, j] * P2[i, v]
-        out += complex(c) * np.einsum("uj,iv->ijuv", product(w1), product(w2))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -497,10 +485,12 @@ def verify_theorem2(
     Computes the bracket tensor ``{(H2)_ij, (H1)_uv}`` of the two loop
     holonomies three ways: (i) the finite-difference oracle on evaluated
     entries, (ii) the geometric formula (signed crossing subholonomies plus
-    the bivector), (iii) the evaluated double bracket of the two grouplike
-    holonomies.  The tolerance is ``max(tolerance_floor, tail_bound)``; the
-    geometric value (ii) assumes a loop pair whose strands at the base
-    resolve without extra linking corrections (``base_linking == 0``).
+    the bivector, plus ``base_linking`` times the product term of the whole
+    holonomies when the resolved tails cross at the base), (iii) the
+    evaluated double bracket of the two grouplike holonomies.  Each loop is
+    transported once, with breakpoints at its crossing parameters; the
+    crossing subholonomies are read off those transports.  The tolerance is
+    ``max(tolerance_floor, tail_bound)``.
     """
     m = _require_tangential(loop1, "start")
     for path, which in ((loop1, "end"), (loop2, "start"), (loop2, "end")):
@@ -508,8 +498,10 @@ def verify_theorem2(
             raise ValidationError("both loops must share one tangential base point")
     if conn.n_generators != X.n:
         raise ShapeError("connection and matrix tuple have different generator counts")
-    h1 = holonomy_reg(conn, loop1, accuracy).series
-    h2 = holonomy_reg(conn, loop2, accuracy).series
+    cuts = intersections(loop1, loop2)
+    hol1 = holonomy_reg(conn, loop1, accuracy, [c.t for c in cuts])
+    hol2 = holonomy_reg(conn, loop2, accuracy, [c.s for c in cuts])
+    h1, h2 = hol1.series, hol2.series
     M1 = evaluate(h1, X)
     M2 = evaluate(h2, X)
 
@@ -521,14 +513,9 @@ def verify_theorem2(
     # (ii) crossing subholonomies plus the bivector
     N = X.N
     crossing = np.zeros((N, N, N, N), dtype=complex)
-    cuts = intersections(loop1, loop2)
     for c in cuts:
-        front1 = holonomy_reg(conn, subpath(loop1, c.t, 1.0), accuracy).series
-        back1 = holonomy_reg(conn, subpath(loop1, 0.0, c.t), accuracy).series
-        front2 = holonomy_reg(conn, subpath(loop2, c.s, 1.0), accuracy).series
-        back2 = holonomy_reg(conn, subpath(loop2, 0.0, c.s), accuracy).series
-        t_a = evaluate(front1, X) @ evaluate(back2, X)
-        t_b = evaluate(front2, X) @ evaluate(back1, X)
+        t_a = evaluate(hol1.piece(c.t, 1.0), X) @ evaluate(hol2.piece(0.0, c.s), X)
+        t_b = evaluate(hol2.piece(c.s, 1.0), X) @ evaluate(hol1.piece(0.0, c.t), X)
         crossing += float(c.sign) * np.einsum("uj,iv->ijuv", t_a, t_b)
     base = _base_linking(loop1, loop2)
     if base:

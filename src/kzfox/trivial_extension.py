@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coefficients import r_zeta_series
-from .errors import DomainError, ShapeError, ValidationError
+from .errors import ShapeError, ValidationError
 from .fox_calculus import FoxPairing, rho_kks_pairing
 from .free_hopf import FreeSeries, TensorSeries
 
@@ -151,33 +151,6 @@ class TrivExtElement:
     def __repr__(self):
         return f"TrivExtElement(tensor={self.tensor_part!r}, m={self.m_part!r})"
 
-    def mul(self, other: "TrivExtElement", rho: FoxPairing) -> "TrivExtElement":
-        return trivext_mul(self, other, rho)
-
-    def exp(self, rho: FoxPairing) -> "TrivExtElement":
-        """Truncated exponential; requires vanishing scalar part."""
-        scalar = self.tensor_part.eps_left().counit()
-        if abs(complex(scalar)) > 1e-12:
-            raise DomainError("exp requires a vanishing scalar part")
-        result = TrivExtElement.unit(self.n, self.degree, self.backend)
-        # nilpotency: tensor part has order > 0, m part squares to zero, so
-        # degree + 2 factorial terms always suffice.
-        term = TrivExtElement.unit(self.n, self.degree, self.backend)
-        for k in range(1, self.degree + 3):
-            term = trivext_mul(term, self, rho).scale(_inv_int(self.backend, k))
-            if term.is_zero():
-                break
-            result = result + term
-        return result
-
-
-def _inv_int(backend: str, k: int):
-    from fractions import Fraction
-
-    if backend == "rational":
-        return Fraction(1, k)
-    return 1.0 / k
-
 
 def trivext_mul(
     u: TrivExtElement, v: TrivExtElement, rho: FoxPairing
@@ -190,14 +163,6 @@ def trivext_mul(
     right = v.tensor_part.eps_right()
     m = left * v.m_part + u.m_part * right + rho(left, right)
     return TrivExtElement(tensor, m)
-
-
-def bimodule_action(
-    t_left: TensorSeries, m: FreeSeries, t_right: TensorSeries
-) -> FreeSeries:
-    """(f tensor g) . m . (h tensor k) = eps(f) eps(k) g m h, extended
-    bilinearly."""
-    return t_left.eps_left() * m * t_right.eps_right()
 
 
 # -- the projection of the distinguished generators ------------------------

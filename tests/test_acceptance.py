@@ -30,8 +30,12 @@ from kzfox import (
 )
 from kzfox.cli import algebra_suite
 from kzfox.fox_calculus import rho_kks_pairing
-from kzfox.kz_holonomy import goldman_bracket_check, pentagon_projection_check
-from kzfox.kz_paths import rotation_number, snap_half_integer
+from kzfox.kz_holonomy import (
+    crossing_breakpoints,
+    goldman_bracket_check,
+    pentagon_projection_check,
+)
+from kzfox.kz_paths import rotation_number, self_intersections, snap_half_integer
 from kzfox.trivial_extension import (
     GEN_ZW,
     SIDE_LEFT,
@@ -166,9 +170,11 @@ def test_criterion_4_reduced_coaction_formula():
     for degree, tol in ((3, 1e-5), (4, 1e-4)):
         for path, label in cases:
             conn = ConnectionSpec(path.punctures, degree + 1)
-            h = holonomy_reg(conn, path).series
-            lhs = mu_bar_kks(h).with_degree(degree)
-            rhs = mu_bar_rhs(conn, path, holonomy=h)
+            hol = holonomy_reg(
+                conn, path, breakpoints=crossing_breakpoints(self_intersections(path))
+            )
+            lhs = mu_bar_kks(hol.series).with_degree(degree)
+            rhs = mu_bar_rhs(conn, path, holonomy=hol)
             disc = (lhs - rhs).norm_inf()
             ok = ok and disc <= tol
             details.append(f"{label} D={degree}: {disc:.1e}")

@@ -170,3 +170,34 @@ def test_goldman_campaign(capsys):
     assert code == 0
     records = [json.loads(l) for l in capsys.readouterr().out.splitlines() if l.strip()]
     assert any(r.get("n_crossings") == 1 for r in records)
+
+
+# ---------------------------------------------------------------------------
+# work counter: one transport per input path
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "argv, transports",
+    [
+        (["coaction", "--path", _path("fig8.json")], 1),
+        (["pentagon", "--path", _path("fig8.json")], 1),
+        (["goldman", "--loops", _path("loop_a4.json"),
+          "--loops", _path("loop_bup.json")], 2),
+        (["poisson", "--degree", "3", "--loops", _path("loop_a4.json"),
+          "--loops", _path("loop_bup.json")], 2),
+    ],
+)
+def test_campaign_transports_each_path_once(monkeypatch, capsys, argv, transports):
+    from kzfox import kz_holonomy, rep_space
+
+    calls = []
+    transport = kz_holonomy.holonomy_reg
+
+    def counting(conn, path, *args, **kwargs):
+        calls.append(path)
+        return transport(conn, path, *args, **kwargs)
+
+    monkeypatch.setattr(kz_holonomy, "holonomy_reg", counting)
+    monkeypatch.setattr(rep_space, "holonomy_reg", counting)
+    assert main(["verify"] + argv) == 0
+    assert len(calls) == transports
+    assert len({id(path) for path in calls}) == transports

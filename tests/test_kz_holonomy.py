@@ -1,7 +1,9 @@
 """Transport engine, regularized holonomy, and the assembled identities."""
 
 import cmath
+import json
 import math
+import time
 
 import pytest
 
@@ -23,7 +25,12 @@ from kzfox import (
 from kzfox import kz_holonomy
 from kzfox.cli import main
 from kzfox.errors import AccuracyError, DomainError, ValidationError
-from kzfox.kz_holonomy import goldman_bracket_check, pentagon_projection_check
+from kzfox.kz_holonomy import (
+    crossing_breakpoints,
+    goldman_bracket_check,
+    pentagon_projection_check,
+)
+from kzfox.kz_paths import intersections, self_intersections
 
 P3 = PunctureConfig([0.0, 1.0, 2.0])
 BASE = Anchor.tangential(1, 1.0)
@@ -99,6 +106,52 @@ def test_multiplicativity_regular_split():
         assert (h - tail * head).norm_inf() < 1e-8
 
 
+def _pieces_match_subpaths(conn, path, breakpoints):
+    """Every piece the one transport gives between breakpoints (and the
+    ends) against a separate transport of the subpath."""
+    hol = holonomy_reg(conn, path, breakpoints=breakpoints)
+    cuts = [0.0] + sorted(set(breakpoints)) + [1.0]
+    worst = 0.0
+    for i, a in enumerate(cuts):
+        for b in cuts[i + 1:]:
+            reference = holonomy_reg(conn, subpath(path, a, b)).series
+            worst = max(worst, (hol.piece(a, b) - reference).norm_inf())
+    return hol, worst
+
+
+def test_pieces_of_one_transport_match_subpath_transports(load_path):
+    conn = ConnectionSpec(P3, 4)
+    fig8 = load_path("fig8.json")
+    [c] = self_intersections(fig8)
+    _, worst = _pieces_match_subpaths(conn, fig8, [c.t, c.s])
+    assert worst <= 1e-13
+    loop_a4, loop_bup = load_path("loop_a4.json"), load_path("loop_bup.json")
+    cuts = intersections(loop_a4, loop_bup)
+    assert len(cuts) == 2
+    # one of the crossings lies on loop_a4's incoming tail, at x = 0.5
+    assert any(c.point == 0.5 for c in cuts)
+    _, worst = _pieces_match_subpaths(conn, loop_bup, [c.s for c in cuts])
+    assert worst <= 1e-13
+    # a breakpoint at x = 0.1 on the incoming tail, inside the tail's cutoff
+    # radius 0.21 of a plain transport: the radius shrinks to 0.3 * 0.1
+    inside = 1.0 - 0.1 / loop_a4.length
+    assert holonomy_reg(conn, loop_a4).regularization_report["cutoff_end"] > 0.1
+    hol, worst = _pieces_match_subpaths(
+        conn, loop_a4, [c.t for c in cuts] + [inside]
+    )
+    assert worst <= 1e-13
+    assert hol.regularization_report["cutoff_end"] == pytest.approx(0.03)
+
+
+def test_piece_needs_a_breakpoint():
+    hol = holonomy_reg(ConnectionSpec(P3, 2), _loop(LOOP_A1), breakpoints=[0.5])
+    assert (hol.piece(0.0, 1.0) - hol.series).norm_inf() == 0.0
+    with pytest.raises(ValidationError, match="not a breakpoint"):
+        hol.piece(0.25, 1.0)
+    with pytest.raises(DomainError):
+        holonomy_reg(ConnectionSpec(P3, 2), _loop(LOOP_A1), breakpoints=[1.0])
+
+
 def test_multiplicativity_tangential_composition():
     """Hol(gamma2 gamma1) = Hol(gamma2) * Hol(gamma1) for loops composed at
     a shared tangential base point."""
@@ -169,21 +222,51 @@ def test_subdivision_limit_raises_accuracy_error(monkeypatch, load_path, data_di
     path = load_path("fig8.json")
     with pytest.raises(AccuracyError, match="subdivision limit exceeded"):
         holonomy_reg(ConnectionSpec(path.punctures, 3), path)
-    # below the roundoff floor the message names the floor, the threshold
-    # actually applied, not the requested tolerance
-    with pytest.raises(AccuracyError, match=r"> 1\.000e-15\)"):
+    # below the roundoff floor the message names the floor scaled by the
+    # panel's conditioning, the threshold actually applied, not the requested
+    # tolerance
+    with pytest.raises(AccuracyError, match=r"> 6\.819e-15\)"):
         holonomy_reg(ConnectionSpec(path.punctures, 3), path, accuracy=1e-30)
     code = main(["verify", "coaction", "--path", str(data_dir / "fig8.json")])
     assert code == 2
+
+
+def test_puncture_grazing_path_raises_accuracy_error_quickly(tmp_path):
+    """A path passing 1e-12 above a puncture: roundoff bounds the panel
+    residuals far above the requested accuracy, so the transport stops at
+    once with an AccuracyError instead of subdividing without end."""
+    gap = 1e-12
+    path = PLPath(
+        P3,
+        Anchor.tangential(1, 1.0),
+        Anchor.tangential(3, -1.0),
+        [0.2, 0.5 + gap * 1j, 1.5 + gap * 1j, 1.8],
+    )
+    t0 = time.perf_counter()
+    with pytest.raises(AccuracyError, match="exceeds the requested accuracy"):
+        holonomy_reg(ConnectionSpec(P3, 3), path)
+    assert time.perf_counter() - t0 < 10.0
+    path_file = tmp_path / "graze.json"
+    path_file.write_text(json.dumps({
+        "punctures": [[0, 0], [1, 0], [2, 0]],
+        "start": {"kind": "tangential", "puncture": 1, "direction": [1, 0]},
+        "end": {"kind": "tangential", "puncture": 3, "direction": [-1, 0]},
+        "points": [[0.2, 0], [0.5, gap], [1.5, gap], [1.8, 0]],
+    }))
+    t0 = time.perf_counter()
+    assert main(["verify", "coaction", "--degree", "2", "--path", str(path_file)]) == 2
+    assert time.perf_counter() - t0 < 10.0
 
 
 # ---------------------------------------------------------------------------
 # assembled identities
 # ---------------------------------------------------------------------------
 def _mu_bar_discrepancy(conn, path):
-    h = holonomy_reg(conn, path).series
-    lhs = mu_bar_kks(h).with_degree(conn.trunc_degree - 1)
-    rhs = mu_bar_rhs(conn, path, holonomy=h)
+    hol = holonomy_reg(
+        conn, path, breakpoints=crossing_breakpoints(self_intersections(path))
+    )
+    lhs = mu_bar_kks(hol.series).with_degree(conn.trunc_degree - 1)
+    rhs = mu_bar_rhs(conn, path, holonomy=hol)
     return (lhs - rhs).norm_inf()
 
 
