@@ -1,9 +1,11 @@
 """Double brackets, coaction maps, and the cyclic-word Lie bialgebra.
 
-Builds the double bracket attached to a skew-symmetric Fox pairing, the
-adjacent-letter reduced coaction and its induced coaction on cyclic words,
-the bracket/cobracket on cyclic words, and the alpha/beta twists relating Fox
-derivatives to double derivations.
+The double bracket of a Fox pairing rho is the biderivation whose values on
+generators form the letter table {{x_i, x_j}} = (S (x) id) Delta rho(x_i, x_j);
+on words it is a sum over letter pairs (`double_bracket_from_pairing`).  Also
+here: the adjacent-letter reduced coaction and its induced coaction on cyclic
+words, the bracket/cobracket on cyclic words, and the alpha/beta twists
+relating Fox derivatives to double derivations.
 """
 
 from __future__ import annotations
@@ -51,16 +53,8 @@ class CyclicByFree:
 
     @classmethod
     def from_tensor(cls, t: TensorSeries) -> "CyclicByFree":
-        terms: Dict[Tuple[Word, Word], object] = {}
-        for (a, b), c in t.coeffs.items():
-            key = (cyclic_min(a), b)
-            acc = terms.get(key)
-            c = c if acc is None else acc + c
-            if _is_stored_zero(t.backend, c):
-                terms.pop(key, None)
-            else:
-                terms[key] = c
-        return cls(t.n, t.degree, terms, t.backend)
+        """Project the first leg to cyclic words (the constructor does it)."""
+        return cls(t.n, t.degree, t.coeffs, t.backend)
 
     def _binop(self, other, f):
         if (self.n, self.degree, self.backend) != (other.n, other.degree, other.backend):
@@ -207,33 +201,46 @@ class CyclicWedge:
 def double_bracket_from_pairing(
     rho: FoxPairing, a: FreeSeries, b: FreeSeries
 ) -> TensorSeries:
-    """{{a, b}} = b' S(rho(a'', b'')') a'  (x)  rho(a'', b'')''.
+    """{{a, b}} from the letter table, summed over letter pairs (p, q):
 
-    rho must be skew-symmetric for the double-bracket axioms to hold
-    (caller-asserted; exercised in tests).
+        {{u, v}} = sum v<q {{u_p, v_q}}' u>p  (x)  u<p {{u_p, v_q}}'' v>q,
+
+    u<p and u>p being the letters of u before and after position p, and
+    {{x_i, x_j}} = (S (x) id) Delta rho(x_i, x_j).  This is the Sweedler form
+    b' S(rho(a'', b'')') a' (x) rho(a'', b'')'', which is a biderivation
+    (outer in the second slot, inner in the first) and, as rho(1, .) =
+    rho(., 1) = 0, equals the letter table on generators.  Skew-symmetry of
+    rho is needed only for antisymmetry, not for the biderivation rules.
+    Cost: n^2 pairing calls, then |u||v| table lookups per word pair.
     """
     a._check(b)
     n, D, backend = a.n, a.degree, a.backend
-    da = a.coproduct()
-    db = b.coproduct()
+    gens = [FreeSeries.generator(i, n, D, backend) for i in range(1, n + 1)]
+    # (degree, S-leg word, second leg, signed coefficient), in degree order;
+    # the word pairs are distinct, so the sort never compares coefficients
+    table = {
+        (i, j): sorted(
+            (len(r1) + len(r2), r1[::-1], r2, -cr if len(r1) % 2 else cr)
+            for (r1, r2), cr in rho(xi, xj).coproduct().coeffs.items()
+        )
+        for i, xi in enumerate(gens, 1)
+        for j, xj in enumerate(gens, 1)
+    }
     terms: Dict[Tuple[Word, Word], object] = {}
-    for (a1, a2), ca in da.coeffs.items():
-        fa2 = FreeSeries.from_word(a2, n, D, backend)
-        for (b1, b2), cb in db.coeffs.items():
-            r = rho(fa2, FreeSeries.from_word(b2, n, D, backend))
-            if r.is_zero():
+    for u, cu in a.coeffs.items():
+        for v, cv in b.coeffs.items():
+            budget = D + 2 - len(u) - len(v)  # degree left for {{u_p, v_q}}
+            if budget < 0:
                 continue
-            cab = ca * cb
-            for (r1, r2), cr in r.coproduct().coeffs.items():
-                # b1 * S(r1) * a1  (x)  r2
-                sgn = 1 if len(r1) % 2 == 0 else -1
-                left = b1 + r1[::-1] + a1
-                if len(left) + len(r2) > D:
-                    continue
-                key = (left, r2)
-                c = cab * cr * sgn
-                acc = terms.get(key)
-                terms[key] = c if acc is None else acc + c
+            cuv = cu * cv
+            for p, up in enumerate(u):
+                for q, vq in enumerate(v):
+                    for deg, s1, r2, cr in table[up, vq]:
+                        if deg > budget:
+                            break
+                        key = (v[:q] + s1 + u[p + 1 :], u[:p] + r2 + v[q + 1 :])
+                        acc = terms.get(key)
+                        terms[key] = cuv * cr if acc is None else acc + cuv * cr
     return TensorSeries(n, D, terms, backend)
 
 

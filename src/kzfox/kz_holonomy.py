@@ -693,9 +693,15 @@ def pentagon_projection_check(
 ) -> dict:
     """Evaluate both sides of the projected pentagon identity for the
     holonomy of a path, using the square-zero extension maps and the
-    associator corner terms."""
+    associator corner terms.  A loop (start and end at the same tangential
+    point) is rejected: the identity has no closure term for it."""
     p = _require_tangential(path, "start")
     q = _require_tangential(path, "end")
+    if path.start == path.end:
+        raise ValidationError(
+            "the pentagon projection needs a path between two tangential "
+            "points; start and end are the same point (a loop)"
+        )
     n, deg = conn.n_generators, conn.trunc_degree
     crossings = self_intersections(path)
     hol = holonomy_reg(conn, path, accuracy, crossing_breakpoints(crossings))

@@ -226,24 +226,10 @@ class PLPath:
         cum = self.cum_params
         return cum[k] + (cum[k + 1] - cum[k]) * u
 
-    def _is_tail_segment(self, k: int) -> bool:
-        if k == 0 and self.start.kind == TANGENTIAL:
-            return True
-        if k == self.n_segments - 1 and self.end.kind == TANGENTIAL:
-            return True
-        return False
-
     # -- derived paths -------------------------------------------------------
 
     def reversed(self) -> "PLPath":
-        def flip(anchor: Anchor) -> Anchor:
-            if anchor.kind == REGULAR:
-                return anchor
-            return Anchor.tangential(anchor.puncture, anchor.direction)
-
-        return PLPath(
-            self.punctures, flip(self.end), flip(self.start), self.vertices[::-1]
-        )
+        return PLPath(self.punctures, self.end, self.start, self.vertices[::-1])
 
 
 # -- crossing detection ------------------------------------------------------

@@ -1,8 +1,10 @@
 """Double brackets, reduced coactions, necklace structures, twist maps."""
 
+import itertools
 from fractions import Fraction
 
 from kzfox import (
+    COMPLEX,
     CyclicByFree,
     FreeSeries,
     RATIONAL,
@@ -16,8 +18,10 @@ from kzfox import (
     necklace_cobracket,
     rho_inner,
     rho_kks,
+    rho_kks_pairing,
     rho_left,
     rho_right,
+    transpose,
 )
 from kzfox.brackets_coactions import alpha, alpha_inv, beta, beta_inv
 from conftest import random_series
@@ -80,6 +84,86 @@ def test_double_bracket_counit_recovers_pairing(rng):
         a = random_series(rng, N, D)
         b = random_series(rng, N, D)
         assert double_bracket_kks(a, b).eps_left() == rho_kks(a, b)
+
+
+def _sweedler_double_bracket(rho, a, b):
+    """Reference: {{a, b}} = b' S(rho(a'', b'')') a'  (x)  rho(a'', b'')'',
+    summed over all coproduct splittings of both arguments (grouped by the
+    second legs a'', b'', so each pairing value is computed once)."""
+    n, D, backend = a.n, a.degree, a.backend
+
+    def by_second_leg(x):
+        legs = {}
+        for (x1, x2), c in x.coproduct().coeffs.items():
+            legs.setdefault(x2, []).append((x1, c))
+        return legs.items()
+
+    terms = {}
+    for a2, a1s in by_second_leg(a):
+        fa2 = FreeSeries.from_word(a2, n, D, backend)
+        for b2, b1s in by_second_leg(b):
+            r = rho(fa2, FreeSeries.from_word(b2, n, D, backend))
+            for (r1, r2), cr in r.coproduct().coeffs.items():
+                s1, cr = r1[::-1], (-1) ** len(r1) * cr
+                for a1, ca in a1s:
+                    for b1, cb in b1s:
+                        key = (b1 + s1 + a1, r2)
+                        terms[key] = terms.get(key, 0) + ca * cb * cr
+    return TensorSeries(n, D, terms, backend)
+
+
+def _dense_complex(rng, n, degree):
+    words = (
+        w for k in range(degree + 1) for w in itertools.product(range(1, n + 1), repeat=k)
+    )
+    return FreeSeries(
+        n, degree, {w: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for w in words}, COMPLEX
+    )
+
+
+def test_double_bracket_matches_sweedler_form(rng):
+    """The letter-table construction equals the Sweedler sum exactly, for
+    skew-symmetric and non-skew-symmetric Fox pairings alike."""
+    for n in (2, 3):
+        for _ in range(15):
+            pairings = (
+                rho_kks_pairing(),
+                rho_inner(random_series(rng, n, D, 2)),
+                rho_left(rng.randint(1, n)),
+                rho_right(rng.randint(1, n)),
+                transpose(rho_kks_pairing()),
+            )
+            for rho in pairings:
+                a = random_series(rng, n, D, 4, 6)
+                b = random_series(rng, n, D, 4, 6)
+                assert double_bracket_from_pairing(rho, a, b) == _sweedler_double_bracket(
+                    rho, a, b
+                )
+
+
+def test_double_bracket_matches_sweedler_form_dense_complex(rng):
+    a, b = _dense_complex(rng, 3, D), _dense_complex(rng, 3, D)
+    new = double_bracket_kks(a, b)
+    ref = _sweedler_double_bracket(rho_kks_pairing(), a, b)
+    assert not ref.is_zero()
+    assert new.allclose(ref, 1e-13)
+
+
+def test_double_bracket_makes_one_coproduct_per_letter_pair(rng, monkeypatch):
+    """Work counter: the bracket is built from the n^2 letter-pair values, not
+    from coproducts of its arguments."""
+    n = 3
+    a, b = _dense_complex(rng, n, D), _dense_complex(rng, n, D)
+    calls = []
+    coproduct = FreeSeries.coproduct
+
+    def counting(self):
+        calls.append(self)
+        return coproduct(self)
+
+    monkeypatch.setattr(FreeSeries, "coproduct", counting)
+    double_bracket_kks(a, b)
+    assert len(calls) <= n * n
 
 
 def test_cyclic_vanishing_for_trivial_pairings(rng):

@@ -172,6 +172,28 @@ def test_goldman_campaign(capsys):
     assert any(r.get("n_crossings") == 1 for r in records)
 
 
+def test_goldman_campaign_reaches_degree_5(tmp_path, capsys):
+    out = tmp_path / "goldman.jsonl"
+    code = main(
+        [
+            "verify",
+            "goldman",
+            "--loops",
+            _path("loop_a1.json"),
+            "--loops",
+            _path("loop_b1.json"),
+            "--degree",
+            "5",
+            "--out",
+            str(out),
+        ]
+    )
+    assert code == 0
+    records = [json.loads(l) for l in out.read_text().splitlines() if l.strip()]
+    assert records and all(r["passed"] is True for r in records)
+    assert all(r["degree"] == 5 for r in records)
+
+
 # ---------------------------------------------------------------------------
 # work counter: one transport per input path
 # ---------------------------------------------------------------------------

@@ -365,3 +365,15 @@ def test_pentagon_projection_check_report():
     report = pentagon_projection_check(conn, fig8)
     assert report["n_crossings"] == 1
     assert report["max_discrepancy"] < 1e-8
+
+
+@pytest.mark.parametrize(
+    "name", ["loop_a1.json", "loop_a4.json", "loop_a5.json", "loop_b1.json", "loop_bup.json"]
+)
+def test_pentagon_projection_rejects_loops(load_path, data_dir, capsys, name):
+    loop = load_path(name)
+    assert loop.start == loop.end
+    with pytest.raises(ValidationError, match="loop"):
+        pentagon_projection_check(ConnectionSpec(loop.punctures, 4), loop)
+    assert main(["verify", "pentagon", "--path", str(data_dir / name)]) == 1
+    assert "loop" in capsys.readouterr().err

@@ -306,3 +306,16 @@ def test_verify_theorem2_validations():
     X = MatrixTuple.random(2, 2)  # wrong generator count
     with pytest.raises(ShapeError):
         verify_theorem2(conn, _loop(LOOP_BUP), _loop(LOOP_A4), X)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: on loop_a1 x loop_b1 (one crossing, base linking -1) "
+    "the geometric formula disagrees with the oracle and the evaluated double "
+    "bracket by about 6.5e-2, while those two agree to about 2e-7",
+)
+def test_three_way_agreement_loop_a1_loop_b1(load_path):
+    loop1, loop2 = load_path("loop_a1.json"), load_path("loop_b1.json")
+    conn = ConnectionSpec(loop1.punctures, 5)
+    X = MatrixTuple.random(loop1.punctures.n, 2, 0.1, 0)
+    assert verify_theorem2(conn, loop2, loop1, X).passed
