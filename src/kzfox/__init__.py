@@ -19,7 +19,6 @@ from .fox_calculus import (
 from .brackets_coactions import (
     CyclicByFree,
     CyclicWedge,
-    coaction_mu,
     coaction_mu_kks,
     double_bracket_from_pairing,
     double_bracket_kks,
@@ -114,7 +113,6 @@ __all__ = sorted(
         "rho_left",
         "rho_right",
         "transpose",
-        "coaction_mu",
         "coaction_mu_kks",
         "double_bracket_from_pairing",
         "double_bracket_kks",

@@ -12,15 +12,15 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from .errors import ShapeError
 from .fox_calculus import FoxPairing, d_left, d_right, rho_kks_pairing
 from .free_hopf import (
     CyclicSeries,
     FreeSeries,
     TensorSeries,
     Word,
-    _is_stored_zero,
+    _Sparse,
     cyclic_min,
+    pair_len,
     word_sort_key,
 )
 
@@ -28,76 +28,23 @@ from .free_hopf import (
 # ---------------------------------------------------------------------------
 # sparse containers for |A| (x) A and |A| wedge |A|
 # ---------------------------------------------------------------------------
-class CyclicByFree:
+class CyclicByFree(_Sparse):
     """Sparse element of |A| (x) A keyed by (cyclic word, word)."""
 
-    __slots__ = ("n", "degree", "backend", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, n, degree, terms=None, backend="rational"):
-        self.n = n
-        self.degree = degree
-        self.backend = backend
-        coeffs: Dict[Tuple[Word, Word], object] = {}
-        if terms:
-            for (cw, w), c in terms.items() if isinstance(terms, dict) else terms:
-                cw, w = cyclic_min(tuple(cw)), tuple(w)
-                if len(cw) + len(w) > degree:
-                    continue
-                acc = coeffs.get((cw, w))
-                c = c if acc is None else acc + c
-                if _is_stored_zero(backend, c):
-                    coeffs.pop((cw, w), None)
-                else:
-                    coeffs[(cw, w)] = c
-        self.coeffs = coeffs
+    _len = staticmethod(pair_len)
+
+    def _normal(self, key, c):
+        return (cyclic_min(tuple(key[0])), tuple(key[1])), c
 
     @classmethod
     def from_tensor(cls, t: TensorSeries) -> "CyclicByFree":
         """Project the first leg to cyclic words (the constructor does it)."""
         return cls(t.n, t.degree, t.coeffs, t.backend)
 
-    def _binop(self, other, f):
-        if (self.n, self.degree, self.backend) != (other.n, other.degree, other.backend):
-            raise ShapeError("mismatched shapes")
-        terms = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            acc = terms.get(k)
-            c = f(c) if acc is None else acc + f(c)
-            if _is_stored_zero(self.backend, c):
-                terms.pop(k, None)
-            else:
-                terms[k] = c
-        return CyclicByFree(self.n, self.degree, terms, self.backend)
 
-    def __add__(self, other):
-        return self._binop(other, lambda c: c)
-
-    def __sub__(self, other):
-        return self._binop(other, lambda c: -c)
-
-    def norm_inf(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def allclose(self, other, tol):
-        return (self - other).norm_inf() <= tol
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CyclicByFree)
-            and (self.n, self.degree, self.backend) == (other.n, other.degree, other.backend)
-            and self.coeffs == other.coeffs
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"CyclicByFree({len(self.coeffs)} terms)"
-
-
-class CyclicWedge:
+class CyclicWedge(_Sparse):
     """Antisymmetrized element of |A| (x) |A|, keyed with ordered cyclic words.
 
     A term c * (u (x) v) is stored on the key (min(u,v), max(u,v)) in
@@ -105,30 +52,17 @@ class CyclicWedge:
     The stored object represents sums of c * (u (x) v - v (x) u).
     """
 
-    __slots__ = ("n", "degree", "backend", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, n, degree, backend="rational"):
-        self.n = n
-        self.degree = degree
-        self.backend = backend
-        self.coeffs: Dict[Tuple[Word, Word], object] = {}
+    _len = staticmethod(pair_len)
 
-    def add_term(self, u: Word, v: Word, c):
-        """Accumulate c * (|u| (x) |v|) into the antisymmetrized store."""
-        u, v = cyclic_min(tuple(u)), cyclic_min(tuple(v))
-        if len(u) + len(v) > self.degree:
-            return
+    def _normal(self, key, c):
+        u, v = cyclic_min(tuple(key[0])), cyclic_min(tuple(key[1]))
         if u == v:
-            return
+            return None
         if word_sort_key(v) < word_sort_key(u):
-            u, v, c = v, u, -c
-        key = (u, v)
-        acc = self.coeffs.get(key)
-        c = c if acc is None else acc + c
-        if _is_stored_zero(self.backend, c):
-            self.coeffs.pop(key, None)
-        else:
-            self.coeffs[key] = c
+            return (v, u), -c
+        return (u, v), c
 
     @classmethod
     def from_tensor_halves(cls, t: TensorSeries) -> "CyclicWedge":
@@ -136,63 +70,16 @@ class CyclicWedge:
 
         This realizes |t| - |P21 t| when t is fed in un-symmetrized.
         """
-        out = cls(t.n, t.degree, t.backend)
-        for (a, b), c in t.coeffs.items():
-            out.add_term(a, b, c)
-        return out
+        return cls(t.n, t.degree, t.coeffs, t.backend)
 
     @classmethod
     def wedge(cls, x: CyclicSeries, y: CyclicSeries) -> "CyclicWedge":
         """|x| wedge |y| = x (x) y - y (x) x, bilinear."""
-        if (x.n, x.degree, x.backend) != (y.n, y.degree, y.backend):
-            raise ShapeError("mismatched shapes")
-        out = cls(x.n, x.degree, x.backend)
-        for u, cu in x.coeffs.items():
-            for v, cv in y.coeffs.items():
-                out.add_term(u, v, cu * cv)
-        return out
-
-    def _binop(self, other, sign):
-        if (self.n, self.degree, self.backend) != (other.n, other.degree, other.backend):
-            raise ShapeError("mismatched shapes")
-        out = CyclicWedge(self.n, self.degree, self.backend)
-        out.coeffs = dict(self.coeffs)
-        for (u, v), c in other.coeffs.items():
-            out.add_term(u, v, sign * c)
-        return out
-
-    def __add__(self, other):
-        return self._binop(other, 1)
-
-    def __sub__(self, other):
-        return self._binop(other, -1)
-
-    def scale(self, s):
-        out = CyclicWedge(self.n, self.degree, self.backend)
-        for (u, v), c in self.coeffs.items():
-            out.add_term(u, v, c * s)
-        return out
-
-    def norm_inf(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def allclose(self, other, tol):
-        return (self - other).norm_inf() <= tol
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CyclicWedge)
-            and (self.n, self.degree, self.backend) == (other.n, other.degree, other.backend)
-            and self.coeffs == other.coeffs
+        x._check(y)
+        terms = (
+            ((u, v), cu * cv) for u, cu in x.coeffs.items() for v, cv in y.coeffs.items()
         )
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"CyclicWedge({len(self.coeffs)} terms)"
+        return cls(x.n, x.degree, terms, x.backend)
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +151,12 @@ def mu_bar_kks(a: FreeSeries) -> FreeSeries:
     return FreeSeries(a.n, a.degree, terms, a.backend)
 
 
-def d_mu_bar(mu_bar, a: FreeSeries) -> TensorSeries:
+def d_mu_bar(a: FreeSeries) -> TensorSeries:
     """d(a) = a' S(mubar(a'')')  (x)  mubar(a'')''  (first leg not yet cyclic)."""
     n, D, backend = a.n, a.degree, a.backend
     terms: Dict[Tuple[Word, Word], object] = {}
     for (a1, a2), ca in a.coproduct().coeffs.items():
-        m = mu_bar(FreeSeries.from_word(a2, n, D, backend))
+        m = mu_bar_kks(FreeSeries.from_word(a2, n, D, backend))
         if m.is_zero():
             continue
         for (m1, m2), cm in m.coproduct().coeffs.items():
@@ -284,13 +171,9 @@ def d_mu_bar(mu_bar, a: FreeSeries) -> TensorSeries:
     return TensorSeries(n, D, terms, backend)
 
 
-def coaction_mu(mu_bar, a: FreeSeries) -> CyclicByFree:
-    """mu(a) = |a' S(mubar(a'')')| (x) mubar(a'')''."""
-    return CyclicByFree.from_tensor(d_mu_bar(mu_bar, a))
-
-
 def coaction_mu_kks(a: FreeSeries) -> CyclicByFree:
-    return coaction_mu(mu_bar_kks, a)
+    """mu(a) = |a' S(mubar(a'')')| (x) mubar(a'')''."""
+    return CyclicByFree.from_tensor(d_mu_bar(a))
 
 
 # ---------------------------------------------------------------------------
@@ -303,22 +186,12 @@ def necklace_bracket(a: FreeSeries, b: FreeSeries) -> CyclicSeries:
 
 def necklace_cobracket(a: FreeSeries) -> CyclicWedge:
     """delta(|a|) = |d(a)| - |P21 d(a)|, both legs cyclically projected."""
-    return CyclicWedge.from_tensor_halves(d_mu_bar(mu_bar_kks, a))
+    return CyclicWedge.from_tensor_halves(d_mu_bar(a))
 
 
 # ---------------------------------------------------------------------------
 # alpha / beta twists and double derivations
 # ---------------------------------------------------------------------------
-def _tensor_from_parts(n, D, backend, gen):
-    terms: Dict[Tuple[Word, Word], object] = {}
-    for (u, v), c in gen:
-        if len(u) + len(v) > D:
-            continue
-        acc = terms.get((u, v))
-        terms[(u, v)] = c if acc is None else acc + c
-    return TensorSeries(n, D, terms, backend)
-
-
 def _split_words(w: Word):
     """All coproduct splittings of a word into ordered subsequences."""
     m = len(w)
@@ -337,7 +210,7 @@ def alpha(t: TensorSeries) -> TensorSeries:
                 sgn = 1 if len(b1) % 2 == 0 else -1
                 yield (a + b1[::-1], b2), c * sgn
 
-    return _tensor_from_parts(t.n, t.degree, t.backend, gen())
+    return TensorSeries(t.n, t.degree, gen(), t.backend)
 
 
 def alpha_inv(t: TensorSeries) -> TensorSeries:
@@ -348,7 +221,7 @@ def alpha_inv(t: TensorSeries) -> TensorSeries:
             for d1, d2 in _split_words(d):
                 yield (cw + d1, d2), c
 
-    return _tensor_from_parts(t.n, t.degree, t.backend, gen())
+    return TensorSeries(t.n, t.degree, gen(), t.backend)
 
 
 def beta(t: TensorSeries) -> TensorSeries:
@@ -360,7 +233,7 @@ def beta(t: TensorSeries) -> TensorSeries:
                 sgn = 1 if len(b2) % 2 == 0 else -1
                 yield (b1, b2[::-1] + a), c * sgn
 
-    return _tensor_from_parts(t.n, t.degree, t.backend, gen())
+    return TensorSeries(t.n, t.degree, gen(), t.backend)
 
 
 def beta_inv(t: TensorSeries) -> TensorSeries:
@@ -371,7 +244,7 @@ def beta_inv(t: TensorSeries) -> TensorSeries:
             for c1, c2 in _split_words(cw):
                 yield (c2 + d, c1), c
 
-    return _tensor_from_parts(t.n, t.degree, t.backend, gen())
+    return TensorSeries(t.n, t.degree, gen(), t.backend)
 
 
 def double_derivation_from_fox(kind: str, m: int, a: FreeSeries) -> TensorSeries:

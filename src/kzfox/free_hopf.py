@@ -54,10 +54,19 @@ def word_sort_key(word: Word):
     return (len(word), word)
 
 
-class FreeSeries:
-    """Sparse truncated noncommutative power series."""
+class _Sparse:
+    """Sparse truncated linear combination of keys, of total degree <= D.
+
+    The one storage and zero policy of every container: a dict from normal
+    key to coefficient, with terms above D dropped, repeated keys added and
+    stored zeros deleted.  A subclass supplies the degree of a key (`_len`)
+    and its normal form (`_normal`, returning the normal key and the
+    coefficient, or None for a term that vanishes).
+    """
 
     __slots__ = ("n", "degree", "backend", "coeffs")
+
+    _len = staticmethod(len)
 
     def __init__(self, n: int, degree: int, terms=None, backend: str = RATIONAL):
         if n < 1:
@@ -67,28 +76,127 @@ class FreeSeries:
         self.n = n
         self.degree = degree
         self.backend = backend
-        coeffs: Dict[Word, object] = {}
+        coeffs: Dict[object, object] = {}
         if terms:
-            for word, c in terms.items() if isinstance(terms, dict) else terms:
-                word = tuple(word)
-                if len(word) > degree:
+            for key, c in terms.items() if isinstance(terms, dict) else terms:
+                if self._len(key) > degree:
                     continue
-                if any(not (1 <= i <= n) for i in word):
-                    raise DomainError(f"word {word} has letters outside 1..{n}")
+                term = self._normal(key, c)
+                if term is None:
+                    continue
+                key, c = term
                 c = _coerce(backend, c)
-                acc = coeffs.get(word)
+                acc = coeffs.get(key)
                 c = c if acc is None else acc + c
                 if _is_stored_zero(backend, c):
-                    coeffs.pop(word, None)
+                    coeffs.pop(key, None)
                 else:
-                    coeffs[word] = c
+                    coeffs[key] = c
         self.coeffs = coeffs
 
-    # -- constructors -----------------------------------------------------
     @classmethod
     def zero(cls, n, degree, backend=RATIONAL):
         return cls(n, degree, None, backend)
 
+    def _like(self, terms):
+        """Same shape, holding `terms` (normal keys within D) minus stored zeros."""
+        out = type(self).zero(self.n, self.degree, self.backend)
+        out.coeffs = {
+            k: c for k, c in terms.items() if not _is_stored_zero(self.backend, c)
+        }
+        return out
+
+    def _check(self, other):
+        if (type(self), self.n, self.degree, self.backend) != (
+            type(other), other.n, other.degree, other.backend
+        ):
+            raise ShapeError(
+                f"shapes differ: {type(self).__name__}({self.n},{self.degree},"
+                f"{self.backend}) vs {type(other).__name__}({other.n},"
+                f"{other.degree},{other.backend})"
+            )
+
+    def items(self):
+        return self.coeffs.items()
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def norm_inf(self) -> float:
+        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+
+    def norm_through(self, degree: int) -> float:
+        """Largest |coefficient| among the terms of total degree <= degree."""
+        return max(
+            (abs(c) for k, c in self.coeffs.items() if self._len(k) <= degree),
+            default=0.0,
+        )
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and (self.n, self.degree, self.backend) == (other.n, other.degree, other.backend)
+            and self.coeffs == other.coeffs
+        )
+
+    __hash__ = None
+
+    def allclose(self, other, tol: float) -> bool:
+        self._check(other)
+        return (self - other).norm_inf() <= tol
+
+    def __repr__(self):
+        keys = sorted(self.coeffs, key=lambda k: (self._len(k), k))
+        body = " + ".join(f"({self.coeffs[k]})*{k}" for k in keys[:8]) or "0"
+        tail = " + ..." if len(keys) > 8 else ""
+        return f"{type(self).__name__}({body}{tail})"
+
+    def __add__(self, other):
+        self._check(other)
+        terms = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            acc = terms.get(k)
+            terms[k] = c if acc is None else acc + c
+        return self._like(terms)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, scalar):
+        s = _coerce(self.backend, scalar)
+        return self._like({k: c * s for k, c in self.coeffs.items()})
+
+    def __rmul__(self, scalar):
+        return self.scale(scalar)
+
+    def to_complex(self):
+        if self.backend == COMPLEX:
+            return self
+        return type(self)(
+            self.n, self.degree, {k: complex(c) for k, c in self.coeffs.items()}, COMPLEX
+        )
+
+
+def pair_len(key) -> int:
+    """Total degree of a word-pair key."""
+    return len(key[0]) + len(key[1])
+
+
+class FreeSeries(_Sparse):
+    """Sparse truncated noncommutative power series."""
+
+    __slots__ = ()
+
+    def _normal(self, word, c):
+        word = tuple(word)
+        if any(not (1 <= i <= self.n) for i in word):
+            raise DomainError(f"word {word} has letters outside 1..{self.n}")
+        return word, c
+
+    # -- constructors -----------------------------------------------------
     @classmethod
     def unit(cls, n, degree, backend=RATIONAL, scalar=1):
         return cls(n, degree, {(): scalar}, backend)
@@ -103,90 +211,11 @@ class FreeSeries:
     def from_word(cls, word, n, degree, backend=RATIONAL, coeff=1):
         return cls(n, degree, {tuple(word): coeff}, backend)
 
-    # -- plumbing ----------------------------------------------------------
-    def _like(self, terms):
-        out = FreeSeries.zero(self.n, self.degree, self.backend)
-        coeffs = {}
-        for w, c in terms.items():
-            if len(w) <= self.degree and not _is_stored_zero(self.backend, c):
-                coeffs[w] = c
-        out.coeffs = coeffs
-        return out
-
-    def _check(self, other: "FreeSeries"):
-        if (self.n, self.degree, self.backend) != (other.n, other.degree, other.backend):
-            raise ShapeError(
-                f"series shapes differ: ({self.n},{self.degree},{self.backend}) vs "
-                f"({other.n},{other.degree},{other.backend})"
-            )
-
     def coefficient(self, word: Iterable[int]):
         c = self.coeffs.get(tuple(word))
         if c is None:
             return _coerce(self.backend, 0)
         return c
-
-    def items(self):
-        return self.coeffs.items()
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def norm_inf(self) -> float:
-        if not self.coeffs:
-            return 0.0
-        return max(abs(c) for c in self.coeffs.values())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FreeSeries)
-            and (self.n, self.degree, self.backend) == (other.n, other.degree, other.backend)
-            and self.coeffs == other.coeffs
-        )
-
-    __hash__ = None
-
-    def allclose(self, other: "FreeSeries", tol: float) -> bool:
-        self._check(other)
-        return (self - other).norm_inf() <= tol
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "FreeSeries(0)"
-        bits = []
-        for w in sorted(self.coeffs, key=word_sort_key)[:8]:
-            name = "1" if not w else "*".join(f"x{i}" for i in w)
-            bits.append(f"({self.coeffs[w]})*{name}")
-        tail = " + ..." if len(self.coeffs) > 8 else ""
-        return "FreeSeries(" + " + ".join(bits) + tail + ")"
-
-    # -- linear structure ---------------------------------------------------
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            acc = terms.get(w)
-            c = c if acc is None else acc + c
-            if _is_stored_zero(self.backend, c):
-                terms.pop(w, None)
-            else:
-                terms[w] = c
-        return self._like(terms)
-
-    def __neg__(self):
-        return self._like({w: -c for w, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, scalar):
-        s = _coerce(self.backend, scalar)
-        if _is_stored_zero(self.backend, s):
-            return FreeSeries.zero(self.n, self.degree, self.backend)
-        return self._like({w: c * s for w, c in self.coeffs.items()})
-
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
 
     # -- product ------------------------------------------------------------
     def __mul__(self, other):
@@ -306,13 +335,6 @@ class FreeSeries:
         return CyclicSeries(self.n, self.degree, terms, self.backend)
 
     # -- conversions / serialization ------------------------------------------
-    def to_complex(self) -> "FreeSeries":
-        if self.backend == COMPLEX:
-            return self
-        return FreeSeries(
-            self.n, self.degree, {w: complex(c) for w, c in self.coeffs.items()}, COMPLEX
-        )
-
     def with_degree(self, degree: int) -> "FreeSeries":
         return FreeSeries(self.n, degree, dict(self.coeffs), self.backend)
 
@@ -324,33 +346,15 @@ class FreeSeries:
         return {"n": self.n, "degree": self.degree, "terms": terms}
 
 
-class TensorSeries:
+class TensorSeries(_Sparse):
     """Sparse truncated element of A (x) A, keyed by word pairs."""
 
-    __slots__ = ("n", "degree", "backend", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, n, degree, terms=None, backend=RATIONAL):
-        self.n = n
-        self.degree = degree
-        self.backend = backend
-        coeffs: Dict[Tuple[Word, Word], object] = {}
-        if terms:
-            for key, c in terms.items() if isinstance(terms, dict) else terms:
-                w1, w2 = tuple(key[0]), tuple(key[1])
-                if len(w1) + len(w2) > degree:
-                    continue
-                c = _coerce(backend, c)
-                acc = coeffs.get((w1, w2))
-                c = c if acc is None else acc + c
-                if _is_stored_zero(backend, c):
-                    coeffs.pop((w1, w2), None)
-                else:
-                    coeffs[(w1, w2)] = c
-        self.coeffs = coeffs
+    _len = staticmethod(pair_len)
 
-    @classmethod
-    def zero(cls, n, degree, backend=RATIONAL):
-        return cls(n, degree, None, backend)
+    def _normal(self, key, c):
+        return (tuple(key[0]), tuple(key[1])), c
 
     @classmethod
     def unit(cls, n, degree, backend=RATIONAL, scalar=1):
@@ -368,73 +372,6 @@ class TensorSeries:
                     acc = terms.get(key)
                     terms[key] = c if acc is None else acc + c
         return cls(a.n, a.degree, terms, a.backend)
-
-    def _like(self, terms):
-        out = TensorSeries.zero(self.n, self.degree, self.backend)
-        coeffs = {}
-        for key, c in terms.items():
-            if len(key[0]) + len(key[1]) <= self.degree and not _is_stored_zero(
-                self.backend, c
-            ):
-                coeffs[key] = c
-        out.coeffs = coeffs
-        return out
-
-    def _check(self, other: "TensorSeries"):
-        if (self.n, self.degree, self.backend) != (other.n, other.degree, other.backend):
-            raise ShapeError("tensor series shapes differ")
-
-    def items(self):
-        return self.coeffs.items()
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def norm_inf(self) -> float:
-        if not self.coeffs:
-            return 0.0
-        return max(abs(c) for c in self.coeffs.values())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorSeries)
-            and (self.n, self.degree, self.backend) == (other.n, other.degree, other.backend)
-            and self.coeffs == other.coeffs
-        )
-
-    __hash__ = None
-
-    def allclose(self, other: "TensorSeries", tol: float) -> bool:
-        self._check(other)
-        return (self - other).norm_inf() <= tol
-
-    def __repr__(self):
-        return f"TensorSeries({len(self.coeffs)} terms, n={self.n}, D={self.degree})"
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            acc = terms.get(key)
-            c = c if acc is None else acc + c
-            if _is_stored_zero(self.backend, c):
-                terms.pop(key, None)
-            else:
-                terms[key] = c
-        return self._like(terms)
-
-    def __neg__(self):
-        return self._like({k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, scalar):
-        s = _coerce(self.backend, scalar)
-        return self._like({k: c * s for k, c in self.coeffs.items()})
-
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
 
     def __mul__(self, other):
         if not isinstance(other, TensorSeries):
@@ -483,31 +420,22 @@ class TensorSeries:
 
     def map_left(self, f: Callable[[FreeSeries], FreeSeries]) -> "TensorSeries":
         """Apply a linear map (given on series) to the first slot."""
-        out = TensorSeries.zero(self.n, self.degree, self.backend)
-        for (a, b), c in self.coeffs.items():
-            fa = f(FreeSeries.from_word(a, self.n, self.degree, self.backend))
-            for wa, ca in fa.coeffs.items():
-                out = out + TensorSeries(
-                    self.n, self.degree, {(wa, b): c * ca}, self.backend
-                )
-        return out
+        n, D, backend = self.n, self.degree, self.backend
+        terms = (
+            ((wa, b), c * ca)
+            for (a, b), c in self.coeffs.items()
+            for wa, ca in f(FreeSeries.from_word(a, n, D, backend)).coeffs.items()
+        )
+        return TensorSeries(n, D, terms, backend)
 
     def map_right(self, f: Callable[[FreeSeries], FreeSeries]) -> "TensorSeries":
-        out = TensorSeries.zero(self.n, self.degree, self.backend)
-        for (a, b), c in self.coeffs.items():
-            fb = f(FreeSeries.from_word(b, self.n, self.degree, self.backend))
-            for wb, cb in fb.coeffs.items():
-                out = out + TensorSeries(
-                    self.n, self.degree, {(a, wb): c * cb}, self.backend
-                )
-        return out
-
-    def to_complex(self) -> "TensorSeries":
-        if self.backend == COMPLEX:
-            return self
-        return TensorSeries(
-            self.n, self.degree, {k: complex(c) for k, c in self.coeffs.items()}, COMPLEX
+        n, D, backend = self.n, self.degree, self.backend
+        terms = (
+            ((a, wb), c * cb)
+            for (a, b), c in self.coeffs.items()
+            for wb, cb in f(FreeSeries.from_word(b, n, D, backend)).coeffs.items()
         )
+        return TensorSeries(n, D, terms, backend)
 
     def to_json_dict(self) -> dict:
         terms = []
@@ -521,97 +449,10 @@ class TensorSeries:
         return {"n": self.n, "degree": self.degree, "terms": terms}
 
 
-class CyclicSeries:
+class CyclicSeries(_Sparse):
     """Linear combination of cyclic words (the trace quotient of A)."""
 
-    __slots__ = ("n", "degree", "backend", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, n, degree, terms=None, backend=RATIONAL):
-        self.n = n
-        self.degree = degree
-        self.backend = backend
-        coeffs: Dict[Word, object] = {}
-        if terms:
-            for w, c in terms.items() if isinstance(terms, dict) else terms:
-                w = cyclic_min(tuple(w))
-                if len(w) > degree:
-                    continue
-                c = _coerce(backend, c)
-                acc = coeffs.get(w)
-                c = c if acc is None else acc + c
-                if _is_stored_zero(backend, c):
-                    coeffs.pop(w, None)
-                else:
-                    coeffs[w] = c
-        self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls, n, degree, backend=RATIONAL):
-        return cls(n, degree, None, backend)
-
-    def _check(self, other):
-        if (self.n, self.degree, self.backend) != (other.n, other.degree, other.backend):
-            raise ShapeError("cyclic series shapes differ")
-
-    def items(self):
-        return self.coeffs.items()
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def norm_inf(self) -> float:
-        if not self.coeffs:
-            return 0.0
-        return max(abs(c) for c in self.coeffs.values())
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            acc = terms.get(w)
-            c = c if acc is None else acc + c
-            if _is_stored_zero(self.backend, c):
-                terms.pop(w, None)
-            else:
-                terms[w] = c
-        out = CyclicSeries.zero(self.n, self.degree, self.backend)
-        out.coeffs = terms
-        return out
-
-    def __neg__(self):
-        out = CyclicSeries.zero(self.n, self.degree, self.backend)
-        out.coeffs = {w: -c for w, c in self.coeffs.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, scalar):
-        s = _coerce(self.backend, scalar)
-        out = CyclicSeries.zero(self.n, self.degree, self.backend)
-        if not _is_stored_zero(self.backend, s):
-            out.coeffs = {
-                w: c * s
-                for w, c in self.coeffs.items()
-                if not _is_stored_zero(self.backend, c * s)
-            }
-        return out
-
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CyclicSeries)
-            and (self.n, self.degree, self.backend) == (other.n, other.degree, other.backend)
-            and self.coeffs == other.coeffs
-        )
-
-    __hash__ = None
-
-    def allclose(self, other, tol: float) -> bool:
-        self._check(other)
-        return (self - other).norm_inf() <= tol
-
-    def __repr__(self):
-        return f"CyclicSeries({len(self.coeffs)} terms, n={self.n}, D={self.degree})"
+    def _normal(self, word, c):
+        return cyclic_min(tuple(word)), c

@@ -395,7 +395,8 @@ def holonomy_reg(
 
     series = prefix(-1)
     if post is not None:
-        series = post.inverse() * series
+        # the end frame is grouplike, so its antipode is its inverse
+        series = post.antipode() * series
     report["quadrature_error"] = quad_err
     prefixes = {t: prefix(i) for t, i in index.items()}
     return HolonomyResult(series, path, total_err, report, prefixes)
@@ -425,12 +426,6 @@ def associator(degree: int, accuracy: float = DEFAULT_ACCURACY) -> FreeSeries:
 # degree D-1; the assemblies below therefore return/compare series truncated
 # to D-1.
 # ---------------------------------------------------------------------------
-def _norm_through(coeffs, degree: int, key_len=len) -> float:
-    return max(
-        (abs(c) for k, c in coeffs.items() if key_len(k) <= degree), default=0.0
-    )
-
-
 def _require_tangential(path: PLPath, which: str) -> int:
     anchor = path.start if which == "start" else path.end
     if anchor.kind != TANGENTIAL:
@@ -647,7 +642,7 @@ def goldman_bracket_check(
     if base_sign:
         rhs = rhs + base_sign * (h1 * h2).cyclic_project()
     report = {
-        "bracket_discrepancy": _norm_through((lhs - rhs).coeffs, deg - 1),
+        "bracket_discrepancy": (lhs - rhs).norm_through(deg - 1),
         "n_crossings": len(crossings),
         "base_linking": base_sign,
         "cobracket_discrepancy": [
@@ -681,9 +676,7 @@ def _cobracket_discrepancy(
         rhs = rhs + CyclicWedge.wedge(
             middle.cyclic_project(), outer.cyclic_project()
         ).scale(float(c.sign))
-    return _norm_through(
-        (lhs - rhs).coeffs, deg - 1, key_len=lambda k: len(k[0]) + len(k[1])
-    )
+    return (lhs - rhs).norm_through(deg - 1)
 
 
 def pentagon_projection_check(
@@ -715,7 +708,7 @@ def pentagon_projection_check(
     for c in crossings:
         rhs = rhs - float(c.sign) * (hol.piece(c.s, 1.0) * hol.piece(0.0, c.t))
     return {
-        "max_discrepancy": _norm_through((lhs - rhs).coeffs, deg - 1),
+        "max_discrepancy": (lhs - rhs).norm_through(deg - 1),
         "rot": rot,
         "n_crossings": len(crossings),
     }

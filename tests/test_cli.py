@@ -109,6 +109,16 @@ def test_rational_backend_rejected_for_numeric_campaigns(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("size", ["0", "-2"])
+def test_nonpositive_matrix_size_exits_1(size, capsys):
+    argv = ["verify", "poisson", "--loops", _path("loop_a4.json")]
+    argv += ["--loops", _path("loop_bup.json"), "--N", size]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "--N must be >= 1" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # campaigns
 # ---------------------------------------------------------------------------

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kzfox import COMPLEX, RATIONAL, CyclicSeries, FreeSeries, TensorSeries
+from kzfox import (
+    COMPLEX,
+    RATIONAL,
+    CyclicByFree,
+    CyclicSeries,
+    CyclicWedge,
+    FreeSeries,
+    TensorSeries,
+)
 from kzfox.errors import DomainError, ShapeError
 
 N = 2
@@ -178,3 +186,75 @@ def test_cyclic_series_arithmetic():
     c = FreeSeries.from_word((1, 2), N, D, RATIONAL).cyclic_project()
     assert (c - c) == z
     assert (c + c) == c.scale(Fraction(2))
+
+
+# ---------------------------------------------------------------------------
+# the shared container contract
+# ---------------------------------------------------------------------------
+# container -> (a key of degree <= D, a key above D)
+CONTAINERS = {
+    FreeSeries: ((1, 2), (1, 1, 2, 2, 1)),
+    TensorSeries: (((1,), (2, 2)), ((1, 2), (1, 2, 1))),
+    CyclicSeries: ((1, 2, 2), (1, 1, 2, 2, 1)),
+    CyclicByFree: (((1, 2), (1,)), ((1, 2), (1, 2, 1))),
+    CyclicWedge: (((1,), (1, 2)), ((1, 1), (1, 2, 2))),
+}
+
+
+@pytest.mark.parametrize("cls", list(CONTAINERS), ids=lambda c: c.__name__)
+def test_container_contract(cls):
+    key, high = CONTAINERS[cls]
+    a = cls(N, D, {key: Fraction(1, 3)}, RATIONAL)
+    # mismatched shapes
+    for other in (
+        cls(N, D + 1, {key: 1}, RATIONAL),
+        cls(N + 1, D, {key: 1}, RATIONAL),
+        cls(N, D, {key: 1}, COMPLEX),
+    ):
+        with pytest.raises(ShapeError):
+            a + other
+        with pytest.raises(ShapeError):
+            a.allclose(other, 1.0)
+    # a + (-a) stores nothing
+    assert (a + (-a)).is_zero() and (a + (-a)).coeffs == {}
+    assert (a - a).coeffs == {} and a.scale(0).coeffs == {}
+    # the constructor drops terms above D and adds repeated keys
+    b = cls(N, D, [(key, 1), (high, 5), (key, Fraction(1, 2))], RATIONAL)
+    assert b.coeffs == {key: Fraction(3, 2)}
+    assert b == a.scale(Fraction(9, 2))
+    assert cls(N, D, [(key, 1), (key, -1)], RATIONAL).coeffs == {}
+    assert b.to_complex().coeffs == {key: 1.5 + 0j}
+
+
+def test_container_keys_are_normalized():
+    def make(cls, *terms):
+        return cls(N, D, list(terms), RATIONAL)
+
+    with pytest.raises(DomainError):
+        make(FreeSeries, ((1, 3), 1))
+    assert make(TensorSeries, (([1], [2]), 1)).coeffs == {((1,), (2,)): 1}
+    # rotations merge in the cyclic types
+    assert make(CyclicSeries, ((1, 2, 2), 1), ((2, 1, 2), 2)).coeffs == {
+        (1, 2, 2): 3
+    }
+    assert make(CyclicByFree, (((2, 1), (1,)), 1), (((1, 2), (1,)), 2)).coeffs == {
+        ((1, 2), (1,)): 3
+    }
+    # a wedge term flips sign under swap and vanishes on the diagonal
+    u, v = (1,), (2, 1)
+    assert make(CyclicWedge, ((v, u), 1)).coeffs == {((1,), (1, 2)): -1}
+    assert make(CyclicWedge, ((u, v), 1), ((v, u), 1)).is_zero()
+    assert make(CyclicWedge, (((1, 2), (2, 1)), 5)).is_zero()
+
+
+def test_containers_of_different_types_are_never_equal():
+    key = ((1,), (2,))
+    for cls in CONTAINERS:
+        for other in CONTAINERS:
+            zeros_equal = cls.zero(N, D, RATIONAL) == other.zero(N, D, RATIONAL)
+            assert zeros_equal == (cls is other)
+    t = TensorSeries(N, D, {key: 1}, RATIONAL)
+    assert t != CyclicByFree.from_tensor(t)
+    assert t.coeffs == CyclicByFree.from_tensor(t).coeffs
+    with pytest.raises(ShapeError):
+        t + CyclicByFree.from_tensor(t)
