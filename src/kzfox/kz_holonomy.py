@@ -1,16 +1,18 @@
 """Numerical parallel transport and regularized holonomy of the logarithmic
 flat connection  (1/2 pi i) sum_i x_i dlog(z - z_i)  along polyline paths.
 
-The transport is computed degree by degree: the word coefficients of the
-solution satisfy a triangular system of iterated integrals which is evaluated
-on adaptive Gauss-Legendre panels, with the quadrature nodes shared across all
-word coefficients of a given degree.  Tangential endpoints are regularized by
-one cutoff at 0.3 of the anchor's local scale: the stretch inside the cutoff
-is the analytic local frame (the same panel with the puncture's pole
-conjugated away) times a branch-fixed logarithmic factor, so the result
-carries no cutoff error.  The reported accuracy is the summed subdivision
-residual of the polyline and both frames; a transport whose summed residual
-exceeds the requested accuracy raises AccuracyError.
+The transport is computed degree by degree on level arrays: level k of a
+state holds the coefficients of the n^k words of length k in lexicographic
+order, and the triangular system of iterated integrals they satisfy is
+evaluated on adaptive Gauss-Legendre panels, one broadcast and one matmul per
+level.  Tangential endpoints are regularized by one cutoff at 0.3 of the
+anchor's local scale: the stretch inside the cutoff is the analytic local
+frame (the same panel with the puncture's pole conjugated away) times a
+branch-fixed logarithmic factor, so the result carries no cutoff error.
+Frames and prefixes are composed as level products, and each result is
+converted to a FreeSeries once.  The reported accuracy is the summed
+subdivision residual of the polyline and both frames; a transport whose
+summed residual exceeds the requested accuracy raises AccuracyError.
 
 Each path is transported once, with breakpoints at the crossing parameters
 an identity needs; the result keeps the prefix holonomies P(t) there, and
@@ -23,7 +25,7 @@ projected pentagon identity evaluated through the square-zero extension maps.
 
 from __future__ import annotations
 
-import cmath
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -60,6 +62,7 @@ from .trivial_extension import (
 )
 
 Word = Tuple[int, ...]
+Levels = List[np.ndarray]  # level k: the n^k words of length k, ravel order
 
 DEFAULT_ACCURACY = 1e-10
 # cutoff radius at a tangential anchor, as a fraction of its local scale
@@ -87,13 +90,6 @@ def _gauss_legendre_setup(order: int):
 _GL_NODES, _GL_WEIGHTS, _GL_INTMAT = _gauss_legendre_setup(_GL_ORDER)
 
 
-def _words_by_length(n: int, degree: int) -> List[Word]:
-    out: List[Word] = []
-    for k in range(1, degree + 1):
-        out.extend(product(range(1, n + 1), repeat=k))
-    return out
-
-
 class ConnectionSpec:
     """The connection data: punctures paired with generators, a truncation
     degree, and the floating backend."""
@@ -104,7 +100,8 @@ class ConnectionSpec:
         self.punctures = punctures
         self.trunc_degree = trunc_degree
         self.backend = COMPLEX
-        self._words = _words_by_length(punctures.n, trunc_degree)
+        # an (n, 1) column, broadcast against a panel's nodes
+        self._points = np.array(punctures.points, dtype=complex)[:, None]
 
     @property
     def n_generators(self) -> int:
@@ -115,11 +112,6 @@ class ConnectionSpec:
 
     def generator(self, i: int) -> FreeSeries:
         return FreeSeries.generator(i, self.n_generators, self.trunc_degree, COMPLEX)
-
-    def _series(self, coeffs: Dict[Word, complex]) -> FreeSeries:
-        terms = dict(coeffs)
-        terms[()] = terms.get((), 0j)
-        return FreeSeries(self.n_generators, self.trunc_degree, terms, COMPLEX)
 
 
 @dataclass(frozen=True)
@@ -170,17 +162,44 @@ class HolonomyResult:
 # ---------------------------------------------------------------------------
 # transport engine
 # ---------------------------------------------------------------------------
+def _unit_levels(conn: ConnectionSpec) -> Levels:
+    n = conn.n_generators
+    return [np.full(n**k, k == 0, dtype=complex) for k in range(conn.trunc_degree + 1)]
+
+
+def _level_mul(a: Levels, b: Levels) -> Levels:
+    """Truncated product: level k is the sum over i of outer(a_i, b_{k-i})."""
+    return [
+        sum(np.outer(a[i], b[k - i]).ravel() for i in range(k + 1))
+        for k in range(len(a))
+    ]
+
+
+def _level_antipode(levels: Levels, n: int) -> Levels:
+    """S(w) = (-1)^|w| reversed(w): each level with its axes reversed."""
+    return [(-1) ** k * v.reshape((n,) * k).T.ravel() for k, v in enumerate(levels)]
+
+
+def _to_series(conn: ConnectionSpec, levels: Levels) -> FreeSeries:
+    """The one conversion from level arrays to a FreeSeries; the keys are
+    normal words within D by construction, so only stored zeros are dropped."""
+    letters = range(1, conn.n_generators + 1)
+    words = (w for k in range(len(levels)) for w in product(letters, repeat=k))
+    terms = dict(zip(words, np.concatenate(levels).tolist()))
+    return FreeSeries.zero(conn.n_generators, conn.trunc_degree, COMPLEX)._like(terms)
+
+
 def _panel_transport(
     conn: ConnectionSpec,
     z0: complex,
     dz: complex,
     a: float,
     b: float,
-    init: Dict[Word, complex],
+    init: Levels,
     pole: int = 0,
-) -> Dict[Word, complex]:
+) -> Levels:
     """One Gauss-Legendre panel over the local parameter span [a, b] of the
-    segment z(u) = z0 + dz*u; returns the word coefficients at u = b.
+    segment z(u) = z0 + dz*u; returns the state at u = b.
 
     With a nonzero `pole`, z0 is that puncture, dz a unit ray direction, and
     the panel integrates the analytic local frame U instead: the transport
@@ -191,22 +210,21 @@ def _panel_transport(
     half = 0.5 * (b - a)
     u = 0.5 * (a + b) + half * _GL_NODES
     z = z0 + dz * u
-    factors = []
-    for i in range(1, conn.n_generators + 1):
-        if i == pole:
-            factors.append((half / TWO_PI_I) / u)
-        else:
-            factors.append((dz * half / TWO_PI_I) / (z - conn.punctures.point(i)))
-    scalar = init.get((), 0j)
-    node_vals: Dict[Word, np.ndarray] = {(): np.full(_GL_ORDER, scalar)}
-    end: Dict[Word, complex] = {(): scalar}
-    for word in conn._words:
-        g = factors[word[0] - 1] * node_vals[word[1:]]
-        if word[-1] == pole:
-            g = g - factors[pole - 1] * node_vals[word[:-1]]
-        base = init.get(word, 0j)
-        node_vals[word] = base + _GL_INTMAT @ g
-        end[word] = base + complex(_GL_WEIGHTS @ g)
+    n = conn.n_generators
+    factors = (dz * half / TWO_PI_I) / (z - conn._points)
+    if pole:
+        factors[pole - 1] = (half / TWO_PI_I) / u
+    nodes = np.full((1, _GL_ORDER), init[0][0])
+    end = [init[0]]
+    for level in init[1:]:
+        # the integrand of x_i w is the factor of x_i times the node values of w
+        g = (factors[:, None] * nodes).reshape(-1, _GL_ORDER)
+        if pole:
+            # words ending in the pole: minus its factor times the node values
+            # of the word without that letter
+            g.reshape(-1, n, _GL_ORDER)[:, pole - 1] -= factors[pole - 1] * nodes
+        nodes = level[:, None] + g @ _GL_INTMAT.T
+        end.append(level + g @ _GL_WEIGHTS)
     return end
 
 
@@ -214,16 +232,10 @@ def _conditioning(
     conn: ConnectionSpec, z0: complex, dz: complex, a: float, b: float, pole: int
 ) -> float:
     """max over the panel's nodes z and the punctures z_i other than the pole
-    of (|z| + |z_i|) / |z - z_i|."""
+    of (|z| + |z_i|) / |z - z_i|; at least 1 by the triangle inequality."""
     z = z0 + dz * (0.5 * (a + b) + 0.5 * (b - a) * _GL_NODES)
-    return max(
-        (
-            float(np.max((np.abs(z) + abs(zi)) / np.abs(z - zi)))
-            for i, zi in enumerate(conn.punctures.points, start=1)
-            if i != pole
-        ),
-        default=1.0,
-    )
+    zi = np.delete(conn._points, pole - 1, axis=0) if pole else conn._points
+    return float(np.max((np.abs(z) + np.abs(zi)) / np.abs(z - zi), initial=1.0))
 
 
 def _advance(
@@ -232,19 +244,19 @@ def _advance(
     dz: complex,
     a: float,
     b: float,
-    init: Dict[Word, complex],
+    init: Levels,
     tol: float,
     depth: int,
     where: str,
     pole: int = 0,
-) -> Tuple[Dict[Word, complex], float]:
+) -> Tuple[Levels, float]:
     """Adaptive bisection of a panel until whole and split panels agree to
     `tol`; returns the state at u = b and the summed panel residual."""
     whole = _panel_transport(conn, z0, dz, a, b, init, pole)
     mid = 0.5 * (a + b)
     first = _panel_transport(conn, z0, dz, a, mid, init, pole)
     halves = _panel_transport(conn, z0, dz, mid, b, first, pole)
-    err = max(abs(whole[w] - halves[w]) for w in whole)
+    err = max(float(np.max(np.abs(w - h))) for w, h in zip(whole, halves))
     # the roundoff floor keeps deep subdivisions from demanding sub-epsilon
     # panel residuals; it scales with the panel's conditioning, because the
     # roundoff in 1/(z - z_i) grows as the gap to a puncture shrinks
@@ -268,10 +280,10 @@ def _advance(
 
 def _transport_polyline(
     conn: ConnectionSpec, points: Sequence[complex], tol: float
-) -> Tuple[List[Dict[Word, complex]], float]:
+) -> Tuple[List[Levels], float]:
     """The transport state at every point of the polyline, and the summed
     subdivision residual."""
-    states: List[Dict[Word, complex]] = [{(): 1.0 + 0j}]
+    states = [_unit_levels(conn)]
     total_err = 0.0
     for k in range(len(points) - 1):
         z0 = complex(points[k])
@@ -310,19 +322,14 @@ def _with_breakpoints(
 # regularized holonomy
 # ---------------------------------------------------------------------------
 def _local_scale(conn: ConnectionSpec, puncture: int, tail_length: float) -> float:
-    z = conn.punctures.point(puncture)
-    dists = [
-        abs(conn.punctures.point(j) - z)
-        for j in range(1, conn.n_generators + 1)
-        if j != puncture
-    ]
-    scale = min(dists) if dists else tail_length
-    return min(scale, tail_length)
+    """The distance to the nearest other puncture, capped by the tail length."""
+    others = np.delete(conn._points, puncture - 1)
+    return float(np.abs(others - conn._points[puncture - 1]).min(initial=tail_length))
 
 
 def _local_frame(
     conn: ConnectionSpec, anchor: Anchor, neighbour: complex, accuracy: float
-) -> Tuple[complex, float, FreeSeries, float]:
+) -> Tuple[complex, float, Levels, float]:
     """Cut a tangential anchor off at radius r = _CUTOFF * local scale along
     its ray.  Returns the cut point, r, the regularizing factor
     U(r) * exp(log(r) x_p / 2pi i) that transports from the tangential base
@@ -330,17 +337,21 @@ def _local_frame(
 
     U is the analytic frame normalized by U = 1 at the puncture.  The local
     coordinate (z - z_p)/v is real positive on the ray, so the branch factor
-    uses a real logarithm; with U in place the result does not depend on r."""
+    uses a real logarithm; with U in place the result does not depend on r.
+    The factor exp(c x_p), c = log(r) / 2pi i, is c^k / k! on the word p^k."""
     p = anchor.puncture
     zp = conn.punctures.point(p)
     v = anchor.direction / abs(anchor.direction)
     r = _CUTOFF * _local_scale(conn, p, abs(neighbour - zp))
     state, err = _advance(
-        conn, zp, v, 0.0, r, {(): 1.0 + 0j}, accuracy, 0,
+        conn, zp, v, 0.0, r, _unit_levels(conn), accuracy, 0,
         f"the local frame at puncture {p}", pole=p,
     )
-    log_term = conn.generator(p).scale(cmath.log(r) / TWO_PI_I).exp()
-    return zp + v * r, r, conn._series(state) * log_term, err
+    c, log_term, index = math.log(r) / TWO_PI_I, _unit_levels(conn), 0
+    for k in range(1, len(log_term)):
+        index = index * conn.n_generators + p - 1  # the word p^k
+        log_term[k][index] = c**k / math.factorial(k)
+    return zp + v * r, r, _level_mul(state, log_term), err
 
 
 def holonomy_reg(
@@ -369,7 +380,7 @@ def holonomy_reg(
     n_frames = (path.start.kind == TANGENTIAL) + (path.end.kind == TANGENTIAL)
     tol = accuracy / (len(points) - 1 + n_frames)
     report: dict = {}
-    pre = post = None
+    pre = post = _unit_levels(conn)
     frame_err = 0.0
     if path.start.kind == TANGENTIAL:
         points[0], report["cutoff_start"], pre, err = _local_frame(
@@ -388,18 +399,14 @@ def holonomy_reg(
             f"summed subdivision residual {total_err:.3e} exceeds the requested "
             f"accuracy {accuracy:.3e}; the path may run too close to a puncture"
         )
-
-    def prefix(i: int) -> FreeSeries:
-        series = conn._series(states[i])
-        return series * pre if pre is not None else series
-
-    series = prefix(-1)
-    if post is not None:
-        # the end frame is grouplike, so its antipode is its inverse
-        series = post.antipode() * series
     report["quadrature_error"] = quad_err
-    prefixes = {t: prefix(i) for t, i in index.items()}
-    return HolonomyResult(series, path, total_err, report, prefixes)
+    prefixes = {
+        t: _to_series(conn, _level_mul(states[i], pre)) for t, i in index.items()
+    }
+    end = _level_mul(states[-1], pre)
+    # the end frame is grouplike, so its antipode is its inverse
+    end = _level_mul(_level_antipode(post, conn.n_generators), end)
+    return HolonomyResult(_to_series(conn, end), path, total_err, report, prefixes)
 
 
 def associator(degree: int, accuracy: float = DEFAULT_ACCURACY) -> FreeSeries:

@@ -123,25 +123,8 @@ class TrivExtElement:
             self.tensor_part - other.tensor_part, self.m_part - other.m_part
         )
 
-    def __neg__(self) -> "TrivExtElement":
-        return TrivExtElement(-self.tensor_part, -self.m_part)
-
-    def scale(self, scalar) -> "TrivExtElement":
-        return TrivExtElement(self.tensor_part.scale(scalar), self.m_part.scale(scalar))
-
-    def __rmul__(self, scalar) -> "TrivExtElement":
-        return self.scale(scalar)
-
     def is_zero(self) -> bool:
         return self.tensor_part.is_zero() and self.m_part.is_zero()
-
-    def norm_inf(self) -> float:
-        return max(self.tensor_part.norm_inf(), self.m_part.norm_inf())
-
-    def allclose(self, other: "TrivExtElement", tol: float) -> bool:
-        return self.tensor_part.allclose(other.tensor_part, tol) and self.m_part.allclose(
-            other.m_part, tol
-        )
 
     def __eq__(self, other):
         if not isinstance(other, TrivExtElement):
@@ -226,10 +209,18 @@ def _algebra_map(a: FreeSeries, images, rho: FoxPairing) -> TrivExtElement:
         cache[w] = val
         return val
 
-    out = TrivExtElement.zero(n, D, backend)
-    for w, c in a.items():
-        out = out + image_of_word(w).scale(c)
-    return out
+    # one accumulating constructor call per part: adding scaled images one by
+    # one would rescan the running sum for every word
+    scaled = [(image_of_word(w), c) for w, c in a.items()]
+    tensor = TensorSeries(
+        n, D, ((k, t * c) for im, c in scaled for k, t in im.tensor_part.items()),
+        backend,
+    )
+    m = FreeSeries(
+        n, D, ((k, t * c) for im, c in scaled for k, t in im.m_part.items()),
+        backend,
+    )
+    return TrivExtElement(tensor, m)
 
 
 def delta_z(q: int, a: FreeSeries, rho: FoxPairing | None = None) -> TrivExtElement:

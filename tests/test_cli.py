@@ -204,6 +204,26 @@ def test_goldman_campaign_reaches_degree_5(tmp_path, capsys):
     assert all(r["degree"] == 5 for r in records)
 
 
+def test_pentagon_campaign_reaches_degree_6(tmp_path):
+    out = tmp_path / "pentagon.jsonl"
+    code = main(
+        [
+            "verify",
+            "pentagon",
+            "--path",
+            _path("fig8.json"),
+            "--degree",
+            "6",
+            "--out",
+            str(out),
+        ]
+    )
+    assert code == 0
+    records = [json.loads(l) for l in out.read_text().splitlines() if l.strip()]
+    assert records and all(r["passed"] is True for r in records)
+    assert all(r["degree"] == 6 for r in records)
+
+
 # ---------------------------------------------------------------------------
 # work counter: one transport per input path
 # ---------------------------------------------------------------------------

@@ -1,15 +1,20 @@
 """Transport engine, regularized holonomy, and the assembled identities."""
 
 import cmath
+import itertools
 import json
 import math
+import random
 import time
 
+import numpy as np
 import pytest
 
 from kzfox import (
+    COMPLEX,
     Anchor,
     ConnectionSpec,
+    FreeSeries,
     PLPath,
     PunctureConfig,
     associator,
@@ -106,17 +111,21 @@ def test_multiplicativity_regular_split():
         assert (h - tail * head).norm_inf() < 1e-8
 
 
-def _pieces_match_subpaths(conn, path, breakpoints):
-    """Every piece the one transport gives between breakpoints (and the
-    ends) against a separate transport of the subpath."""
-    hol = holonomy_reg(conn, path, breakpoints=breakpoints)
-    cuts = [0.0] + sorted(set(breakpoints)) + [1.0]
+def _worst_piece_error(conn, path, hol):
+    """Every piece a transport gives between its breakpoints (and the ends)
+    against a separate transport of the subpath."""
+    cuts = [0.0] + sorted(hol.prefixes) + [1.0]
     worst = 0.0
     for i, a in enumerate(cuts):
         for b in cuts[i + 1:]:
             reference = holonomy_reg(conn, subpath(path, a, b)).series
             worst = max(worst, (hol.piece(a, b) - reference).norm_inf())
-    return hol, worst
+    return worst
+
+
+def _pieces_match_subpaths(conn, path, breakpoints):
+    hol = holonomy_reg(conn, path, breakpoints=breakpoints)
+    return hol, _worst_piece_error(conn, path, hol)
 
 
 def test_pieces_of_one_transport_match_subpath_transports(load_path):
@@ -150,6 +159,132 @@ def test_piece_needs_a_breakpoint():
         hol.piece(0.25, 1.0)
     with pytest.raises(DomainError):
         holonomy_reg(ConnectionSpec(P3, 2), _loop(LOOP_A1), breakpoints=[1.0])
+
+
+# ---------------------------------------------------------------------------
+# level-array engine against word-by-word references
+# ---------------------------------------------------------------------------
+def _words(conn):
+    """Every word of degree <= D, by length, then lexicographically."""
+    letters = range(1, conn.n_generators + 1)
+    return [
+        w for k in range(conn.trunc_degree + 1)
+        for w in itertools.product(letters, repeat=k)
+    ]
+
+
+def _reference_panel(conn, z0, dz, a, b, init, pole=0):
+    """The word-by-word panel recurrence on dict states: the integrand of
+    x_i w is the factor of x_i times the node values of w, minus, for a word
+    ending in the pole, the pole's factor times the node values of the word
+    without its last letter."""
+    nodes, weights = kz_holonomy._GL_NODES, kz_holonomy._GL_WEIGHTS
+    half = 0.5 * (b - a)
+    u = 0.5 * (a + b) + half * nodes
+    z = z0 + dz * u
+    factors = []
+    for i in range(1, conn.n_generators + 1):
+        if i == pole:
+            factors.append((half / kz_holonomy.TWO_PI_I) / u)
+        else:
+            factors.append(
+                (dz * half / kz_holonomy.TWO_PI_I) / (z - conn.punctures.point(i))
+            )
+    node_vals = {(): np.full(len(nodes), init[()])}
+    end = {(): init[()]}
+    for word in _words(conn)[1:]:
+        g = factors[word[0] - 1] * node_vals[word[1:]]
+        if word[-1] == pole:
+            g = g - factors[pole - 1] * node_vals[word[:-1]]
+        node_vals[word] = init[word] + kz_holonomy._GL_INTMAT @ g
+        end[word] = init[word] + complex(weights @ g)
+    return end
+
+
+def _as_levels(conn, coeffs):
+    values = [coeffs.get(w, 0j) for w in _words(conn)]
+    return np.split(
+        np.array(values, dtype=complex),
+        np.cumsum([conn.n_generators**k for k in range(conn.trunc_degree)]),
+    )
+
+
+def _random_coeffs(rng, conn):
+    return {w: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for w in _words(conn)}
+
+
+def test_level_panel_matches_word_by_word_reference():
+    conn = ConnectionSpec(P3, 5)
+    rng = random.Random(7)
+    words = _words(conn)
+    worst = 0.0
+    for pole in (0, 1, 2, 3):
+        for _ in range(4):
+            init = _random_coeffs(rng, conn)
+            if pole:
+                z0 = conn.punctures.point(pole)
+                dz = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+                a = rng.uniform(0.0, 0.1)
+                b = a + rng.uniform(0.05, 0.2)
+            else:
+                z0 = complex(rng.uniform(-0.5, 2.5), rng.uniform(0.2, 1.0))
+                dz = complex(rng.uniform(-1, 1), rng.uniform(-0.15, 0.15))
+                a, b = 0.0, 1.0
+            level = kz_holonomy._panel_transport(
+                conn, z0, dz, a, b, _as_levels(conn, init), pole
+            )
+            reference = _reference_panel(conn, z0, dz, a, b, init, pole)
+            for w, c in zip(words, np.concatenate(level)):
+                worst = max(worst, abs(c - reference[w]))
+    assert worst <= 1e-14
+
+
+def test_level_composition_matches_series_operations():
+    """Level product, level antipode and the closed-form branch factor of a
+    local frame against FreeSeries product, antipode and exp."""
+    conn = ConnectionSpec(P3, 5)
+    rng = random.Random(11)
+    a, b = _random_coeffs(rng, conn), _random_coeffs(rng, conn)
+    sa = FreeSeries(3, 5, a, COMPLEX)
+    sb = FreeSeries(3, 5, b, COMPLEX)
+    product = kz_holonomy._level_mul(_as_levels(conn, a), _as_levels(conn, b))
+    assert kz_holonomy._to_series(conn, product).allclose(sa * sb, 1e-14)
+    antipode = kz_holonomy._level_antipode(_as_levels(conn, a), 3)
+    assert kz_holonomy._to_series(conn, antipode) == sa.antipode()
+    for p in (1, 2, 3):
+        anchor = Anchor.tangential(p, 1.0)
+        _, r, frame, _ = kz_holonomy._local_frame(conn, anchor, 0.5 + 0.5j, 1e-10)
+        analytic, _ = kz_holonomy._advance(
+            conn, conn.punctures.point(p), 1.0, 0.0, r,
+            kz_holonomy._unit_levels(conn), 1e-10, 0, "frame", pole=p,
+        )
+        branch = conn.generator(p).scale(math.log(r) / kz_holonomy.TWO_PI_I).exp()
+        assert kz_holonomy._to_series(conn, frame).allclose(
+            kz_holonomy._to_series(conn, analytic) * branch, 1e-14
+        )
+
+
+def test_transport_makes_no_series_products(load_path):
+    """One transport runs on level arrays end to end: the FreeSeries product,
+    exp and antipode are not called, and the pieces it serves still match
+    separate subpath transports."""
+    loop_a4 = load_path("loop_a4.json")
+    cuts = intersections(loop_a4, load_path("loop_bup.json"))
+    assert len(cuts) == 2
+    conn = ConnectionSpec(loop_a4.punctures, 6)
+    calls = {"__mul__": 0, "exp": 0, "antipode": 0}
+    with pytest.MonkeyPatch.context() as patch:
+        for name in calls:
+            original = FreeSeries.__dict__[name]
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            patch.setattr(FreeSeries, name, counting)
+        hol = holonomy_reg(conn, loop_a4, breakpoints=[c.t for c in cuts])
+    assert calls == {"__mul__": 0, "exp": 0, "antipode": 0}
+    assert _worst_piece_error(conn, loop_a4, hol) <= 1e-13
 
 
 def test_multiplicativity_tangential_composition():
