@@ -68,7 +68,6 @@ _LAZY = {
     "MatrixTuple": "rep_space",
     "bivector_pi": "rep_space",
     "evaluate": "rep_space",
-    "kks_oracle": "rep_space",
     "tail_bound": "rep_space",
     "vdb_bracket": "rep_space",
     "verify_theorem2": "rep_space",

@@ -118,31 +118,39 @@ class ConnectionSpec:
 class HolonomyResult:
     """Regularized holonomy along a path, with an error report.
 
-    `prefixes` maps each breakpoint t of the transport to the prefix holonomy
-    P(t) = Hol(path[0, t]); `piece` reads the holonomy of any piece of the
-    path cut at breakpoints off them by Chen's identity."""
+    `levels` is the holonomy as the transport's level arrays, and `prefixes`
+    maps each breakpoint t of the transport to the level arrays of the prefix
+    holonomy P(t) = Hol(path[0, t]); `piece` reads the holonomy of any piece
+    of the path cut at breakpoints off them by Chen's identity."""
 
     series: FreeSeries
     path: PLPath
     accuracy_estimate: float
     regularization_report: dict
-    prefixes: Dict[float, FreeSeries]
+    prefixes: Dict[float, Levels]
+    levels: Levels
 
-    def _prefix(self, t: float) -> FreeSeries:
+    def _prefix(self, t: float) -> Levels:
         if t == 0.0:
-            return FreeSeries.unit(self.series.n, self.series.degree, COMPLEX)
+            n, degree = self.series.n, self.series.degree
+            return _to_levels(FreeSeries.unit(n, degree, COMPLEX))
         if t == 1.0:
-            return self.series
+            return self.levels
         if t not in self.prefixes:
             raise ValidationError(f"t = {t!r} is not a breakpoint of this transport")
         return self.prefixes[t]
 
-    def piece(self, a: float, b: float) -> FreeSeries:
-        """Hol(path[a, b]) = P(b) * P(a)^-1; the prefix is grouplike, so its
-        antipode is its inverse."""
+    def _piece_levels(self, a: float, b: float) -> Levels:
+        """Hol(path[a, b]) = P(b) * P(a)^-1 as level arrays; the prefix is
+        grouplike, so its antipode is its inverse."""
         if a == 0.0:
             return self._prefix(b)
-        return self._prefix(b) * self._prefix(a).antipode()
+        n = self.series.n
+        return _level_mul(self._prefix(b), _level_antipode(self._prefix(a), n))
+
+    def piece(self, a: float, b: float) -> FreeSeries:
+        """Hol(path[a, b]), a level product of two prefixes."""
+        return _to_series(self.series.n, self._piece_levels(a, b))
 
     def to_json_dict(self) -> dict:
         report = {"accuracy": self.accuracy_estimate}
@@ -162,11 +170,6 @@ class HolonomyResult:
 # ---------------------------------------------------------------------------
 # transport engine
 # ---------------------------------------------------------------------------
-def _unit_levels(conn: ConnectionSpec) -> Levels:
-    n = conn.n_generators
-    return [np.full(n**k, k == 0, dtype=complex) for k in range(conn.trunc_degree + 1)]
-
-
 def _level_mul(a: Levels, b: Levels) -> Levels:
     """Truncated product: level k is the sum over i of outer(a_i, b_{k-i})."""
     return [
@@ -180,13 +183,26 @@ def _level_antipode(levels: Levels, n: int) -> Levels:
     return [(-1) ** k * v.reshape((n,) * k).T.ravel() for k, v in enumerate(levels)]
 
 
-def _to_series(conn: ConnectionSpec, levels: Levels) -> FreeSeries:
+def _to_series(n: int, levels: Levels) -> FreeSeries:
     """The one conversion from level arrays to a FreeSeries; the keys are
     normal words within D by construction, so only stored zeros are dropped."""
-    letters = range(1, conn.n_generators + 1)
+    letters = range(1, n + 1)
     words = (w for k in range(len(levels)) for w in product(letters, repeat=k))
     terms = dict(zip(words, np.concatenate(levels).tolist()))
-    return FreeSeries.zero(conn.n_generators, conn.trunc_degree, COMPLEX)._like(terms)
+    return FreeSeries.zero(n, len(levels) - 1, COMPLEX)._like(terms)
+
+
+def _to_levels(series: FreeSeries) -> Levels:
+    """The one conversion from a complex FreeSeries to level arrays, the
+    inverse of `_to_series`: word w goes to index sum_i (w_i - 1) n^(k-1-i)."""
+    n = series.n
+    levels = [np.zeros(n**k, dtype=complex) for k in range(series.degree + 1)]
+    for w, c in series.coeffs.items():
+        index = 0
+        for letter in w:
+            index = index * n + letter - 1
+        levels[len(w)][index] = c
+    return levels
 
 
 def _panel_transport(
@@ -283,7 +299,7 @@ def _transport_polyline(
 ) -> Tuple[List[Levels], float]:
     """The transport state at every point of the polyline, and the summed
     subdivision residual."""
-    states = [_unit_levels(conn)]
+    states = [_to_levels(conn.unit())]
     total_err = 0.0
     for k in range(len(points) - 1):
         z0 = complex(points[k])
@@ -344,14 +360,14 @@ def _local_frame(
     v = anchor.direction / abs(anchor.direction)
     r = _CUTOFF * _local_scale(conn, p, abs(neighbour - zp))
     state, err = _advance(
-        conn, zp, v, 0.0, r, _unit_levels(conn), accuracy, 0,
+        conn, zp, v, 0.0, r, _to_levels(conn.unit()), accuracy, 0,
         f"the local frame at puncture {p}", pole=p,
     )
-    c, log_term, index = math.log(r) / TWO_PI_I, _unit_levels(conn), 0
-    for k in range(1, len(log_term)):
-        index = index * conn.n_generators + p - 1  # the word p^k
-        log_term[k][index] = c**k / math.factorial(k)
-    return zp + v * r, r, _level_mul(state, log_term), err
+    c = math.log(r) / TWO_PI_I
+    log_term = FreeSeries(conn.n_generators, conn.trunc_degree, {
+        (p,) * k: c**k / math.factorial(k) for k in range(conn.trunc_degree + 1)
+    }, COMPLEX)
+    return zp + v * r, r, _level_mul(state, _to_levels(log_term)), err
 
 
 def holonomy_reg(
@@ -380,7 +396,7 @@ def holonomy_reg(
     n_frames = (path.start.kind == TANGENTIAL) + (path.end.kind == TANGENTIAL)
     tol = accuracy / (len(points) - 1 + n_frames)
     report: dict = {}
-    pre = post = _unit_levels(conn)
+    pre = post = _to_levels(conn.unit())
     frame_err = 0.0
     if path.start.kind == TANGENTIAL:
         points[0], report["cutoff_start"], pre, err = _local_frame(
@@ -400,13 +416,12 @@ def holonomy_reg(
             f"accuracy {accuracy:.3e}; the path may run too close to a puncture"
         )
     report["quadrature_error"] = quad_err
-    prefixes = {
-        t: _to_series(conn, _level_mul(states[i], pre)) for t, i in index.items()
-    }
+    prefixes = {t: _level_mul(states[i], pre) for t, i in index.items()}
     end = _level_mul(states[-1], pre)
     # the end frame is grouplike, so its antipode is its inverse
     end = _level_mul(_level_antipode(post, conn.n_generators), end)
-    return HolonomyResult(_to_series(conn, end), path, total_err, report, prefixes)
+    series = _to_series(conn.n_generators, end)
+    return HolonomyResult(series, path, total_err, report, prefixes, end)
 
 
 def associator(degree: int, accuracy: float = DEFAULT_ACCURACY) -> FreeSeries:

@@ -9,7 +9,6 @@ module provides
 
 * :func:`evaluate` -- truncated series evaluated on a matrix tuple,
 * :func:`vdb_bracket` -- the entrywise bracket induced by a double bracket,
-* :func:`kks_oracle` -- an independent finite-difference bracket oracle,
 * :func:`bivector_pi` -- the bivector collecting the non-crossing terms of
   the loop-holonomy bracket formula,
 * :func:`verify_theorem2` -- a three-way comparison (oracle / geometric
@@ -19,20 +18,24 @@ module provides
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from functools import cached_property
+from typing import Callable, Dict
 
 import numpy as np
 
 from .coefficients import r_am_series
 from .errors import DomainError, ShapeError, ValidationError
 from .fox_calculus import rho_kks
-from .free_hopf import COMPLEX, FreeSeries, TensorSeries, Word
+from .free_hopf import COMPLEX, FreeSeries, TensorSeries
 from .kz_holonomy import (
     DEFAULT_ACCURACY,
     ConnectionSpec,
+    Levels,
     _base_linking,
     _require_tangential,
+    _to_levels,
     holonomy_reg,
 )
 from .kz_paths import PLPath, intersections
@@ -44,7 +47,6 @@ __all__ = [
     "evaluate",
     "tail_bound",
     "vdb_bracket",
-    "kks_oracle",
     "bivector_pi",
     "verify_theorem2",
 ]
@@ -58,12 +60,10 @@ _FD_STEP = 1e-5
 class MatrixTuple:
     """A tuple of complex N x N matrices, one per generator.
 
-    The spectral-norm bound of the tuple is recorded on construction;
+    The spectral-norm bound of the tuple is computed on first use;
     evaluation of truncated series is trusted only when the bound is small
     relative to the truncation error budget (see :func:`tail_bound`).
     """
-
-    __slots__ = ("matrices", "n", "N", "norm_bound")
 
     def __init__(self, matrices):
         mats = [np.asarray(M, dtype=complex) for M in matrices]
@@ -78,9 +78,11 @@ class MatrixTuple:
         self.matrices = tuple(mats)
         self.n = len(mats)
         self.N = N
-        self.norm_bound = max(
-            float(np.linalg.norm(M, 2)) for M in mats
-        )
+
+    @cached_property
+    def norm_bound(self) -> float:
+        """The largest spectral norm of the tuple's matrices."""
+        return max(float(np.linalg.norm(M, 2)) for M in self.matrices)
 
     @classmethod
     def random(cls, n: int, N: int, radius: float = 0.1, seed: int = 0):
@@ -98,6 +100,10 @@ class MatrixTuple:
     def shifted(self, gen: int, a: int, b: int, step: complex) -> "MatrixTuple":
         """Copy with ``step`` added to entry (a, b) of the matrix of
         generator ``gen`` (1-based)."""
+        if not 1 <= gen <= self.n:
+            raise DomainError(f"generator {gen} outside 1..{self.n}")
+        if not (0 <= a < self.N and 0 <= b < self.N):
+            raise DomainError(f"matrix entry ({a}, {b}) outside 0..{self.N - 1}")
         mats = [M.copy() for M in self.matrices]
         mats[gen - 1][a, b] += step
         return MatrixTuple(mats)
@@ -106,37 +112,37 @@ class MatrixTuple:
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
-def _product_cache(mats) -> Callable[[Word], np.ndarray]:
-    """Word-product evaluator sharing prefix products across words."""
-    dim = mats[0].shape[0]
-    memo: Dict[Word, np.ndarray] = {(): np.eye(dim, dtype=complex)}
-
-    def product(w: Word) -> np.ndarray:
-        M = memo.get(w)
-        if M is None:
-            M = product(w[:-1]) @ mats[w[-1] - 1]
-            memo[w] = M
-        return M
-
-    return product
+def _evaluate_levels(levels: Levels, mats) -> np.ndarray:
+    """``sum_w c_w M_{w_1} ... M_{w_k}`` from level arrays, by Horner's scheme
+    from the top degree down.  The stack holds ``sum_u c_{uv} M_u`` for each
+    suffix v of length k, transposed as R[c, v, a]: its rows (c, first letter
+    of v) make the step to k - 1 one (N x nN)(nN x n^(k-1) N) matmul against
+    the stacked generators, with no transpose."""
+    n, N = len(mats), mats[0].shape[0]
+    # stacked[c, (b, i)] = (M_i)[b, c]
+    stacked = np.stack(mats, axis=1).transpose(2, 0, 1).reshape(N, N * n)
+    diag = np.arange(N)
+    R = np.zeros((N, n ** (len(levels) - 1), N), dtype=complex)
+    R[diag, :, diag] = levels[-1]
+    for c_k in reversed(levels[:-1]):
+        R = (stacked @ R.reshape(N * n, -1)).reshape(N, c_k.size, N)
+        R[diag, :, diag] += c_k
+    return R.reshape(N, N).T
 
 
 def evaluate(series: FreeSeries, X: MatrixTuple) -> np.ndarray:
     """Evaluate a truncated series on a matrix tuple.
 
-    Returns ``sum_w c_w X_{w_1} ... X_{w_k}`` with prefix products shared
-    across words.  The truncation tail is not included; use
-    :func:`tail_bound` for the geometric advisory bound.
+    Returns ``sum_w c_w X_{w_1} ... X_{w_k}``, computed from the series'
+    level arrays by Horner's scheme with one matmul per degree.  The
+    truncation tail is not included; use :func:`tail_bound` for the
+    geometric advisory bound.
     """
     if series.backend != COMPLEX:
         raise DomainError("evaluation requires the float backend")
     if series.n != X.n:
         raise ShapeError("series and matrix tuple have different generator counts")
-    product = _product_cache(X.matrices)
-    out = np.zeros((X.N, X.N), dtype=complex)
-    for w, c in series.coeffs.items():
-        out += complex(c) * product(w)
-    return out
+    return _evaluate_levels(_to_levels(series), X.matrices)
 
 
 def tail_bound(degree: int, X: MatrixTuple) -> float:
@@ -162,11 +168,13 @@ def vdb_bracket(
     for idx in (i, j, u, v):
         if not 0 <= idx < N:
             raise DomainError("matrix entry index out of range")
-    product = _product_cache(X.matrices)
-    total = 0j
+    # group the terms by left word; each word's right leg is one series
+    legs: Dict[tuple, dict] = {}
     for (w1, w2), c in db.coeffs.items():
-        total += complex(c) * product(w1)[u, j] * product(w2)[i, v]
-    return total
+        legs.setdefault(w1, {})[w2] = complex(c)
+    left = {w1: evaluate(FreeSeries(X.n, db.degree, leg, COMPLEX), X)[i, v]
+            for w1, leg in legs.items()}
+    return complex(evaluate(FreeSeries(X.n, db.degree, left, COMPLEX), X)[u, j])
 
 
 # ---------------------------------------------------------------------------
@@ -198,36 +206,11 @@ def _matrix_gradient(
     return np.asarray(rows, dtype=complex).reshape(shape)
 
 
-def kks_oracle(
-    F: Callable[[MatrixTuple], complex],
-    G: Callable[[MatrixTuple], complex],
-    X: MatrixTuple,
-    step: float = _FD_STEP,
-) -> complex:
-    """Linear Poisson bracket of two scalar functions of the matrix tuple,
-    computed from finite-difference matrix gradients:
-
-    ``{F, G}(X) = sum_l tr(X_l [grad_l G, grad_l F])`` with
-    ``(grad_l F)_{ba} = dF/d(X_l)_{ab}``.
-
-    The orientation is fixed by the coordinate bracket
-    ``{(x_a)_{ij}, (x_a)_{kl}} = d_{jk} (x_a)_{il} - d_{il} (x_a)_{kj}``.
-    """
-    gF = _matrix_gradient(F, X, step)
-    gG = _matrix_gradient(G, X, step)
-    total = 0j
-    for l in range(X.n):
-        nF = gF[l].T
-        nG = gG[l].T
-        total += np.trace(X.matrices[l] @ (nG @ nF - nF @ nG))
-    return complex(total)
-
-
 def _oracle_tensor(gF: np.ndarray, gG: np.ndarray, X: MatrixTuple) -> np.ndarray:
-    """Batched oracle over all entry pairs, from matrix-gradient tensors
-    produced by :func:`_matrix_gradient`:
-    ``out[i, j, u, v] = {F_ij, G_uv}`` with the orientation of
-    :func:`kks_oracle`."""
+    """Linear Poisson bracket of all entry pairs, from the matrix-gradient
+    tensors of :func:`_matrix_gradient`: ``out[i, j, u, v] = {F_ij, G_uv}``,
+    oriented by the coordinate bracket
+    ``{(x_a)_{ij}, (x_a)_{kl}} = d_{jk} (x_a)_{il} - d_{il} (x_a)_{kj}``."""
     N = X.N
     out = np.zeros((N, N, N, N), dtype=complex)
     for l in range(X.n):
@@ -271,7 +254,8 @@ class BivectorPi:
     * left/right parts: ``d_am (d_uj (X_b)_iv - (X_b)_uj d_iv)`` plus
       ``d_bm (d_uj (X_a)_iv - (X_a)_uj d_iv)``.
 
-    General functions are paired through their finite-difference gradients.
+    Functions are paired through their finite-difference gradients
+    (:meth:`pair_gradients`, :meth:`wedge_part`).
     """
 
     def __init__(self, X: MatrixTuple, m: int, degree: int, step: float = _FD_STEP):
@@ -331,17 +315,6 @@ class BivectorPi:
         core = self._core_inner + self._core_wedge
         return np.einsum("cklij,ckldwz,dwzuv->ijuv", gF, core, gG)
 
-    def __call__(
-        self,
-        F: Callable[[MatrixTuple], complex],
-        G: Callable[[MatrixTuple], complex],
-    ) -> complex:
-        """Pair two scalar evaluators through finite-difference gradients."""
-        gF = _matrix_gradient(F, self.X, self.step)
-        gG = _matrix_gradient(G, self.X, self.step)
-        core = self._core_inner + self._core_wedge
-        return complex(np.einsum("ckl,ckldwz,dwz->", gF, core, gG))
-
     def wedge_part(
         self,
         F: Callable[[MatrixTuple], complex],
@@ -392,10 +365,7 @@ def _grouplike_double_bracket_tensor(
     big = [
         np.kron(-M.T, eye) + np.kron(eye, M) for M in X.matrices
     ]
-    product = _product_cache(big)
-    W = np.zeros((N * N, N * N), dtype=complex)
-    for w, c in r.coeffs.items():
-        W += complex(c) * product(w)
+    W = _evaluate_levels(_to_levels(r), big)
     # np.kron row/column index interleaving: W4[p, q, r, s] =
     # (eval S(r'))^T[p, r] * (eval r'')[q, s]
     W4 = W.reshape(N, N, N, N)
@@ -489,8 +459,10 @@ def verify_theorem2(
     holonomies when the resolved tails cross at the base), (iii) the
     evaluated double bracket of the two grouplike holonomies.  Each loop is
     transported once, with breakpoints at its crossing parameters; the
-    crossing subholonomies are read off those transports.  The tolerance is
-    ``max(tolerance_floor, tail_bound)``.
+    crossing subholonomies are read off those transports, and every
+    evaluation runs on their level arrays.  The tolerance is
+    ``max(tolerance_floor, tail_bound)``; a tuple with ``n * ||X|| >= 1``,
+    whose tail bound is infinite, raises ValidationError.
     """
     m = _require_tangential(loop1, "start")
     for path, which in ((loop1, "end"), (loop2, "start"), (loop2, "end")):
@@ -498,24 +470,30 @@ def verify_theorem2(
             raise ValidationError("both loops must share one tangential base point")
     if conn.n_generators != X.n:
         raise ShapeError("connection and matrix tuple have different generator counts")
+    tail = tail_bound(conn.trunc_degree, X)
+    if math.isinf(tail):
+        raise ValidationError(f"n * ||X|| = {X.n * X.norm_bound:.6g} >= 1: the "
+                              "tail bound, and so the tolerance, would be infinite")
     cuts = intersections(loop1, loop2)
     hol1 = holonomy_reg(conn, loop1, accuracy, [c.t for c in cuts])
     hol2 = holonomy_reg(conn, loop2, accuracy, [c.s for c in cuts])
-    h1, h2 = hol1.series, hol2.series
-    M1 = evaluate(h1, X)
-    M2 = evaluate(h2, X)
+
+    def at(levels: Levels, Y: MatrixTuple = X) -> np.ndarray:
+        return _evaluate_levels(levels, Y.matrices)
+
+    M1, M2 = at(hol1.levels), at(hol2.levels)
 
     # (i) finite-difference oracle on all entry pairs
-    g2 = _matrix_gradient(lambda Y: evaluate(h2, Y), X)
-    g1 = _matrix_gradient(lambda Y: evaluate(h1, Y), X)
+    g2 = _matrix_gradient(lambda Y: at(hol2.levels, Y), X)
+    g1 = _matrix_gradient(lambda Y: at(hol1.levels, Y), X)
     oracle = _oracle_tensor(g2, g1, X)
 
     # (ii) crossing subholonomies plus the bivector
     N = X.N
     crossing = np.zeros((N, N, N, N), dtype=complex)
     for c in cuts:
-        t_a = evaluate(hol1.piece(c.t, 1.0), X) @ evaluate(hol2.piece(0.0, c.s), X)
-        t_b = evaluate(hol2.piece(c.s, 1.0), X) @ evaluate(hol1.piece(0.0, c.t), X)
+        t_a = at(hol1._piece_levels(c.t, 1.0)) @ at(hol2._piece_levels(0.0, c.s))
+        t_b = at(hol2._piece_levels(c.s, 1.0)) @ at(hol1._piece_levels(0.0, c.t))
         crossing += float(c.sign) * np.einsum("uj,iv->ijuv", t_a, t_b)
     base = _base_linking(loop1, loop2)
     if base:
@@ -525,9 +503,8 @@ def verify_theorem2(
     formula = crossing + pi
 
     # (iii) evaluated double bracket of the grouplike holonomies
-    vdb = _grouplike_double_bracket_tensor(h2, h1, X)
+    vdb = _grouplike_double_bracket_tensor(hol2.series, hol1.series, X)
 
-    tail = tail_bound(conn.trunc_degree, X)
     return BivectorReport(
         lhs_oracle=oracle,
         rhs_formula=formula,

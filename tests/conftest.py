@@ -1,4 +1,5 @@
-"""Shared fixtures: canonical path files and a seeded series factory."""
+"""Shared fixtures: canonical path files, a seeded series factory, and a
+counter of FreeSeries method calls."""
 
 from __future__ import annotations
 
@@ -41,3 +42,23 @@ def random_series(rng: random.Random, n: int, degree: int, max_word: int = 3,
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260823)
+
+
+@pytest.fixture
+def count_series_calls(monkeypatch):
+    """Wrap the named FreeSeries methods (looked up in FreeSeries.__dict__)
+    for the rest of the test; returns a dict of their call counts."""
+
+    def wrap(*names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            original = FreeSeries.__dict__[name]
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(FreeSeries, name, counting)
+        return calls
+
+    return wrap

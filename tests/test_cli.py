@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -117,6 +119,28 @@ def test_nonpositive_matrix_size_exits_1(size, capsys):
     err = capsys.readouterr().err
     assert "--N must be >= 1" in err
     assert "Traceback" not in err
+
+
+def test_poisson_with_infinite_tail_bound_exits_1(capsys):
+    """With n * ||X|| >= 1 the tail bound, and so the tolerance, would be
+    infinite: the campaign is refused instead of passing."""
+    argv = ["verify", "poisson", "--loops", _path("loop_a4.json")]
+    argv += ["--loops", _path("loop_bup.json"), "--degree", "3", "--radius", "5"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "n * ||X|| = 15 >= 1" in captured.err
+    assert captured.out == ""
+
+
+def test_python_m_kzfox_runs_from_a_checkout():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-m", "kzfox", "--help"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "verify" in result.stdout
 
 
 # ---------------------------------------------------------------------------

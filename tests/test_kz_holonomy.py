@@ -240,51 +240,45 @@ def test_level_panel_matches_word_by_word_reference():
 
 
 def test_level_composition_matches_series_operations():
-    """Level product, level antipode and the closed-form branch factor of a
-    local frame against FreeSeries product, antipode and exp."""
+    """Level product, level antipode, the conversion from a FreeSeries and the
+    closed-form branch factor of a local frame against FreeSeries product,
+    antipode, coefficients and exp."""
     conn = ConnectionSpec(P3, 5)
     rng = random.Random(11)
     a, b = _random_coeffs(rng, conn), _random_coeffs(rng, conn)
     sa = FreeSeries(3, 5, a, COMPLEX)
     sb = FreeSeries(3, 5, b, COMPLEX)
     product = kz_holonomy._level_mul(_as_levels(conn, a), _as_levels(conn, b))
-    assert kz_holonomy._to_series(conn, product).allclose(sa * sb, 1e-14)
+    assert kz_holonomy._to_series(3, product).allclose(sa * sb, 1e-14)
     antipode = kz_holonomy._level_antipode(_as_levels(conn, a), 3)
-    assert kz_holonomy._to_series(conn, antipode) == sa.antipode()
+    assert kz_holonomy._to_series(3, antipode) == sa.antipode()
+    for got, want in zip(kz_holonomy._to_levels(sa), _as_levels(conn, a)):
+        assert np.array_equal(got, want)
     for p in (1, 2, 3):
         anchor = Anchor.tangential(p, 1.0)
         _, r, frame, _ = kz_holonomy._local_frame(conn, anchor, 0.5 + 0.5j, 1e-10)
         analytic, _ = kz_holonomy._advance(
             conn, conn.punctures.point(p), 1.0, 0.0, r,
-            kz_holonomy._unit_levels(conn), 1e-10, 0, "frame", pole=p,
+            kz_holonomy._to_levels(conn.unit()), 1e-10, 0, "frame", pole=p,
         )
         branch = conn.generator(p).scale(math.log(r) / kz_holonomy.TWO_PI_I).exp()
-        assert kz_holonomy._to_series(conn, frame).allclose(
-            kz_holonomy._to_series(conn, analytic) * branch, 1e-14
+        assert kz_holonomy._to_series(3, frame).allclose(
+            kz_holonomy._to_series(3, analytic) * branch, 1e-14
         )
 
 
-def test_transport_makes_no_series_products(load_path):
-    """One transport runs on level arrays end to end: the FreeSeries product,
-    exp and antipode are not called, and the pieces it serves still match
-    separate subpath transports."""
+def test_transport_makes_no_series_products(load_path, count_series_calls):
+    """One transport runs on level arrays end to end, and so do the pieces it
+    serves: the FreeSeries product, exp and antipode are not called, and the
+    pieces still match separate subpath transports."""
     loop_a4 = load_path("loop_a4.json")
     cuts = intersections(loop_a4, load_path("loop_bup.json"))
     assert len(cuts) == 2
     conn = ConnectionSpec(loop_a4.punctures, 6)
-    calls = {"__mul__": 0, "exp": 0, "antipode": 0}
-    with pytest.MonkeyPatch.context() as patch:
-        for name in calls:
-            original = FreeSeries.__dict__[name]
-
-            def counting(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            patch.setattr(FreeSeries, name, counting)
-        hol = holonomy_reg(conn, loop_a4, breakpoints=[c.t for c in cuts])
+    calls = count_series_calls("__mul__", "exp", "antipode")
+    _, worst = _pieces_match_subpaths(conn, loop_a4, [c.t for c in cuts])
     assert calls == {"__mul__": 0, "exp": 0, "antipode": 0}
-    assert _worst_piece_error(conn, loop_a4, hol) <= 1e-13
+    assert worst <= 1e-13
 
 
 def test_multiplicativity_tangential_composition():

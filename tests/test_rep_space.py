@@ -1,6 +1,7 @@
 """Evaluation on matrix tuples, the entrywise brackets, the bivector, and
 the three-way bracket comparison."""
 
+import itertools
 import math
 
 import numpy as np
@@ -19,13 +20,13 @@ from kzfox import (
     double_bracket_kks,
     evaluate,
     holonomy_reg,
-    kks_oracle,
     tail_bound,
     vdb_bracket,
     verify_theorem2,
 )
+from kzfox import kz_holonomy, rep_space
 from kzfox.errors import DomainError, ShapeError, ValidationError
-from kzfox.rep_space import _matrix_gradient, _oracle_tensor
+from kzfox.rep_space import _FD_STEP, _matrix_gradient, _oracle_tensor
 
 P3 = PunctureConfig([0.0, 1.0, 2.0])
 BASE = Anchor.tangential(1, 1.0)
@@ -44,6 +45,50 @@ LOOP_BUP = [
 
 def _loop(points):
     return PLPath(P3, BASE, BASE, [complex(p) for p in points])
+
+
+# ---------------------------------------------------------------------------
+# references: word-by-word evaluation and the scalar bracket oracle
+# ---------------------------------------------------------------------------
+def _word_products(mats):
+    """Word-product evaluator sharing prefix products across words."""
+    memo = {(): np.eye(mats[0].shape[0], dtype=complex)}
+
+    def product(w):
+        M = memo.get(w)
+        if M is None:
+            M = product(w[:-1]) @ mats[w[-1] - 1]
+            memo[w] = M
+        return M
+
+    return product
+
+
+def _reference_evaluate(series, mats):
+    """sum_w c_w M_{w_1} ... M_{w_k}, word by word."""
+    product = _word_products(mats)
+    out = np.zeros_like(mats[0], dtype=complex)
+    for w, c in series.coeffs.items():
+        out += complex(c) * product(w)
+    return out
+
+
+def kks_oracle(F, G, X, step=_FD_STEP):
+    """Linear Poisson bracket of two scalar functions of the matrix tuple,
+    computed from finite-difference matrix gradients:
+
+    ``{F, G}(X) = sum_l tr(X_l [grad_l G, grad_l F])`` with
+    ``(grad_l F)_{ba} = dF/d(X_l)_{ab}``; the scalar reference for the
+    batched ``_oracle_tensor``.
+    """
+    gF = _matrix_gradient(F, X, step)
+    gG = _matrix_gradient(G, X, step)
+    total = 0j
+    for l in range(X.n):
+        nF = gF[l].T
+        nG = gG[l].T
+        total += np.trace(X.matrices[l] @ (nG @ nF - nF @ nG))
+    return complex(total)
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +157,77 @@ def test_evaluate_respects_multiplication_up_to_tail(rng):
     lhs = evaluate(a * b, X)
     rhs = evaluate(a, X) @ evaluate(b, X)
     assert np.max(np.abs(lhs - rhs)) <= 2.0 * tail_bound(4, X)
+
+
+def _relative_error(got, want):
+    scale = np.max(np.abs(want))
+    diff = np.max(np.abs(got - want))
+    return diff / scale if scale else diff
+
+
+def test_level_evaluation_matches_word_products(monkeypatch):
+    """Horner's scheme on level arrays against word-by-word products, on
+    dense and sparse complex series, and on the Kronecker tuple evaluated in
+    the grouplike double-bracket tensor."""
+    rng = np.random.default_rng(23)
+    worst = 0.0
+    for n in (1, 2, 3):
+        for D in range(7):
+            words = [
+                w for k in range(D + 1)
+                for w in itertools.product(range(1, n + 1), repeat=k)
+            ]
+            for N in (1, 2, 3):
+                X = MatrixTuple.random(n, N, radius=0.6, seed=10 * D + N)
+                for density in (1.0, 0.2):
+                    coeffs = {
+                        w: complex(*rng.standard_normal(2))
+                        for w in words if rng.random() < density
+                    }
+                    series = FreeSeries(n, D, coeffs, COMPLEX)
+                    worst = max(worst, _relative_error(
+                        evaluate(series, X), _reference_evaluate(series, X.matrices)
+                    ))
+    assert worst <= 1e-14
+
+    level_eval = rep_space._evaluate_levels
+    checked = []
+
+    def checking(levels, mats):
+        got = level_eval(levels, mats)
+        want = _reference_evaluate(kz_holonomy._to_series(len(mats), levels), mats)
+        checked.append((mats[0].shape[0], _relative_error(got, want)))
+        return got
+
+    monkeypatch.setattr(rep_space, "_evaluate_levels", checking)
+    words = [w for k in range(5) for w in itertools.product((1, 2, 3), repeat=k)]
+
+    def dense():
+        return FreeSeries(
+            3, 4, {w: complex(*rng.standard_normal(2)) for w in words}, COMPLEX
+        )
+
+    for N in (2, 3):
+        X = MatrixTuple.random(3, N, radius=0.3, seed=N)
+        rep_space._grouplike_double_bracket_tensor(dense(), dense(), X)
+        assert (N * N) in [size for size, _ in checked]
+    assert max(err for _, err in checked) <= 1e-14
+
+
+def test_shifted_checks_indices_and_computes_no_norm(monkeypatch):
+    X = MatrixTuple.random(2, 3, seed=4)
+    for gen, a, b in [(0, 0, 0), (3, 0, 0), (1, -1, 0), (1, 0, -1), (1, 3, 0), (2, 0, 3)]:
+        with pytest.raises(DomainError):
+            X.shifted(gen, a, b, 1e-3)
+    Y = X.shifted(2, 1, 2, 0.5)
+    assert Y.matrices[1][1, 2] == X.matrices[1][1, 2] + 0.5
+    assert Y.norm_bound == max(np.linalg.norm(M, 2) for M in Y.matrices)
+    # finite-difference gradients never read the bound of a shifted copy
+    norms = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: norms.append(1) or norm(*a, **k))
+    _matrix_gradient(lambda Z: Z.matrices[0], X)
+    assert norms == []
 
 
 def test_tail_bound_values():
@@ -306,6 +422,23 @@ def test_verify_theorem2_validations():
     X = MatrixTuple.random(2, 2)  # wrong generator count
     with pytest.raises(ShapeError):
         verify_theorem2(conn, _loop(LOOP_BUP), _loop(LOOP_A4), X)
+
+
+def test_verify_theorem2_rejects_infinite_tail_bound():
+    conn = ConnectionSpec(P3, 3)
+    X = MatrixTuple.random(3, 2, radius=5.0, seed=0)
+    with pytest.raises(ValidationError, match=r"n \* \|\|X\|\| = 15 >= 1"):
+        verify_theorem2(conn, _loop(LOOP_BUP), _loop(LOOP_A4), X)
+
+
+def test_verify_theorem2_makes_no_series_products(load_path, count_series_calls):
+    """Evaluation, gradients and crossing pieces all run on level arrays."""
+    loop1, loop2 = load_path("loop_a4.json"), load_path("loop_bup.json")
+    conn = ConnectionSpec(loop1.punctures, 5)
+    X = MatrixTuple.random(3, 2, radius=0.1, seed=0)
+    calls = count_series_calls("__mul__")
+    assert verify_theorem2(conn, loop2, loop1, X).passed
+    assert calls == {"__mul__": 0}
 
 
 @pytest.mark.xfail(
