@@ -3,9 +3,11 @@
 The double bracket of a Fox pairing rho is the biderivation whose values on
 generators form the letter table {{x_i, x_j}} = (S (x) id) Delta rho(x_i, x_j);
 on words it is a sum over letter pairs (`double_bracket_from_pairing`).  Also
-here: the adjacent-letter reduced coaction and its induced coaction on cyclic
-words, the bracket/cobracket on cyclic words, and the alpha/beta twists
-relating Fox derivatives to double derivations.
+here: the adjacent-letter reduced coaction, and the coaction on cyclic words
+and the necklace cobracket, both in closed form as a sum over pairs of equal
+letters, w = L x M x R giving |M| (x) L x R - |M x| (x) L R (`_coaction_terms`);
+the necklace bracket; and the alpha/beta twists relating Fox derivatives to
+double derivations.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .free_hopf import (
     TensorSeries,
     Word,
     _Sparse,
+    _split_words,
     cyclic_min,
     pair_len,
     word_sort_key,
@@ -63,14 +66,6 @@ class CyclicWedge(_Sparse):
         if word_sort_key(v) < word_sort_key(u):
             return (v, u), -c
         return (u, v), c
-
-    @classmethod
-    def from_tensor_halves(cls, t: TensorSeries) -> "CyclicWedge":
-        """Read t as sum c * u (x) v and store c * (|u| (x) |v|) antisymmetrized.
-
-        This realizes |t| - |P21 t| when t is fed in un-symmetrized.
-        """
-        return cls(t.n, t.degree, t.coeffs, t.backend)
 
     @classmethod
     def wedge(cls, x: CyclicSeries, y: CyclicSeries) -> "CyclicWedge":
@@ -151,29 +146,41 @@ def mu_bar_kks(a: FreeSeries) -> FreeSeries:
     return FreeSeries(a.n, a.degree, terms, a.backend)
 
 
-def d_mu_bar(a: FreeSeries) -> TensorSeries:
-    """d(a) = a' S(mubar(a'')')  (x)  mubar(a'')''  (first leg not yet cyclic)."""
-    n, D, backend = a.n, a.degree, a.backend
-    terms: Dict[Tuple[Word, Word], object] = {}
-    for (a1, a2), ca in a.coproduct().coeffs.items():
-        m = mu_bar_kks(FreeSeries.from_word(a2, n, D, backend))
-        if m.is_zero():
-            continue
-        for (m1, m2), cm in m.coproduct().coeffs.items():
-            sgn = 1 if len(m1) % 2 == 0 else -1
-            left = a1 + m1[::-1]
-            if len(left) + len(m2) > D:
-                continue
-            key = (left, m2)
-            c = ca * cm * sgn
-            acc = terms.get(key)
-            terms[key] = c if acc is None else acc + c
-    return TensorSeries(n, D, terms, backend)
+def _coaction_terms(a: FreeSeries):
+    """Terms of mu(a) = |a' S(mubar(a'')')| (x) mubar(a'')'', one pair of
+    equal letters at a time.
+
+    For a word w = L x M x R, the pair of equal letters x at the positions
+    p < q (L = w<p, M the letters strictly between, R = w>q) contributes
+
+        |M| (x) L x R  -  |M x| (x) L R.
+
+    In the Sweedler form, mubar contracts a pair p < q of a'' with no letter
+    of a'' between them, so M lies in a', and the kept x goes to either leg
+    of the second coproduct.  Each letter of L goes to a' (L_1), to
+    mubar(a'')' (L_2) or to mubar(a'')''; likewise for R.  Once the first
+    leg is cyclic it reads |S(L_2) L_1 M R_1 S(R_2) ...|, and for a fixed
+    set of letters l sent to the first leg, the sum over its splittings is
+    the antipode identity sum S(l')l'' = eps(l) (sum r'S(r'') = eps(r) on the
+    right).  So every split that sends a letter outside the pair's span to
+    the first leg cancels: L and R stay whole in the second leg, and only
+    the kept x moves, with S(x) = -x.  Cost: O(|w|^2) per word instead of
+    2^|w| splittings and a second coproduct per split.
+    """
+    for w, c in a.coeffs.items():
+        for q in range(1, len(w)):
+            x, right = w[q], w[q + 1 :]
+            for p in range(q):
+                if w[p] == x:
+                    left, middle = w[:p], w[p + 1 : q]
+                    yield (middle, left + (x,) + right), c
+                    yield (middle + (x,), left + right), -c
 
 
 def coaction_mu_kks(a: FreeSeries) -> CyclicByFree:
-    """mu(a) = |a' S(mubar(a'')')| (x) mubar(a'')''."""
-    return CyclicByFree.from_tensor(d_mu_bar(a))
+    """mu(a) = |a' S(mubar(a'')')| (x) mubar(a'')'', summed over pairs of
+    equal letters (`_coaction_terms`)."""
+    return CyclicByFree(a.n, a.degree, _coaction_terms(a), a.backend)
 
 
 # ---------------------------------------------------------------------------
@@ -185,22 +192,14 @@ def necklace_bracket(a: FreeSeries, b: FreeSeries) -> CyclicSeries:
 
 
 def necklace_cobracket(a: FreeSeries) -> CyclicWedge:
-    """delta(|a|) = |d(a)| - |P21 d(a)|, both legs cyclically projected."""
-    return CyclicWedge.from_tensor_halves(d_mu_bar(a))
+    """delta(|a|) = |mu(a)| - P21 |mu(a)|: the coaction terms with the second
+    leg also cyclic, antisymmetrized."""
+    return CyclicWedge(a.n, a.degree, _coaction_terms(a), a.backend)
 
 
 # ---------------------------------------------------------------------------
 # alpha / beta twists and double derivations
 # ---------------------------------------------------------------------------
-def _split_words(w: Word):
-    """All coproduct splittings of a word into ordered subsequences."""
-    m = len(w)
-    for mask in range(1 << m):
-        left = tuple(w[i] for i in range(m) if mask >> i & 1)
-        right = tuple(w[i] for i in range(m) if not (mask >> i & 1))
-        yield left, right
-
-
 def alpha(t: TensorSeries) -> TensorSeries:
     """a (x) b -> a S(b') (x) b''."""
 

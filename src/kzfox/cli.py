@@ -59,7 +59,7 @@ from .fox_calculus import (
     rho_right,
     transpose,
 )
-from .free_hopf import COMPLEX, RATIONAL, FreeSeries, TensorSeries
+from .free_hopf import RATIONAL, FreeSeries, TensorSeries
 from .kz_paths import Anchor, PLPath, PunctureConfig, self_intersections
 from .trivial_extension import (
     GEN_ZW,
@@ -96,7 +96,6 @@ class ToleranceFailure(KzfoxError):
 class RunConfig:
     """Validated bundle of command-line settings for one run."""
 
-    command: str
     degree: int
     accuracy: float = 1e-10
     tolerance: Optional[float] = None
@@ -106,7 +105,6 @@ class RunConfig:
     matrix_size: int = 2
     radius: float = 0.1
     seed: int = 0
-    backend: str = "complex"
     out: Optional[str] = None
 
     def __post_init__(self):
@@ -116,8 +114,6 @@ class RunConfig:
             raise ValidationError("accuracy must be > 0")
         if self.tolerance is not None and not self.tolerance > 0:
             raise ValidationError("tolerance must be > 0")
-        if self.backend not in ("rational", "complex"):
-            raise ValidationError("backend must be 'rational' or 'complex'")
         if self.matrix_size < 1:
             raise ValidationError("matrix size --N must be >= 1")
 
@@ -204,6 +200,9 @@ def load_path_file(
         raise ValidationError(f"{filename}: not valid JSON ({exc})")
     if not isinstance(data, dict):
         raise ValidationError(f"{filename}: expected a JSON object")
+    for key in ("punctures", "points"):
+        if not isinstance(data.get(key, []), list):
+            raise ValidationError(f"{filename}: '{key}' must be a list")
     if punctures is None:
         if "punctures" not in data:
             raise ValidationError(f"{filename}: missing 'punctures' field")
@@ -542,8 +541,6 @@ def algebra_suite(seed: int = 0, n: int = 2, degree: int = 4, cases: int = 12):
 # verification campaigns
 # ---------------------------------------------------------------------------
 def _verify_algebra(config: RunConfig, reporter: _Reporter) -> None:
-    if config.backend != "rational":
-        raise ValidationError("the algebra suite runs on the rational backend")
     for name, record in algebra_suite(seed=config.seed, degree=config.degree):
         reporter.emit(
             {
@@ -708,7 +705,7 @@ def cli() -> None:
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def cmd_associator(degree: int, accuracy: float, out: Optional[str]) -> None:
     """Regularized holonomy of the straight path between two punctures."""
-    config = RunConfig("associator", degree, accuracy, out=out)
+    config = RunConfig(degree, accuracy, out=out)
     from .kz_holonomy import associator
 
     series = associator(config.degree, config.accuracy)
@@ -736,12 +733,6 @@ def cmd_associator(degree: int, accuracy: float, out: Optional[str]) -> None:
 @click.option("--N", "matrix_size", type=int, default=2, show_default=True)
 @click.option("--radius", type=float, default=0.1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option(
-    "--backend",
-    type=click.Choice(["rational", "complex"]),
-    default=None,
-    help="Coefficient backend (algebra: rational, numeric campaigns: complex).",
-)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def cmd_verify(
     which: str,
@@ -754,16 +745,10 @@ def cmd_verify(
     matrix_size: int,
     radius: float,
     seed: int,
-    backend: Optional[str],
     out: Optional[str],
 ) -> None:
     """Run one verification campaign and report JSON lines."""
-    if backend is None:
-        backend = "rational" if which == "algebra" else "complex"
-    if which != "algebra" and backend == "rational":
-        raise ValidationError(f"the {which} campaign needs the complex backend")
     config = RunConfig(
-        command=f"verify {which}",
         degree=degree if degree is not None else _DEFAULT_DEGREE[which],
         accuracy=accuracy,
         tolerance=tolerance,
@@ -773,7 +758,6 @@ def cmd_verify(
         matrix_size=matrix_size,
         radius=radius,
         seed=seed,
-        backend=backend,
         out=out,
     )
     reporter = _Reporter(config.out)

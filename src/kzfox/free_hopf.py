@@ -54,6 +54,15 @@ def word_sort_key(word: Word):
     return (len(word), word)
 
 
+def _split_words(w: Word):
+    """All coproduct splittings of a word into two ordered subsequences."""
+    m = len(w)
+    for mask in range(1 << m):
+        left = tuple(w[i] for i in range(m) if mask >> i & 1)
+        right = tuple(w[i] for i in range(m) if not (mask >> i & 1))
+        yield left, right
+
+
 class _Sparse:
     """Sparse truncated linear combination of keys, of total degree <= D.
 
@@ -247,11 +256,7 @@ class FreeSeries(_Sparse):
         """
         terms: Dict[Tuple[Word, Word], object] = {}
         for w, c in self.coeffs.items():
-            m = len(w)
-            for mask in range(1 << m):
-                left = tuple(w[i] for i in range(m) if mask >> i & 1)
-                right = tuple(w[i] for i in range(m) if not (mask >> i & 1))
-                key = (left, right)
+            for key in _split_words(w):
                 acc = terms.get(key)
                 terms[key] = c if acc is None else acc + c
         return TensorSeries(self.n, self.degree, terms, self.backend)

@@ -17,6 +17,7 @@ are never reported as crossings.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,12 +28,18 @@ from .errors import CompositionError, DomainError, ValidationError
 _TWO_PI = 2.0 * math.pi
 
 
+def _finite(z, what: str):
+    if not cmath.isfinite(z):
+        raise ValidationError(f"{what} must be finite, got {z}")
+    return z
+
+
 @dataclass(frozen=True)
 class PunctureConfig:
     points: Tuple[complex, ...]
 
     def __init__(self, points: Sequence[complex]):
-        pts = tuple(complex(p) for p in points)
+        pts = tuple(_finite(complex(p), "puncture") for p in points)
         if len(pts) != len(set(pts)):
             raise ValidationError("punctures must be pairwise distinct")
         if not pts:
@@ -74,9 +81,15 @@ class Anchor:
         if self.kind == REGULAR:
             if self.point is None:
                 raise ValidationError("regular anchor needs a point")
+            _finite(self.point, "anchor point")
         elif self.kind == TANGENTIAL:
             if self.puncture is None or self.direction is None:
                 raise ValidationError("tangential anchor needs puncture and direction")
+            if isinstance(self.puncture, bool) or not isinstance(self.puncture, int):
+                raise ValidationError(
+                    f"puncture index must be an integer, got {self.puncture!r}"
+                )
+            _finite(self.direction, "tangential direction")
             if abs(abs(self.direction) - 1.0) > 1e-12:
                 raise ValidationError("tangential direction must have modulus 1")
         else:
@@ -127,7 +140,7 @@ class PLPath:
         self.punctures = punctures
         self.start = start
         self.end = end
-        self.vertices = tuple(complex(v) for v in vertices)
+        self.vertices = tuple(_finite(complex(v), "vertex") for v in vertices)
         pts = [start.location(punctures)] + list(self.vertices) + [
             end.location(punctures)
         ]
@@ -275,26 +288,14 @@ def _segment_intersection(a, b, c, d):
     return ("touch", t, u)
 
 
-def _anchor_points(path: PLPath) -> set:
-    out = set()
-    if path.start.kind == TANGENTIAL:
-        out.add(path.start.location(path.punctures))
-    if path.end.kind == TANGENTIAL:
-        out.add(path.end.location(path.punctures))
-    return out
-
-
 def _tangential_rays(path: PLPath) -> list:
-    """(anchor point, unit ray direction, tail segment index) per tangential
-    anchor.  The ray carries the terminal tail segment of the path."""
-    rays = []
-    if path.start.kind == TANGENTIAL:
-        rays.append((path.start.location(path.punctures), path.start.direction, 0))
-    if path.end.kind == TANGENTIAL:
-        rays.append(
-            (path.end.location(path.punctures), path.end.direction, path.n_segments - 1)
-        )
-    return rays
+    """(anchor point, unit ray direction) per tangential anchor.  The ray
+    carries the terminal tail segment of the path."""
+    return [
+        (anchor.location(path.punctures), anchor.direction)
+        for anchor in (path.start, path.end)
+        if anchor.kind == TANGENTIAL
+    ]
 
 
 def _on_ray(pt: complex, z: complex, v: complex) -> bool:
@@ -331,8 +332,8 @@ def _tail_contact_skippable(
     """Contacts inside a shared anchor-ray strand bundle are not crossings:
     coinciding on-ray strands and their landing/leaving vertices are
     accounted for analytically by the regularization terms downstream."""
-    for (za, va, _ka) in _tangential_rays(path_a):
-        for (zb, vb, _kb) in _tangential_rays(path_b):
+    for za, va in _tangential_rays(path_a):
+        for zb, vb in _tangential_rays(path_b):
             if za != zb or abs(va - vb) > 1e-12:
                 continue
             if pt is None:
@@ -362,65 +363,17 @@ def _sign_of_cross(a: complex, b: complex) -> int:
     raise ValidationError("tangential (non-transverse) crossing encountered")
 
 
-def self_intersections(path: PLPath) -> List[Crossing]:
-    """All transverse self-crossings, each once, with t < s."""
+def _crossings(path1: PLPath, path2: PLPath, same: bool) -> List[Crossing]:
+    """The segment-pair scan behind both public functions; `same` scans the
+    pairs i < j of one path and skips the shared vertex of adjacent segments."""
     out: List[Crossing] = []
-    nseg = path.n_segments
-    for i in range(nseg):
-        a, b = path.segment(i)
-        for j in range(i + 1, nseg):
-            c, d = path.segment(j)
-            res = _segment_intersection(a, b, c, d)
-            kind = res[0]
-            if kind == "none":
-                continue
-            if kind == "overlap":
-                if _tail_contact_skippable(path, i, path, j, None):
-                    continue  # anchor-ray tails; handled analytically
-                raise ValidationError(
-                    f"collinear overlap between segments {i} and {j}"
-                )
-            if kind == "touch":
-                if j == i + 1:
-                    continue  # shared vertex of adjacent segments
-                t, u = res[1], res[2]
-                pt = complex(
-                    float(_frac(a.real) + t * (_frac(b.real) - _frac(a.real))),
-                    float(_frac(a.imag) + t * (_frac(b.imag) - _frac(a.imag))),
-                )
-                if pt in _anchor_points(path):
-                    continue  # both terminal segments meet at the anchor
-                if _tail_contact_skippable(path, i, path, j, pt):
-                    continue  # landing/leaving vertex on the anchor ray
-                raise ValidationError(
-                    f"non-transverse touching between segments {i} and {j}"
-                )
-            t, u = res[1], res[2]
-            vel_i = (b - a) / abs(b - a)
-            vel_j = (d - c) / abs(d - c)
-            sign = _sign_of_cross(vel_i, vel_j)
-            pt = a + (b - a) * float(t)
-            out.append(
-                Crossing(
-                    t=path.global_param(i, float(t)),
-                    s=path.global_param(j, float(u)),
-                    point=pt,
-                    sign=sign,
-                )
-            )
-    out.sort(key=lambda cr: (cr.t, cr.s))
-    return out
-
-
-def intersections(path1: PLPath, path2: PLPath) -> List[Crossing]:
-    """Transverse crossings between two paths; sign is the orientation of
-    (velocity of path1, velocity of path2).  Crossing.t parametrizes path1
-    and Crossing.s parametrizes path2."""
-    out: List[Crossing] = []
-    shared_anchors = _anchor_points(path1) & _anchor_points(path2)
+    shared_anchors = {z for z, _ in _tangential_rays(path1)} & {
+        z for z, _ in _tangential_rays(path2)
+    }
+    first, second = ("", "") if same else (" (first path)", " (second path)")
     for i in range(path1.n_segments):
         a, b = path1.segment(i)
-        for j in range(path2.n_segments):
+        for j in range(i + 1 if same else 0, path2.n_segments):
             c, d = path2.segment(j)
             res = _segment_intersection(a, b, c, d)
             kind = res[0]
@@ -428,24 +381,25 @@ def intersections(path1: PLPath, path2: PLPath) -> List[Crossing]:
                 continue
             if kind == "overlap":
                 if _tail_contact_skippable(path1, i, path2, j, None):
-                    continue
+                    continue  # anchor-ray tails; handled analytically
                 raise ValidationError(
-                    f"collinear overlap between segments {i} (first path) "
-                    f"and {j} (second path)"
+                    f"collinear overlap between segments {i}{first} and {j}{second}"
                 )
             if kind == "touch":
+                if same and j == i + 1:
+                    continue  # shared vertex of adjacent segments
                 t, u = res[1], res[2]
                 pt = complex(
                     float(_frac(a.real) + t * (_frac(b.real) - _frac(a.real))),
                     float(_frac(a.imag) + t * (_frac(b.imag) - _frac(a.imag))),
                 )
                 if pt in shared_anchors:
-                    continue  # common tangential base point
+                    continue  # terminal segments meet at a common anchor
                 if _tail_contact_skippable(path1, i, path2, j, pt):
-                    continue  # tail-zone vertex on the shared anchor ray
+                    continue  # landing/leaving vertex on the anchor ray
                 raise ValidationError(
-                    f"non-transverse touching between segments {i} (first "
-                    f"path) and {j} (second path)"
+                    f"non-transverse touching between segments {i}{first} and "
+                    f"{j}{second}"
                 )
             t, u = res[1], res[2]
             vel_i = (b - a) / abs(b - a)
@@ -462,6 +416,18 @@ def intersections(path1: PLPath, path2: PLPath) -> List[Crossing]:
             )
     out.sort(key=lambda cr: (cr.t, cr.s))
     return out
+
+
+def self_intersections(path: PLPath) -> List[Crossing]:
+    """All transverse self-crossings, each once, with t < s."""
+    return _crossings(path, path, same=True)
+
+
+def intersections(path1: PLPath, path2: PLPath) -> List[Crossing]:
+    """Transverse crossings between two paths; sign is the orientation of
+    (velocity of path1, velocity of path2).  Crossing.t parametrizes path1
+    and Crossing.s parametrizes path2."""
+    return _crossings(path1, path2, same=False)
 
 
 # -- rotation number ----------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from typing import Dict, Tuple
 
 from kzfox import (
     COMPLEX,
@@ -23,7 +24,8 @@ from kzfox import (
     rho_right,
     transpose,
 )
-from kzfox.brackets_coactions import alpha, alpha_inv, beta, beta_inv
+from kzfox.brackets_coactions import CyclicWedge, alpha, alpha_inv, beta, beta_inv
+from kzfox.free_hopf import Word
 from conftest import random_series
 
 N = 2
@@ -249,6 +251,63 @@ def test_from_tensor_accumulates_rotations():
         N, D, {((2, 1), ()): Fraction(1), ((1, 2), ()): Fraction(-1)}, RATIONAL
     )
     assert CyclicByFree.from_tensor(t).is_zero()
+
+
+def d_mu_bar(a: FreeSeries) -> TensorSeries:
+    """d(a) = a' S(mubar(a'')')  (x)  mubar(a'')''  (first leg not yet cyclic)."""
+    n, D, backend = a.n, a.degree, a.backend
+    terms: Dict[Tuple[Word, Word], object] = {}
+    for (a1, a2), ca in a.coproduct().coeffs.items():
+        m = mu_bar_kks(FreeSeries.from_word(a2, n, D, backend))
+        if m.is_zero():
+            continue
+        for (m1, m2), cm in m.coproduct().coeffs.items():
+            sgn = 1 if len(m1) % 2 == 0 else -1
+            left = a1 + m1[::-1]
+            if len(left) + len(m2) > D:
+                continue
+            key = (left, m2)
+            c = ca * cm * sgn
+            acc = terms.get(key)
+            terms[key] = c if acc is None else acc + c
+    return TensorSeries(n, D, terms, backend)
+
+
+def _sweedler_coaction_and_cobracket(a):
+    """Reference: mu(a) and delta(|a|) from the Sweedler form `d_mu_bar`,
+    with the first leg (and, for delta, both legs) cyclically projected."""
+    d = d_mu_bar(a)
+    return (
+        CyclicByFree(d.n, d.degree, d.coeffs, d.backend),
+        CyclicWedge(d.n, d.degree, d.coeffs, d.backend),
+    )
+
+
+def test_coaction_matches_sweedler_form(rng):
+    """The sum over pairs of equal letters equals the Sweedler form exactly
+    on rational series, and to roundoff on dense complex ones."""
+    for _ in range(240):
+        n, degree = rng.randint(1, 3), rng.randint(0, 6)
+        # few letters and long words, so that most words repeat a letter
+        a = random_series(rng, n, degree, degree, 6)
+        mu, delta = _sweedler_coaction_and_cobracket(a)
+        assert coaction_mu_kks(a) == mu
+        assert necklace_cobracket(a) == delta
+    a = _dense_complex(rng, 3, 5)
+    mu, delta = _sweedler_coaction_and_cobracket(a)
+    assert not mu.is_zero() and not delta.is_zero()
+    assert coaction_mu_kks(a).allclose(mu, 1e-12)
+    assert necklace_cobracket(a).allclose(delta, 1e-12)
+
+
+def test_coaction_and_cobracket_make_no_coproducts(rng, count_series_calls):
+    """Work counter: both maps read the word letters directly, with no
+    coproduct of the argument or of its contractions."""
+    a = _dense_complex(rng, 3, 5)
+    calls = count_series_calls("coproduct")
+    coaction_mu_kks(a)
+    necklace_cobracket(a)
+    assert calls == {"coproduct": 0}
 
 
 def test_counit_of_coaction_is_mu_bar(rng):

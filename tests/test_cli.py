@@ -48,6 +48,49 @@ def test_load_path_file(tmp_path):
         load_path_file(str(notjson))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        (("points",), 5),
+        (("punctures",), 5),
+        (("points", 2), [float("nan"), 0.3]),
+        (("points", 2), [float("inf"), 0.3]),
+        (("punctures", 1, 0), float("nan")),
+        (("start", "puncture"), "a"),
+        (("start", "puncture"), 1.5),
+        (("end", "direction"), [float("nan"), 0.0]),
+    ],
+    ids=[
+        "points_not_a_list",
+        "punctures_not_a_list",
+        "vertex_nan",
+        "vertex_infinite",
+        "puncture_coordinate_nan",
+        "anchor_puncture_string",
+        "anchor_puncture_float",
+        "anchor_direction_nan",
+    ],
+)
+def test_malformed_path_field_exits_1(field, value, tmp_path, capsys):
+    """fig8.json with one field set to a malformed value: exit 1 with one
+    error line, not a traceback or a NaN discrepancy that fails a check."""
+    with open(_path("fig8.json"), encoding="utf-8") as fp:
+        data = json.load(fp)
+    *parents, last = field
+    obj = data
+    for key in parents:
+        obj = obj[key]
+    obj[last] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["verify", "coaction", "--path", str(bad), "--degree", "2"]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        err.strip()
+    ]
+    assert "Traceback" not in err
+
+
 def test_thread_cap(monkeypatch):
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
