@@ -60,6 +60,7 @@ _LAZY = {
     "HolonomyResult": "kz_holonomy",
     "associator": "kz_holonomy",
     "holonomy_reg": "kz_holonomy",
+    "coaction_check": "kz_holonomy",
     "mu_bar_rhs": "kz_holonomy",
     "rho_paths": "kz_holonomy",
     "goldman_bracket_check": "kz_holonomy",

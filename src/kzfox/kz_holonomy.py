@@ -18,9 +18,9 @@ Each path is transported once, with breakpoints at the crossing parameters
 an identity needs; the result keeps the prefix holonomies P(t) there, and
 every piece Hol(path[a, b]) = P(b) P(a)^-1 is read off them (Chen's
 identity).  On top of the transport engine sit the assembled right-hand
-sides of the holonomy identities: the reduced-coaction formula, the pairing
-formula for two paths, the loop-bracket checks on cyclic words, and the
-projected pentagon identity evaluated through the square-zero extension maps.
+sides of the holonomy identities: the reduced-coaction formula (which is
+also the projected pentagon identity), the pairing formula for two paths,
+and the loop-bracket checks on cyclic words.
 """
 
 from __future__ import annotations
@@ -28,12 +28,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .brackets_coactions import (
     CyclicWedge,
+    mu_bar_kks,
     necklace_bracket,
     necklace_cobracket,
 )
@@ -51,14 +52,6 @@ from .kz_paths import (
     rotation_number,
     self_intersections,
     snap_half_integer,
-)
-from .trivial_extension import (
-    SIDE_LEFT,
-    SIDE_RIGHT,
-    associator_tail,
-    square_w,
-    square_z,
-    square_zw,
 )
 
 Word = Tuple[int, ...]
@@ -540,27 +533,18 @@ def crossing_breakpoints(crossings: Sequence[Crossing]) -> List[float]:
     return [x for c in crossings for x in (c.t, c.s)]
 
 
-def mu_bar_rhs(
-    conn: ConnectionSpec,
-    path: PLPath,
-    accuracy: float = DEFAULT_ACCURACY,
-    holonomy: Optional[HolonomyResult] = None,
-) -> FreeSeries:
+def mu_bar_rhs(hol: HolonomyResult) -> FreeSeries:
     """Right-hand side of the reduced-coaction formula for the holonomy of a
-    path between tangential points p and q (p = q for loops); the result is
-    truncated to degree D-1, the range on which the assembly is exact.
-
-    `holonomy`, when given, is the path's transport with breakpoints at
-    `crossing_breakpoints(self_intersections(path))`; it saves a second
-    transport when the caller needs the holonomy too."""
+    path between tangential points p and q (p = q for loops), read off its
+    transport with breakpoints at `crossing_breakpoints(self_intersections(
+    path))`; the result is truncated to degree D-1, the range on which the
+    assembly is exact."""
+    path = hol.path
     p = _require_tangential(path, "start")
     q = _require_tangential(path, "end")
-    n, deg = conn.n_generators, conn.trunc_degree
-    crossings = self_intersections(path)
-    hol = holonomy or holonomy_reg(
-        conn, path, accuracy, crossing_breakpoints(crossings)
-    )
     series = hol.series
+    n, deg = series.n, series.degree
+    crossings = self_intersections(path)
     rot = snap_half_integer(rotation_number(path))
     out = series * r_zeta_series(p, deg, n, negate_variable=True)
     out = out + rot * series
@@ -701,36 +685,45 @@ def _cobracket_discrepancy(
     return (lhs - rhs).norm_through(deg - 1)
 
 
+def coaction_check(
+    conn: ConnectionSpec,
+    path: PLPath,
+    accuracy: float = DEFAULT_ACCURACY,
+) -> dict:
+    """Compare the reduced coaction of a path's holonomy with `mu_bar_rhs`
+    through degree D-1, from one transport with breakpoints at the path's
+    self-crossings."""
+    crossings = self_intersections(path)
+    hol = holonomy_reg(conn, path, accuracy, crossing_breakpoints(crossings))
+    lhs = mu_bar_kks(hol.series).with_degree(conn.trunc_degree - 1)
+    return {
+        "max_discrepancy": (lhs - mu_bar_rhs(hol)).norm_inf(),
+        "rot": snap_half_integer(rotation_number(path)),
+        "n_crossings": len(crossings),
+    }
+
+
 def pentagon_projection_check(
     conn: ConnectionSpec,
     path: PLPath,
     accuracy: float = DEFAULT_ACCURACY,
 ) -> dict:
-    """Evaluate both sides of the projected pentagon identity for the
-    holonomy of a path, using the square-zero extension maps and the
-    associator corner terms.  A loop (start and end at the same tangential
-    point) is rejected: the identity has no closure term for it."""
-    p = _require_tangential(path, "start")
-    q = _require_tangential(path, "end")
+    """The projected pentagon identity for the holonomy of a path between two
+    distinct tangential points p and q.
+
+    Projected to the square-zero extension, the square maps of the
+    generalized pentagon equation are d_right(q, .), d_left(p, .) and
+    -mu_bar (`trivial_extension.square_z`, `square_w`, `square_zw`, checked
+    against these closed forms by the exact suite), and its corner terms are
+    the zeta series at q and at -x_p (`associator_tail`).  Term by term the
+    projected identity is then the reduced-coaction formula, so it is checked
+    by `coaction_check`.  A loop (start and end at the same tangential point)
+    is rejected: the identity has no closure term for it."""
+    _require_tangential(path, "start")
+    _require_tangential(path, "end")
     if path.start == path.end:
         raise ValidationError(
             "the pentagon projection needs a path between two tangential "
             "points; start and end are the same point (a loop)"
         )
-    n, deg = conn.n_generators, conn.trunc_degree
-    crossings = self_intersections(path)
-    hol = holonomy_reg(conn, path, accuracy, crossing_breakpoints(crossings))
-    h = hol.series
-    rot = snap_half_integer(rotation_number(path))
-    lhs = associator_tail(SIDE_LEFT, q, deg, n) * h
-    lhs = lhs + square_zw(h)
-    lhs = lhs + rot * h
-    lhs = lhs + h * associator_tail(SIDE_RIGHT, p, deg, n)
-    rhs = square_z(q, h) + square_w(p, h)
-    for c in crossings:
-        rhs = rhs - float(c.sign) * (hol.piece(c.s, 1.0) * hol.piece(0.0, c.t))
-    return {
-        "max_discrepancy": (lhs - rhs).norm_through(deg - 1),
-        "rot": rot,
-        "n_crossings": len(crossings),
-    }
+    return coaction_check(conn, path, accuracy)

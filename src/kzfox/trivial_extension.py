@@ -5,9 +5,10 @@ algebra and M is a copy of A viewed as an (A tensor A)-bimodule with action
 
     (f tensor g) . m . (h tensor k) = eps(f) eps(k) g m h.
 
-The product twists the M component by a 2-cocycle built from a Fox pairing:
+The product twists the M component by the 2-cocycle of the adjacent-letter
+Fox pairing rho_kks:
 
-    (t1 + m1)(t2 + m2) = t1 t2 + [t1 . m2 + m1 . t2 + rho-term(t1, t2)].
+    (t1 + m1)(t2 + m2) = t1 t2 + [t1 . m2 + m1 . t2 + rho_kks(t1, t2)].
 
 On top of that sit the three generator families of the relevant
 infinitesimal-braid quotient (two strands distinguished among n fixed ones),
@@ -15,6 +16,11 @@ represented only through their images here: the maps ``delta_z``,
 ``delta_w``, ``delta_zw`` extend generator assignments multiplicatively, and
 the ``square_*`` composites project their M components, recovering Fox
 derivatives and the adjacent-letter contraction.
+
+This is the exact construction, one extension product per word.  The
+numeric pentagon check uses the closed forms it recovers (see
+``kz_holonomy.pentagon_projection_check``); the exact identity suite checks
+the square maps against them.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 
 from .coefficients import r_zeta_series
 from .errors import ShapeError, ValidationError
-from .fox_calculus import FoxPairing, rho_kks_pairing
+from .fox_calculus import rho_kks
 from .free_hopf import FreeSeries, TensorSeries
 
 SIDE_LEFT = "left"
@@ -135,16 +141,14 @@ class TrivExtElement:
         return f"TrivExtElement(tensor={self.tensor_part!r}, m={self.m_part!r})"
 
 
-def trivext_mul(
-    u: TrivExtElement, v: TrivExtElement, rho: FoxPairing
-) -> TrivExtElement:
-    """Product with the 2-cocycle twist on the M component."""
+def trivext_mul(u: TrivExtElement, v: TrivExtElement) -> TrivExtElement:
+    """Product with the rho_kks 2-cocycle twist on the M component."""
     if (u.n, u.degree, u.backend) != (v.n, v.degree, v.backend):
         raise ShapeError("product arguments have mismatched shapes")
     tensor = u.tensor_part * v.tensor_part
     left = u.tensor_part.eps_left()
     right = v.tensor_part.eps_right()
-    m = left * v.m_part + u.m_part * right + rho(left, right)
+    m = left * v.m_part + u.m_part * right + rho_kks(left, right)
     return TrivExtElement(tensor, m)
 
 
@@ -165,20 +169,12 @@ def pi_generator(g: DKGenerator, n: int, degree: int, backend) -> TrivExtElement
     return TrivExtElement.from_tensor(TensorSeries.outer(one, x))
 
 
-def pi(
-    word,
-    n: int,
-    degree: int,
-    backend,
-    rho: FoxPairing | None = None,
-) -> TrivExtElement:
+def pi(word, n: int, degree: int, backend) -> TrivExtElement:
     """Multiplicative extension of the generator assignment to a word (an
     iterable of DKGenerator)."""
-    if rho is None:
-        rho = rho_kks_pairing()
     out = TrivExtElement.unit(n, degree, backend)
     for g in word:
-        out = trivext_mul(out, pi_generator(g, n, degree, backend), rho)
+        out = trivext_mul(out, pi_generator(g, n, degree, backend))
     return out
 
 
@@ -193,7 +189,7 @@ def pi1(u: TrivExtElement) -> FreeSeries:
 # -- the three coproduct-like algebra maps ---------------------------------
 
 
-def _algebra_map(a: FreeSeries, images, rho: FoxPairing) -> TrivExtElement:
+def _algebra_map(a: FreeSeries, images) -> TrivExtElement:
     """Extend generator images multiplicatively and linearly to the series a.
 
     images: list indexed by generator (1-based) of TrivExtElement.
@@ -205,7 +201,7 @@ def _algebra_map(a: FreeSeries, images, rho: FoxPairing) -> TrivExtElement:
         hit = cache.get(w)
         if hit is not None:
             return hit
-        val = trivext_mul(image_of_word(w[:-1]), images[w[-1]], rho)
+        val = trivext_mul(image_of_word(w[:-1]), images[w[-1]])
         cache[w] = val
         return val
 
@@ -223,46 +219,34 @@ def _algebra_map(a: FreeSeries, images, rho: FoxPairing) -> TrivExtElement:
     return TrivExtElement(tensor, m)
 
 
-def delta_z(q: int, a: FreeSeries, rho: FoxPairing | None = None) -> TrivExtElement:
+def _delta(a: FreeSeries, families, marked: int | None = None) -> TrivExtElement:
+    """The algebra map sending x_i to the images of family(i) for each given
+    generator family, plus the crossed generator's image when i == marked."""
+    n, D, b = a.n, a.degree, a.backend
+    if marked is not None and not 1 <= marked <= n:
+        raise ValidationError(f"index {marked} out of range 1..{n}")
+
+    def image(i):
+        gens = [f(i) for f in families] + ([GEN_ZW] if i == marked else [])
+        zero = TrivExtElement.zero(n, D, b)
+        return sum((pi_generator(g, n, D, b) for g in gens), zero)
+
+    return _algebra_map(a, [None] + [image(i) for i in range(1, n + 1)])
+
+
+def delta_z(q: int, a: FreeSeries) -> TrivExtElement:
     """x_i -> (x_i tensor 1) + delta_{iq} (minus the M unit)."""
-    if rho is None:
-        rho = rho_kks_pairing()
-    n, D, b = a.n, a.degree, a.backend
-    if not 1 <= q <= n:
-        raise ValidationError(f"index {q} out of range 1..{n}")
-    images = [None] + [
-        pi_generator(gen_z(i), n, D, b)
-        + (pi_generator(GEN_ZW, n, D, b) if i == q else TrivExtElement.zero(n, D, b))
-        for i in range(1, n + 1)
-    ]
-    return _algebra_map(a, images, rho)
+    return _delta(a, (gen_z,), q)
 
 
-def delta_w(p: int, a: FreeSeries, rho: FoxPairing | None = None) -> TrivExtElement:
+def delta_w(p: int, a: FreeSeries) -> TrivExtElement:
     """x_i -> (1 tensor x_i) + delta_{ip} (minus the M unit)."""
-    if rho is None:
-        rho = rho_kks_pairing()
-    n, D, b = a.n, a.degree, a.backend
-    if not 1 <= p <= n:
-        raise ValidationError(f"index {p} out of range 1..{n}")
-    images = [None] + [
-        pi_generator(gen_w(i), n, D, b)
-        + (pi_generator(GEN_ZW, n, D, b) if i == p else TrivExtElement.zero(n, D, b))
-        for i in range(1, n + 1)
-    ]
-    return _algebra_map(a, images, rho)
+    return _delta(a, (gen_w,), p)
 
 
-def delta_zw(a: FreeSeries, rho: FoxPairing | None = None) -> TrivExtElement:
+def delta_zw(a: FreeSeries) -> TrivExtElement:
     """x_i -> (x_i tensor 1) + (1 tensor x_i); tensor part is the coproduct."""
-    if rho is None:
-        rho = rho_kks_pairing()
-    n, D, b = a.n, a.degree, a.backend
-    images = [None] + [
-        pi_generator(gen_z(i), n, D, b) + pi_generator(gen_w(i), n, D, b)
-        for i in range(1, n + 1)
-    ]
-    return _algebra_map(a, images, rho)
+    return _delta(a, (gen_z, gen_w))
 
 
 # The square maps are the M components of the delta maps read through the
@@ -273,25 +257,22 @@ def delta_zw(a: FreeSeries, rho: FoxPairing | None = None) -> TrivExtElement:
 # and square_zw is minus the adjacent-letter contraction.
 
 
-def square_z(q: int, a: FreeSeries, rho: FoxPairing | None = None) -> FreeSeries:
-    return -pi1(delta_z(q, a, rho))
+def square_z(q: int, a: FreeSeries) -> FreeSeries:
+    return -pi1(delta_z(q, a))
 
 
-def square_w(p: int, a: FreeSeries, rho: FoxPairing | None = None) -> FreeSeries:
-    return -pi1(delta_w(p, a, rho))
+def square_w(p: int, a: FreeSeries) -> FreeSeries:
+    return -pi1(delta_w(p, a))
 
 
-def square_zw(a: FreeSeries, rho: FoxPairing | None = None) -> FreeSeries:
-    return -pi1(delta_zw(a, rho))
+def square_zw(a: FreeSeries) -> FreeSeries:
+    return -pi1(delta_zw(a))
 
 
-def associator_tail(
-    side: str, puncture: int, degree: int, n_generators: int | None = None
-) -> FreeSeries:
+def associator_tail(side: str, puncture: int, degree: int, n: int) -> FreeSeries:
     """M component of the two associator corner terms in the pentagon
     projection: 'left' gives minus the zeta series at x_q, 'right' gives the
     zeta series at minus x_p. Float backend only."""
-    n = n_generators or puncture
     if side == SIDE_LEFT:
         return -r_zeta_series(puncture, degree, n)
     if side == SIDE_RIGHT:

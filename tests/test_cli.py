@@ -59,6 +59,8 @@ def test_load_path_file(tmp_path):
         (("start", "puncture"), "a"),
         (("start", "puncture"), 1.5),
         (("end", "direction"), [float("nan"), 0.0]),
+        (("points", 3), [True, 0.55]),
+        (("punctures", 1), [True, False]),
     ],
     ids=[
         "points_not_a_list",
@@ -69,6 +71,8 @@ def test_load_path_file(tmp_path):
         "anchor_puncture_string",
         "anchor_puncture_float",
         "anchor_direction_nan",
+        "vertex_boolean",
+        "puncture_boolean",
     ],
 )
 def test_malformed_path_field_exits_1(field, value, tmp_path, capsys):
@@ -172,6 +176,19 @@ def test_poisson_with_infinite_tail_bound_exits_1(capsys):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert "n * ||X|| = 15 >= 1" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("option", ["--tol", "--accuracy", "--radius"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_setting_exits_1(option, value, capsys):
+    """A non-finite tolerance would pass every check and write invalid JSON;
+    a non-finite accuracy or radius is no setting either."""
+    argv = ["verify", "poisson", "--loops", _path("loop_a1.json")]
+    argv += ["--loops", _path("loop_b1.json"), option, value]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "must be finite" in captured.err
     assert captured.out == ""
 
 
@@ -292,8 +309,31 @@ def test_pentagon_campaign_reaches_degree_6(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# work counter: one transport per input path
+# work counters
 # ---------------------------------------------------------------------------
+def test_pentagon_makes_no_extension_products(monkeypatch, capsys):
+    """The pentagon campaign runs the closed forms, not the square-zero
+    extension: no algebra-map extension and no extension product."""
+    from kzfox import cli, trivial_extension
+
+    calls = {"_algebra_map": 0, "trivext_mul": 0}
+    for module, name in (
+        (trivial_extension, "_algebra_map"),
+        (trivial_extension, "trivext_mul"),
+        (cli, "trivext_mul"),
+    ):
+        def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    assert main(["verify", "pentagon", "--path", _path("fig8.json"), "--degree", "4"]) == 0
+    assert calls == {"_algebra_map": 0, "trivext_mul": 0}
+    # the counters see calls: the algebra suite extends through them
+    assert main(["verify", "algebra", "--degree", "2"]) == 0
+    assert calls["_algebra_map"] > 0 and calls["trivext_mul"] > 0
+
+
 @pytest.mark.parametrize(
     "argv, transports",
     [

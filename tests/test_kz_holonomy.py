@@ -31,11 +31,25 @@ from kzfox import kz_holonomy
 from kzfox.cli import main
 from kzfox.errors import AccuracyError, DomainError, ValidationError
 from kzfox.kz_holonomy import (
+    coaction_check,
     crossing_breakpoints,
     goldman_bracket_check,
     pentagon_projection_check,
 )
-from kzfox.kz_paths import intersections, self_intersections
+from kzfox.kz_paths import (
+    intersections,
+    rotation_number,
+    self_intersections,
+    snap_half_integer,
+)
+from kzfox.trivial_extension import (
+    SIDE_LEFT,
+    SIDE_RIGHT,
+    associator_tail,
+    square_w,
+    square_z,
+    square_zw,
+)
 
 P3 = PunctureConfig([0.0, 1.0, 2.0])
 BASE = Anchor.tangential(1, 1.0)
@@ -391,12 +405,7 @@ def test_puncture_grazing_path_raises_accuracy_error_quickly(tmp_path):
 # assembled identities
 # ---------------------------------------------------------------------------
 def _mu_bar_discrepancy(conn, path):
-    hol = holonomy_reg(
-        conn, path, breakpoints=crossing_breakpoints(self_intersections(path))
-    )
-    lhs = mu_bar_kks(hol.series).with_degree(conn.trunc_degree - 1)
-    rhs = mu_bar_rhs(conn, path, holonomy=hol)
-    return (lhs - rhs).norm_inf()
+    return coaction_check(conn, path)["max_discrepancy"]
 
 
 def test_mu_bar_identity_embedded_path():
@@ -494,6 +503,32 @@ def test_pentagon_projection_check_report():
     report = pentagon_projection_check(conn, fig8)
     assert report["n_crossings"] == 1
     assert report["max_discrepancy"] < 1e-8
+
+
+@pytest.mark.parametrize("degree", [4, 5])
+@pytest.mark.parametrize(
+    "name", ["fig8.json", "path_embedded2.json", "path_embedded3.json"]
+)
+def test_square_map_pentagon_matches_coaction_residual(load_path, name, degree):
+    """The projected pentagon assembled from the exact square-zero extension
+    maps and the associator corner terms, on dense complex holonomies, leaves
+    the residual mu_bar_rhs(hol) - mu_bar(h) coefficient by coefficient."""
+    path = load_path(name)
+    p, q = path.start.puncture, path.end.puncture
+    conn = ConnectionSpec(path.punctures, degree)
+    n = conn.n_generators
+    crossings = self_intersections(path)
+    hol = holonomy_reg(conn, path, breakpoints=crossing_breakpoints(crossings))
+    h = hol.series
+    rot = snap_half_integer(rotation_number(path))
+    lhs = associator_tail(SIDE_LEFT, q, degree, n) * h + square_zw(h) + rot * h
+    lhs = lhs + h * associator_tail(SIDE_RIGHT, p, degree, n)
+    rhs = square_z(q, h) + square_w(p, h)
+    for c in crossings:
+        rhs = rhs - float(c.sign) * (hol.piece(c.s, 1.0) * hol.piece(0.0, c.t))
+    residual = (lhs - rhs).with_degree(degree - 1)
+    expected = mu_bar_rhs(hol) - mu_bar_kks(h).with_degree(degree - 1)
+    assert (residual - expected).norm_inf() <= 1e-14
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,6 @@ from kzfox import (
     pi,
     pi0,
     pi1,
-    rho_kks_pairing,
     square_w,
     square_z,
     square_zw,
@@ -32,7 +31,6 @@ from conftest import random_series
 
 N = 2
 D = 4
-RHO = rho_kks_pairing()
 
 
 def _unit_pair():
@@ -54,7 +52,7 @@ def test_generator_images():
 
 def test_square_zero_part():
     e = TrivExtElement.m_unit(N, D, RATIONAL)
-    assert trivext_mul(e, e, RHO).is_zero()
+    assert trivext_mul(e, e).is_zero()
 
 
 def test_relation_families_vanish():
@@ -65,7 +63,7 @@ def test_relation_families_vanish():
         return pi([g], N, D, RATIONAL)
 
     def comm(u, v):
-        return trivext_mul(u, v, RHO) - trivext_mul(v, u, RHO)
+        return trivext_mul(u, v) - trivext_mul(v, u)
 
     for i in (1, 2):
         for j in (1, 2):
@@ -73,14 +71,14 @@ def test_relation_families_vanish():
                 assert comm(image(gen_z(i)), image(gen_w(j))).is_zero()
         mixed = image(gen_z(i)) + image(gen_w(i))
         assert comm(image(GEN_ZW), mixed).is_zero()
-    assert trivext_mul(image(GEN_ZW), image(GEN_ZW), RHO).is_zero()
+    assert trivext_mul(image(GEN_ZW), image(GEN_ZW)).is_zero()
 
 
 def test_mixed_commutator_is_nonzero_on_diagonal():
     # [t_iz, t_iw] does NOT vanish: its image is the m-part -x_i
     u = pi([gen_z(1)], N, D, RATIONAL)
     v = pi([gen_w(1)], N, D, RATIONAL)
-    c = trivext_mul(u, v, RHO) - trivext_mul(v, u, RHO)
+    c = trivext_mul(u, v) - trivext_mul(v, u)
     assert not c.is_zero()
     assert pi0(c).is_zero()
 
@@ -100,16 +98,16 @@ def _random_element(rng):
 def test_trivext_associative(rng):
     for _ in range(10):
         u, v, w_ = (_random_element(rng) for _ in range(3))
-        assert trivext_mul(trivext_mul(u, v, RHO), w_, RHO) == trivext_mul(
-            u, trivext_mul(v, w_, RHO), RHO
+        assert trivext_mul(trivext_mul(u, v), w_) == trivext_mul(
+            u, trivext_mul(v, w_)
         )
 
 
 def test_trivext_unit():
     one = TrivExtElement.unit(N, D, RATIONAL)
     e = TrivExtElement.m_unit(N, D, RATIONAL)
-    assert trivext_mul(one, e, RHO) == e
-    assert trivext_mul(e, one, RHO) == e
+    assert trivext_mul(one, e) == e
+    assert trivext_mul(e, one) == e
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +131,7 @@ def test_delta_maps_are_algebra_maps(rng):
             lambda s: delta_w(1, s),
             delta_zw,
         ):
-            assert delta(a * b) == trivext_mul(delta(a), delta(b), RHO)
+            assert delta(a * b) == trivext_mul(delta(a), delta(b))
 
 
 def test_delta_z_on_marked_generator():
