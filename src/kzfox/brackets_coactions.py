@@ -21,6 +21,7 @@ from .free_hopf import (
     TensorSeries,
     Word,
     _Sparse,
+    _graded_pairs,
     _split_words,
     cyclic_min,
     pair_len,
@@ -71,9 +72,7 @@ class CyclicWedge(_Sparse):
     def wedge(cls, x: CyclicSeries, y: CyclicSeries) -> "CyclicWedge":
         """|x| wedge |y| = x (x) y - y (x) x, bilinear."""
         x._check(y)
-        terms = (
-            ((u, v), cu * cv) for u, cu in x.coeffs.items() for v, cv in y.coeffs.items()
-        )
+        terms = (((u, v), cu * cv) for u, cu, v, cv in _graded_pairs(x, y, x.degree))
         return cls(x.n, x.degree, terms, x.backend)
 
 
@@ -109,20 +108,18 @@ def double_bracket_from_pairing(
         for j, xj in enumerate(gens, 1)
     }
     terms: Dict[Tuple[Word, Word], object] = {}
-    for u, cu in a.coeffs.items():
-        for v, cv in b.coeffs.items():
-            budget = D + 2 - len(u) - len(v)  # degree left for {{u_p, v_q}}
-            if budget < 0:
-                continue
-            cuv = cu * cv
-            for p, up in enumerate(u):
-                for q, vq in enumerate(v):
-                    for deg, s1, r2, cr in table[up, vq]:
-                        if deg > budget:
-                            break
-                        key = (v[:q] + s1 + u[p + 1 :], u[:p] + r2 + v[q + 1 :])
-                        acc = terms.get(key)
-                        terms[key] = cuv * cr if acc is None else acc + cuv * cr
+    # {{u_p, v_q}} replaces two letters, so the word pair may reach D + 2
+    for u, cu, v, cv in _graded_pairs(a, b, D + 2):
+        budget = D + 2 - len(u) - len(v)  # degree left for {{u_p, v_q}}
+        cuv = cu * cv
+        for p, up in enumerate(u):
+            for q, vq in enumerate(v):
+                for deg, s1, r2, cr in table[up, vq]:
+                    if deg > budget:
+                        break
+                    key = (v[:q] + s1 + u[p + 1 :], u[:p] + r2 + v[q + 1 :])
+                    acc = terms.get(key)
+                    terms[key] = cuv * cr if acc is None else acc + cuv * cr
     return TensorSeries(n, D, terms, backend)
 
 

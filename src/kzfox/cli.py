@@ -17,17 +17,12 @@ Reports are JSON lines written to ``--out`` (default: stdout); a one-line
 human summary per check goes to stderr.  Exit codes: 0 all checks passed,
 1 usage or input error, 2 a check exceeded its tolerance (or an accuracy
 target could not be met).
-
-The environment variable ``KZFOX_THREADS`` caps the worker count of the
-numerical backends (it is applied to the BLAS thread-count variables before
-any numerical module is loaded).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import random
 import sys
 from dataclasses import dataclass
@@ -60,8 +55,16 @@ from .fox_calculus import (
     rho_right,
     transpose,
 )
-from .free_hopf import RATIONAL, FreeSeries, TensorSeries
+from .free_hopf import RATIONAL, FreeSeries, TensorSeries, _graded_pairs
+from .kz_holonomy import (
+    ConnectionSpec,
+    associator,
+    coaction_check,
+    goldman_bracket_check,
+    pentagon_projection_check,
+)
 from .kz_paths import Anchor, PLPath, PunctureConfig
+from .rep_space import MatrixTuple, verify_theorem2
 from .trivial_extension import (
     GEN_ZW,
     TrivExtElement,
@@ -125,19 +128,6 @@ class RunConfig:
         if self.tolerance is not None:
             return self.tolerance
         return 1e-5 if self.degree <= 3 else 1e-4
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("KZFOX_THREADS")
-    if not cap:
-        return
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(var, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +279,14 @@ def _triple_coproduct(a: FreeSeries, split_left: bool) -> dict:
 
 def _cbf_mul_free_right(t: CyclicByFree, b: FreeSeries) -> CyclicByFree:
     terms = (
-        ((cw, w + wb), c * cb)
-        for (cw, w), c in t.coeffs.items()
-        for wb, cb in b.coeffs.items()
+        ((cw, w + wb), c * cb) for (cw, w), c, wb, cb in _graded_pairs(t, b, t.degree)
     )
     return CyclicByFree(t.n, t.degree, terms, t.backend)
 
 
 def _cbf_mul_free_left(a: FreeSeries, t: CyclicByFree) -> CyclicByFree:
     terms = (
-        ((cw, wa + w), ca * c)
-        for (cw, w), c in t.coeffs.items()
-        for wa, ca in a.coeffs.items()
+        ((cw, wa + w), ca * c) for (cw, w), c, wa, ca in _graded_pairs(t, a, t.degree)
     )
     return CyclicByFree(t.n, t.degree, terms, t.backend)
 
@@ -552,8 +538,6 @@ def _verify_algebra(config: RunConfig, reporter: _Reporter) -> None:
 
 
 def _verify_coaction(config: RunConfig, reporter: _Reporter) -> None:
-    from .kz_holonomy import ConnectionSpec, coaction_check
-
     path = _load_single_path(config)
     conn = ConnectionSpec(path.punctures, config.degree + 1)
     disc = coaction_check(conn, path, config.accuracy)["max_discrepancy"]
@@ -572,8 +556,6 @@ def _verify_coaction(config: RunConfig, reporter: _Reporter) -> None:
 
 
 def _verify_pentagon(config: RunConfig, reporter: _Reporter) -> None:
-    from .kz_holonomy import ConnectionSpec, pentagon_projection_check
-
     path = _load_single_path(config)
     conn = ConnectionSpec(path.punctures, config.degree + 1)
     report = pentagon_projection_check(conn, path, config.accuracy)
@@ -594,8 +576,6 @@ def _verify_pentagon(config: RunConfig, reporter: _Reporter) -> None:
 
 
 def _verify_goldman(config: RunConfig, reporter: _Reporter) -> None:
-    from .kz_holonomy import ConnectionSpec, goldman_bracket_check
-
     loop1, loop2 = _load_loop_pair(config)
     conn = ConnectionSpec(loop1.punctures, config.degree + 1)
     report = goldman_bracket_check(conn, loop2, loop1, config.accuracy)
@@ -618,9 +598,6 @@ def _verify_goldman(config: RunConfig, reporter: _Reporter) -> None:
 
 
 def _verify_poisson(config: RunConfig, reporter: _Reporter) -> None:
-    from .kz_holonomy import ConnectionSpec
-    from .rep_space import MatrixTuple, verify_theorem2
-
     loop1, loop2 = _load_loop_pair(config)
     conn = ConnectionSpec(loop1.punctures, config.degree)
     X = MatrixTuple.random(
@@ -693,8 +670,6 @@ def cli() -> None:
 def cmd_associator(degree: int, accuracy: float, out: Optional[str]) -> None:
     """Regularized holonomy of the straight path between two punctures."""
     config = RunConfig(degree, accuracy, out=out)
-    from .kz_holonomy import associator
-
     series = associator(config.degree, config.accuracy)
     reporter = _Reporter(config.out)
     reporter.emit(
@@ -756,7 +731,6 @@ def cmd_verify(
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point mapping outcomes to exit codes 0/1/2."""
-    _apply_thread_cap()
     try:
         cli.main(args=argv, prog_name="kzfox", standalone_mode=False)
     except (ToleranceFailure, AccuracyError) as exc:

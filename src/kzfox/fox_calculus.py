@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .errors import ShapeError
-from .free_hopf import FreeSeries
+from .free_hopf import FreeSeries, _graded_pairs
 
 def d_right(m: int, a: FreeSeries) -> FreeSeries:
     """Strip a leading x_m: coeff of w in d_right(m, a) = coeff of (m, *w) in a."""
@@ -64,21 +64,16 @@ class FoxPairing:
 
 def _rho_kks_func(a: FreeSeries, b: FreeSeries) -> FreeSeries:
     # monomial rule: rho(h_1..h_m, k_1..k_r) = h_1..h_{m-1} rho(h_m, k_1) k_2..k_r
-    # with rho(x_i, x_j) = delta_ij x_i; zero if either word is empty.
+    # with rho(x_i, x_j) = delta_ij x_i; zero if either word is empty.  The
+    # shared letter is kept once, so the word pair may reach degree D + 1.
     terms = {}
-    D = a.degree
-    for wa, ca in a.coeffs.items():
-        if not wa:
+    for wa, ca, wb, cb in _graded_pairs(a, b, a.degree + 1):
+        if not wa or not wb or wa[-1] != wb[0]:
             continue
-        for wb, cb in b.coeffs.items():
-            if not wb or wa[-1] != wb[0]:
-                continue
-            w = wa + wb[1:]
-            if len(w) > D:
-                continue
-            c = ca * cb
-            acc = terms.get(w)
-            terms[w] = c if acc is None else acc + c
+        w = wa + wb[1:]
+        c = ca * cb
+        acc = terms.get(w)
+        terms[w] = c if acc is None else acc + c
     return FreeSeries(a.n, a.degree, terms, a.backend)
 
 

@@ -9,6 +9,7 @@ by design).  Two coefficient backends are supported: "rational" (exact
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Tuple
 
@@ -194,6 +195,25 @@ def pair_len(key) -> int:
     return len(key[0]) + len(key[1])
 
 
+def _graded_pairs(a: _Sparse, b: _Sparse, room: int):
+    """Every pair of terms (ka, ca, kb, cb) of a and b whose key degrees sum
+    to at most `room`, in the order of a's terms.
+
+    The one scan behind every sparse bilinear product: products of keys are
+    graded, so b's terms are sorted by degree once and the scan of each term
+    of a stops at the first term of b that would put the pair above `room`.
+    A product shifting the degree by s (a pairing that drops s letters) passes
+    room = D + s.  For a fixed term of a, b's terms of one degree keep b's
+    order.
+    """
+    deg_a, deg_b = a._len, b._len
+    ordered = sorted(b.coeffs.items(), key=lambda kc: deg_b(kc[0]))
+    degrees = [deg_b(kb) for kb, _ in ordered]
+    for ka, ca in a.coeffs.items():
+        for kb, cb in ordered[: bisect_right(degrees, room - deg_a(ka))]:
+            yield ka, ca, kb, cb
+
+
 class FreeSeries(_Sparse):
     """Sparse truncated noncommutative power series."""
 
@@ -231,17 +251,12 @@ class FreeSeries(_Sparse):
         if not isinstance(other, FreeSeries):
             return self.scale(other)
         self._check(other)
-        D = self.degree
         terms: Dict[Word, object] = {}
-        for wa, ca in self.coeffs.items():
-            la = len(wa)
-            for wb, cb in other.coeffs.items():
-                if la + len(wb) > D:
-                    continue
-                w = wa + wb
-                c = ca * cb
-                acc = terms.get(w)
-                terms[w] = c if acc is None else acc + c
+        for wa, ca, wb, cb in _graded_pairs(self, other, self.degree):
+            w = wa + wb
+            c = ca * cb
+            acc = terms.get(w)
+            terms[w] = c if acc is None else acc + c
         return self._like(terms)
 
     # -- Hopf structure -------------------------------------------------------
@@ -368,30 +383,21 @@ class TensorSeries(_Sparse):
     @classmethod
     def outer(cls, a: FreeSeries, b: FreeSeries) -> "TensorSeries":
         a._check(b)
-        terms = {}
-        for wa, ca in a.coeffs.items():
-            for wb, cb in b.coeffs.items():
-                if len(wa) + len(wb) <= a.degree:
-                    key = (wa, wb)
-                    c = ca * cb
-                    acc = terms.get(key)
-                    terms[key] = c if acc is None else acc + c
+        terms = (
+            ((wa, wb), ca * cb) for wa, ca, wb, cb in _graded_pairs(a, b, a.degree)
+        )
         return cls(a.n, a.degree, terms, a.backend)
 
     def __mul__(self, other):
         if not isinstance(other, TensorSeries):
             return self.scale(other)
         self._check(other)
-        D = self.degree
         terms: Dict[Tuple[Word, Word], object] = {}
-        for (a1, b1), c1 in self.coeffs.items():
-            for (a2, b2), c2 in other.coeffs.items():
-                if len(a1) + len(b1) + len(a2) + len(b2) > D:
-                    continue
-                key = (a1 + a2, b1 + b2)
-                c = c1 * c2
-                acc = terms.get(key)
-                terms[key] = c if acc is None else acc + c
+        for (a1, b1), c1, (a2, b2), c2 in _graded_pairs(self, other, self.degree):
+            key = (a1 + a2, b1 + b2)
+            c = c1 * c2
+            acc = terms.get(key)
+            terms[key] = c if acc is None else acc + c
         return self._like(terms)
 
     def swap(self) -> "TensorSeries":

@@ -533,19 +533,20 @@ def crossing_breakpoints(crossings: Sequence[Crossing]) -> List[float]:
     return [x for c in crossings for x in (c.t, c.s)]
 
 
-def mu_bar_rhs(hol: HolonomyResult) -> FreeSeries:
+def mu_bar_rhs(
+    hol: HolonomyResult, crossings: Sequence[Crossing], rot: float
+) -> FreeSeries:
     """Right-hand side of the reduced-coaction formula for the holonomy of a
-    path between tangential points p and q (p = q for loops), read off its
-    transport with breakpoints at `crossing_breakpoints(self_intersections(
-    path))`; the result is truncated to degree D-1, the range on which the
-    assembly is exact."""
+    path between tangential points p and q (p = q for loops), from the path's
+    `self_intersections` and snapped `rotation_number`, read off its
+    transport with breakpoints at `crossing_breakpoints(crossings)`; the
+    result is truncated to degree D-1, the range on which the assembly is
+    exact."""
     path = hol.path
     p = _require_tangential(path, "start")
     q = _require_tangential(path, "end")
     series = hol.series
     n, deg = series.n, series.degree
-    crossings = self_intersections(path)
-    rot = snap_half_integer(rotation_number(path))
     out = series * r_zeta_series(p, deg, n, negate_variable=True)
     out = out + rot * series
     out = out - r_zeta_series(q, deg, n) * series
@@ -695,10 +696,11 @@ def coaction_check(
     self-crossings."""
     crossings = self_intersections(path)
     hol = holonomy_reg(conn, path, accuracy, crossing_breakpoints(crossings))
+    rot = snap_half_integer(rotation_number(path))
     lhs = mu_bar_kks(hol.series).with_degree(conn.trunc_degree - 1)
     return {
-        "max_discrepancy": (lhs - mu_bar_rhs(hol)).norm_inf(),
-        "rot": snap_half_integer(rotation_number(path)),
+        "max_discrepancy": (lhs - mu_bar_rhs(hol, crossings, rot)).norm_inf(),
+        "rot": rot,
         "n_crossings": len(crossings),
     }
 

@@ -251,7 +251,8 @@ class PLPath:
 def _segment_intersection(a, b, c, d):
     """Exact intersection of segments [a,b], [c,d].
 
-    Returns ('proper', t, u) with Fractions strictly inside (0,1), or
+    Returns ('proper', t, u, sign) with Fractions strictly inside (0,1) and
+    the crossing sign, the sign of the nonzero cross(b - a, d - c); or
     ('none',), ('touch', t, u) for endpoint contact, ('overlap',) for
     collinear overlap of positive length.
     """
@@ -284,7 +285,7 @@ def _segment_intersection(a, b, c, d):
     if t < 0 or t > 1 or u < 0 or u > 1:
         return ("none",)
     if 0 < t < 1 and 0 < u < 1:
-        return ("proper", t, u)
+        return ("proper", t, u, 1 if denom > 0 else -1)
     return ("touch", t, u)
 
 
@@ -352,17 +353,6 @@ def _tail_contact_skippable(
     return False
 
 
-def _sign_of_cross(a: complex, b: complex) -> int:
-    ax, ay = _frac(a.real), _frac(a.imag)
-    bx, by = _frac(b.real), _frac(b.imag)
-    c = _cross(ax, ay, bx, by)
-    if c > 0:
-        return 1
-    if c < 0:
-        return -1
-    raise ValidationError("tangential (non-transverse) crossing encountered")
-
-
 def _crossings(path1: PLPath, path2: PLPath, same: bool) -> List[Crossing]:
     """The segment-pair scan behind both public functions; `same` scans the
     pairs i < j of one path and skips the shared vertex of adjacent segments."""
@@ -401,10 +391,7 @@ def _crossings(path1: PLPath, path2: PLPath, same: bool) -> List[Crossing]:
                     f"non-transverse touching between segments {i}{first} and "
                     f"{j}{second}"
                 )
-            t, u = res[1], res[2]
-            vel_i = (b - a) / abs(b - a)
-            vel_j = (d - c) / abs(d - c)
-            sign = _sign_of_cross(vel_i, vel_j)
+            t, u, sign = res[1], res[2], res[3]
             pt = a + (b - a) * float(t)
             out.append(
                 Crossing(

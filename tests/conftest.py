@@ -3,13 +3,14 @@ counter of FreeSeries method calls."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from kzfox import FreeSeries, RATIONAL
+from kzfox import COMPLEX, FreeSeries, RATIONAL
 from kzfox.cli import load_path_file
 
 DATA = Path(__file__).parent / "data"
@@ -37,6 +38,17 @@ def random_series(rng: random.Random, n: int, degree: int, max_word: int = 3,
         w = tuple(rng.randint(1, n) for _ in range(k))
         coeffs[w] = coeffs.get(w, 0) + Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     return FreeSeries(n, degree, coeffs, RATIONAL)
+
+
+def dense_complex(rng: random.Random, n: int, degree: int) -> FreeSeries:
+    """Complex series with a random coefficient on every word of degree <= D,
+    stored in degree order."""
+    words = (
+        w for k in range(degree + 1) for w in itertools.product(range(1, n + 1), repeat=k)
+    )
+    return FreeSeries(
+        n, degree, {w: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for w in words}, COMPLEX
+    )
 
 
 @pytest.fixture

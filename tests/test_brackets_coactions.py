@@ -1,11 +1,9 @@
 """Double brackets, reduced coactions, necklace structures, twist maps."""
 
-import itertools
 from fractions import Fraction
 from typing import Dict, Tuple
 
 from kzfox import (
-    COMPLEX,
     CyclicByFree,
     FreeSeries,
     RATIONAL,
@@ -26,7 +24,7 @@ from kzfox import (
 )
 from kzfox.brackets_coactions import CyclicWedge, alpha, alpha_inv, beta, beta_inv
 from kzfox.free_hopf import Word
-from conftest import random_series
+from conftest import dense_complex, random_series
 
 N = 2
 D = 4
@@ -114,15 +112,6 @@ def _sweedler_double_bracket(rho, a, b):
     return TensorSeries(n, D, terms, backend)
 
 
-def _dense_complex(rng, n, degree):
-    words = (
-        w for k in range(degree + 1) for w in itertools.product(range(1, n + 1), repeat=k)
-    )
-    return FreeSeries(
-        n, degree, {w: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for w in words}, COMPLEX
-    )
-
-
 def test_double_bracket_matches_sweedler_form(rng):
     """The letter-table construction equals the Sweedler sum exactly, for
     skew-symmetric and non-skew-symmetric Fox pairings alike."""
@@ -144,7 +133,7 @@ def test_double_bracket_matches_sweedler_form(rng):
 
 
 def test_double_bracket_matches_sweedler_form_dense_complex(rng):
-    a, b = _dense_complex(rng, 3, D), _dense_complex(rng, 3, D)
+    a, b = dense_complex(rng, 3, D), dense_complex(rng, 3, D)
     new = double_bracket_kks(a, b)
     ref = _sweedler_double_bracket(rho_kks_pairing(), a, b)
     assert not ref.is_zero()
@@ -155,7 +144,7 @@ def test_double_bracket_makes_one_coproduct_per_letter_pair(rng, monkeypatch):
     """Work counter: the bracket is built from the n^2 letter-pair values, not
     from coproducts of its arguments."""
     n = 3
-    a, b = _dense_complex(rng, n, D), _dense_complex(rng, n, D)
+    a, b = dense_complex(rng, n, D), dense_complex(rng, n, D)
     calls = []
     coproduct = FreeSeries.coproduct
 
@@ -293,7 +282,7 @@ def test_coaction_matches_sweedler_form(rng):
         mu, delta = _sweedler_coaction_and_cobracket(a)
         assert coaction_mu_kks(a) == mu
         assert necklace_cobracket(a) == delta
-    a = _dense_complex(rng, 3, 5)
+    a = dense_complex(rng, 3, 5)
     mu, delta = _sweedler_coaction_and_cobracket(a)
     assert not mu.is_zero() and not delta.is_zero()
     assert coaction_mu_kks(a).allclose(mu, 1e-12)
@@ -303,7 +292,7 @@ def test_coaction_matches_sweedler_form(rng):
 def test_coaction_and_cobracket_make_no_coproducts(rng, count_series_calls):
     """Work counter: both maps read the word letters directly, with no
     coproduct of the argument or of its contractions."""
-    a = _dense_complex(rng, 3, 5)
+    a = dense_complex(rng, 3, 5)
     calls = count_series_calls("coproduct")
     coaction_mu_kks(a)
     necklace_cobracket(a)

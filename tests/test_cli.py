@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from kzfox.cli import _apply_thread_cap, load_path_file, main, parse_punctures
+from kzfox.cli import load_path_file, main, parse_punctures
 from kzfox.errors import ValidationError
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -93,15 +93,6 @@ def test_malformed_path_field_exits_1(field, value, tmp_path, capsys):
         err.strip()
     ]
     assert "Traceback" not in err
-
-
-def test_thread_cap(monkeypatch):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("KZFOX_THREADS", "2")
-    _apply_thread_cap()
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +299,46 @@ def test_pentagon_campaign_reaches_degree_6(tmp_path):
     assert all(r["degree"] == 6 for r in records)
 
 
+def test_coaction_campaign_reaches_degree_7(tmp_path):
+    out = tmp_path / "coaction.jsonl"
+    code = main(
+        [
+            "verify",
+            "coaction",
+            "--path",
+            _path("fig8.json"),
+            "--degree",
+            "7",
+            "--out",
+            str(out),
+        ]
+    )
+    assert code == 0
+    records = [json.loads(l) for l in out.read_text().splitlines() if l.strip()]
+    assert records and all(r["passed"] is True for r in records)
+    assert all(r["degree"] == 7 for r in records)
+
+
 # ---------------------------------------------------------------------------
 # work counters
 # ---------------------------------------------------------------------------
+@pytest.mark.parametrize("which", ["coaction", "pentagon"])
+def test_campaign_scans_crossings_once(monkeypatch, capsys, which):
+    """The crossings and the rotation number found for the transport's
+    breakpoints are the ones the reduced-coaction assembly uses."""
+    from kzfox import kz_holonomy
+
+    calls = {"self_intersections": 0, "rotation_number": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(kz_holonomy, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(kz_holonomy, name, counting)
+    assert main(["verify", which, "--path", _path("fig8.json")]) == 0
+    assert calls == {"self_intersections": 1, "rotation_number": 1}
+
+
 def test_pentagon_makes_no_extension_products(monkeypatch, capsys):
     """The pentagon campaign runs the closed forms, not the square-zero
     extension: no algebra-map extension and no extension product."""

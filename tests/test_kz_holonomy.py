@@ -527,7 +527,7 @@ def test_square_map_pentagon_matches_coaction_residual(load_path, name, degree):
     for c in crossings:
         rhs = rhs - float(c.sign) * (hol.piece(c.s, 1.0) * hol.piece(0.0, c.t))
     residual = (lhs - rhs).with_degree(degree - 1)
-    expected = mu_bar_rhs(hol) - mu_bar_kks(h).with_degree(degree - 1)
+    expected = mu_bar_rhs(hol, crossings, rot) - mu_bar_kks(h).with_degree(degree - 1)
     assert (residual - expected).norm_inf() <= 1e-14
 
 

@@ -1,0 +1,236 @@
+"""The graded pair scan behind every sparse bilinear product, checked against
+the loops it replaced: each reference below visits all key pairs of its two
+arguments and discards the pairs above the truncation degree by length."""
+
+import itertools
+from typing import Dict, Tuple
+
+import pytest
+
+from kzfox import (
+    CyclicByFree,
+    CyclicWedge,
+    FreeSeries,
+    TensorSeries,
+    double_bracket_from_pairing,
+    rho_kks,
+    rho_kks_pairing,
+    transpose,
+)
+from kzfox import free_hopf
+from kzfox.cli import _cbf_mul_free_left, _cbf_mul_free_right
+from kzfox.errors import ShapeError
+from kzfox.free_hopf import Word
+from conftest import dense_complex, random_series
+
+SHAPES = [(n, D) for n in (1, 2, 3) for D in range(7)]
+
+
+# ---------------------------------------------------------------------------
+# all-pairs references
+# ---------------------------------------------------------------------------
+def _ref_mul(a: FreeSeries, b: FreeSeries) -> FreeSeries:
+    D = a.degree
+    terms: Dict[Word, object] = {}
+    for wa, ca in a.coeffs.items():
+        la = len(wa)
+        for wb, cb in b.coeffs.items():
+            if la + len(wb) > D:
+                continue
+            w = wa + wb
+            c = ca * cb
+            acc = terms.get(w)
+            terms[w] = c if acc is None else acc + c
+    return FreeSeries(a.n, D, terms, a.backend)
+
+
+def _ref_outer(a: FreeSeries, b: FreeSeries) -> TensorSeries:
+    terms = {}
+    for wa, ca in a.coeffs.items():
+        for wb, cb in b.coeffs.items():
+            if len(wa) + len(wb) <= a.degree:
+                key = (wa, wb)
+                c = ca * cb
+                acc = terms.get(key)
+                terms[key] = c if acc is None else acc + c
+    return TensorSeries(a.n, a.degree, terms, a.backend)
+
+
+def _ref_tensor_mul(s: TensorSeries, t: TensorSeries) -> TensorSeries:
+    D = s.degree
+    terms: Dict[Tuple[Word, Word], object] = {}
+    for (a1, b1), c1 in s.coeffs.items():
+        for (a2, b2), c2 in t.coeffs.items():
+            if len(a1) + len(b1) + len(a2) + len(b2) > D:
+                continue
+            key = (a1 + a2, b1 + b2)
+            c = c1 * c2
+            acc = terms.get(key)
+            terms[key] = c if acc is None else acc + c
+    return TensorSeries(s.n, D, terms, s.backend)
+
+
+def _ref_wedge(x, y) -> CyclicWedge:
+    terms = (
+        ((u, v), cu * cv) for u, cu in x.coeffs.items() for v, cv in y.coeffs.items()
+    )
+    return CyclicWedge(x.n, x.degree, terms, x.backend)
+
+
+def _ref_rho_kks(a: FreeSeries, b: FreeSeries) -> FreeSeries:
+    terms = {}
+    D = a.degree
+    for wa, ca in a.coeffs.items():
+        if not wa:
+            continue
+        for wb, cb in b.coeffs.items():
+            if not wb or wa[-1] != wb[0]:
+                continue
+            w = wa + wb[1:]
+            if len(w) > D:
+                continue
+            c = ca * cb
+            acc = terms.get(w)
+            terms[w] = c if acc is None else acc + c
+    return FreeSeries(a.n, a.degree, terms, a.backend)
+
+
+def _ref_cbf_right(t: CyclicByFree, b: FreeSeries) -> CyclicByFree:
+    terms = (
+        ((cw, w + wb), c * cb)
+        for (cw, w), c in t.coeffs.items()
+        for wb, cb in b.coeffs.items()
+    )
+    return CyclicByFree(t.n, t.degree, terms, t.backend)
+
+
+def _ref_cbf_left(a: FreeSeries, t: CyclicByFree) -> CyclicByFree:
+    terms = (
+        ((cw, wa + w), ca * c)
+        for (cw, w), c in t.coeffs.items()
+        for wa, ca in a.coeffs.items()
+    )
+    return CyclicByFree(t.n, t.degree, terms, t.backend)
+
+
+def _ref_double_bracket(rho, a: FreeSeries, b: FreeSeries) -> TensorSeries:
+    n, D, backend = a.n, a.degree, a.backend
+    gens = [FreeSeries.generator(i, n, D, backend) for i in range(1, n + 1)]
+    table = {
+        (i, j): sorted(
+            (len(r1) + len(r2), r1[::-1], r2, -cr if len(r1) % 2 else cr)
+            for (r1, r2), cr in rho(xi, xj).coproduct().coeffs.items()
+        )
+        for i, xi in enumerate(gens, 1)
+        for j, xj in enumerate(gens, 1)
+    }
+    terms: Dict[Tuple[Word, Word], object] = {}
+    for u, cu in a.coeffs.items():
+        for v, cv in b.coeffs.items():
+            budget = D + 2 - len(u) - len(v)
+            if budget < 0:
+                continue
+            cuv = cu * cv
+            for p, up in enumerate(u):
+                for q, vq in enumerate(v):
+                    for deg, s1, r2, cr in table[up, vq]:
+                        if deg > budget:
+                            break
+                        key = (v[:q] + s1 + u[p + 1 :], u[:p] + r2 + v[q + 1 :])
+                        acc = terms.get(key)
+                        terms[key] = cuv * cr if acc is None else acc + cuv * cr
+    return TensorSeries(n, D, terms, backend)
+
+
+# ---------------------------------------------------------------------------
+# the eight product sites against their references
+# ---------------------------------------------------------------------------
+def _sites(a: FreeSeries, b: FreeSeries, s: TensorSeries, t: TensorSeries):
+    """(name, scan result, reference result) for each product site, on the
+    series a, b and the tensors s, t."""
+    x, y = a.cyclic_project(), b.cyclic_project()
+    cbf = CyclicByFree.from_tensor(s)
+    kks = rho_kks_pairing()
+    yield "mul", a * b, _ref_mul(a, b)
+    yield "outer", TensorSeries.outer(a, b), _ref_outer(a, b)
+    yield "tensor_mul", s * t, _ref_tensor_mul(s, t)
+    yield "wedge", CyclicWedge.wedge(x, y), _ref_wedge(x, y)
+    yield "rho_kks", rho_kks(a, b), _ref_rho_kks(a, b)
+    yield "cbf_right", _cbf_mul_free_right(cbf, b), _ref_cbf_right(cbf, b)
+    yield "cbf_left", _cbf_mul_free_left(a, cbf), _ref_cbf_left(a, cbf)
+    for rho in (kks, transpose(kks)):
+        yield (
+            "double_bracket",
+            double_bracket_from_pairing(rho, a, b),
+            _ref_double_bracket(rho, a, b),
+        )
+
+
+@pytest.mark.parametrize("n, D", SHAPES)
+def test_sites_match_all_pairs_reference_rational(rng, n, D):
+    series = [FreeSeries.zero(n, D), FreeSeries.unit(n, D)] + [
+        random_series(rng, n, D, D + 1, 6) for _ in range(3)
+    ]
+    for a, b in itertools.product(series, repeat=2):
+        s, t = TensorSeries.outer(a, b), TensorSeries.outer(b, a)
+        for name, got, ref in _sites(a, b, s, t):
+            assert got == ref, name
+
+
+def _lower_half(a: FreeSeries) -> FreeSeries:
+    return FreeSeries(
+        a.n, a.degree, {w: c for w, c in a.coeffs.items() if 2 * len(w) <= a.degree},
+        a.backend,
+    )
+
+
+@pytest.mark.parametrize("n, D", SHAPES)
+def test_sites_match_all_pairs_reference_dense_complex(rng, n, D):
+    a, b = dense_complex(rng, n, D), dense_complex(rng, n, D)
+    # the tensors pair the words of degree <= D/2 of a and b: the all-pairs
+    # reference of a product of two tensors dense through D = 6 at n = 3
+    # would visit 7108^2 pairs
+    ha, hb = _lower_half(a), _lower_half(b)
+    s, t = TensorSeries.outer(ha, hb), TensorSeries.outer(hb, ha)
+    for name, got, ref in _sites(a, b, s, t):
+        assert got.coeffs.keys() == ref.coeffs.keys(), name
+        assert got.allclose(ref, 1e-14), name
+
+
+def test_sites_keep_shape_checks():
+    a = FreeSeries.unit(2, 3)
+    for other in (
+        FreeSeries.unit(3, 3),
+        FreeSeries.unit(2, 4),
+        FreeSeries.unit(2, 3).to_complex(),
+    ):
+        with pytest.raises(ShapeError):
+            a * other
+        with pytest.raises(ShapeError):
+            TensorSeries.outer(a, other)
+        with pytest.raises(ShapeError):
+            TensorSeries.outer(a, a) * TensorSeries.outer(other, other)
+        with pytest.raises(ShapeError):
+            CyclicWedge.wedge(a.cyclic_project(), other.cyclic_project())
+        with pytest.raises(ShapeError):
+            rho_kks(a, other)
+        with pytest.raises(ShapeError):
+            double_bracket_from_pairing(rho_kks_pairing(), a, other)
+
+
+def test_dense_product_visits_only_the_pairs_that_fit(rng, monkeypatch):
+    """Work counter: a dense product at n = 3, D = 6 visits the
+    sum over k <= 6 of (k + 1) 3^k key pairs, not all 1093^2."""
+    visited = []
+    scan = free_hopf._graded_pairs
+
+    def counting(*args):
+        for pair in scan(*args):
+            visited.append(pair)
+            yield pair
+
+    monkeypatch.setattr(free_hopf, "_graded_pairs", counting)
+    a, b = dense_complex(rng, 3, 6), dense_complex(rng, 3, 6)
+    assert len(a.coeffs) == len(b.coeffs) == 1093
+    a * b
+    assert len(visited) == sum((k + 1) * 3**k for k in range(7)) == 7108
