@@ -6,8 +6,9 @@ on words it is a sum over letter pairs (`double_bracket_from_pairing`).  Also
 here: the adjacent-letter reduced coaction, and the coaction on cyclic words
 and the necklace cobracket, both in closed form as a sum over pairs of equal
 letters, w = L x M x R giving |M| (x) L x R - |M x| (x) L R (`_coaction_terms`);
-the necklace bracket; and the alpha/beta twists relating Fox derivatives to
-double derivations.
+the necklace bracket, a closed form on cyclic classes (Goldman 1986,
+Schedler 2005); and the alpha/beta twists relating Fox derivatives to double
+derivations.
 """
 
 from __future__ import annotations
@@ -183,15 +184,36 @@ def coaction_mu_kks(a: FreeSeries) -> CyclicByFree:
 # ---------------------------------------------------------------------------
 # bracket and cobracket on cyclic words
 # ---------------------------------------------------------------------------
-def necklace_bracket(a: FreeSeries, b: FreeSeries) -> CyclicSeries:
-    """{|a|, |b|} = |{{a,b}}' {{a,b}}''| for the adjacent-letter pairing."""
-    return double_bracket_kks(a, b).multiply_legs().cyclic_project()
+def necklace_bracket(a, b) -> CyclicSeries:
+    """{|a|, |b|} = |{{a,b}}' {{a,b}}''| for the adjacent-letter pairing, on
+    the cyclic classes of a and b (series or cyclic series): a pair of classes
+    sums over its pairs of equal letters u_p = v_q = x (Goldman 1986;
+    Schedler 2005), {|u|, |v|} = sum |x V_q U_p| - |x U_p V_q|, where
+    U_p = u>p u<p and V_q = v>q v<q.  No double-bracket series is built."""
+    ca, cb = a.cyclic_project(), b.cyclic_project()
+    ca._check(cb)
+    terms: Dict[Word, object] = {}
+    # the shared letter is kept once, so the class pair may reach D + 1
+    for u, cu, v, cv in _graded_pairs(ca, cb, ca.degree + 1):
+        c = cu * cv
+        for q, y in enumerate(v):
+            rv = v[q:] + v[:q]  # x V_q
+            for p, x in enumerate(u):
+                if x == y:
+                    ru = u[p:] + u[:p]  # x U_p
+                    for w, cw in ((rv + ru[1:], c), (ru + rv[1:], -c)):
+                        k = cyclic_min(w)
+                        acc = terms.get(k)
+                        terms[k] = cw if acc is None else acc + cw
+    return ca._like(terms)
 
 
-def necklace_cobracket(a: FreeSeries) -> CyclicWedge:
-    """delta(|a|) = |mu(a)| - P21 |mu(a)|: the coaction terms with the second
-    leg also cyclic, antisymmetrized."""
-    return CyclicWedge(a.n, a.degree, _coaction_terms(a), a.backend)
+def necklace_cobracket(a) -> CyclicWedge:
+    """delta(|a|) = |mu(a)| - P21 |mu(a)|: the coaction terms of the cyclic
+    projection of a (series or cyclic series) with the second leg also
+    cyclic, antisymmetrized."""
+    ca = a.cyclic_project()
+    return CyclicWedge(ca.n, ca.degree, _coaction_terms(ca), ca.backend)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, Iterable, Tuple
 
 from .errors import DomainError, ShapeError
@@ -44,8 +45,9 @@ def _is_stored_zero(backend: str, c) -> bool:
     return abs(c) < _FLOAT_DROP
 
 
+@lru_cache(maxsize=None)
 def cyclic_min(word: Word) -> Word:
-    """Lexicographically minimal rotation of a word."""
+    """Lexicographically minimal rotation of a word, memoized per word."""
     if len(word) <= 1:
         return word
     return min(word[i:] + word[:i] for i in range(len(word)))
@@ -173,7 +175,12 @@ class _Sparse:
         return self._like({k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        terms = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            acc = terms.get(k)
+            terms[k] = -c if acc is None else acc - c
+        return self._like(terms)
 
     def scale(self, scalar):
         s = _coerce(self.backend, scalar)
@@ -347,12 +354,7 @@ class FreeSeries(_Sparse):
 
     # -- cyclic projection -------------------------------------------------------
     def cyclic_project(self) -> "CyclicSeries":
-        terms: Dict[Word, object] = {}
-        for w, c in self.coeffs.items():
-            k = cyclic_min(w)
-            acc = terms.get(k)
-            terms[k] = c if acc is None else acc + c
-        return CyclicSeries(self.n, self.degree, terms, self.backend)
+        return CyclicSeries(self.n, self.degree, self.coeffs, self.backend)
 
     # -- conversions / serialization ------------------------------------------
     def with_degree(self, degree: int) -> "FreeSeries":
@@ -405,28 +407,16 @@ class TensorSeries(_Sparse):
 
     def eps_left(self) -> FreeSeries:
         """Apply the counit to the first slot, keeping the second."""
-        terms: Dict[Word, object] = {}
-        for (a, b), c in self.coeffs.items():
-            if not a:
-                acc = terms.get(b)
-                terms[b] = c if acc is None else acc + c
+        terms = ((b, c) for (a, b), c in self.coeffs.items() if not a)
         return FreeSeries(self.n, self.degree, terms, self.backend)
 
     def eps_right(self) -> FreeSeries:
-        terms: Dict[Word, object] = {}
-        for (a, b), c in self.coeffs.items():
-            if not b:
-                acc = terms.get(a)
-                terms[a] = c if acc is None else acc + c
+        terms = ((a, c) for (a, b), c in self.coeffs.items() if not b)
         return FreeSeries(self.n, self.degree, terms, self.backend)
 
     def multiply_legs(self) -> FreeSeries:
         """Concatenate the two legs of every term (the m: A(x)A -> A map)."""
-        terms: Dict[Word, object] = {}
-        for (a, b), c in self.coeffs.items():
-            w = a + b
-            acc = terms.get(w)
-            terms[w] = c if acc is None else acc + c
+        terms = ((a + b, c) for (a, b), c in self.coeffs.items())
         return FreeSeries(self.n, self.degree, terms, self.backend)
 
     def map_left(self, f: Callable[[FreeSeries], FreeSeries]) -> "TensorSeries":
@@ -467,3 +457,6 @@ class CyclicSeries(_Sparse):
 
     def _normal(self, word, c):
         return cyclic_min(tuple(word)), c
+
+    def cyclic_project(self) -> "CyclicSeries":
+        return self

@@ -636,7 +636,9 @@ def goldman_bracket_check(
         conn, loop2, accuracy, [c.s for c in crossings] + crossing_breakpoints(self2)
     )
     h1, h2 = hol1.series, hol2.series
-    lhs = necklace_bracket(h2, h1)
+    # each holonomy is projected to cyclic words once, for all three maps
+    c1, c2 = h1.cyclic_project(), h2.cyclic_project()
+    lhs = necklace_bracket(c2, c1)
     rhs = CyclicSeries.zero(n, deg, COMPLEX)
     for c in crossings:
         # each loop rerooted at the crossing: Hol(loop[0, t]) Hol(loop[t, 1])
@@ -653,8 +655,8 @@ def goldman_bracket_check(
         "n_crossings": len(crossings),
         "base_linking": base_sign,
         "cobracket_discrepancy": [
-            _cobracket_discrepancy(conn, loop, hol, selfs)
-            for loop, hol, selfs in ((loop1, hol1, self1), (loop2, hol2, self2))
+            _cobracket_discrepancy(conn, loop1, hol1, c1, self1),
+            _cobracket_discrepancy(conn, loop2, hol2, c2, self2),
         ],
     }
     report["max_discrepancy"] = max(
@@ -667,16 +669,17 @@ def _cobracket_discrepancy(
     conn: ConnectionSpec,
     loop: PLPath,
     hol: HolonomyResult,
+    cyc: CyclicSeries,
     crossings: Sequence[Crossing],
 ) -> float:
+    """The cobracket check; `cyc` is the cyclic projection of hol.series."""
     n, deg = conn.n_generators, conn.trunc_degree
-    h = hol.series
-    lhs = necklace_cobracket(h)
+    lhs = necklace_cobracket(cyc)
     # The rotation term uses the tangent winding of the closed-up smooth
     # curve: the polyline rotation number plus the closing turn at the base.
     rot = snap_half_integer(rotation_number(loop)) + _closure_shift(loop)
     one_cyc = FreeSeries.unit(n, deg, COMPLEX).cyclic_project()
-    rhs = CyclicWedge.wedge(one_cyc, h.cyclic_project()).scale(rot)
+    rhs = CyclicWedge.wedge(one_cyc, cyc).scale(rot)
     for c in crossings:
         middle = hol.piece(c.t, c.s)
         outer = hol.piece(c.s, 1.0) * hol.piece(0.0, c.t)

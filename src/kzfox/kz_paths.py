@@ -117,6 +117,17 @@ def _cross(ax, ay, bx, by):
     return ax * by - ay * bx
 
 
+def _outside_box(a, b, c, d) -> bool:
+    """Whether the bounding boxes of segments [a, b] and [c, d] are strictly
+    disjoint; exact, as binary floats compare exactly."""
+    return (
+        max(a.real, b.real) < min(c.real, d.real)
+        or max(c.real, d.real) < min(a.real, b.real)
+        or max(a.imag, b.imag) < min(c.imag, d.imag)
+        or max(c.imag, d.imag) < min(a.imag, b.imag)
+    )
+
+
 @dataclass(frozen=True)
 class Crossing:
     """A transverse interior crossing; for self-intersections t < s."""
@@ -174,7 +185,9 @@ class PLPath:
                     )
 
     def _touches(self, a: complex, b: complex, z: complex, k: int, idx: int) -> bool:
-        # Exact test: z on segment [a, b]?
+        # Exact test: z on segment [a, b]?  Not if outside its box.
+        if _outside_box(z, z, a, b):
+            return False
         ax, ay = _frac(a.real), _frac(a.imag)
         bx, by = _frac(b.real), _frac(b.imag)
         zx, zy = _frac(z.real), _frac(z.imag)
@@ -256,6 +269,8 @@ def _segment_intersection(a, b, c, d):
     ('none',), ('touch', t, u) for endpoint contact, ('overlap',) for
     collinear overlap of positive length.
     """
+    if _outside_box(a, b, c, d):
+        return ("none",)
     ax, ay = _frac(a.real), _frac(a.imag)
     bx, by = _frac(b.real), _frac(b.imag)
     cx, cy = _frac(c.real), _frac(c.imag)

@@ -99,14 +99,20 @@ class MatrixTuple:
 
     def shifted(self, gen: int, a: int, b: int, step: complex) -> "MatrixTuple":
         """Copy with ``step`` added to entry (a, b) of the matrix of
-        generator ``gen`` (1-based)."""
+        generator ``gen`` (1-based).  Only that matrix is copied, and only
+        the shifted entry is checked: the others are shared and valid."""
         if not 1 <= gen <= self.n:
             raise DomainError(f"generator {gen} outside 1..{self.n}")
         if not (0 <= a < self.N and 0 <= b < self.N):
             raise DomainError(f"matrix entry ({a}, {b}) outside 0..{self.N - 1}")
-        mats = [M.copy() for M in self.matrices]
-        mats[gen - 1][a, b] += step
-        return MatrixTuple(mats)
+        M = self.matrices[gen - 1].copy()
+        M[a, b] += step
+        if not np.isfinite(M[a, b]):
+            raise ValidationError("matrix entries must be finite")
+        out = object.__new__(MatrixTuple)
+        out.n, out.N = self.n, self.N
+        out.matrices = self.matrices[: gen - 1] + (M,) + self.matrices[gen:]
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,14 @@ from kzfox import (
     rho_right,
     transpose,
 )
-from kzfox.brackets_coactions import CyclicWedge, alpha, alpha_inv, beta, beta_inv
+from kzfox.brackets_coactions import (
+    CyclicWedge,
+    _coaction_terms,
+    alpha,
+    alpha_inv,
+    beta,
+    beta_inv,
+)
 from kzfox.free_hopf import Word
 from conftest import dense_complex, random_series
 
@@ -316,6 +323,78 @@ def test_counit_of_coaction_is_mu_bar(rng):
 # ---------------------------------------------------------------------------
 # necklace bracket / cobracket
 # ---------------------------------------------------------------------------
+def _projected_double_bracket(a, b):
+    """Reference: the necklace bracket as the cyclic projection of the
+    multiplied legs of the whole double bracket."""
+    return double_bracket_kks(a, b).multiply_legs().cyclic_project()
+
+
+def _full_series_cobracket(a):
+    """Reference: the cobracket from the coaction terms of every word of a,
+    not of its cyclic classes."""
+    return CyclicWedge(a.n, a.degree, _coaction_terms(a), a.backend)
+
+
+def _reference_inputs(rng):
+    """Random rational series for n = 1..3 and D = 0..6, with the zero and
+    unit series of each shape among them."""
+    for n in (1, 2, 3):
+        for degree in range(7):
+            specials = (
+                FreeSeries.zero(n, degree, RATIONAL),
+                FreeSeries.unit(n, degree, RATIONAL),
+            )
+            randoms = tuple(
+                random_series(rng, n, degree, min(degree, 4), 8) for _ in range(6)
+            )
+            yield specials + randoms
+
+
+def test_necklace_maps_match_full_series_references(rng):
+    """The bracket and cobracket on cyclic classes equal the projected double
+    bracket and the cobracket of the full series exactly on rationals."""
+    nonzero = {"bracket": 0, "cobracket": 0}
+    for inputs in _reference_inputs(rng):
+        for a in inputs:
+            new = necklace_cobracket(a)
+            assert new == _full_series_cobracket(a)
+            nonzero["cobracket"] += not new.is_zero()
+            for b in inputs:
+                new = necklace_bracket(a, b)
+                assert new == _projected_double_bracket(a, b)
+                nonzero["bracket"] += not new.is_zero()
+    assert min(nonzero.values()) >= 50
+
+
+def test_necklace_maps_match_full_series_references_dense_complex(rng):
+    # coefficients of holonomy size, so that 1e-14 is a few ulps of the sums
+    for degree in (4, 5):
+        a = dense_complex(rng, 3, degree).scale(0.25)
+        b = dense_complex(rng, 3, degree).scale(0.25)
+        ref = _projected_double_bracket(a, b)
+        assert not ref.is_zero()
+        assert necklace_bracket(a, b).allclose(ref, 1e-14)
+        assert necklace_cobracket(a).allclose(_full_series_cobracket(a), 1e-14)
+
+
+def test_necklace_bracket_antisymmetric_and_jacobi(rng):
+    """Independent of the double bracket: {a, b} = -{b, a} and the Jacobi
+    identity hold exactly (truncation drops no term a lower degree needs)."""
+    nonzero = 0
+    for _ in range(40):
+        n, degree = rng.randint(2, 3), rng.randint(5, 7)
+        a, b, c = (random_series(rng, n, degree, 4, 8) for _ in range(3))
+        assert necklace_bracket(a, b) == -necklace_bracket(b, a)
+        terms = (
+            necklace_bracket(a, necklace_bracket(b, c)),
+            necklace_bracket(b, necklace_bracket(c, a)),
+            necklace_bracket(c, necklace_bracket(a, b)),
+        )
+        assert (terms[0] + terms[1] + terms[2]).is_zero()
+        nonzero += any(not t.is_zero() for t in terms)
+    assert nonzero >= 10
+
+
 def test_necklace_bracket_antisymmetric(rng):
     for _ in range(10):
         a = random_series(rng, N, D)

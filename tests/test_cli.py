@@ -279,6 +279,28 @@ def test_goldman_campaign_reaches_degree_5(tmp_path, capsys):
     assert all(r["degree"] == 5 for r in records)
 
 
+def test_goldman_campaign_reaches_degree_7(tmp_path, capsys):
+    out = tmp_path / "goldman.jsonl"
+    code = main(
+        [
+            "verify",
+            "goldman",
+            "--loops",
+            _path("loop_a1.json"),
+            "--loops",
+            _path("loop_b1.json"),
+            "--degree",
+            "7",
+            "--out",
+            str(out),
+        ]
+    )
+    assert code == 0
+    records = [json.loads(l) for l in out.read_text().splitlines() if l.strip()]
+    assert records and all(r["passed"] is True for r in records)
+    assert all(r["degree"] == 7 for r in records)
+
+
 def test_pentagon_campaign_reaches_degree_6(tmp_path):
     out = tmp_path / "pentagon.jsonl"
     code = main(
@@ -360,6 +382,29 @@ def test_pentagon_makes_no_extension_products(monkeypatch, capsys):
     # the counters see calls: the algebra suite extends through them
     assert main(["verify", "algebra", "--degree", "2"]) == 0
     assert calls["_algebra_map"] > 0 and calls["trivext_mul"] > 0
+
+
+def test_goldman_builds_no_double_bracket(monkeypatch, capsys):
+    """The necklace bracket runs on cyclic classes: the goldman campaign
+    builds no double-bracket series."""
+    from kzfox import brackets_coactions, cli
+
+    calls = []
+    original = brackets_coactions.double_bracket_from_pairing
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (brackets_coactions, cli):
+        monkeypatch.setattr(module, "double_bracket_from_pairing", counting)
+    argv = ["verify", "goldman", "--loops", _path("loop_a1.json"),
+            "--loops", _path("loop_b1.json")]
+    assert main(argv) == 0
+    assert calls == []
+    # the counter sees calls: the algebra suite builds double brackets
+    assert main(["verify", "algebra", "--degree", "2"]) == 0
+    assert calls
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,12 @@
 composition, subpaths."""
 
 import math
+from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kzfox import (
     Anchor,
@@ -15,6 +19,7 @@ from kzfox import (
     self_intersections,
     subpath,
 )
+from kzfox import kz_paths
 from kzfox.errors import CompositionError, DomainError, ValidationError
 from kzfox.kz_paths import REGULAR, TANGENTIAL, snap_half_integer
 
@@ -104,6 +109,69 @@ def test_two_loop_crossing_count_and_signs():
 def test_identical_loops_rejected():
     with pytest.raises(ValidationError):
         intersections(_loop(LOOP_A1), _loop(LOOP_A1))
+
+
+def _segment_intersection_unfiltered(a, b, c, d):
+    """Reference: the exact segment intersection with no bounding-box test."""
+    ax, ay = Fraction(a.real), Fraction(a.imag)
+    bx, by = Fraction(b.real), Fraction(b.imag)
+    cx, cy = Fraction(c.real), Fraction(c.imag)
+    dx, dy = Fraction(d.real), Fraction(d.imag)
+    rx, ry = bx - ax, by - ay
+    sx, sy = dx - cx, dy - cy
+    denom = rx * sy - ry * sx
+    qpx, qpy = cx - ax, cy - ay
+    if denom == 0:
+        if qpx * ry - qpy * rx != 0:
+            return ("none",)
+        rr = rx * rx + ry * ry
+        t0 = (qpx * rx + qpy * ry) / rr
+        t1 = t0 + (sx * rx + sy * ry) / rr
+        lo, hi = min(t0, t1), max(t0, t1)
+        if hi < 0 or lo > 1:
+            return ("none",)
+        if hi == 0 or lo == 1:
+            t = hi if hi == 0 else lo
+            return ("touch", t, (t - t0) / (t1 - t0))
+        return ("overlap",)
+    t = (qpx * sy - qpy * sx) / denom
+    u = (qpx * ry - qpy * rx) / denom
+    if t < 0 or t > 1 or u < 0 or u > 1:
+        return ("none",)
+    if 0 < t < 1 and 0 < u < 1:
+        return ("proper", t, u, 1 if denom > 0 else -1)
+    return ("touch", t, u)
+
+
+# grid coordinates (shared endpoints, collinear and touching pairs are
+# common), the same one ulp off the grid, and arbitrary floats
+_coordinate = st.one_of(
+    st.integers(-3, 3).map(lambda k: k / 2),
+    st.tuples(st.integers(-3, 3), st.sampled_from([-math.inf, math.inf])).map(
+        lambda kd: math.nextafter(kd[0] / 2, kd[1])
+    ),
+    st.floats(-2.0, 2.0),
+)
+_point = st.builds(complex, _coordinate, _coordinate)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_point, _point, _point, _point)
+def test_segment_box_prefilter_changes_no_result(a, b, c, d):
+    assume(a != b and c != d)
+    assert kz_paths._segment_intersection(a, b, c, d) == (
+        _segment_intersection_unfiltered(a, b, c, d)
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(_point, _point, _point, st.integers(0, 2), st.integers(1, 3))
+def test_puncture_box_prefilter_changes_no_result(a, b, z, k, idx):
+    assume(a != b)  # a zero-length segment is rejected before `_touches` runs
+    path = _loop(LOOP_A1)
+    filtered = path._touches(a, b, z, k, idx)
+    with mock.patch.object(kz_paths, "_outside_box", lambda *args: False):
+        assert path._touches(a, b, z, k, idx) == filtered
 
 
 # ---------------------------------------------------------------------------

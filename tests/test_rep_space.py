@@ -222,12 +222,22 @@ def test_shifted_checks_indices_and_computes_no_norm(monkeypatch):
     Y = X.shifted(2, 1, 2, 0.5)
     assert Y.matrices[1][1, 2] == X.matrices[1][1, 2] + 0.5
     assert Y.norm_bound == max(np.linalg.norm(M, 2) for M in Y.matrices)
+    # only the shifted matrix is new
+    assert Y.matrices[0] is X.matrices[0] and Y.matrices[1] is not X.matrices[1]
+    assert np.count_nonzero(Y.matrices[1] != X.matrices[1]) == 1
     # finite-difference gradients never read the bound of a shifted copy
     norms = []
     norm = np.linalg.norm
     monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: norms.append(1) or norm(*a, **k))
     _matrix_gradient(lambda Z: Z.matrices[0], X)
     assert norms == []
+
+
+@pytest.mark.parametrize("step", [math.inf, -math.inf, math.nan, complex(0, math.inf)])
+def test_shifted_by_non_finite_step_raises(step):
+    X = MatrixTuple.random(2, 2, seed=1)
+    with pytest.raises(ValidationError):
+        X.shifted(1, 0, 1, step)
 
 
 def test_tail_bound_values():
