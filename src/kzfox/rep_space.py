@@ -75,9 +75,11 @@ class MatrixTuple:
                 raise ShapeError("all matrices must be square of equal size")
             if not np.all(np.isfinite(M.view(float))):
                 raise ValidationError("matrix entries must be finite")
-        self.matrices = tuple(mats)
-        self.n = len(mats)
-        self.N = N
+        self._set(tuple(mats))
+
+    def _set(self, mats: tuple) -> None:
+        """Fields from an already-validated tuple of square matrices."""
+        self.matrices, self.n, self.N = mats, len(mats), mats[0].shape[0]
 
     @cached_property
     def norm_bound(self) -> float:
@@ -109,9 +111,8 @@ class MatrixTuple:
         M[a, b] += step
         if not np.isfinite(M[a, b]):
             raise ValidationError("matrix entries must be finite")
-        out = object.__new__(MatrixTuple)
-        out.n, out.N = self.n, self.N
-        out.matrices = self.matrices[: gen - 1] + (M,) + self.matrices[gen:]
+        out = MatrixTuple.__new__(MatrixTuple)
+        out._set(self.matrices[: gen - 1] + (M,) + self.matrices[gen:])
         return out
 
 

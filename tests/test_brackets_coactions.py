@@ -377,14 +377,13 @@ def test_necklace_maps_match_full_series_references_dense_complex(rng):
         assert necklace_cobracket(a).allclose(_full_series_cobracket(a), 1e-14)
 
 
-def test_necklace_bracket_antisymmetric_and_jacobi(rng):
-    """Independent of the double bracket: {a, b} = -{b, a} and the Jacobi
-    identity hold exactly (truncation drops no term a lower degree needs)."""
+def test_necklace_bracket_jacobi(rng):
+    """Independent of the double bracket: the Jacobi identity holds exactly
+    (truncation drops no term a lower degree needs)."""
     nonzero = 0
     for _ in range(40):
         n, degree = rng.randint(2, 3), rng.randint(5, 7)
         a, b, c = (random_series(rng, n, degree, 4, 8) for _ in range(3))
-        assert necklace_bracket(a, b) == -necklace_bracket(b, a)
         terms = (
             necklace_bracket(a, necklace_bracket(b, c)),
             necklace_bracket(b, necklace_bracket(c, a)),
@@ -400,6 +399,10 @@ def test_necklace_bracket_antisymmetric(rng):
         a = random_series(rng, N, D)
         b = random_series(rng, N, D)
         assert (necklace_bracket(a, b) + necklace_bracket(b, a)).is_zero()
+    for _ in range(30):
+        n, degree = rng.randint(2, 3), rng.randint(5, 7)
+        a, b = (random_series(rng, n, degree, 4, 8) for _ in range(2))
+        assert necklace_bracket(a, b) == -necklace_bracket(b, a)
 
 
 def test_necklace_bracket_depends_only_on_cyclic_class(rng):

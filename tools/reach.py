@@ -26,6 +26,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(ROOT, "tests", "data")
 REACH_S = 60.0
 REPEATS = 3
+# one BLAS thread per run, whatever the caller's environment says
+THREAD_CAPS = {
+    var: "1"
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS")
+}
 
 
 def _data(name: str) -> str:
@@ -77,17 +83,15 @@ def _run(argv, env) -> tuple:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--campaign", choices=sorted(CAMPAIGNS), action="append")
     args = parser.parse_args()
-    env = dict(os.environ, OMP_NUM_THREADS="1")
+    env = dict(os.environ, **THREAD_CAPS)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
     )
     import numpy
 
     runs, reach = [], {}
-    for name in args.campaign or list(CAMPAIGNS):
-        extra, degrees = CAMPAIGNS[name]
+    for name, (extra, degrees) in CAMPAIGNS.items():
         for degree in degrees:
             argv = ["verify", name, *extra, "--degree", str(degree)]
             samples = []
@@ -115,7 +119,7 @@ def main() -> int:
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
             "numpy": numpy.__version__,
-            "omp_num_threads": 1,
+            "thread_caps": THREAD_CAPS,
         },
         "repeats": REPEATS,
         "reach_limit_s": REACH_S,
