@@ -13,14 +13,11 @@ derivations.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 from .fox_calculus import FoxPairing, d_left, d_right, rho_kks_pairing
 from .free_hopf import (
     CyclicSeries,
     FreeSeries,
     TensorSeries,
-    Word,
     _Sparse,
     _graded_pairs,
     _split_words,
@@ -108,20 +105,21 @@ def double_bracket_from_pairing(
         for i, xi in enumerate(gens, 1)
         for j, xj in enumerate(gens, 1)
     }
-    terms: Dict[Tuple[Word, Word], object] = {}
-    # {{u_p, v_q}} replaces two letters, so the word pair may reach D + 2
-    for u, cu, v, cv in _graded_pairs(a, b, D + 2):
-        budget = D + 2 - len(u) - len(v)  # degree left for {{u_p, v_q}}
-        cuv = cu * cv
-        for p, up in enumerate(u):
-            for q, vq in enumerate(v):
-                for deg, s1, r2, cr in table[up, vq]:
-                    if deg > budget:
-                        break
-                    key = (v[:q] + s1 + u[p + 1 :], u[:p] + r2 + v[q + 1 :])
-                    acc = terms.get(key)
-                    terms[key] = cuv * cr if acc is None else acc + cuv * cr
-    return TensorSeries(n, D, terms, backend)
+
+    def terms():
+        # {{u_p, v_q}} replaces two letters, so the word pair may reach D + 2
+        for u, cu, v, cv in _graded_pairs(a, b, D + 2):
+            budget = D + 2 - len(u) - len(v)  # degree left for {{u_p, v_q}}
+            cuv = cu * cv
+            for p, up in enumerate(u):
+                for q, vq in enumerate(v):
+                    for deg, s1, r2, cr in table[up, vq]:
+                        if deg > budget:
+                            break
+                        key = (v[:q] + s1 + u[p + 1 :], u[:p] + r2 + v[q + 1 :])
+                        yield key, cuv * cr
+
+    return TensorSeries._trusted(n, D, terms(), backend)
 
 
 def double_bracket_kks(a: FreeSeries, b: FreeSeries) -> TensorSeries:
@@ -134,14 +132,12 @@ def double_bracket_kks(a: FreeSeries, b: FreeSeries) -> TensorSeries:
 def mu_bar_kks(a: FreeSeries) -> FreeSeries:
     """Adjacent equal-letter contraction: on each word, sum over positions i
     with w[i] == w[i+1] of the word with one of the pair removed."""
-    terms: Dict[Word, object] = {}
-    for w, c in a.coeffs.items():
-        for i in range(len(w) - 1):
-            if w[i] == w[i + 1]:
-                key = w[:i] + w[i + 1 :]
-                acc = terms.get(key)
-                terms[key] = c if acc is None else acc + c
-    return FreeSeries(a.n, a.degree, terms, a.backend)
+    return a._like(
+        (w[:i] + w[i + 1 :], c)
+        for w, c in a.coeffs.items()
+        for i in range(len(w) - 1)
+        if w[i] == w[i + 1]
+    )
 
 
 def _coaction_terms(a: FreeSeries):
@@ -192,20 +188,20 @@ def necklace_bracket(a, b) -> CyclicSeries:
     U_p = u>p u<p and V_q = v>q v<q.  No double-bracket series is built."""
     ca, cb = a.cyclic_project(), b.cyclic_project()
     ca._check(cb)
-    terms: Dict[Word, object] = {}
-    # the shared letter is kept once, so the class pair may reach D + 1
-    for u, cu, v, cv in _graded_pairs(ca, cb, ca.degree + 1):
-        c = cu * cv
-        for q, y in enumerate(v):
-            rv = v[q:] + v[:q]  # x V_q
-            for p, x in enumerate(u):
-                if x == y:
-                    ru = u[p:] + u[:p]  # x U_p
-                    for w, cw in ((rv + ru[1:], c), (ru + rv[1:], -c)):
-                        k = cyclic_min(w)
-                        acc = terms.get(k)
-                        terms[k] = cw if acc is None else acc + cw
-    return ca._like(terms)
+
+    def terms():
+        # the shared letter is kept once, so the class pair may reach D + 1
+        for u, cu, v, cv in _graded_pairs(ca, cb, ca.degree + 1):
+            c = cu * cv
+            for q, y in enumerate(v):
+                rv = v[q:] + v[:q]  # x V_q
+                for p, x in enumerate(u):
+                    if x == y:
+                        ru = u[p:] + u[:p]  # x U_p
+                        yield cyclic_min(rv + ru[1:]), c
+                        yield cyclic_min(ru + rv[1:]), -c
+
+    return ca._like(terms())
 
 
 def necklace_cobracket(a) -> CyclicWedge:
@@ -221,48 +217,34 @@ def necklace_cobracket(a) -> CyclicWedge:
 # ---------------------------------------------------------------------------
 def alpha(t: TensorSeries) -> TensorSeries:
     """a (x) b -> a S(b') (x) b''."""
-
-    def gen():
-        for (a, b), c in t.coeffs.items():
-            for b1, b2 in _split_words(b):
-                sgn = 1 if len(b1) % 2 == 0 else -1
-                yield (a + b1[::-1], b2), c * sgn
-
-    return TensorSeries(t.n, t.degree, gen(), t.backend)
+    return t._like(
+        ((a + b1[::-1], b2), -c if len(b1) % 2 else c)
+        for (a, b), c in t.coeffs.items()
+        for b1, b2 in _split_words(b)
+    )
 
 
 def alpha_inv(t: TensorSeries) -> TensorSeries:
     """c (x) d -> c d' (x) d''."""
-
-    def gen():
-        for (cw, d), c in t.coeffs.items():
-            for d1, d2 in _split_words(d):
-                yield (cw + d1, d2), c
-
-    return TensorSeries(t.n, t.degree, gen(), t.backend)
+    return t._like(
+        ((cw + d1, d2), c) for (cw, d), c in t.coeffs.items() for d1, d2 in _split_words(d)
+    )
 
 
 def beta(t: TensorSeries) -> TensorSeries:
     """a (x) b -> b' (x) S(b'') a."""
-
-    def gen():
-        for (a, b), c in t.coeffs.items():
-            for b1, b2 in _split_words(b):
-                sgn = 1 if len(b2) % 2 == 0 else -1
-                yield (b1, b2[::-1] + a), c * sgn
-
-    return TensorSeries(t.n, t.degree, gen(), t.backend)
+    return t._like(
+        ((b1, b2[::-1] + a), -c if len(b2) % 2 else c)
+        for (a, b), c in t.coeffs.items()
+        for b1, b2 in _split_words(b)
+    )
 
 
 def beta_inv(t: TensorSeries) -> TensorSeries:
     """c (x) d -> c'' d (x) c'."""
-
-    def gen():
-        for (cw, d), c in t.coeffs.items():
-            for c1, c2 in _split_words(cw):
-                yield (c2 + d, c1), c
-
-    return TensorSeries(t.n, t.degree, gen(), t.backend)
+    return t._like(
+        ((c2 + d, c1), c) for (cw, d), c in t.coeffs.items() for c1, c2 in _split_words(cw)
+    )
 
 
 def double_derivation_from_fox(kind: str, m: int, a: FreeSeries) -> TensorSeries:

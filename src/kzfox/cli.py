@@ -27,7 +27,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import click
 
@@ -55,7 +55,7 @@ from .fox_calculus import (
     rho_right,
     transpose,
 )
-from .free_hopf import RATIONAL, FreeSeries, TensorSeries, _graded_pairs
+from .free_hopf import RATIONAL, FreeSeries, TensorSeries, _accumulate, _graded_pairs
 from .kz_holonomy import (
     ConnectionSpec,
     associator,
@@ -137,7 +137,10 @@ def _as_complex(value, where: str) -> complex:
     """A number or an [re, im] pair; JSON booleans are not numbers here."""
     pair = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, 0)
     if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair):
-        return complex(pair[0], pair[1])
+        try:
+            return complex(pair[0], pair[1])
+        except OverflowError:
+            raise ValidationError(f"{where}: number out of range")
     raise ValidationError(f"{where}: expected a number or [re, im] pair")
 
 
@@ -187,6 +190,10 @@ def load_path_file(
             data = json.load(fp)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{filename}: not valid JSON ({exc})")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{filename}: not UTF-8 text ({exc})")
+    except RecursionError:
+        raise ValidationError(f"{filename}: JSON nested too deeply")
     if not isinstance(data, dict):
         raise ValidationError(f"{filename}: expected a JSON object")
     for key in ("punctures", "points"):
@@ -262,19 +269,15 @@ def _random_series(rng, n, degree, max_word=3, terms=5) -> FreeSeries:
 
 def _triple_coproduct(a: FreeSeries, split_left: bool) -> dict:
     """Triple Sweedler coefficients, splitting the indicated leg again."""
-    out: Dict[Tuple, object] = {}
-    for (u, v), c in a.coproduct().coeffs.items():
-        leg = u if split_left else v
-        inner = FreeSeries.from_word(leg, a.n, a.degree, a.backend).coproduct()
-        for (p, q), c2 in inner.coeffs.items():
-            key = (p, q, v) if split_left else (u, p, q)
-            acc = out.get(key)
-            s = c * c2 if acc is None else acc + c * c2
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return out
+
+    def terms():
+        for (u, v), c in a.coproduct().coeffs.items():
+            leg = u if split_left else v
+            inner = FreeSeries.from_word(leg, a.n, a.degree, a.backend).coproduct()
+            for (p, q), c2 in inner.coeffs.items():
+                yield ((p, q, v) if split_left else (u, p, q)), c * c2
+
+    return _accumulate(a.backend, terms())
 
 
 def _cbf_mul_free_right(t: CyclicByFree, b: FreeSeries) -> CyclicByFree:

@@ -18,24 +18,12 @@ from .free_hopf import FreeSeries, _graded_pairs
 
 def d_right(m: int, a: FreeSeries) -> FreeSeries:
     """Strip a leading x_m: coeff of w in d_right(m, a) = coeff of (m, *w) in a."""
-    terms = {}
-    for w, c in a.coeffs.items():
-        if w and w[0] == m:
-            key = w[1:]
-            acc = terms.get(key)
-            terms[key] = c if acc is None else acc + c
-    return FreeSeries(a.n, a.degree, terms, a.backend)
+    return a._like((w[1:], c) for w, c in a.coeffs.items() if w and w[0] == m)
 
 
 def d_left(m: int, a: FreeSeries) -> FreeSeries:
     """Strip a trailing x_m."""
-    terms = {}
-    for w, c in a.coeffs.items():
-        if w and w[-1] == m:
-            key = w[:-1]
-            acc = terms.get(key)
-            terms[key] = c if acc is None else acc + c
-    return FreeSeries(a.n, a.degree, terms, a.backend)
+    return a._like((w[:-1], c) for w, c in a.coeffs.items() if w and w[-1] == m)
 
 
 def _without_counit(a: FreeSeries) -> FreeSeries:
@@ -66,15 +54,11 @@ def _rho_kks_func(a: FreeSeries, b: FreeSeries) -> FreeSeries:
     # monomial rule: rho(h_1..h_m, k_1..k_r) = h_1..h_{m-1} rho(h_m, k_1) k_2..k_r
     # with rho(x_i, x_j) = delta_ij x_i; zero if either word is empty.  The
     # shared letter is kept once, so the word pair may reach degree D + 1.
-    terms = {}
-    for wa, ca, wb, cb in _graded_pairs(a, b, a.degree + 1):
-        if not wa or not wb or wa[-1] != wb[0]:
-            continue
-        w = wa + wb[1:]
-        c = ca * cb
-        acc = terms.get(w)
-        terms[w] = c if acc is None else acc + c
-    return FreeSeries(a.n, a.degree, terms, a.backend)
+    return a._like(
+        (wa + wb[1:], ca * cb)
+        for wa, ca, wb, cb in _graded_pairs(a, b, a.degree + 1)
+        if wa and wb and wa[-1] == wb[0]
+    )
 
 
 def rho_kks_pairing() -> FoxPairing:

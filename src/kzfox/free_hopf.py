@@ -45,6 +45,24 @@ def _is_stored_zero(backend: str, c) -> bool:
     return abs(c) < _FLOAT_DROP
 
 
+def _accumulate(backend: str, pairs, terms=None) -> dict:
+    """Add the (key, coefficient) pairs onto `terms` (a new dict if None),
+    summing repeated keys, then drop the stored zeros; returns the dict.
+
+    The one accumulation of internal results, whose keys are normal and
+    within D by construction; outside input goes through the validating
+    `_Sparse` constructor instead."""
+    if terms is None:
+        terms = {}
+    get = terms.get
+    for key, c in pairs:
+        acc = get(key)
+        terms[key] = c if acc is None else acc + c
+    for key in [k for k, c in terms.items() if _is_stored_zero(backend, c)]:
+        del terms[key]
+    return terms
+
+
 @lru_cache(maxsize=None)
 def cyclic_min(word: Word) -> Word:
     """Lexicographically minimal rotation of a word, memoized per word."""
@@ -73,7 +91,9 @@ class _Sparse:
     key to coefficient, with terms above D dropped, repeated keys added and
     stored zeros deleted.  A subclass supplies the degree of a key (`_len`)
     and its normal form (`_normal`, returning the normal key and the
-    coefficient, or None for a term that vanishes).
+    coefficient, or None for a term that vanishes).  The constructor checks
+    and normalizes outside input; a result whose keys are normal and within D
+    by construction is summed by `_trusted` or `_like` instead.
     """
 
     __slots__ = ("n", "degree", "backend", "coeffs")
@@ -110,13 +130,18 @@ class _Sparse:
     def zero(cls, n, degree, backend=RATIONAL):
         return cls(n, degree, None, backend)
 
-    def _like(self, terms):
-        """Same shape, holding `terms` (normal keys within D) minus stored zeros."""
-        out = type(self).zero(self.n, self.degree, self.backend)
-        out.coeffs = {
-            k: c for k, c in terms.items() if not _is_stored_zero(self.backend, c)
-        }
+    @classmethod
+    def _trusted(cls, n, degree, pairs, backend, terms=None):
+        """The sum of `pairs` onto `terms` (`_accumulate`), skipping the
+        constructor's checks: every key must be normal and within D."""
+        out = cls.__new__(cls)
+        out.n, out.degree, out.backend = n, degree, backend
+        out.coeffs = _accumulate(backend, pairs, terms)
         return out
+
+    def _like(self, pairs=(), terms=None):
+        """Same shape, holding the sum of `pairs` onto `terms` (`_trusted`)."""
+        return self._trusted(self.n, self.degree, pairs, self.backend, terms)
 
     def _check(self, other):
         if (type(self), self.n, self.degree, self.backend) != (
@@ -165,26 +190,19 @@ class _Sparse:
 
     def __add__(self, other):
         self._check(other)
-        terms = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            acc = terms.get(k)
-            terms[k] = c if acc is None else acc + c
-        return self._like(terms)
+        return self._like(other.coeffs.items(), dict(self.coeffs))
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self.coeffs.items()})
+        return self._like(terms={k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
         self._check(other)
-        terms = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            acc = terms.get(k)
-            terms[k] = -c if acc is None else acc - c
-        return self._like(terms)
+        negated = ((k, -c) for k, c in other.coeffs.items())
+        return self._like(negated, dict(self.coeffs))
 
     def scale(self, scalar):
         s = _coerce(self.backend, scalar)
-        return self._like({k: c * s for k, c in self.coeffs.items()})
+        return self._like(terms={k: c * s for k, c in self.coeffs.items()})
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
@@ -258,13 +276,10 @@ class FreeSeries(_Sparse):
         if not isinstance(other, FreeSeries):
             return self.scale(other)
         self._check(other)
-        terms: Dict[Word, object] = {}
-        for wa, ca, wb, cb in _graded_pairs(self, other, self.degree):
-            w = wa + wb
-            c = ca * cb
-            acc = terms.get(w)
-            terms[w] = c if acc is None else acc + c
-        return self._like(terms)
+        return self._like(
+            (wa + wb, ca * cb)
+            for wa, ca, wb, cb in _graded_pairs(self, other, self.degree)
+        )
 
     # -- Hopf structure -------------------------------------------------------
     def counit(self):
@@ -276,21 +291,13 @@ class FreeSeries(_Sparse):
         On a word: sum over all splittings of the letter positions into two
         ordered subsequences.
         """
-        terms: Dict[Tuple[Word, Word], object] = {}
-        for w, c in self.coeffs.items():
-            for key in _split_words(w):
-                acc = terms.get(key)
-                terms[key] = c if acc is None else acc + c
-        return TensorSeries(self.n, self.degree, terms, self.backend)
+        terms = ((key, c) for w, c in self.coeffs.items() for key in _split_words(w))
+        return TensorSeries._trusted(self.n, self.degree, terms, self.backend)
 
     def antipode(self) -> "FreeSeries":
-        terms: Dict[Word, object] = {}
-        for w, c in self.coeffs.items():
-            rw = w[::-1]
-            c = c if len(w) % 2 == 0 else -c
-            acc = terms.get(rw)
-            terms[rw] = c if acc is None else acc + c
-        return self._like(terms)
+        return self._like(
+            (w[::-1], -c if len(w) % 2 else c) for w, c in self.coeffs.items()
+        )
 
     # -- exp / log / inverse ---------------------------------------------------
     def _counit_is(self, value) -> bool:
@@ -388,36 +395,33 @@ class TensorSeries(_Sparse):
         terms = (
             ((wa, wb), ca * cb) for wa, ca, wb, cb in _graded_pairs(a, b, a.degree)
         )
-        return cls(a.n, a.degree, terms, a.backend)
+        return cls._trusted(a.n, a.degree, terms, a.backend)
 
     def __mul__(self, other):
         if not isinstance(other, TensorSeries):
             return self.scale(other)
         self._check(other)
-        terms: Dict[Tuple[Word, Word], object] = {}
-        for (a1, b1), c1, (a2, b2), c2 in _graded_pairs(self, other, self.degree):
-            key = (a1 + a2, b1 + b2)
-            c = c1 * c2
-            acc = terms.get(key)
-            terms[key] = c if acc is None else acc + c
-        return self._like(terms)
+        return self._like(
+            ((a1 + a2, b1 + b2), c1 * c2)
+            for (a1, b1), c1, (a2, b2), c2 in _graded_pairs(self, other, self.degree)
+        )
 
     def swap(self) -> "TensorSeries":
-        return self._like({(b, a): c for (a, b), c in self.coeffs.items()})
+        return self._like(terms={(b, a): c for (a, b), c in self.coeffs.items()})
 
     def eps_left(self) -> FreeSeries:
         """Apply the counit to the first slot, keeping the second."""
         terms = ((b, c) for (a, b), c in self.coeffs.items() if not a)
-        return FreeSeries(self.n, self.degree, terms, self.backend)
+        return FreeSeries._trusted(self.n, self.degree, terms, self.backend)
 
     def eps_right(self) -> FreeSeries:
         terms = ((a, c) for (a, b), c in self.coeffs.items() if not b)
-        return FreeSeries(self.n, self.degree, terms, self.backend)
+        return FreeSeries._trusted(self.n, self.degree, terms, self.backend)
 
     def multiply_legs(self) -> FreeSeries:
         """Concatenate the two legs of every term (the m: A(x)A -> A map)."""
         terms = ((a + b, c) for (a, b), c in self.coeffs.items())
-        return FreeSeries(self.n, self.degree, terms, self.backend)
+        return FreeSeries._trusted(self.n, self.degree, terms, self.backend)
 
     def map_left(self, f: Callable[[FreeSeries], FreeSeries]) -> "TensorSeries":
         """Apply a linear map (given on series) to the first slot."""

@@ -84,15 +84,14 @@ _GL_NODES, _GL_WEIGHTS, _GL_INTMAT = _gauss_legendre_setup(_GL_ORDER)
 
 
 class ConnectionSpec:
-    """The connection data: punctures paired with generators, a truncation
-    degree, and the floating backend."""
+    """The connection data: punctures paired with generators and a
+    truncation degree; the series are complex."""
 
     def __init__(self, punctures: PunctureConfig, trunc_degree: int):
         if trunc_degree < 0:
             raise DomainError("truncation degree must be >= 0")
         self.punctures = punctures
         self.trunc_degree = trunc_degree
-        self.backend = COMPLEX
         # an (n, 1) column, broadcast against a panel's nodes
         self._points = np.array(punctures.points, dtype=complex)[:, None]
 
@@ -182,7 +181,7 @@ def _to_series(n: int, levels: Levels) -> FreeSeries:
     letters = range(1, n + 1)
     words = (w for k in range(len(levels)) for w in product(letters, repeat=k))
     terms = dict(zip(words, np.concatenate(levels).tolist()))
-    return FreeSeries.zero(n, len(levels) - 1, COMPLEX)._like(terms)
+    return FreeSeries._trusted(n, len(levels) - 1, (), COMPLEX, terms)
 
 
 def _to_levels(series: FreeSeries) -> Levels:

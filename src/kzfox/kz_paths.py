@@ -55,16 +55,6 @@ class PunctureConfig:
             raise ValidationError(f"puncture index {i} out of range 1..{self.n}")
         return self.points[i - 1]
 
-    def min_pairwise_distance(self) -> float:
-        pts = self.points
-        if len(pts) == 1:
-            return math.inf
-        return min(
-            abs(pts[i] - pts[j])
-            for i in range(len(pts))
-            for j in range(i + 1, len(pts))
-        )
-
 
 REGULAR = "regular"
 TANGENTIAL = "tangential"

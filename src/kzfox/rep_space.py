@@ -91,6 +91,8 @@ class MatrixTuple:
         """Random tuple with each spectral norm scaled to exactly ``radius``."""
         if radius <= 0:
             raise DomainError("radius must be positive")
+        if seed < 0:
+            raise DomainError(f"seed must be non-negative, got {seed}")
         rng = np.random.default_rng(seed)
         mats = []
         for _ in range(n):

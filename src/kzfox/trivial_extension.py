@@ -205,14 +205,14 @@ def _algebra_map(a: FreeSeries, images) -> TrivExtElement:
         cache[w] = val
         return val
 
-    # one accumulating constructor call per part: adding scaled images one by
-    # one would rescan the running sum for every word
+    # one accumulation per part: adding scaled images one by one would
+    # rescan the running sum for every word
     scaled = [(image_of_word(w), c) for w, c in a.items()]
-    tensor = TensorSeries(
+    tensor = TensorSeries._trusted(
         n, D, ((k, t * c) for im, c in scaled for k, t in im.tensor_part.items()),
         backend,
     )
-    m = FreeSeries(
+    m = FreeSeries._trusted(
         n, D, ((k, t * c) for im, c in scaled for k, t in im.m_part.items()),
         backend,
     )

@@ -61,6 +61,7 @@ def test_load_path_file(tmp_path):
         (("end", "direction"), [float("nan"), 0.0]),
         (("points", 3), [True, 0.55]),
         (("punctures", 1), [True, False]),
+        (("punctures", 1, 0), 10**400),
     ],
     ids=[
         "points_not_a_list",
@@ -73,6 +74,7 @@ def test_load_path_file(tmp_path):
         "anchor_direction_nan",
         "vertex_boolean",
         "puncture_boolean",
+        "puncture_integer_overflow",
     ],
 )
 def test_malformed_path_field_exits_1(field, value, tmp_path, capsys):
@@ -92,6 +94,22 @@ def test_malformed_path_field_exits_1(field, value, tmp_path, capsys):
     assert [line for line in err.splitlines() if line.startswith("error:")] == [
         err.strip()
     ]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'\xff\xfe{"punctures": []}', b"[" * 100000],
+    ids=["not_utf8", "nested_too_deeply"],
+)
+def test_undecodable_path_file_exits_1(content, tmp_path, capsys):
+    """A file json cannot decode at all (bad bytes, nesting beyond the
+    recursion limit) ends in one error line naming it, not a traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["verify", "coaction", "--path", str(bad), "--degree", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err
     assert "Traceback" not in err
 
 
@@ -203,6 +221,17 @@ def test_associator_degree_zero(capsys):
     (line,) = [l for l in out.splitlines() if l.strip()]
     record = json.loads(line)
     assert record["degree"] == 0
+
+
+def test_negative_seed(capsys):
+    """A negative seed is a domain error for the matrix tuple of `verify
+    poisson`, while the algebra suite's seed takes any integer."""
+    loops = ["--loops", _path("loop_a4.json"), "--loops", _path("loop_bup.json")]
+    assert main(["verify", "poisson", *loops, "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err
+    assert "Traceback" not in err
+    assert main(["verify", "algebra", "--degree", "2", "--seed", "-1"]) == 0
 
 
 def test_algebra_campaign_deterministic(capsys):

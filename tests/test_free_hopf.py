@@ -1,5 +1,6 @@
 """Truncated free-algebra arithmetic and the Hopf structure maps."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,19 @@ from kzfox import (
     CyclicWedge,
     FreeSeries,
     TensorSeries,
+    d_left,
+    d_right,
+    double_bracket_kks,
+    mu_bar_kks,
+    necklace_bracket,
+    rho_kks,
 )
+from kzfox.brackets_coactions import alpha, alpha_inv, beta, beta_inv
+from kzfox.cli import _triple_coproduct
 from kzfox.errors import DomainError, ShapeError
+from kzfox.kz_holonomy import _to_levels, _to_series
+from kzfox.trivial_extension import delta_z
+from conftest import dense_complex, random_series
 
 N = 2
 D = 4
@@ -258,3 +270,103 @@ def test_containers_of_different_types_are_never_equal():
     assert t.coeffs == CyclicByFree.from_tensor(t).coeffs
     with pytest.raises(ShapeError):
         t + CyclicByFree.from_tensor(t)
+
+
+# ---------------------------------------------------------------------------
+# the one accumulation: results built on the trusted path
+# ---------------------------------------------------------------------------
+def _trusted_maps():
+    """Every map whose result skips the validating constructor, as a function
+    of two series of one shape."""
+    outer = TensorSeries.outer
+    return {
+        "add": lambda a, b: a + b,
+        "sub": lambda a, b: a - b,
+        "neg": lambda a, b: -a,
+        "scale": lambda a, b: a.scale(3),
+        "mul": lambda a, b: a * b,
+        "antipode": lambda a, b: a.antipode(),
+        "coproduct": lambda a, b: a.coproduct(),
+        "tensor_mul": lambda a, b: outer(b, a) * a.coproduct(),
+        "outer": outer,
+        "swap": lambda a, b: outer(a, b).swap(),
+        "eps_left": lambda a, b: (b.coproduct() - outer(a, b)).eps_left(),
+        "eps_right": lambda a, b: (b.coproduct() - outer(a, b)).eps_right(),
+        "multiply_legs": lambda a, b: (outer(a, b) - outer(b, a)).multiply_legs(),
+        "d_left": lambda a, b: d_left(a.n, a),
+        "d_right": lambda a, b: d_right(1, a),
+        "rho_kks": rho_kks,
+        "mu_bar_kks": lambda a, b: mu_bar_kks(a),
+        "necklace_bracket": necklace_bracket,
+        "double_bracket": double_bracket_kks,
+        "alpha": lambda a, b: alpha(outer(a, b)),
+        "alpha_inv": lambda a, b: alpha_inv(outer(a, b)),
+        "beta": lambda a, b: beta(outer(a, b)),
+        "beta_inv": lambda a, b: beta_inv(outer(a, b)),
+        "to_series": lambda a, b: _to_series(a.n, _to_levels(a.to_complex())),
+        "delta_z_tensor": lambda a, b: delta_z(1, a).tensor_part,
+        "delta_z_m": lambda a, b: delta_z(1, a).m_part,
+    }
+
+
+def _accumulation_cases():
+    """Pairs (a, b) for n = 1..3 and D = 0..5: random rationals, cancelling
+    inputs (b = -a, a - a), zero and unit, and dense complex series."""
+    rng = random.Random(1207)
+    for n in (1, 2, 3):
+        for degree in range(6):
+            a = random_series(rng, n, degree, terms=6)
+            b = random_series(rng, n, degree, terms=6)
+            zero = FreeSeries.zero(n, degree, RATIONAL)
+            unit = FreeSeries.unit(n, degree, RATIONAL)
+            yield from ((a, b), (a, -a), (a - a, b), (zero, a), (unit, a), (a, unit))
+            yield dense_complex(rng, n, degree), dense_complex(rng, n, degree)
+
+
+def test_trusted_results_pass_the_constructor_unchanged():
+    """Rebuilding a trusted result through the validating constructor changes
+    nothing: its keys are normal and within D, and no stored zero is left."""
+    maps = _trusted_maps()
+    for a, b in _accumulation_cases():
+        for name, f in maps.items():
+            r = f(a, b)
+            rebuilt = type(r)(r.n, r.degree, r.coeffs, r.backend)
+            assert rebuilt == r, (name, a.n, a.degree, a.backend)
+        if a.backend == RATIONAL:
+            for split_left in (True, False):
+                assert all(c != 0 for c in _triple_coproduct(a, split_left).values())
+
+
+def test_trusted_results_make_no_normal_calls(monkeypatch):
+    """The maps above never run a key through `_normal`; the double bracket
+    and delta_z only build their generator images through the constructor, a
+    count that does not grow with the input."""
+    a, b = (dense_complex(random.Random(s), 3, 4) for s in (1, 2))
+    ca, cb = a.cyclic_project(), b.cyclic_project()
+    zero = FreeSeries.zero(3, 4, COMPLEX)
+    calls = []
+    for cls in CONTAINERS:
+        original = cls._normal
+
+        def counting(self, key, c, _original=original):
+            calls.append(key)
+            return _original(self, key, c)
+
+        monkeypatch.setattr(cls, "_normal", counting)
+    # inputs built, the constructor still checks and coerces outside input
+    with pytest.raises(DomainError):
+        FreeSeries(2, 4, {(1, 3): 1}, RATIONAL)
+    assert type(FreeSeries(2, 4, {(1,): 2}, RATIONAL).coefficient((1,))) is Fraction
+    assert calls
+    fixed = {"double_bracket", "delta_z_tensor", "delta_z_m"}
+    for name, f in _trusted_maps().items():
+        x, y = (ca, cb) if name == "necklace_bracket" else (a, b)
+        calls.clear()
+        assert not f(x, y).is_zero()
+        if name in fixed:
+            on_dense = len(calls)
+            calls.clear()
+            f(zero, zero)
+            assert on_dense == len(calls), name
+        else:
+            assert calls == [], name

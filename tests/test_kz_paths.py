@@ -55,7 +55,6 @@ def test_puncture_config_validation():
         PunctureConfig([])
     assert P3.n == 3
     assert P3.point(2) == 1.0
-    assert P3.min_pairwise_distance() == pytest.approx(1.0)
     with pytest.raises(ValidationError):
         P3.point(4)
 

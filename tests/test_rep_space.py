@@ -101,6 +101,8 @@ def test_matrix_tuple_validation():
         MatrixTuple([np.array([[np.nan, 0.0], [0.0, 0.0]])])
     with pytest.raises(DomainError):
         MatrixTuple([])
+    with pytest.raises(DomainError):
+        MatrixTuple.random(2, 2, seed=-1)
 
 
 def test_random_tuple_norms_are_exact():
