@@ -284,14 +284,14 @@ def _cbf_mul_free_right(t: CyclicByFree, b: FreeSeries) -> CyclicByFree:
     terms = (
         ((cw, w + wb), c * cb) for (cw, w), c, wb, cb in _graded_pairs(t, b, t.degree)
     )
-    return CyclicByFree(t.n, t.degree, terms, t.backend)
+    return CyclicByFree._trusted(t.n, t.degree, terms, t.backend)
 
 
 def _cbf_mul_free_left(a: FreeSeries, t: CyclicByFree) -> CyclicByFree:
     terms = (
         ((cw, wa + w), ca * c) for (cw, w), c, wa, ca in _graded_pairs(t, a, t.degree)
     )
-    return CyclicByFree(t.n, t.degree, terms, t.backend)
+    return CyclicByFree._trusted(t.n, t.degree, terms, t.backend)
 
 
 def _random_trivext(rng, n, degree) -> TrivExtElement:

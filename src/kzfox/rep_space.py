@@ -13,7 +13,9 @@ module provides
   the loop-holonomy bracket formula,
 * :func:`verify_theorem2` -- a three-way comparison (oracle / geometric
   crossing formula plus bivector / algebraic double bracket) for a pair of
-  loop holonomies.
+  loop holonomies, whose oracle side pairs exact gradients: a series
+  evaluated on a block upper-triangular tuple carries its derivative in the
+  upper-right block.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict
+from typing import Dict
 
 import numpy as np
 
@@ -51,8 +53,6 @@ __all__ = [
     "verify_theorem2",
 ]
 
-_FD_STEP = 1e-5
-
 
 # ---------------------------------------------------------------------------
 # matrix tuples
@@ -66,20 +66,20 @@ class MatrixTuple:
     """
 
     def __init__(self, matrices):
-        mats = [np.asarray(M, dtype=complex) for M in matrices]
+        mats = tuple(np.asarray(M, dtype=complex) for M in matrices)
         if not mats:
             raise DomainError("matrix tuple must contain at least one matrix")
+        if mats[0].ndim != 2:
+            raise ShapeError("matrices must be two-dimensional")
         N = mats[0].shape[0]
         for M in mats:
-            if M.ndim != 2 or M.shape != (N, N):
+            if M.shape != (N, N):
                 raise ShapeError("all matrices must be square of equal size")
             if not np.all(np.isfinite(M.view(float))):
                 raise ValidationError("matrix entries must be finite")
-        self._set(tuple(mats))
-
-    def _set(self, mats: tuple) -> None:
-        """Fields from an already-validated tuple of square matrices."""
-        self.matrices, self.n, self.N = mats, len(mats), mats[0].shape[0]
+        if N == 0:
+            raise DomainError("matrices must be at least 1 x 1")
+        self.matrices, self.n, self.N = mats, len(mats), N
 
     @cached_property
     def norm_bound(self) -> float:
@@ -100,22 +100,6 @@ class MatrixTuple:
             M *= radius / np.linalg.norm(M, 2)
             mats.append(M)
         return cls(mats)
-
-    def shifted(self, gen: int, a: int, b: int, step: complex) -> "MatrixTuple":
-        """Copy with ``step`` added to entry (a, b) of the matrix of
-        generator ``gen`` (1-based).  Only that matrix is copied, and only
-        the shifted entry is checked: the others are shared and valid."""
-        if not 1 <= gen <= self.n:
-            raise DomainError(f"generator {gen} outside 1..{self.n}")
-        if not (0 <= a < self.N and 0 <= b < self.N):
-            raise DomainError(f"matrix entry ({a}, {b}) outside 0..{self.N - 1}")
-        M = self.matrices[gen - 1].copy()
-        M[a, b] += step
-        if not np.isfinite(M[a, b]):
-            raise ValidationError("matrix entries must be finite")
-        out = MatrixTuple.__new__(MatrixTuple)
-        out._set(self.matrices[: gen - 1] + (M,) + self.matrices[gen:])
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -187,37 +171,29 @@ def vdb_bracket(
 
 
 # ---------------------------------------------------------------------------
-# finite-difference gradients and the bracket oracle
+# exact gradients and the bracket oracle
 # ---------------------------------------------------------------------------
-def _matrix_gradient(
-    fun: Callable[[MatrixTuple], np.ndarray | complex],
-    X: MatrixTuple,
-    step: float = _FD_STEP,
-) -> np.ndarray:
-    """Gradient tensor of a scalar- or matrix-valued function of the tuple:
-    ``grad[l, a, b, ...] = d fun(X)[...] / d (X_{l+1})_{ab}``,
-    by Richardson-improved central differences (entries are holomorphic
-    polynomials, so a real step computes the complex derivative)."""
-    rows = []
-    for l in range(X.n):
-        for a in range(X.N):
-            for b in range(X.N):
-                d_full = (
-                    fun(X.shifted(l + 1, a, b, step))
-                    - fun(X.shifted(l + 1, a, b, -step))
-                ) / (2.0 * step)
-                d_half = (
-                    fun(X.shifted(l + 1, a, b, 0.5 * step))
-                    - fun(X.shifted(l + 1, a, b, -0.5 * step))
-                ) / step
-                rows.append((4.0 * d_half - d_full) / 3.0)
-    shape = (X.n, X.N, X.N) + np.shape(rows[0])
-    return np.asarray(rows, dtype=complex).reshape(shape)
+def _level_gradient(levels: Levels, X: MatrixTuple) -> np.ndarray:
+    """Exact gradient of the series of ``levels`` evaluated on the tuple:
+    ``grad[l, a, b, i, j] = d f(X)_ij / d (X_{l+1})_ab``.  Evaluated on the
+    block tuple ``[[X_k, d_kl E_ab], [0, X_k]]`` the series carries that
+    derivative in its upper-right block (Mathias 1996), so one evaluation of
+    doubled size per direction gives it with no step and no difference error."""
+    n, N = X.n, X.N
+    block = np.zeros((n, 2 * N, 2 * N), dtype=complex)
+    for k, M in enumerate(X.matrices):
+        block[k, :N, :N] = block[k, N:, N:] = M
+    grad = np.empty((n, N, N, N, N), dtype=complex)
+    for l, a, b in np.ndindex(n, N, N):
+        block[l, a, N + b] = 1.0
+        grad[l, a, b] = _evaluate_levels(levels, block)[:N, N:]
+        block[l, a, N + b] = 0.0
+    return grad
 
 
 def _oracle_tensor(gF: np.ndarray, gG: np.ndarray, X: MatrixTuple) -> np.ndarray:
-    """Linear Poisson bracket of all entry pairs, from the matrix-gradient
-    tensors of :func:`_matrix_gradient`: ``out[i, j, u, v] = {F_ij, G_uv}``,
+    """Linear Poisson bracket of all entry pairs, from the gradient tensors
+    of :func:`_level_gradient`: ``out[i, j, u, v] = {F_ij, G_uv}``,
     oriented by the coordinate bracket
     ``{(x_a)_{ij}, (x_a)_{kl}} = d_{jk} (x_a)_{il} - d_{il} (x_a)_{kj}``."""
     N = X.N
@@ -263,17 +239,16 @@ class BivectorPi:
     * left/right parts: ``d_am (d_uj (X_b)_iv - (X_b)_uj d_iv)`` plus
       ``d_bm (d_uj (X_a)_iv - (X_a)_uj d_iv)``.
 
-    Functions are paired through their finite-difference gradients
-    (:meth:`pair_gradients`, :meth:`wedge_part`).
+    Functions are paired through their gradient tensors
+    (:meth:`pair_gradients`).
     """
 
-    def __init__(self, X: MatrixTuple, m: int, degree: int, step: float = _FD_STEP):
+    def __init__(self, X: MatrixTuple, m: int, degree: int):
         if not 1 <= m <= X.n:
             raise DomainError("generator index out of range")
         self.X = X
         self.m = m
         self.degree = degree
-        self.step = step
         n, N = X.n, X.N
         coeffs = _r_am_coefficients(degree)
         ad = _adjoint_operator(X.matrices[m - 1])
@@ -319,31 +294,10 @@ class BivectorPi:
 
     # -- pairing ------------------------------------------------------------
     def pair_gradients(self, gF: np.ndarray, gG: np.ndarray) -> np.ndarray:
-        """Pair two matrix-gradient tensors (from :func:`_matrix_gradient`):
+        """Pair two gradient tensors (from :func:`_level_gradient`):
         returns ``out[i, j, u, v] = Pi(F_ij, G_uv)``."""
         core = self._core_inner + self._core_wedge
         return np.einsum("cklij,ckldwz,dwzuv->ijuv", gF, core, gG)
-
-    def wedge_part(
-        self,
-        F: Callable[[MatrixTuple], complex],
-        G: Callable[[MatrixTuple], complex],
-    ) -> complex:
-        """Only the left-plus-right (wedge) part of the pairing."""
-        gF = _matrix_gradient(F, self.X, self.step)
-        gG = _matrix_gradient(G, self.X, self.step)
-        return complex(np.einsum("ckl,ckldwz,dwz->", gF, self._core_wedge, gG))
-
-    def gl_action(self, F: Callable[[MatrixTuple], complex]) -> np.ndarray:
-        """The diagonal matrix-algebra action on a scalar function:
-        ``out[a, b] = sum_{l, c} (X_l)_{ac} dF/d(X_l)_{cb}
-        - (X_l)_{cb} dF/d(X_l)_{ac}``."""
-        gF = _matrix_gradient(F, self.X, self.step)
-        out = np.zeros((self.X.N, self.X.N), dtype=complex)
-        for l in range(self.X.n):
-            Xl = self.X.matrices[l]
-            out += Xl @ gF[l] - gF[l] @ Xl
-        return out
 
 
 def bivector_pi(X: MatrixTuple, m: int, degree: int = 16) -> BivectorPi:
@@ -462,8 +416,8 @@ def verify_theorem2(
     """Three-way check of the loop-holonomy bracket formula.
 
     Computes the bracket tensor ``{(H2)_ij, (H1)_uv}`` of the two loop
-    holonomies three ways: (i) the finite-difference oracle on evaluated
-    entries, (ii) the geometric formula (signed crossing subholonomies plus
+    holonomies three ways: (i) the linear Poisson bracket of the evaluated
+    entries, from their exact gradients, (ii) the geometric formula (signed crossing subholonomies plus
     the bivector, plus ``base_linking`` times the product term of the whole
     holonomies when the resolved tails cross at the base), (iii) the
     evaluated double bracket of the two grouplike holonomies.  Each loop is
@@ -487,14 +441,13 @@ def verify_theorem2(
     hol1 = holonomy_reg(conn, loop1, accuracy, [c.t for c in cuts])
     hol2 = holonomy_reg(conn, loop2, accuracy, [c.s for c in cuts])
 
-    def at(levels: Levels, Y: MatrixTuple = X) -> np.ndarray:
-        return _evaluate_levels(levels, Y.matrices)
+    def at(levels: Levels) -> np.ndarray:
+        return _evaluate_levels(levels, X.matrices)
 
     M1, M2 = at(hol1.levels), at(hol2.levels)
 
-    # (i) finite-difference oracle on all entry pairs
-    g2 = _matrix_gradient(lambda Y: at(hol2.levels, Y), X)
-    g1 = _matrix_gradient(lambda Y: at(hol1.levels, Y), X)
+    # (i) linear Poisson bracket of all entry pairs, from exact gradients
+    g2, g1 = _level_gradient(hol2.levels, X), _level_gradient(hol1.levels, X)
     oracle = _oracle_tensor(g2, g1, X)
 
     # (ii) crossing subholonomies plus the bivector

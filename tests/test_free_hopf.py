@@ -23,7 +23,7 @@ from kzfox import (
     rho_kks,
 )
 from kzfox.brackets_coactions import alpha, alpha_inv, beta, beta_inv
-from kzfox.cli import _triple_coproduct
+from kzfox.cli import _cbf_mul_free_left, _cbf_mul_free_right, _triple_coproduct
 from kzfox.errors import DomainError, ShapeError
 from kzfox.kz_holonomy import _to_levels, _to_series
 from kzfox.trivial_extension import delta_z
@@ -275,9 +275,17 @@ def test_containers_of_different_types_are_never_equal():
 # ---------------------------------------------------------------------------
 # the one accumulation: results built on the trusted path
 # ---------------------------------------------------------------------------
+def _cyclic_by_free(a, b):
+    """|a| (x) b in |A| (x) A, or a itself when it is one already."""
+    if isinstance(a, CyclicByFree):
+        return a
+    return CyclicByFree.from_tensor(TensorSeries.outer(a, b))
+
+
 def _trusted_maps():
     """Every map whose result skips the validating constructor, as a function
-    of two series of one shape."""
+    of two series of one shape (the `cbf_` maps also take an element of
+    |A| (x) A first)."""
     outer = TensorSeries.outer
     return {
         "add": lambda a, b: a + b,
@@ -306,6 +314,8 @@ def _trusted_maps():
         "to_series": lambda a, b: _to_series(a.n, _to_levels(a.to_complex())),
         "delta_z_tensor": lambda a, b: delta_z(1, a).tensor_part,
         "delta_z_m": lambda a, b: delta_z(1, a).m_part,
+        "cbf_right": lambda a, b: _cbf_mul_free_right(_cyclic_by_free(a, b), b),
+        "cbf_left": lambda a, b: _cbf_mul_free_left(b, _cyclic_by_free(a, b)),
     }
 
 
@@ -343,6 +353,7 @@ def test_trusted_results_make_no_normal_calls(monkeypatch):
     count that does not grow with the input."""
     a, b = (dense_complex(random.Random(s), 3, 4) for s in (1, 2))
     ca, cb = a.cyclic_project(), b.cyclic_project()
+    cab = _cyclic_by_free(a, b)
     zero = FreeSeries.zero(3, 4, COMPLEX)
     calls = []
     for cls in CONTAINERS:
@@ -360,7 +371,8 @@ def test_trusted_results_make_no_normal_calls(monkeypatch):
     assert calls
     fixed = {"double_bracket", "delta_z_tensor", "delta_z_m"}
     for name, f in _trusted_maps().items():
-        x, y = (ca, cb) if name == "necklace_bracket" else (a, b)
+        x, y = {"necklace_bracket": (ca, cb), "cbf_right": (cab, b),
+                "cbf_left": (cab, b)}.get(name, (a, b))
         calls.clear()
         assert not f(x, y).is_zero()
         if name in fixed:

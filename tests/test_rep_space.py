@@ -26,7 +26,9 @@ from kzfox import (
 )
 from kzfox import kz_holonomy, rep_space
 from kzfox.errors import DomainError, ShapeError, ValidationError
-from kzfox.rep_space import _FD_STEP, _matrix_gradient, _oracle_tensor
+from kzfox.rep_space import _level_gradient, _oracle_tensor
+
+_FD_STEP = 1e-5
 
 P3 = PunctureConfig([0.0, 1.0, 2.0])
 BASE = Anchor.tangential(1, 1.0)
@@ -48,7 +50,8 @@ def _loop(points):
 
 
 # ---------------------------------------------------------------------------
-# references: word-by-word evaluation and the scalar bracket oracle
+# references: word-by-word evaluation, finite-difference gradients and the
+# scalar bracket oracle
 # ---------------------------------------------------------------------------
 def _word_products(mats):
     """Word-product evaluator sharing prefix products across words."""
@@ -71,6 +74,34 @@ def _reference_evaluate(series, mats):
     for w, c in series.coeffs.items():
         out += complex(c) * product(w)
     return out
+
+
+def _shifted(X, l, a, b, step):
+    """The tuple with ``step`` added to entry (a, b) of its matrix l."""
+    mats = list(X.matrices)
+    mats[l] = mats[l].copy()
+    mats[l][a, b] += step
+    return MatrixTuple(mats)
+
+
+def _matrix_gradient(fun, X, step=_FD_STEP):
+    """Gradient tensor of a scalar- or matrix-valued function of the tuple,
+    ``grad[l, a, b, ...] = d fun(X)[...] / d (X_{l+1})_{ab}``, by
+    Richardson-improved central differences (entries are holomorphic
+    polynomials, so a real step computes the complex derivative): the second
+    route to the exact ``_level_gradient``."""
+    rows = []
+    for l, a, b in itertools.product(range(X.n), range(X.N), range(X.N)):
+        d_full = (
+            fun(_shifted(X, l, a, b, step)) - fun(_shifted(X, l, a, b, -step))
+        ) / (2.0 * step)
+        d_half = (
+            fun(_shifted(X, l, a, b, 0.5 * step))
+            - fun(_shifted(X, l, a, b, -0.5 * step))
+        ) / step
+        rows.append((4.0 * d_half - d_full) / 3.0)
+    shape = (X.n, X.N, X.N) + np.shape(rows[0])
+    return np.asarray(rows, dtype=complex).reshape(shape)
 
 
 def kks_oracle(F, G, X, step=_FD_STEP):
@@ -101,6 +132,10 @@ def test_matrix_tuple_validation():
         MatrixTuple([np.array([[np.nan, 0.0], [0.0, 0.0]])])
     with pytest.raises(DomainError):
         MatrixTuple([])
+    with pytest.raises(ShapeError):
+        MatrixTuple([1.0])
+    with pytest.raises(DomainError):
+        MatrixTuple([np.zeros((0, 0))])
     with pytest.raises(DomainError):
         MatrixTuple.random(2, 2, seed=-1)
 
@@ -216,38 +251,50 @@ def test_level_evaluation_matches_word_products(monkeypatch):
     assert max(err for _, err in checked) <= 1e-14
 
 
-def test_shifted_checks_indices_and_computes_no_norm(monkeypatch):
-    X = MatrixTuple.random(2, 3, seed=4)
-    for gen, a, b in [(0, 0, 0), (3, 0, 0), (1, -1, 0), (1, 0, -1), (1, 3, 0), (2, 0, 3)]:
-        with pytest.raises(DomainError):
-            X.shifted(gen, a, b, 1e-3)
-    Y = X.shifted(2, 1, 2, 0.5)
-    assert Y.matrices[1][1, 2] == X.matrices[1][1, 2] + 0.5
-    assert Y.norm_bound == max(np.linalg.norm(M, 2) for M in Y.matrices)
-    # only the shifted matrix is new
-    assert Y.matrices[0] is X.matrices[0] and Y.matrices[1] is not X.matrices[1]
-    assert np.count_nonzero(Y.matrices[1] != X.matrices[1]) == 1
-    # finite-difference gradients never read the bound of a shifted copy
-    norms = []
-    norm = np.linalg.norm
-    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: norms.append(1) or norm(*a, **k))
-    _matrix_gradient(lambda Z: Z.matrices[0], X)
-    assert norms == []
-
-
-@pytest.mark.parametrize("step", [math.inf, -math.inf, math.nan, complex(0, math.inf)])
-def test_shifted_by_non_finite_step_raises(step):
-    X = MatrixTuple.random(2, 2, seed=1)
-    with pytest.raises(ValidationError):
-        X.shifted(1, 0, 1, step)
-
-
 def test_tail_bound_values():
     X = MatrixTuple.random(3, 2, radius=0.1, seed=0)
     r = 3 * 0.1
     assert tail_bound(5, X) == pytest.approx(r**6 / (1 - r), rel=1e-9)
     Y = MatrixTuple.random(2, 2, radius=0.6, seed=0)
     assert tail_bound(5, Y) == math.inf
+
+
+# ---------------------------------------------------------------------------
+# exact gradients
+# ---------------------------------------------------------------------------
+def test_level_gradient_matches_finite_differences():
+    """The block-triangular gradient against Richardson central differences
+    on dense complex level arrays."""
+    rng = np.random.default_rng(29)
+    worst = 0.0
+    for n, N, D in itertools.product((1, 2, 3), (1, 2, 3), range(6)):
+        levels = [
+            rng.standard_normal(n**k) + 1j * rng.standard_normal(n**k)
+            for k in range(D + 1)
+        ]
+        X = MatrixTuple.random(n, N, radius=0.3, seed=7 * D + N)
+        want = _matrix_gradient(
+            lambda Y: rep_space._evaluate_levels(levels, Y.matrices), X
+        )
+        worst = max(worst, np.max(np.abs(_level_gradient(levels, X) - want)))
+    assert worst <= 1e-9
+
+
+def test_level_gradient_makes_one_evaluation_per_direction(monkeypatch):
+    """n N^2 evaluations of doubled size; finite differences made 4 n N^2."""
+    calls = []
+    evaluate_levels = rep_space._evaluate_levels
+
+    def counting(levels, mats):
+        calls.append(mats[0].shape)
+        return evaluate_levels(levels, mats)
+
+    monkeypatch.setattr(rep_space, "_evaluate_levels", counting)
+    for n, N in ((1, 1), (3, 2), (2, 3)):
+        calls.clear()
+        _level_gradient([np.ones(n**k, dtype=complex) for k in range(4)],
+                        MatrixTuple.random(n, N, seed=1))
+        assert calls == [(2 * N, 2 * N)] * (n * N * N)
 
 
 # ---------------------------------------------------------------------------
@@ -341,28 +388,39 @@ def test_regularization_series_constant_term():
 
 
 def test_bivector_wedge_antisymmetric():
+    """The left-plus-right (wedge) core pairs two gradients antisymmetrically."""
     X = MatrixTuple.random(3, 2, radius=0.2, seed=6)
     pi = bivector_pi(X, 1, degree=10)
-    F = lambda Y: Y.matrices[0][0, 1] * Y.matrices[2][1, 1]
-    G = lambda Y: Y.matrices[1][1, 0] + Y.matrices[0][0, 0] ** 2
-    assert abs(pi.wedge_part(F, G) + pi.wedge_part(G, F)) < 1e-8
+    gF = _matrix_gradient(lambda Y: Y.matrices[0][0, 1] * Y.matrices[2][1, 1], X)
+    gG = _matrix_gradient(lambda Y: Y.matrices[1][1, 0] + Y.matrices[0][0, 0] ** 2, X)
+
+    def wedge(g1, g2):
+        return complex(np.einsum("ckl,ckldwz,dwz->", g1, pi._core_wedge, g2))
+
+    assert abs(wedge(gF, gG) + wedge(gG, gF)) < 1e-8
 
 
 def test_gl_action_on_coordinates_is_adjoint():
-    """The diagonal action applied to the coordinate (x_b)_vu reproduces
-    [X_b, E_vu] entrywise; on tr(x_1) it vanishes."""
+    """The diagonal matrix-algebra action on a scalar function,
+    ``sum_l [X_l, grad_l F]`` with ``(grad_l F)[a, b] = dF/d(X_l)_ab``, applied
+    to the coordinate (x_b)_vu reproduces [X_b, E_vu] entrywise; on tr(x_1)
+    it vanishes."""
     X = MatrixTuple.random(2, 3, radius=0.3, seed=8)
-    pi = bivector_pi(X, 1, degree=10)
     N = X.N
+
+    def gl_action(F):
+        g = _matrix_gradient(F, X)
+        return sum(Xl @ gl - gl @ Xl for Xl, gl in zip(X.matrices, g))
+
     for b in (0, 1):
         Xb = X.matrices[b]
         for v in range(N):
             for u in range(N):
                 E = np.zeros((N, N))
                 E[v, u] = 1.0
-                got = pi.gl_action(lambda Y: Y.matrices[b][v, u])
+                got = gl_action(lambda Y: Y.matrices[b][v, u])
                 assert np.max(np.abs(got - (Xb @ E - E @ Xb))) < 1e-7
-    assert np.max(np.abs(pi.gl_action(lambda Y: complex(np.trace(Y.matrices[0]))))) < 1e-10
+    assert np.max(np.abs(gl_action(lambda Y: complex(np.trace(Y.matrices[0]))))) < 1e-10
 
 
 def test_bivector_rejects_bad_generator_index():
@@ -420,8 +478,7 @@ def test_same_loop_bracket_antisymmetric():
     antisymmetric under (i, j) <-> (u, v) and vanishes on the diagonal."""
     conn = ConnectionSpec(P3, 3)
     X = MatrixTuple.random(3, 2, radius=0.1, seed=1)
-    h = holonomy_reg(conn, _loop(LOOP_A4)).series
-    g = _matrix_gradient(lambda Y: evaluate(h, Y), X)
+    g = _level_gradient(holonomy_reg(conn, _loop(LOOP_A4)).levels, X)
     T = _oracle_tensor(g, g, X)
     assert np.max(np.abs(T + T.transpose(2, 3, 0, 1))) < 1e-8
     for i in range(2):
@@ -451,6 +508,17 @@ def test_verify_theorem2_makes_no_series_products(load_path, count_series_calls)
     calls = count_series_calls("__mul__")
     assert verify_theorem2(conn, loop2, loop1, X).passed
     assert calls == {"__mul__": 0}
+
+
+def test_exact_gradients_leave_no_finite_difference_floor(load_path):
+    """At D = 9 truncation no longer dominates, and the oracle meets the two
+    other routes to roundoff (finite differences left about 2e-12)."""
+    loop1, loop2 = load_path("loop_a4.json"), load_path("loop_bup.json")
+    conn = ConnectionSpec(loop1.punctures, 9)
+    X = MatrixTuple.random(3, 2, radius=0.1, seed=7)
+    disc = verify_theorem2(conn, loop2, loop1, X).max_disc
+    assert disc["oracle_vs_vdb"] <= 1e-13
+    assert disc["oracle_vs_formula"] <= 1e-13
 
 
 @pytest.mark.xfail(
