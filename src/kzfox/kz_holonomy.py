@@ -1,43 +1,39 @@
 """Numerical parallel transport and regularized holonomy of the logarithmic
 flat connection  (1/2 pi i) sum_i x_i dlog(z - z_i)  along polyline paths.
 
-The transport is computed degree by degree on level arrays: level k of a
-state holds the coefficients of the n^k words of length k in lexicographic
-order, and the triangular system of iterated integrals they satisfy is
-evaluated on adaptive Gauss-Legendre panels, one broadcast and one matmul per
-level.  Tangential endpoints are regularized by one cutoff at 0.3 of the
-anchor's local scale: the stretch inside the cutoff is the analytic local
-frame (the same panel with the puncture's pole conjugated away) times a
-branch-fixed logarithmic factor, so the result carries no cutoff error.
-Frames and prefixes are composed as level products, and each result is
-converted to a FreeSeries once.  The reported accuracy is the summed
-subdivision residual of the polyline and both frames; a transport whose
-summed residual exceeds the requested accuracy raises AccuracyError.
+The transport is computed degree by degree on level arrays: level k of a state
+holds the coefficients of the n^k words of length k in lexicographic order,
+and the triangular system of iterated integrals they satisfy is evaluated on
+adaptive Gauss-Legendre panels, one broadcast and one real matmul per level
+(on the complex integrand's real and imaginary parts).  Tangential endpoints
+are regularized by one cutoff at 0.3 of the anchor's local scale: the stretch
+inside the cutoff is the analytic local frame (the same panel with the
+puncture's pole conjugated away) times a branch-fixed logarithmic factor, so
+the result carries no cutoff error.  Frames and prefixes are composed as level
+products.  The reported accuracy is the summed subdivision residual of the
+polyline and both frames; a transport whose summed residual exceeds the
+requested accuracy raises AccuracyError.
 
 Each path is transported once, with breakpoints at the crossing parameters
 an identity needs; the result keeps the prefix holonomies P(t) there, and
 every piece Hol(path[a, b]) = P(b) P(a)^-1 is read off them (Chen's
 identity).  On top of the transport engine sit the assembled right-hand
 sides of the holonomy identities: the reduced-coaction formula (which is
-also the projected pentagon identity), the pairing formula for two paths,
-and the loop-bracket checks on cyclic words.
+also the projected pentagon identity), checked on level arrays, the pairing
+formula for two paths, and the loop-bracket checks on cyclic words.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from itertools import product
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .brackets_coactions import (
-    CyclicWedge,
-    mu_bar_kks,
-    necklace_bracket,
-    necklace_cobracket,
-)
+from .brackets_coactions import CyclicWedge, necklace_bracket, necklace_cobracket
 from .coefficients import TWO_PI_I, r_am_series, r_zeta_series
 from .errors import AccuracyError, DomainError, ValidationError
 from .fox_calculus import d_left, d_right
@@ -54,7 +50,6 @@ from .kz_paths import (
     snap_half_integer,
 )
 
-Word = Tuple[int, ...]
 Levels = List[np.ndarray]  # level k: the n^k words of length k, ravel order
 
 DEFAULT_ACCURACY = 1e-10
@@ -81,6 +76,8 @@ def _gauss_legendre_setup(order: int):
 
 
 _GL_NODES, _GL_WEIGHTS, _GL_INTMAT = _gauss_legendre_setup(_GL_ORDER)
+# integrand node values -> next node values (rows 0-15) and end value (row 16)
+_GL_MAP = np.vstack([_GL_INTMAT, _GL_WEIGHTS])
 
 
 class ConnectionSpec:
@@ -92,8 +89,7 @@ class ConnectionSpec:
             raise DomainError("truncation degree must be >= 0")
         self.punctures = punctures
         self.trunc_degree = trunc_degree
-        # an (n, 1) column, broadcast against a panel's nodes
-        self._points = np.array(punctures.points, dtype=complex)[:, None]
+        self._points = np.array(punctures.points, dtype=complex)
 
     @property
     def n_generators(self) -> int:
@@ -113,19 +109,22 @@ class HolonomyResult:
     `levels` is the holonomy as the transport's level arrays, and `prefixes`
     maps each breakpoint t of the transport to the level arrays of the prefix
     holonomy P(t) = Hol(path[0, t]); `piece` reads the holonomy of any piece
-    of the path cut at breakpoints off them by Chen's identity."""
+    of the path cut at breakpoints off them by Chen's identity.  `series`
+    is converted from `levels` on its first read."""
 
-    series: FreeSeries
     path: PLPath
     accuracy_estimate: float
     regularization_report: dict
     prefixes: Dict[float, Levels]
     levels: Levels
 
+    @cached_property
+    def series(self) -> FreeSeries:
+        return _to_series(self.path.punctures.n, self.levels)
+
     def _prefix(self, t: float) -> Levels:
         if t == 0.0:
-            n, degree = self.series.n, self.series.degree
-            return _to_levels(FreeSeries.unit(n, degree, COMPLEX))
+            return [np.ones(1, complex)] + [np.zeros_like(a) for a in self.levels[1:]]
         if t == 1.0:
             return self.levels
         if t not in self.prefixes:
@@ -137,12 +136,12 @@ class HolonomyResult:
         grouplike, so its antipode is its inverse."""
         if a == 0.0:
             return self._prefix(b)
-        n = self.series.n
+        n = self.path.punctures.n
         return _level_mul(self._prefix(b), _level_antipode(self._prefix(a), n))
 
     def piece(self, a: float, b: float) -> FreeSeries:
         """Hol(path[a, b]), a level product of two prefixes."""
-        return _to_series(self.series.n, self._piece_levels(a, b))
+        return _to_series(self.path.punctures.n, self._piece_levels(a, b))
 
     def to_json_dict(self) -> dict:
         report = {"accuracy": self.accuracy_estimate}
@@ -173,6 +172,24 @@ def _level_mul(a: Levels, b: Levels) -> Levels:
 def _level_antipode(levels: Levels, n: int) -> Levels:
     """S(w) = (-1)^|w| reversed(w): each level with its axes reversed."""
     return [(-1) ** k * v.reshape((n,) * k).T.ravel() for k, v in enumerate(levels)]
+
+
+def _sparse_mul(levels: Levels, coeffs: dict, n: int, left: bool) -> Levels:
+    """`levels` times sparse `coeffs` (on the left when `left`): a term c*w of
+    length j adds c * A_{k-j} at w's index among level k's last (first) j letters."""
+    out = [np.zeros_like(a) for a in levels]
+    for w, c in coeffs.items():
+        j, index = len(w), reduce(lambda i, letter: i * n + letter - 1, w, 0)
+        for k in range(j, len(levels)):
+            block = out[k].reshape(n**j, -1).T if left else out[k].reshape(-1, n**j)
+            block[:, index] += c * levels[k - j]
+    return out
+
+
+def _combine(terms: Sequence[Tuple[float, Levels]], n: int, degree: int) -> Levels:
+    """The sum of s * A over the (s, A) terms, through `degree`."""
+    zero = [np.zeros(n**k, dtype=complex) for k in range(degree + 1)]
+    return [sum((s * a[k] for s, a in terms), z) for k, z in enumerate(zero)]
 
 
 def _to_series(n: int, levels: Levels) -> FreeSeries:
@@ -219,20 +236,26 @@ def _panel_transport(
     u = 0.5 * (a + b) + half * _GL_NODES
     z = z0 + dz * u
     n = conn.n_generators
-    factors = (dz * half / TWO_PI_I) / (z - conn._points)
+    # node-major: factors[node, i] and nodes[node, word]
+    factors = (dz * half / TWO_PI_I) / (z[:, None] - conn._points)
     if pole:
-        factors[pole - 1] = (half / TWO_PI_I) / u
-    nodes = np.full((1, _GL_ORDER), init[0][0])
+        factors[:, pole - 1] = (half / TWO_PI_I) / u
+    nodes = np.full((_GL_ORDER, 1), init[0][0])
     end = [init[0]]
-    for level in init[1:]:
+    for k, level in enumerate(init[1:], 2):
         # the integrand of x_i w is the factor of x_i times the node values of w
-        g = (factors[:, None] * nodes).reshape(-1, _GL_ORDER)
+        g = (factors[:, :, None] * nodes[:, None]).reshape(_GL_ORDER, -1)
         if pole:
             # words ending in the pole: minus its factor times the node values
             # of the word without that letter
-            g.reshape(-1, n, _GL_ORDER)[:, pole - 1] -= factors[pole - 1] * nodes
-        nodes = level[:, None] + g @ _GL_INTMAT.T
-        end.append(level + g @ _GL_WEIGHTS)
+            g.reshape(len(g), -1, n)[..., pole - 1] -= factors[:, [pole - 1]] * nodes
+        # one real matmul on the real and imaginary parts; the top level's node
+        # values are never read, so it takes the end row alone
+        rows = _GL_MAP[-1:] if k == len(init) else _GL_MAP
+        out = (rows @ g.view(float)).view(complex)
+        end.append(level + out[-1])  # a copy, so the state pins no work buffer
+        nodes = out[:-1]
+        nodes += level
     return end
 
 
@@ -241,8 +264,8 @@ def _conditioning(
 ) -> float:
     """max over the panel's nodes z and the punctures z_i other than the pole
     of (|z| + |z_i|) / |z - z_i|; at least 1 by the triangle inequality."""
-    z = z0 + dz * (0.5 * (a + b) + 0.5 * (b - a) * _GL_NODES)
-    zi = np.delete(conn._points, pole - 1, axis=0) if pole else conn._points
+    z = (z0 + dz * (0.5 * (a + b) + 0.5 * (b - a) * _GL_NODES))[:, None]
+    zi = np.delete(conn._points, pole - 1) if pole else conn._points
     return float(np.max((np.abs(z) + np.abs(zi)) / np.abs(z - zi), initial=1.0))
 
 
@@ -356,10 +379,8 @@ def _local_frame(
         f"the local frame at puncture {p}", pole=p,
     )
     c = math.log(r) / TWO_PI_I
-    log_term = FreeSeries(conn.n_generators, conn.trunc_degree, {
-        (p,) * k: c**k / math.factorial(k) for k in range(conn.trunc_degree + 1)
-    }, COMPLEX)
-    return zp + v * r, r, _level_mul(state, _to_levels(log_term)), err
+    branch = {(p,) * k: c**k / math.factorial(k) for k in range(conn.trunc_degree + 1)}
+    return zp + v * r, r, _sparse_mul(state, branch, conn.n_generators, False), err
 
 
 def holonomy_reg(
@@ -412,8 +433,7 @@ def holonomy_reg(
     end = _level_mul(states[-1], pre)
     # the end frame is grouplike, so its antipode is its inverse
     end = _level_mul(_level_antipode(post, conn.n_generators), end)
-    series = _to_series(conn.n_generators, end)
-    return HolonomyResult(series, path, total_err, report, prefixes, end)
+    return HolonomyResult(path, total_err, report, prefixes, end)
 
 
 def associator(degree: int, accuracy: float = DEFAULT_ACCURACY) -> FreeSeries:
@@ -532,6 +552,50 @@ def crossing_breakpoints(crossings: Sequence[Crossing]) -> List[float]:
     return [x for c in crossings for x in (c.t, c.s)]
 
 
+def _mu_bar_levels(levels: Levels, n: int) -> Levels:
+    """mu_bar through D-1: level k sums the adjacent-axis diagonals of level k+1."""
+    out = []
+    for k, a in enumerate(levels[1:]):
+        cube = a.reshape((n,) * (k + 1))
+        diagonals = (np.moveaxis(cube.diagonal(0, i, i + 1), -1, i) for i in range(k))
+        out.append(sum(diagonals, np.zeros((n,) * k, dtype=complex)).ravel())
+    return out
+
+
+def _fox_levels(levels: Levels, m: int, n: int, left: bool) -> Levels:
+    """d_left(m, .) when `left`, else d_right(m, .): slices, through degree D-1."""
+    return [(a.reshape(-1, n) if left else a.reshape(n, -1).T)[:, m - 1]
+            for a in levels[1:]]
+
+
+def _coaction_rhs(hol: HolonomyResult, cuts: Sequence[Crossing], rot: float) -> Levels:
+    """`mu_bar_rhs` as level arrays through degree D-1."""
+    p, q = (_require_tangential(hol.path, which) for which in ("start", "end"))
+    h, n, deg = hol.levels, hol.path.punctures.n, len(hol.levels) - 1
+    if deg < 1:
+        raise DomainError("the reduced-coaction formula needs truncation degree >= 1")
+    zeta_p = r_zeta_series(p, deg, n, negate_variable=True).coeffs
+    terms = [
+        (1.0, _sparse_mul(h, zeta_p, n, False)),
+        (rot, h),
+        (-1.0, _sparse_mul(h, r_zeta_series(q, deg, n).coeffs, n, True)),
+        (-1.0, _fox_levels(h, p, n, True)),
+        (-1.0, _fox_levels(h, q, n, False)),
+    ]
+    for c in cuts:
+        pieces = hol._piece_levels(c.s, 1.0)[:deg], hol._piece_levels(0.0, c.t)[:deg]
+        terms.append((float(c.sign), _level_mul(*pieces)))
+    if p == q:
+        # A loop's smooth model has one more self-intersection than the
+        # polyline shows: the closing of the two tail strands through the
+        # base point.  Its regularized contribution is a universal series in
+        # the base generator, fixed by the closure turn direction.
+        closure = _to_levels(r_am_series(p, deg - 1, n))
+        closure[0] += 0.5 - _closure_shift(hol.path)
+        terms.append((1.0, closure))
+    return _combine(terms, n, deg - 1)
+
+
 def mu_bar_rhs(
     hol: HolonomyResult, crossings: Sequence[Crossing], rot: float
 ) -> FreeSeries:
@@ -541,28 +605,7 @@ def mu_bar_rhs(
     transport with breakpoints at `crossing_breakpoints(crossings)`; the
     result is truncated to degree D-1, the range on which the assembly is
     exact."""
-    path = hol.path
-    p = _require_tangential(path, "start")
-    q = _require_tangential(path, "end")
-    series = hol.series
-    n, deg = series.n, series.degree
-    out = series * r_zeta_series(p, deg, n, negate_variable=True)
-    out = out + rot * series
-    out = out - r_zeta_series(q, deg, n) * series
-    for c in crossings:
-        out = out + float(c.sign) * (hol.piece(c.s, 1.0) * hol.piece(0.0, c.t))
-    out = out - d_left(p, series) - d_right(q, series)
-    if p == q:
-        # A loop's smooth model has one more self-intersection than the
-        # polyline shows: the closing of the two tail strands through the
-        # base point.  Its regularized contribution is a universal series in
-        # the base generator, fixed by the closure turn direction.
-        shift = _closure_shift(path)
-        closure = r_am_series(p, deg, n) + (0.5 - shift) * FreeSeries.unit(
-            n, deg, COMPLEX
-        )
-        out = out + closure
-    return out.with_degree(deg - 1)
+    return _to_series(hol.path.punctures.n, _coaction_rhs(hol, crossings, rot))
 
 
 def rho_paths(
@@ -619,11 +662,8 @@ def goldman_bracket_check(
     """Compare the necklace bracket of two loop holonomies against the
     crossing formula on cyclic words, and each loop's necklace cobracket
     against its crossing-plus-rotation formula."""
-    m1s = _require_tangential(loop1, "start")
-    m1e = _require_tangential(loop1, "end")
-    m2s = _require_tangential(loop2, "start")
-    m2e = _require_tangential(loop2, "end")
-    if not (m1s == m1e == m2s == m2e):
+    ends = (loop1, "start"), (loop1, "end"), (loop2, "start"), (loop2, "end")
+    if len({_require_tangential(*end) for end in ends}) > 1:
         raise ValidationError("both loops must share one tangential base point")
     n, deg = conn.n_generators, conn.trunc_degree
     crossings = intersections(loop1, loop2)
@@ -634,21 +674,21 @@ def goldman_bracket_check(
     hol2 = holonomy_reg(
         conn, loop2, accuracy, [c.s for c in crossings] + crossing_breakpoints(self2)
     )
-    h1, h2 = hol1.series, hol2.series
     # each holonomy is projected to cyclic words once, for all three maps
-    c1, c2 = h1.cyclic_project(), h2.cyclic_project()
+    c1, c2 = hol1.series.cyclic_project(), hol2.series.cyclic_project()
     lhs = necklace_bracket(c2, c1)
-    rhs = CyclicSeries.zero(n, deg, COMPLEX)
+    terms = []
     for c in crossings:
         # each loop rerooted at the crossing: Hol(loop[0, t]) Hol(loop[t, 1])
-        r1 = hol1.piece(0.0, c.t) * hol1.piece(c.t, 1.0)
-        r2 = hol2.piece(0.0, c.s) * hol2.piece(c.s, 1.0)
-        rhs = rhs + float(c.sign) * (r1 * r2).cyclic_project()
+        r1 = _level_mul(hol1._piece_levels(0.0, c.t), hol1._piece_levels(c.t, 1.0))
+        r2 = _level_mul(hol2._piece_levels(0.0, c.s), hol2._piece_levels(c.s, 1.0))
+        terms.append((float(c.sign), _level_mul(r1, r2)))
     # The base point is itself an intersection of the two loops; the resolved
     # curves cross there once when the four tail strands alternate.
     base_sign = _base_linking(loop1, loop2)
     if base_sign:
-        rhs = rhs + base_sign * (h1 * h2).cyclic_project()
+        terms.append((base_sign, _level_mul(hol1.levels, hol2.levels)))
+    rhs = _to_series(n, _combine(terms, n, deg)).cyclic_project()
     report = {
         "bracket_discrepancy": (lhs - rhs).norm_through(deg - 1),
         "n_crossings": len(crossings),
@@ -681,9 +721,9 @@ def _cobracket_discrepancy(
     rhs = CyclicWedge.wedge(one_cyc, cyc).scale(rot)
     for c in crossings:
         middle = hol.piece(c.t, c.s)
-        outer = hol.piece(c.s, 1.0) * hol.piece(0.0, c.t)
+        outer = _level_mul(hol._piece_levels(c.s, 1.0), hol._piece_levels(0.0, c.t))
         rhs = rhs + CyclicWedge.wedge(
-            middle.cyclic_project(), outer.cyclic_project()
+            middle.cyclic_project(), _to_series(n, outer).cyclic_project()
         ).scale(float(c.sign))
     return (lhs - rhs).norm_through(deg - 1)
 
@@ -695,13 +735,14 @@ def coaction_check(
 ) -> dict:
     """Compare the reduced coaction of a path's holonomy with `mu_bar_rhs`
     through degree D-1, from one transport with breakpoints at the path's
-    self-crossings."""
+    self-crossings; both sides are level arrays."""
     crossings = self_intersections(path)
     hol = holonomy_reg(conn, path, accuracy, crossing_breakpoints(crossings))
     rot = snap_half_integer(rotation_number(path))
-    lhs = mu_bar_kks(hol.series).with_degree(conn.trunc_degree - 1)
+    rhs = _coaction_rhs(hol, crossings, rot)
+    lhs = _mu_bar_levels(hol.levels, conn.n_generators)
     return {
-        "max_discrepancy": (lhs - mu_bar_rhs(hol, crossings, rot)).norm_inf(),
+        "max_discrepancy": max(float(np.abs(a - b).max()) for a, b in zip(lhs, rhs)),
         "rot": rot,
         "n_crossings": len(crossings),
     }

@@ -311,10 +311,11 @@ def bivector_pi(X: MatrixTuple, m: int, degree: int = 16) -> BivectorPi:
 # double bracket of grouplike series, evaluated
 # ---------------------------------------------------------------------------
 def _grouplike_double_bracket_tensor(
-    a: FreeSeries, b: FreeSeries, X: MatrixTuple
+    a: FreeSeries, b: FreeSeries, X: MatrixTuple, Ma: np.ndarray, Mb: np.ndarray
 ) -> np.ndarray:
     """Entry brackets ``out[i, j, u, v] = {a_ij, b_uv}`` induced by the
-    adjacent-letter double bracket, for (numerically) grouplike ``a, b``.
+    adjacent-letter double bracket, for (numerically) grouplike ``a, b``
+    whose evaluations on ``X`` are ``Ma, Mb``.
 
     For grouplike arguments the double bracket collapses to a single
     Sweedler term ``b S(r') a (x) r''`` with ``r`` the adjacent-letter
@@ -333,8 +334,6 @@ def _grouplike_double_bracket_tensor(
     # (eval S(r'))^T[p, r] * (eval r'')[q, s]
     W4 = W.reshape(N, N, N, N)
     K = W4.transpose(2, 0, 1, 3)  # K[al, be, ga, de] = S-leg[al, be] * leg[ga, de]
-    Ma = evaluate(a, X)
-    Mb = evaluate(b, X)
     # left leg of {{a, b}} is b S(r') a; contraction (')_{uj} ('')_{iv}
     left = np.einsum("ua,abgd,bj->ujgd", Mb, K, Ma)
     return left.transpose(2, 1, 0, 3)  # out[i, j, u, v] = left[u, j, i, v]
@@ -465,7 +464,7 @@ def verify_theorem2(
     formula = crossing + pi
 
     # (iii) evaluated double bracket of the grouplike holonomies
-    vdb = _grouplike_double_bracket_tensor(hol2.series, hol1.series, X)
+    vdb = _grouplike_double_bracket_tensor(hol2.series, hol1.series, X, M2, M1)
 
     return BivectorReport(
         lhs_oracle=oracle,

@@ -29,7 +29,9 @@ from kzfox import (
 )
 from kzfox import kz_holonomy
 from kzfox.cli import main
+from kzfox.coefficients import r_am_series, r_zeta_series
 from kzfox.errors import AccuracyError, DomainError, ValidationError
+from kzfox.fox_calculus import d_left, d_right
 from kzfox.kz_holonomy import (
     coaction_check,
     crossing_breakpoints,
@@ -50,6 +52,8 @@ from kzfox.trivial_extension import (
     square_z,
     square_zw,
 )
+
+from conftest import dense_complex
 
 P3 = PunctureConfig([0.0, 1.0, 2.0])
 BASE = Anchor.tangential(1, 1.0)
@@ -281,6 +285,22 @@ def test_level_composition_matches_series_operations():
         )
 
 
+def test_transport_levels_own_their_memory():
+    """Every level a panel returns, and every state the polyline keeps, owns
+    its memory: none is a view of a panel's work buffer, whose 17 rows (node
+    values and end value) would stay pinned as long as the state."""
+    conn = ConnectionSpec(P3, 5)
+    unit = kz_holonomy._to_levels(conn.unit())
+    for pole, z0, dz in ((0, 0.5 + 0.5j, 0.3 - 0.1j), (2, 1.0, 1j)):
+        state = kz_holonomy._panel_transport(conn, z0, dz, 0.0, 0.1, unit, pole)
+        state = kz_holonomy._panel_transport(conn, z0, dz, 0.1, 0.2, state, pole)
+        assert len(state) == 6
+        assert all(a.flags.owndata for a in state)
+    states, _ = kz_holonomy._transport_polyline(conn, LOOP_A1, 1e-10)
+    assert len(states) == len(LOOP_A1)
+    assert all(a.flags.owndata for state in states for a in state)
+
+
 def test_transport_makes_no_series_products(load_path, count_series_calls):
     """One transport runs on level arrays end to end, and so do the pieces it
     serves: the FreeSeries product, exp and antipode are not called, and the
@@ -420,6 +440,120 @@ def test_mu_bar_identity_embedded_path():
 def test_mu_bar_identity_loop():
     conn = ConnectionSpec(P3, 4)
     assert _mu_bar_discrepancy(conn, _loop(LOOP_A4)) < 1e-10
+
+
+def _worst_level_error(levels, series):
+    """Largest difference between level arrays and the coefficients of a
+    series; the series' levels beyond them must be zero."""
+    want = kz_holonomy._to_levels(series)
+    assert len(levels) <= len(want)
+    padded = list(levels) + [np.zeros_like(b) for b in want[len(levels):]]
+    return max(float(np.max(np.abs(a - b))) for a, b in zip(padded, want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("degree", range(7))
+def test_level_maps_match_sparse_maps(n, degree):
+    """mu_bar, the products with one-generator series and the Fox derivatives
+    on level arrays against mu_bar_kks, FreeSeries.__mul__ and d_left /
+    d_right on dense complex series; at n = 1 the word x_1^j has index 0."""
+    a = dense_complex(random.Random(10 * n + degree), n, degree)
+    levels = kz_holonomy._to_levels(a)
+    worst = _worst_level_error(kz_holonomy._mu_bar_levels(levels, n), mu_bar_kks(a))
+    for p in range(1, n + 1):
+        for z in (
+            r_zeta_series(p, degree, n),
+            r_zeta_series(p, degree, n, negate_variable=True),
+            r_am_series(p, degree, n),
+        ):
+            right = kz_holonomy._sparse_mul(levels, z.coeffs, n, left=False)
+            left = kz_holonomy._sparse_mul(levels, z.coeffs, n, left=True)
+            worst = max(
+                worst, _worst_level_error(right, a * z), _worst_level_error(left, z * a)
+            )
+        strip_last = kz_holonomy._fox_levels(levels, p, n, left=True)
+        strip_first = kz_holonomy._fox_levels(levels, p, n, left=False)
+        worst = max(
+            worst,
+            _worst_level_error(strip_last, d_left(p, a)),
+            _worst_level_error(strip_first, d_right(p, a)),
+        )
+    assert worst <= 1e-14
+
+
+def _sparse_mu_bar_rhs(hol, crossings, rot):
+    """The reduced-coaction right-hand side assembled with FreeSeries
+    products, Fox derivatives and the closure series: the reference for the
+    level assembly of `mu_bar_rhs`."""
+    path = hol.path
+    p, q = path.start.puncture, path.end.puncture
+    series = hol.series
+    n, deg = series.n, series.degree
+    out = series * r_zeta_series(p, deg, n, negate_variable=True)
+    out = out + rot * series
+    out = out - r_zeta_series(q, deg, n) * series
+    for c in crossings:
+        out = out + float(c.sign) * (hol.piece(c.s, 1.0) * hol.piece(0.0, c.t))
+    out = out - d_left(p, series) - d_right(q, series)
+    if p == q:
+        shift = kz_holonomy._closure_shift(path)
+        closure = r_am_series(p, deg, n) + (0.5 - shift) * FreeSeries.unit(
+            n, deg, COMPLEX
+        )
+        out = out + closure
+    return out.with_degree(deg - 1)
+
+
+P1_LOOP = PLPath(
+    PunctureConfig([0.0]),
+    Anchor.tangential(1, 1.0),
+    Anchor.tangential(1, 1.0),
+    [0.4, 0.4 + 0.3j, -0.5 + 0.3j, -0.5 - 0.3j, 0.3 - 0.3j, 0.3],
+)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 5])
+@pytest.mark.parametrize(
+    "name", ["P1_LOOP", "fig8.json", "path_embedded2.json", "loop_a4.json", "loop_bup.json"]
+)
+def test_level_coaction_check_matches_sparse_assembly(load_path, name, degree):
+    """`mu_bar_rhs` and the discrepancy of `coaction_check`, both assembled on
+    level arrays, against the sparse assembly: an n = 1 loop and two n = 3
+    loops (closure term), a path with a self-crossing and an n = 2 path."""
+    path = P1_LOOP if name == "P1_LOOP" else load_path(name)
+    conn = ConnectionSpec(path.punctures, degree)
+    crossings = self_intersections(path)
+    hol = holonomy_reg(conn, path, breakpoints=crossing_breakpoints(crossings))
+    rot = snap_half_integer(rotation_number(path))
+    want = _sparse_mu_bar_rhs(hol, crossings, rot)
+    got = mu_bar_rhs(hol, crossings, rot)
+    assert got.degree == want.degree == degree - 1
+    assert (got - want).norm_inf() <= 1e-14
+    disc = (mu_bar_kks(hol.series).with_degree(degree - 1) - want).norm_inf()
+    assert abs(coaction_check(conn, path)["max_discrepancy"] - disc) <= 1e-14
+
+
+def test_reduced_coaction_needs_degree_one():
+    path = P1_LOOP
+    conn = ConnectionSpec(path.punctures, 0)
+    with pytest.raises(DomainError, match="degree >= 1"):
+        coaction_check(conn, path)
+
+
+def test_identity_campaigns_make_no_series_products(data_dir, count_series_calls):
+    """The coaction, pentagon and goldman campaigns assemble their products on
+    level arrays: FreeSeries.__mul__ is never called."""
+    calls = count_series_calls("__mul__")
+    fig8 = str(data_dir / "fig8.json")
+    loops = [str(data_dir / f"loop_{name}.json") for name in ("a1", "b1", "a4", "bup")]
+    for argv in (
+        ["verify", "coaction", "--path", fig8],
+        ["verify", "pentagon", "--path", fig8],
+        ["verify", "goldman", "--loops", loops[0], "--loops", loops[1]],
+        ["verify", "goldman", "--loops", loops[2], "--loops", loops[3]],
+    ):
+        assert main(argv) == 0
+    assert calls == {"__mul__": 0}
 
 
 # ---------------------------------------------------------------------------

@@ -246,7 +246,8 @@ def test_level_evaluation_matches_word_products(monkeypatch):
 
     for N in (2, 3):
         X = MatrixTuple.random(3, N, radius=0.3, seed=N)
-        rep_space._grouplike_double_bracket_tensor(dense(), dense(), X)
+        a, b = dense(), dense()
+        rep_space._grouplike_double_bracket_tensor(a, b, X, evaluate(a, X), evaluate(b, X))
         assert (N * N) in [size for size, _ in checked]
     assert max(err for _, err in checked) <= 1e-14
 
@@ -508,6 +509,21 @@ def test_verify_theorem2_makes_no_series_products(load_path, count_series_calls)
     calls = count_series_calls("__mul__")
     assert verify_theorem2(conn, loop2, loop1, X).passed
     assert calls == {"__mul__": 0}
+
+
+def test_verify_theorem2_evaluates_each_holonomy_once(load_path, monkeypatch):
+    """The evaluated double bracket reuses the evaluated holonomies: no
+    series is converted back to levels and evaluated through `evaluate`."""
+    loop1, loop2 = load_path("loop_a4.json"), load_path("loop_bup.json")
+    conn = ConnectionSpec(loop1.punctures, 5)
+    X = MatrixTuple.random(3, 2, radius=0.1, seed=0)
+    calls = []
+    original = rep_space.evaluate
+    monkeypatch.setattr(
+        rep_space, "evaluate", lambda *args: calls.append(args) or original(*args)
+    )
+    assert verify_theorem2(conn, loop2, loop1, X).passed
+    assert calls == []
 
 
 def test_exact_gradients_leave_no_finite_difference_floor(load_path):
