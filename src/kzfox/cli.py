@@ -747,6 +747,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (KzfoxError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
+    except MemoryError as exc:
+        click.echo(f"error: out of memory: {exc}", err=True)
+        return 1
     except click.exceptions.Abort:
         click.echo("aborted", err=True)
         return 1

@@ -568,6 +568,16 @@ def _fox_levels(levels: Levels, m: int, n: int, left: bool) -> Levels:
             for a in levels[1:]]
 
 
+def _rho_kks_levels(a: Levels, b: Levels, n: int) -> Levels:
+    """rho_kks(a, b) through degree D: u.x paired with x.v gives u.x.v, so
+    level k joins a_i and b_(k+1-i) on their shared letter, for i = 1..k."""
+    return [np.zeros(1, dtype=complex)] + [
+        sum(np.einsum("px,xq->pxq", a[i].reshape(-1, n), b[k + 1 - i].reshape(n, -1))
+            .ravel() for i in range(1, k + 1))
+        for k in range(1, len(a))
+    ]
+
+
 def _coaction_rhs(hol: HolonomyResult, cuts: Sequence[Crossing], rot: float) -> Levels:
     """`mu_bar_rhs` as level arrays through degree D-1."""
     p, q = (_require_tangential(hol.path, which) for which in ("start", "end"))

@@ -10,12 +10,14 @@ module provides
 * :func:`evaluate` -- truncated series evaluated on a matrix tuple,
 * :func:`vdb_bracket` -- the entrywise bracket induced by a double bracket,
 * :func:`bivector_pi` -- the bivector collecting the non-crossing terms of
-  the loop-holonomy bracket formula,
+  the loop-holonomy bracket formula, the operator product ``ad R ad`` on
+  vectorized matrices, which pairs two gradients by two matmuls,
 * :func:`verify_theorem2` -- a three-way comparison (oracle / geometric
   crossing formula plus bivector / algebraic double bracket) for a pair of
   loop holonomies, whose oracle side pairs exact gradients: a series
   evaluated on a block upper-triangular tuple carries its derivative in the
-  upper-right block.
+  upper-right block.  The double bracket side pairs the two holonomies'
+  level arrays.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import numpy as np
 
 from .coefficients import r_am_series
 from .errors import DomainError, ShapeError, ValidationError
-from .fox_calculus import rho_kks
 from .free_hopf import COMPLEX, FreeSeries, TensorSeries
 from .kz_holonomy import (
     DEFAULT_ACCURACY,
@@ -37,6 +38,7 @@ from .kz_holonomy import (
     Levels,
     _base_linking,
     _require_tangential,
+    _rho_kks_levels,
     _to_levels,
     holonomy_reg,
 )
@@ -212,19 +214,26 @@ def _oracle_tensor(gF: np.ndarray, gG: np.ndarray, X: MatrixTuple) -> np.ndarray
 # ---------------------------------------------------------------------------
 # the bivector
 # ---------------------------------------------------------------------------
-def _r_am_coefficients(degree: int) -> Dict[int, complex]:
-    """Scalar Taylor coefficients of the even-odd regularization series,
-    keyed by power, through ``degree``."""
-    one_var = r_am_series(1, degree, 1, COMPLEX)
-    return {len(w): complex(c) for w, c in one_var.coeffs.items()}
-
-
 def _adjoint_operator(M: np.ndarray) -> np.ndarray:
     """``ad_M`` on N x N matrices as an ``N^2 x N^2`` matrix acting on
     row-major vectorizations."""
     N = M.shape[0]
     eye = np.eye(N)
     return np.kron(M, eye) - np.kron(eye, M.T)
+
+
+def _wedge_core(X: MatrixTuple, m: int) -> np.ndarray:
+    """The left and right parts of the bivector, ``wedge[c, k, l, d, w, z]``:
+    ``T[d, k, l, w, z] = d_wl (X_d)_kz - (X_d)_wl d_kz`` pairs F-direction m
+    with G-direction d, and F-direction d with G-direction m."""
+    n, N = X.n, X.N
+    mats = np.stack(X.matrices)
+    eye = np.broadcast_to(np.eye(N), mats.shape)
+    T = np.einsum("sdwl,sdkz->dklwz", np.stack([eye, -mats]), np.stack([mats, eye]))
+    wedge = np.zeros((n, N, N, n, N, N), dtype=complex)
+    wedge[m - 1] += T.transpose(1, 2, 0, 3, 4)
+    wedge[:, :, :, m - 1] += T
+    return wedge
 
 
 class BivectorPi:
@@ -239,65 +248,35 @@ class BivectorPi:
     * left/right parts: ``d_am (d_uj (X_b)_iv - (X_b)_uj d_iv)`` plus
       ``d_bm (d_uj (X_a)_iv - (X_a)_uj d_iv)``.
 
-    Functions are paired through their gradient tensors
+    On row-major vectorizations the inner part is the operator product
+    ``ad_{X_a} R ad_{X_b}``; with the wedge part it is stored as one
+    ``(n N^2, n N^2)`` core, so that two gradient tensors pair by two matmuls
     (:meth:`pair_gradients`).
     """
 
     def __init__(self, X: MatrixTuple, m: int, degree: int):
         if not 1 <= m <= X.n:
             raise DomainError("generator index out of range")
-        self.X = X
-        self.m = m
-        self.degree = degree
         n, N = X.n, X.N
-        coeffs = _r_am_coefficients(degree)
-        ad = _adjoint_operator(X.matrices[m - 1])
+        ad = np.stack([_adjoint_operator(M) for M in X.matrices])
+        # R = sum_k c_k ad_{X_m}^k by Horner's scheme, c_k from r_am in one variable
+        coeffs, eye = r_am_series(1, degree, 1, COMPLEX).coeffs, np.eye(N * N)
         R = np.zeros((N * N, N * N), dtype=complex)
-        power = np.eye(N * N, dtype=complex)
-        for k in range(degree + 1):
-            c = coeffs.get(k)
-            if c is not None:
-                R += c * power
-            power = power @ ad
+        for k in range(degree, -1, -1):
+            R = R @ ad[m - 1] + coeffs.get((1,) * k, 0.0) * eye
         self._r_op = R
-        # inner core[c, k, l, d, w, z] = ([X_c, R([X_d, E_zw])])_{kl}
-        core = np.zeros((n, N, N, n, N, N), dtype=complex)
-        E = np.zeros((N, N), dtype=complex)
-        for d in range(n):
-            Xd = X.matrices[d]
-            for w in range(N):
-                for z in range(N):
-                    E[z, w] = 1.0
-                    B = Xd @ E - E @ Xd
-                    E[z, w] = 0.0
-                    RB = (R @ B.reshape(-1)).reshape(N, N)
-                    for c in range(n):
-                        Xc = X.matrices[c]
-                        core[c, :, :, d, w, z] = Xc @ RB - RB @ Xc
-        self._core_inner = core
-        # wedge core (left + right parts)
-        wedge = np.zeros((n, N, N, n, N, N), dtype=complex)
-        eye = np.eye(N)
-        for d in range(n):
-            Xd = X.matrices[d]
-            # left part: F-direction on generator m, any G-direction d
-            wedge[m - 1, :, :, d, :, :] += np.einsum(
-                "wl,kz->klwz", eye, Xd
-            ) - np.einsum("wl,kz->klwz", Xd, eye)
-        for c in range(n):
-            Xc = X.matrices[c]
-            # right part: G-direction on generator m, any F-direction c
-            wedge[c, :, :, m - 1, :, :] += np.einsum(
-                "wl,kz->klwz", eye, Xc
-            ) - np.einsum("wl,kz->klwz", Xc, eye)
-        self._core_wedge = wedge
+        # inner core[c, k, l, d, w, z] = (ad_{X_c} R ad_{X_d})[(k, l), (z, w)]
+        inner = np.tensordot(ad @ R, ad, axes=(2, 1)).reshape((n, N, N) * 2)
+        core = inner.swapaxes(4, 5) + _wedge_core(X, m)
+        self._core = core.reshape(n * N * N, n * N * N)
 
     # -- pairing ------------------------------------------------------------
     def pair_gradients(self, gF: np.ndarray, gG: np.ndarray) -> np.ndarray:
         """Pair two gradient tensors (from :func:`_level_gradient`):
         returns ``out[i, j, u, v] = Pi(F_ij, G_uv)``."""
-        core = self._core_inner + self._core_wedge
-        return np.einsum("cklij,ckldwz,dwzuv->ijuv", gF, core, gG)
+        N = gF.shape[-1]
+        F, G = (g.reshape(-1, N * N) for g in (gF, gG))
+        return (F.T @ self._core @ G).reshape((N,) * 4)
 
 
 def bivector_pi(X: MatrixTuple, m: int, degree: int = 16) -> BivectorPi:
@@ -311,32 +290,25 @@ def bivector_pi(X: MatrixTuple, m: int, degree: int = 16) -> BivectorPi:
 # double bracket of grouplike series, evaluated
 # ---------------------------------------------------------------------------
 def _grouplike_double_bracket_tensor(
-    a: FreeSeries, b: FreeSeries, X: MatrixTuple, Ma: np.ndarray, Mb: np.ndarray
+    r: Levels, X: MatrixTuple, Ma: np.ndarray, Mb: np.ndarray
 ) -> np.ndarray:
     """Entry brackets ``out[i, j, u, v] = {a_ij, b_uv}`` induced by the
-    adjacent-letter double bracket, for (numerically) grouplike ``a, b``
-    whose evaluations on ``X`` are ``Ma, Mb``.
+    double bracket of a pairing, for (numerically) grouplike ``a, b`` whose
+    evaluations on ``X`` are ``Ma, Mb``; ``r`` holds the level arrays of
+    the pairing of ``a`` with ``b``.
 
     For grouplike arguments the double bracket collapses to a single
-    Sweedler term ``b S(r') a (x) r''`` with ``r`` the adjacent-letter
-    pairing of ``a`` and ``b``; the two legs of ``(S (x) id) Delta(r)`` are
-    evaluated jointly in the product representation
-    ``x_i -> (-X_i^T) (x) I + I (x) X_i``.
+    Sweedler term ``b S(r') a (x) r''``; the two legs of
+    ``(S (x) id) Delta(r)`` are evaluated jointly in the product
+    representation ``x_i -> (-X_i^T) (x) I + I (x) X_i``.
     """
     N = X.N
     eye = np.eye(N)
-    r = rho_kks(a, b)
-    big = [
-        np.kron(-M.T, eye) + np.kron(eye, M) for M in X.matrices
-    ]
-    W = _evaluate_levels(_to_levels(r), big)
-    # np.kron row/column index interleaving: W4[p, q, r, s] =
-    # (eval S(r'))^T[p, r] * (eval r'')[q, s]
-    W4 = W.reshape(N, N, N, N)
-    K = W4.transpose(2, 0, 1, 3)  # K[al, be, ga, de] = S-leg[al, be] * leg[ga, de]
-    # left leg of {{a, b}} is b S(r') a; contraction (')_{uj} ('')_{iv}
-    left = np.einsum("ua,abgd,bj->ujgd", Mb, K, Ma)
-    return left.transpose(2, 1, 0, 3)  # out[i, j, u, v] = left[u, j, i, v]
+    big = [np.kron(-M.T, eye) + np.kron(eye, M) for M in X.matrices]
+    # np.kron interleaves the indices: W[p, q, r, s] = S-leg[r, p] * leg[q, s];
+    # the left leg of {{a, b}} is b S(r') a, contracted as (')_{uj} ('')_{iv}
+    W = _evaluate_levels(r, big).reshape(N, N, N, N)
+    return np.einsum("ua,biav,bj->ijuv", Mb, W, Ma)
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +388,14 @@ def verify_theorem2(
 
     Computes the bracket tensor ``{(H2)_ij, (H1)_uv}`` of the two loop
     holonomies three ways: (i) the linear Poisson bracket of the evaluated
-    entries, from their exact gradients, (ii) the geometric formula (signed crossing subholonomies plus
-    the bivector, plus ``base_linking`` times the product term of the whole
-    holonomies when the resolved tails cross at the base), (iii) the
-    evaluated double bracket of the two grouplike holonomies.  Each loop is
-    transported once, with breakpoints at its crossing parameters; the
-    crossing subholonomies are read off those transports, and every
-    evaluation runs on their level arrays.  The tolerance is
+    entries, from their exact gradients, (ii) the geometric formula (signed
+    crossing subholonomies plus the bivector, plus ``base_linking`` times the
+    product term of the whole holonomies when the resolved tails cross at the
+    base), (iii) the evaluated double bracket of the two grouplike
+    holonomies, from the adjacent-letter pairing of their level arrays.
+    Each loop is transported once, with breakpoints at its crossing
+    parameters; the crossing subholonomies are read off those transports,
+    and every evaluation runs on their level arrays.  The tolerance is
     ``max(tolerance_floor, tail_bound)``; a tuple with ``n * ||X|| >= 1``,
     whose tail bound is infinite, raises ValidationError.
     """
@@ -464,7 +437,8 @@ def verify_theorem2(
     formula = crossing + pi
 
     # (iii) evaluated double bracket of the grouplike holonomies
-    vdb = _grouplike_double_bracket_tensor(hol2.series, hol1.series, X, M2, M1)
+    r = _rho_kks_levels(hol2.levels, hol1.levels, X.n)
+    vdb = _grouplike_double_bracket_tensor(r, X, M2, M1)
 
     return BivectorReport(
         lhs_oracle=oracle,

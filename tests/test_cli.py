@@ -177,6 +177,17 @@ def test_nonpositive_matrix_size_exits_1(size, capsys):
     assert "Traceback" not in err
 
 
+def test_oversized_matrix_size_exits_1(capsys):
+    """An --N whose matrix tuple cannot be allocated ends in one error line:
+    numpy refuses the 8 TB request at once, so nothing is allocated."""
+    argv = ["verify", "poisson", "--loops", _path("loop_a4.json")]
+    argv += ["--loops", _path("loop_bup.json"), "--N", "1000000"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_poisson_with_infinite_tail_bound_exits_1(capsys):
     """With n * ||X|| >= 1 the tail bound, and so the tolerance, would be
     infinite: the campaign is refused instead of passing."""

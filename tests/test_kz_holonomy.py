@@ -481,6 +481,24 @@ def test_level_maps_match_sparse_maps(n, degree):
     assert worst <= 1e-14
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("degree", range(7))
+def test_level_pairing_matches_rho_kks(n, degree):
+    """The adjacent-letter pairing on level arrays against rho_kks on dense
+    complex series, in both orders and with a zero series on either side."""
+    rng = random.Random(100 * n + degree)
+    a, b = dense_complex(rng, n, degree), dense_complex(rng, n, degree)
+    zero = FreeSeries(n, degree, {}, COMPLEX)
+    worst = 0.0
+    for u, v in ((a, b), (b, a), (a, zero), (zero, b)):
+        got = kz_holonomy._rho_kks_levels(
+            kz_holonomy._to_levels(u), kz_holonomy._to_levels(v), n
+        )
+        assert len(got) == degree + 1
+        worst = max(worst, _worst_level_error(got, rho_kks(u, v)))
+    assert worst <= 1e-15
+
+
 def _sparse_mu_bar_rhs(hol, crossings, rot):
     """The reduced-coaction right-hand side assembled with FreeSeries
     products, Fox derivatives and the closure series: the reference for the

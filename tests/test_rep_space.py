@@ -24,7 +24,9 @@ from kzfox import (
     vdb_bracket,
     verify_theorem2,
 )
-from kzfox import kz_holonomy, rep_space
+from kzfox import fox_calculus, kz_holonomy, rep_space
+from kzfox.cli import main
+from kzfox.coefficients import r_am_series
 from kzfox.errors import DomainError, ShapeError, ValidationError
 from kzfox.rep_space import _level_gradient, _oracle_tensor
 
@@ -247,7 +249,10 @@ def test_level_evaluation_matches_word_products(monkeypatch):
     for N in (2, 3):
         X = MatrixTuple.random(3, N, radius=0.3, seed=N)
         a, b = dense(), dense()
-        rep_space._grouplike_double_bracket_tensor(a, b, X, evaluate(a, X), evaluate(b, X))
+        r = kz_holonomy._rho_kks_levels(
+            kz_holonomy._to_levels(a), kz_holonomy._to_levels(b), 3
+        )
+        rep_space._grouplike_double_bracket_tensor(r, X, evaluate(a, X), evaluate(b, X))
         assert (N * N) in [size for size, _ in checked]
     assert max(err for _, err in checked) <= 1e-14
 
@@ -391,14 +396,65 @@ def test_regularization_series_constant_term():
 def test_bivector_wedge_antisymmetric():
     """The left-plus-right (wedge) core pairs two gradients antisymmetrically."""
     X = MatrixTuple.random(3, 2, radius=0.2, seed=6)
-    pi = bivector_pi(X, 1, degree=10)
+    core = rep_space._wedge_core(X, 1)
     gF = _matrix_gradient(lambda Y: Y.matrices[0][0, 1] * Y.matrices[2][1, 1], X)
     gG = _matrix_gradient(lambda Y: Y.matrices[1][1, 0] + Y.matrices[0][0, 0] ** 2, X)
 
     def wedge(g1, g2):
-        return complex(np.einsum("ckl,ckldwz,dwz->", g1, pi._core_wedge, g2))
+        return complex(np.einsum("ckl,ckldwz,dwz->", g1, core, g2))
 
     assert abs(wedge(gF, gG) + wedge(gG, gF)) < 1e-8
+
+
+def _loop_core(X, m, degree):
+    """The bivector core ``core[c, k, l, d, w, z]`` built entry by entry:
+    R as a sum of powers of ``ad_{X_m}``, the inner part
+    ``([X_c, R([X_d, E_zw])])_kl`` by loops over generators and matrix
+    entries, and the left and right parts one generator at a time; the
+    reference for the operator-product core of `BivectorPi`."""
+    n, N = X.n, X.N
+    coeffs = {len(w): c for w, c in r_am_series(1, degree, 1, COMPLEX).coeffs.items()}
+    ad = rep_space._adjoint_operator(X.matrices[m - 1])
+    R = np.zeros((N * N, N * N), dtype=complex)
+    power = np.eye(N * N, dtype=complex)
+    for k in range(degree + 1):
+        R += coeffs.get(k, 0.0) * power
+        power = power @ ad
+    core = np.zeros((n, N, N, n, N, N), dtype=complex)
+    E = np.zeros((N, N), dtype=complex)
+    for d in range(n):
+        Xd = X.matrices[d]
+        for w in range(N):
+            for z in range(N):
+                E[z, w] = 1.0
+                B = Xd @ E - E @ Xd
+                E[z, w] = 0.0
+                RB = (R @ B.reshape(-1)).reshape(N, N)
+                for c in range(n):
+                    Xc = X.matrices[c]
+                    core[c, :, :, d, w, z] = Xc @ RB - RB @ Xc
+    eye = np.eye(N)
+    for d in range(n):
+        Xd = X.matrices[d]
+        part = np.einsum("wl,kz->klwz", eye, Xd) - np.einsum("wl,kz->klwz", Xd, eye)
+        # left part: F-direction on generator m, any G-direction d
+        core[m - 1, :, :, d, :, :] += part
+        # right part: G-direction on generator m, any F-direction d
+        core[d, :, :, m - 1, :, :] += part
+    return core
+
+
+def test_bivector_core_matches_loop_construction():
+    """The operator-product core ad_{X_c} R ad_{X_d} plus the wedge against
+    the entry-by-entry construction, for every base generator."""
+    worst = 0.0
+    for n, N in itertools.product((1, 2, 3), repeat=2):
+        X = MatrixTuple.random(n, N, radius=0.3, seed=10 * n + N)
+        for m in range(1, n + 1):
+            for degree in (0, 5, 16):
+                want = _loop_core(X, m, degree).reshape(n * N * N, n * N * N)
+                worst = max(worst, np.max(np.abs(bivector_pi(X, m, degree)._core - want)))
+    assert worst <= 1e-14
 
 
 def test_gl_action_on_coordinates_is_adjoint():
@@ -524,6 +580,24 @@ def test_verify_theorem2_evaluates_each_holonomy_once(load_path, monkeypatch):
     )
     assert verify_theorem2(conn, loop2, loop1, X).passed
     assert calls == []
+
+
+def test_verify_poisson_converts_no_levels_to_series(data_dir, monkeypatch, capsys):
+    """The evaluated double bracket pairs the transports' level arrays: the
+    poisson campaign converts no holonomy to a FreeSeries and makes no sparse
+    pairing (every rho_kks call runs `_rho_kks_func`)."""
+    calls = {"_to_series": 0, "_rho_kks_func": 0}
+    for module, name in ((kz_holonomy, "_to_series"), (fox_calculus, "_rho_kks_func")):
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    loops = [str(data_dir / name) for name in ("loop_a4.json", "loop_bup.json")]
+    assert main(["verify", "poisson", "--loops", loops[0], "--loops", loops[1]]) == 0
+    assert calls == {"_to_series": 0, "_rho_kks_func": 0}
 
 
 def test_exact_gradients_leave_no_finite_difference_floor(load_path):

@@ -48,7 +48,7 @@ CAMPAIGNS = {
     ),
     "poisson": (
         ["--loops", _data("loop_a4.json"), "--loops", _data("loop_bup.json")],
-        (5, 9, 10, 11),
+        (5, 9, 10, 11, 12),
     ),
 }
 
