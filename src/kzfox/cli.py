@@ -606,14 +606,7 @@ def _verify_poisson(config: RunConfig, reporter: _Reporter) -> None:
     X = MatrixTuple.random(
         loop1.punctures.n, config.matrix_size, config.radius, config.seed
     )
-    report = verify_theorem2(
-        conn,
-        loop2,
-        loop1,
-        X,
-        config.accuracy,
-        tolerance_floor=config.tolerance if config.tolerance is not None else 1e-4,
-    )
+    report = verify_theorem2(conn, loop2, loop1, X, config.accuracy, config.tolerance)
     record = report.to_json_dict()
     reporter.emit(
         {

@@ -468,82 +468,64 @@ def _require_tangential(path: PLPath, which: str) -> int:
 
 
 def _ray_germ(path: PLPath, which: str) -> float:
-    """Resolved height of the on-ray tail strand of a loop near its
-    tangential anchor.
+    """Resolved height of a tail strand near its tangential anchor: the
+    strand leaving the start anchor ("out") or arriving at the end anchor
+    ("in").
 
     Near a tangential anchor every path runs exactly on the anchor ray, so
     polyline realizations degenerate: the smooth curves they stand for are
     separated by infinitesimal heights.  The resolution pushes each strand to
     the side it eventually departs to, with strands that leave the ray earlier
     lying farther from it.  The returned value is (departure side) / (contact
-    span); comparing two such values reproduces the vertical order of the
-    resolved strands.
+    span), and 0.0 for a tail that stays on the ray up to the far anchor;
+    comparing two such values reproduces the vertical order of the resolved
+    strands in the ray frame w = (z - base) / direction.
     """
     anchor = path.start if which == "out" else path.end
     base = anchor.location(path.punctures)
     v = anchor.direction
     pts = path.points if which == "out" else tuple(reversed(path.points))
     span = 0.0
-    side = 0.0
     for pt in pts[1:]:
         w = (pt - base) / v
-        if abs(w.imag) <= 1e-12 * max(1.0, abs(w.real)):
-            span = w.real
-            continue
-        side = 1.0 if w.imag > 0 else -1.0
-        break
-    if side == 0.0 or span <= 0.0:
-        raise ValidationError(
-            "cannot resolve the base strand: the tail never leaves the "
-            "anchor ray"
-        )
-    return side / span
+        if abs(w.imag) > 1e-12 * max(1.0, abs(w.real)):
+            return (1.0 if w.imag > 0 else -1.0) / span
+        span = w.real
+    return 0.0
 
 
-def _closure_shift(path: PLPath) -> float:
-    """Extra tangent winding (+-1/2) picked up when a loop at a tangential
-    anchor is closed through the base point in the resolved smooth model.
+def _above(x: Tuple[PLPath, str], y: Tuple[PLPath, str]) -> float:
+    """1.0 when the tail strand x = (path, "out" | "in") lies above strand y
+    at their common tangential point, that is, has the larger `_ray_germ`;
+    else 0.0.
 
-    The closing U-turn joins the incoming strand to the outgoing one on the
-    far side of the base; it turns counterclockwise (+1/2) when the outgoing
-    strand lies below the incoming one and clockwise (-1/2) otherwise.
-    """
-    g_out = _ray_germ(path, "out")
-    g_in = _ray_germ(path, "in")
-    if g_out == g_in:
-        raise ValidationError(
-            "ambiguous base-strand ordering: outgoing and incoming tails have "
-            "equal ray-contact spans on the same side; perturb a turning point"
-        )
-    return 0.5 if g_out < g_in else -0.5
-
-
-def _base_linking(path1: PLPath, path2: PLPath) -> float:
-    """Sign of the crossing between two loops at their common base point in
-    the resolved smooth model (0.0 when the resolved strands do not cross).
-
-    Both loops pass through the base, so the base is always a geometric
-    intersection; whether the resolved curves actually cross there depends on
-    the vertical order of the four tail strands.  An alternating order makes
-    the two closing U-turns link once; a nested order keeps them disjoint.
-    """
-    germs = [
-        (_ray_germ(path1, "out"), 1, "out"),
-        (_ray_germ(path1, "in"), 1, "in"),
-        (_ray_germ(path2, "out"), 2, "out"),
-        (_ray_germ(path2, "in"), 2, "in"),
-    ]
-    if len({g[0] for g in germs}) < 4:
+    This is the one strand order at a base point: a loop's closing turn
+    ([p>P] - 1/2 of winding), the crossing of two loops there and the corner
+    terms of the pairing formula all read it."""
+    g_x, g_y = _ray_germ(*x), _ray_germ(*y)
+    if g_x == g_y:
         raise ValidationError(
             "ambiguous base-strand ordering: two tails have equal ray-contact "
             "spans on the same side; perturb a turning point"
         )
-    order = sorted(germs, key=lambda g: -g[0])
-    curves = [g[1] for g in order]
-    if curves not in ([1, 2, 1, 2], [2, 1, 2, 1]):
-        return 0.0
-    i = next(k for k, g in enumerate(order) if g[1] == 1 and g[2] == "out")
-    return -1.0 if order[(i + 1) % 4][2] == "out" else 1.0
+    return 1.0 if g_x > g_y else 0.0
+
+
+def _base_corners(loop1: PLPath, loop2: PLPath) -> Tuple[float, ...]:
+    """The corner indicators [p>Q], [P>Q], [p>q], [P>q] of two loops at one
+    base point, with P, p loop1's outgoing and incoming strands and Q, q
+    loop2's.  In the pairing formula each corner turns the -1/2 constant of
+    r_am in the loop term into -1/2 + [loop1's strand above loop2's]."""
+    return tuple(_above((loop1, a), (loop2, b)) for a, b in
+                 (("in", "out"), ("out", "out"), ("in", "in"), ("out", "in")))
+
+
+def _base_linking(loop1: PLPath, loop2: PLPath) -> float:
+    """Sign of the crossing between two loops at their common base point in
+    the resolved smooth model: the alternating corner sum, +-1 when the four
+    tail strands alternate and 0.0 when they nest."""
+    pQ, PQ, pq, Pq = _base_corners(loop1, loop2)
+    return pQ - PQ - pq + Pq
 
 
 def crossing_breakpoints(crossings: Sequence[Crossing]) -> List[float]:
@@ -599,9 +581,10 @@ def _coaction_rhs(hol: HolonomyResult, cuts: Sequence[Crossing], rot: float) -> 
         # A loop's smooth model has one more self-intersection than the
         # polyline shows: the closing of the two tail strands through the
         # base point.  Its regularized contribution is a universal series in
-        # the base generator, fixed by the closure turn direction.
+        # the base generator, fixed by the closure turn direction: the
+        # constant -1/2 of r_am becomes 1/2 - [p>P].
         closure = _to_levels(r_am_series(p, deg - 1, n))
-        closure[0] += 0.5 - _closure_shift(hol.path)
+        closure[0] += 1.0 - _above((hol.path, "in"), (hol.path, "out"))
         terms.append((1.0, closure))
     return _combine(terms, n, deg - 1)
 
@@ -630,7 +613,11 @@ def rho_paths(
     path1 runs from tangential p to q, path2 from tangential r to s; all
     anchor punctures distinct except possibly q = r.  When both paths are
     loops at a common tangential point the loop variant of the formula is
-    assembled instead.  The result is truncated to degree D-1.
+    assembled instead.  Where tail strands of the two paths meet at a
+    puncture, each pair of a path1 strand X and a path2 strand Y adds a
+    corner term [X>Y] (`_above`): the four corners of `_base_corners` for two
+    loops, [path1 arriving > path2 leaving] times h2 h1 at a shared middle
+    point.  The result is truncated to degree D-1.
     """
     p = _require_tangential(path1, "start")
     q = _require_tangential(path1, "end")
@@ -649,6 +636,8 @@ def rho_paths(
         one = FreeSeries.unit(n, deg, COMPLEX)
         total = total + (h2 - one) * r_am_series(m, deg, n) * (h1 - one)
         total = total + d_left(m, h2) * (h1 - one) + (h2 - one) * d_right(m, h1)
+        pQ, PQ, pq, Pq = _base_corners(path1, path2)
+        total = total + pQ * (h2 * h1) - PQ * h2 - pq * h1 + Pq * one
         return total.with_degree(deg - 1)
     distinct = {p, q, r, s}
     if len(distinct) < 4 and not (q == r and len({p, q, s}) == 3):
@@ -658,6 +647,7 @@ def rho_paths(
         )
     if q == r:
         total = total + h2 * r_am_series(q, deg, n) * h1
+        total = total + _above((path1, "in"), (path2, "out")) * (h2 * h1)
     total = total - d_left(p, h2) - d_right(s, h1)
     total = total + d_left(q, h2) * h1 + h2 * d_right(r, h1)
     return total.with_degree(deg - 1)
@@ -725,8 +715,10 @@ def _cobracket_discrepancy(
     n, deg = conn.n_generators, conn.trunc_degree
     lhs = necklace_cobracket(cyc)
     # The rotation term uses the tangent winding of the closed-up smooth
-    # curve: the polyline rotation number plus the closing turn at the base.
-    rot = snap_half_integer(rotation_number(loop)) + _closure_shift(loop)
+    # curve: the polyline rotation number plus the closing turn at the base,
+    # counterclockwise (+1/2) when the incoming strand lies above the outgoing.
+    turn = _above((loop, "in"), (loop, "out")) - 0.5
+    rot = snap_half_integer(rotation_number(loop)) + turn
     one_cyc = FreeSeries.unit(n, deg, COMPLEX).cyclic_project()
     rhs = CyclicWedge.wedge(one_cyc, cyc).scale(rot)
     for c in crossings:

@@ -8,7 +8,6 @@ series are then smooth functions on that space, and the linear
 module provides
 
 * :func:`evaluate` -- truncated series evaluated on a matrix tuple,
-* :func:`vdb_bracket` -- the entrywise bracket induced by a double bracket,
 * :func:`bivector_pi` -- the bivector collecting the non-crossing terms of
   the loop-holonomy bracket formula, the operator product ``ad R ad`` on
   vectorized matrices, which pairs two gradients by two matmuls,
@@ -25,17 +24,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
 from .coefficients import r_am_series
 from .errors import DomainError, ShapeError, ValidationError
-from .free_hopf import COMPLEX, FreeSeries, TensorSeries
+from .free_hopf import COMPLEX, FreeSeries
 from .kz_holonomy import (
     DEFAULT_ACCURACY,
     ConnectionSpec,
     Levels,
+    _base_corners,
     _base_linking,
     _require_tangential,
     _rho_kks_levels,
@@ -50,7 +50,6 @@ __all__ = [
     "BivectorReport",
     "evaluate",
     "tail_bound",
-    "vdb_bracket",
     "bivector_pi",
     "verify_theorem2",
 ]
@@ -151,28 +150,6 @@ def tail_bound(degree: int, X: MatrixTuple) -> float:
 
 
 # ---------------------------------------------------------------------------
-# entrywise bracket induced by a double bracket
-# ---------------------------------------------------------------------------
-def vdb_bracket(
-    db: TensorSeries, X: MatrixTuple, i: int, j: int, u: int, v: int
-) -> complex:
-    """Bracket of matrix entries induced by a double bracket:
-    ``{a_ij, b_uv} = (db)'_{uj} (db)''_{iv}`` with ``db = {{a, b}}``,
-    each tensor leg evaluated on ``X``."""
-    N = X.N
-    for idx in (i, j, u, v):
-        if not 0 <= idx < N:
-            raise DomainError("matrix entry index out of range")
-    # group the terms by left word; each word's right leg is one series
-    legs: Dict[tuple, dict] = {}
-    for (w1, w2), c in db.coeffs.items():
-        legs.setdefault(w1, {})[w2] = complex(c)
-    left = {w1: evaluate(FreeSeries(X.n, db.degree, leg, COMPLEX), X)[i, v]
-            for w1, leg in legs.items()}
-    return complex(evaluate(FreeSeries(X.n, db.degree, left, COMPLEX), X)[u, j])
-
-
-# ---------------------------------------------------------------------------
 # exact gradients and the bracket oracle
 # ---------------------------------------------------------------------------
 def _level_gradient(levels: Levels, X: MatrixTuple) -> np.ndarray:
@@ -199,16 +176,15 @@ def _oracle_tensor(gF: np.ndarray, gG: np.ndarray, X: MatrixTuple) -> np.ndarray
     oriented by the coordinate bracket
     ``{(x_a)_{ij}, (x_a)_{kl}} = d_{jk} (x_a)_{il} - d_{il} (x_a)_{kj}``."""
     N = X.N
-    out = np.zeros((N, N, N, N), dtype=complex)
-    for l in range(X.n):
-        Xl = X.matrices[l]
-        # (grad_l F_ij)[b, a] = gF[l, a, b, i, j]
-        # tr(X P Q) = X[p, q] P[q, r] Q[r, p]
-        # with P = grad G_uv, Q = grad F_ij:
-        t1 = np.einsum("pq,rquv,prij->ijuv", Xl, gG[l], gF[l])
-        t2 = np.einsum("pq,rqij,pruv->ijuv", Xl, gF[l], gG[l])
-        out += t1 - t2
-    return out
+    out = np.zeros((N * N, N * N), dtype=complex)
+    for Xl, F, G in zip(X.matrices, gF, gG):
+        # (grad_l F_ij)[b, a] = F[a, b, i, j]; tr(X P Q) = X[p, q] P[q, r] Q[r, p]
+        # with P = grad G_uv, Q = grad F_ij, summed over q first:
+        # XF[p, r, i, j] = X[p, q] F[r, q, i, j], likewise XG
+        XF, XG = (Xl @ g.swapaxes(0, 1).reshape(N, -1) for g in (F, G))
+        out += F.reshape(N * N, -1).T @ XG.reshape(N * N, -1)
+        out -= XF.reshape(N * N, -1).T @ G.reshape(N * N, -1)
+    return out.reshape((N,) * 4)
 
 
 # ---------------------------------------------------------------------------
@@ -382,22 +358,25 @@ def verify_theorem2(
     loop1: PLPath,
     X: MatrixTuple,
     accuracy: float = DEFAULT_ACCURACY,
-    tolerance_floor: float = 1e-4,
+    tolerance: Optional[float] = None,
 ) -> BivectorReport:
     """Three-way check of the loop-holonomy bracket formula.
 
     Computes the bracket tensor ``{(H2)_ij, (H1)_uv}`` of the two loop
     holonomies three ways: (i) the linear Poisson bracket of the evaluated
     entries, from their exact gradients, (ii) the geometric formula (signed
-    crossing subholonomies plus the bivector, plus ``base_linking`` times the
-    product term of the whole holonomies when the resolved tails cross at the
-    base), (iii) the evaluated double bracket of the two grouplike
-    holonomies, from the adjacent-letter pairing of their level arrays.
-    Each loop is transported once, with breakpoints at its crossing
-    parameters; the crossing subholonomies are read off those transports,
-    and every evaluation runs on their level arrays.  The tolerance is
-    ``max(tolerance_floor, tail_bound)``; a tuple with ``n * ||X|| >= 1``,
-    whose tail bound is infinite, raises ValidationError.
+    crossing subholonomies, plus the bivector, plus the four corner terms of
+    the tail strands at the base: with M1, M2 the evaluated holonomies and
+    [X>Y] the strand order of `_base_corners`,
+    ``[p>Q] d_uj (M2 M1)_iv - [P>Q] (M1)_uj (M2)_iv - [p>q] (M2)_uj (M1)_iv
+    + [P>q] (M1 M2)_uj d_iv``), (iii) the evaluated double bracket of the
+    two grouplike holonomies, from the adjacent-letter pairing of their level
+    arrays.  ``base_linking`` records the alternating corner sum.  Each loop
+    is transported once, with breakpoints at its crossing parameters; the
+    crossing subholonomies are read off those transports, and every
+    evaluation runs on their level arrays.  The tolerance defaults to
+    ``max(1e-4, tail_bound)``; a tuple with ``n * ||X|| >= 1``, whose tail
+    bound is infinite, raises ValidationError.
     """
     m = _require_tangential(loop1, "start")
     for path, which in ((loop1, "end"), (loop2, "start"), (loop2, "end")):
@@ -429,10 +408,12 @@ def verify_theorem2(
         t_a = at(hol1._piece_levels(c.t, 1.0)) @ at(hol2._piece_levels(0.0, c.s))
         t_b = at(hol2._piece_levels(c.s, 1.0)) @ at(hol1._piece_levels(0.0, c.t))
         crossing += float(c.sign) * np.einsum("uj,iv->ijuv", t_a, t_b)
-    base = _base_linking(loop1, loop2)
-    if base:
-        # the closing tails of the two loops cross at the base itself
-        crossing += base * np.einsum("uj,iv->ijuv", M1, M2)
+    eye = np.eye(N)
+    pQ, PQ, pq, Pq = _base_corners(loop1, loop2)
+    for corner, t_a, t_b in ((pQ, eye, M2 @ M1), (-PQ, M1, M2), (-pq, M2, M1),
+                             (Pq, M1 @ M2, eye)):
+        if corner:
+            crossing += corner * np.einsum("uj,iv->ijuv", t_a, t_b)
     pi = bivector_pi(X, m, conn.trunc_degree).pair_gradients(g2, g1)
     formula = crossing + pi
 
@@ -447,7 +428,7 @@ def verify_theorem2(
         crossing_part=crossing,
         pi_part=pi,
         n_crossings=len(cuts),
-        base_linking=base,
+        base_linking=_base_linking(loop1, loop2),
         tail=tail,
-        tolerance=max(tolerance_floor, tail),
+        tolerance=max(1e-4, tail) if tolerance is None else tolerance,
     )

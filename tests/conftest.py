@@ -15,6 +15,16 @@ from kzfox.cli import load_path_file
 
 DATA = Path(__file__).parent / "data"
 
+# The ordered pairs (loop1, loop2) of fixture loops at one base point whose
+# crossings are all transverse: every other ordered pair of distinct loops
+# among a1, a4, a5, b1 and bup touches non-transversally and is rejected.
+LOOP_PAIRS = [
+    (f"loop_{a}.json", f"loop_{b}.json")
+    for a, b in (("a1", "b1"), ("a1", "bup"), ("a4", "b1"), ("a4", "bup"),
+                 ("a5", "b1"), ("a5", "bup"), ("b1", "a1"), ("b1", "a4"),
+                 ("b1", "a5"), ("bup", "a1"), ("bup", "a4"), ("bup", "a5"))
+]
+
 
 @pytest.fixture(scope="session")
 def data_dir() -> Path:

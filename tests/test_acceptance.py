@@ -218,7 +218,7 @@ def test_criterion_7_three_way_bracket_agreement():
     ok = True
     for seed in range(10):
         X = MatrixTuple.random(3, 2, radius=0.1, seed=seed)
-        rep = verify_theorem2(conn, LOOP_BUP, LOOP_A4, X, tolerance_floor=1e-4)
+        rep = verify_theorem2(conn, LOOP_BUP, LOOP_A4, X)
         worst = max(worst, rep.max_discrepancy)
         worst_pi = max(worst_pi, abs(rep.trace_pi()))
         worst_trace = max(

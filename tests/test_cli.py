@@ -153,6 +153,18 @@ def test_tolerance_failure_exits_2(capsys):
     assert "[FAIL]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol, code", [("1e-30", 2), ("1e-6", 0)])
+def test_poisson_tol_is_the_tolerance(tol, code, capsys):
+    """--tol sets the poisson tolerance, as in the other campaigns, not a
+    floor under the tail bound (1.0e-3 here; the discrepancy is 5.9e-8)."""
+    argv = ["verify", "poisson", "--loops", _path("loop_a4.json")]
+    argv += ["--loops", _path("loop_bup.json"), "--tol", tol]
+    assert main(argv) == code
+    record = json.loads(capsys.readouterr().out)
+    assert record["tolerance"] == float(tol)
+    assert record["tail_bound"] > 1e-4
+
+
 def test_rational_backend_rejected_for_numeric_campaigns(capsys):
     code = main(
         [

@@ -53,7 +53,7 @@ from kzfox.trivial_extension import (
     square_zw,
 )
 
-from conftest import dense_complex
+from conftest import LOOP_PAIRS, dense_complex
 
 P3 = PunctureConfig([0.0, 1.0, 2.0])
 BASE = Anchor.tangential(1, 1.0)
@@ -514,7 +514,9 @@ def _sparse_mu_bar_rhs(hol, crossings, rot):
         out = out + float(c.sign) * (hol.piece(c.s, 1.0) * hol.piece(0.0, c.t))
     out = out - d_left(p, series) - d_right(q, series)
     if p == q:
-        shift = kz_holonomy._closure_shift(path)
+        # the closing turn of the loop: +-1/2 as the incoming strand lies
+        # above or below the outgoing one
+        shift = kz_holonomy._above((path, "in"), (path, "out")) - 0.5
         closure = r_am_series(p, deg, n) + (0.5 - shift) * FreeSeries.unit(
             n, deg, COMPLEX
         )
@@ -593,29 +595,63 @@ def test_rho_paths_disjoint():
 
 
 def test_rho_paths_shared_middle():
-    # path2 must leave the shared puncture along path1's arrival ray,
-    # resolving below it
+    """path2 leaves the shared puncture along path1's arrival ray, below it
+    in the plane (above it in the ray frame: no corner term) and, mirrored,
+    above it (the corner adds h2 h1).  path1 stays on the ray throughout."""
     conn = ConnectionSpec(P3, 4)
     p12 = PLPath(P3, Anchor.tangential(1, 1.0), Anchor.tangential(2, -1.0), [])
-    p23 = PLPath(
-        P3,
-        Anchor.tangential(2, -1.0),
-        Anchor.tangential(3, 1.0),
-        [0.9, 0.85 - 0.25j, 2.3 - 0.25j, 2.3],
-    )
     h1 = holonomy_reg(conn, p12).series
-    h2 = holonomy_reg(conn, p23).series
-    rhs = rho_paths(conn, p23, p12)
-    assert (rho_kks(h2, h1).with_degree(3) - rhs).norm_inf() < 1e-10
+    for points in ([0.9, 0.85 - 0.25j, 2.3 - 0.25j, 2.3],
+                   [0.9, 0.85 + 0.25j, 2.3 + 0.25j, 2.3]):
+        p23 = PLPath(P3, Anchor.tangential(2, -1.0), Anchor.tangential(3, 1.0), points)
+        h2 = holonomy_reg(conn, p23).series
+        rhs = rho_paths(conn, p23, p12)
+        assert (rho_kks(h2, h1).with_degree(3) - rhs).norm_inf() < 1e-10
 
 
-def test_rho_paths_loops():
-    conn = ConnectionSpec(P3, 4)
-    loop1, loop2 = _loop(LOOP_A4), _loop(LOOP_BUP)
-    h1 = holonomy_reg(conn, loop1).series
-    h2 = holonomy_reg(conn, loop2).series
-    rhs = rho_paths(conn, loop2, loop1)
-    assert (rho_kks(h2, h1).with_degree(3) - rhs).norm_inf() < 1e-10
+def test_rho_paths_loops(load_path):
+    """The loop variant with its four base corners, on every admissible
+    ordered fixture pair (the corners cover 10 of the 24 strand orders)."""
+    for name1, name2 in LOOP_PAIRS:
+        loop1, loop2 = load_path(name1), load_path(name2)
+        conn = ConnectionSpec(loop1.punctures, 4)
+        h1 = holonomy_reg(conn, loop1).series
+        h2 = holonomy_reg(conn, loop2).series
+        rhs = rho_paths(conn, loop2, loop1)
+        assert (rho_kks(h2, h1).with_degree(3) - rhs).norm_inf() < 1e-10, (name1, name2)
+
+
+def _case_analysis_linking(germs):
+    """The base linking from the vertical order of the four tail strands,
+    ``germs[(curve, "out" | "in")]``: 0 when the curves nest, else the sign
+    read off the strand after loop1's outgoing one.  The reference for the
+    alternating corner sum of `_base_linking`."""
+    order = sorted(germs, key=lambda strand: -germs[strand])
+    curves = [curve for curve, _ in order]
+    if curves not in ([1, 2, 1, 2], [2, 1, 2, 1]):
+        return 0.0
+    i = order.index((1, "out"))
+    return -1.0 if order[(i + 1) % 4][1] == "out" else 1.0
+
+
+def test_base_linking_is_the_alternating_corner_sum(monkeypatch):
+    """[p>Q] - [P>Q] - [p>q] + [P>q] equals the case analysis on all 24
+    orders of four distinct germs; equal germs are ambiguous."""
+    loop1, loop2 = _loop(LOOP_A1), _loop(LOOP_B1)
+    curve = {id(loop1): 1, id(loop2): 2}
+    strands = [(1, "out"), (1, "in"), (2, "out"), (2, "in")]
+    signs = set()
+    for heights in itertools.permutations([2.0, 0.5, -0.5, -3.0]):
+        germs = dict(zip(strands, heights))
+        monkeypatch.setattr(kz_holonomy, "_ray_germ",
+                            lambda path, which: germs[(curve[id(path)], which)])
+        want = _case_analysis_linking(germs)
+        assert kz_holonomy._base_linking(loop1, loop2) == want
+        signs.add(want)
+    assert signs == {-1.0, 0.0, 1.0}
+    germs[(2, "in")] = germs[(1, "out")]
+    with pytest.raises(ValidationError, match="ambiguous base-strand ordering"):
+        kz_holonomy._base_linking(loop1, loop2)
 
 
 def test_rho_paths_rejects_coinciding_endpoints():

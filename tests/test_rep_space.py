@@ -3,6 +3,7 @@ the three-way bracket comparison."""
 
 import itertools
 import math
+from typing import Dict
 
 import numpy as np
 import pytest
@@ -16,12 +17,12 @@ from kzfox import (
     PLPath,
     PunctureConfig,
     RATIONAL,
+    TensorSeries,
     bivector_pi,
     double_bracket_kks,
     evaluate,
     holonomy_reg,
     tail_bound,
-    vdb_bracket,
     verify_theorem2,
 )
 from kzfox import fox_calculus, kz_holonomy, rep_space
@@ -29,6 +30,8 @@ from kzfox.cli import main
 from kzfox.coefficients import r_am_series
 from kzfox.errors import DomainError, ShapeError, ValidationError
 from kzfox.rep_space import _level_gradient, _oracle_tensor
+
+from conftest import LOOP_PAIRS
 
 _FD_STEP = 1e-5
 
@@ -122,6 +125,22 @@ def kks_oracle(F, G, X, step=_FD_STEP):
         nG = gG[l].T
         total += np.trace(X.matrices[l] @ (nG @ nF - nF @ nG))
     return complex(total)
+
+
+def vdb_bracket(
+    db: TensorSeries, X: MatrixTuple, i: int, j: int, u: int, v: int
+) -> complex:
+    """Bracket of matrix entries induced by a double bracket:
+    ``{a_ij, b_uv} = (db)'_{uj} (db)''_{iv}`` with ``db = {{a, b}}``,
+    each tensor leg evaluated on ``X``; the entrywise reference for the
+    evaluated double bracket of `verify_theorem2`."""
+    # group the terms by left word; each word's right leg is one series
+    legs: Dict[tuple, dict] = {}
+    for (w1, w2), c in db.coeffs.items():
+        legs.setdefault(w1, {})[w2] = complex(c)
+    left = {w1: evaluate(FreeSeries(X.n, db.degree, leg, COMPLEX), X)[i, v]
+            for w1, leg in legs.items()}
+    return complex(evaluate(FreeSeries(X.n, db.degree, left, COMPLEX), X)[u, j])
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +549,26 @@ def test_report_json_fields(small_report):
     }
 
 
+def _einsum_oracle(gF, gG, X):
+    """The entry-pair bracket as two 3-operand einsums per generator: the
+    reference for the matmul contraction of `_oracle_tensor`."""
+    out = 0
+    for Xl, F, G in zip(X.matrices, gF, gG):
+        out = out + np.einsum("pq,rquv,prij->ijuv", Xl, G, F)
+        out = out - np.einsum("pq,rqij,pruv->ijuv", Xl, F, G)
+    return out
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5])
+def test_oracle_contraction_matches_einsum(N):
+    rng = np.random.default_rng(N)
+    X = MatrixTuple.random(3, N, seed=N)
+    shape = (3,) + (N,) * 4
+    gF, gG = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in "FG")
+    want = _einsum_oracle(gF, gG, X)
+    assert np.max(np.abs(_oracle_tensor(gF, gG, X) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_same_loop_bracket_antisymmetric():
     """With both arguments the same loop, the entry-bracket tensor is
     antisymmetric under (i, j) <-> (u, v) and vanishes on the diagonal."""
@@ -611,14 +650,19 @@ def test_exact_gradients_leave_no_finite_difference_floor(load_path):
     assert disc["oracle_vs_formula"] <= 1e-13
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect: on loop_a1 x loop_b1 (one crossing, base linking -1) "
-    "the geometric formula disagrees with the oracle and the evaluated double "
-    "bracket by about 6.5e-2, while those two agree to about 2e-7",
+@pytest.mark.parametrize(
+    "names, degree, seed, bound",
+    [pytest.param(pair, 5, 0, 1e-7, id="-".join(pair) + "-D5") for pair in LOOP_PAIRS]
+    + [pytest.param(pair, 9, 7, 1e-13, id="-".join(pair) + "-D9")
+       for pair in (("loop_a1.json", "loop_b1.json"), ("loop_bup.json", "loop_a1.json"))],
 )
-def test_three_way_agreement_loop_a1_loop_b1(load_path):
-    loop1, loop2 = load_path("loop_a1.json"), load_path("loop_b1.json")
-    conn = ConnectionSpec(loop1.punctures, 5)
-    X = MatrixTuple.random(loop1.punctures.n, 2, 0.1, 0)
-    assert verify_theorem2(conn, loop2, loop1, X).passed
+def test_three_way_agreement_on_fixture_pairs(load_path, names, degree, seed, bound):
+    """The geometric formula, with the four corner terms at the base, meets
+    the oracle on every admissible ordered fixture pair (base linking -1, 0
+    and +1): at D = 5 within the truncation tail, at D = 9 to roundoff."""
+    loop1, loop2 = (load_path(name) for name in names)
+    conn = ConnectionSpec(loop1.punctures, degree)
+    X = MatrixTuple.random(loop1.punctures.n, 2, 0.1, seed)
+    rep = verify_theorem2(conn, loop2, loop1, X)
+    assert rep.passed
+    assert rep.max_disc["oracle_vs_formula"] <= bound
