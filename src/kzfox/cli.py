@@ -77,17 +77,6 @@ from .trivial_extension import (
     trivext_mul,
 )
 
-VERIFY_CHOICES = ("algebra", "coaction", "pentagon", "goldman", "poisson")
-
-_DEFAULT_DEGREE = {
-    "associator": 3,
-    "algebra": 4,
-    "coaction": 3,
-    "pentagon": 3,
-    "goldman": 3,
-    "poisson": 5,
-}
-
 
 class ToleranceFailure(KzfoxError):
     """A verification campaign exceeded its tolerance."""
@@ -525,129 +514,79 @@ def algebra_suite(seed: int = 0, n: int = 2, degree: int = 4, cases: int = 12):
 
 # ---------------------------------------------------------------------------
 # verification campaigns
+#
+# Each campaign returns its records with its check's report spread into them;
+# `cmd_verify` adds the fields that every record shares.  The checks are
+# called through this module's names at call time, never through a stored
+# reference, so a wrapper installed on those names sees every call.
 # ---------------------------------------------------------------------------
-def _verify_algebra(config: RunConfig, reporter: _Reporter) -> None:
-    for name, record in algebra_suite(seed=config.seed, degree=config.degree):
-        reporter.emit(
-            {
-                "command": "verify",
-                "which": "algebra",
-                "check": name,
-                "seed": config.seed,
-                "degree": config.degree,
-                **record,
-            }
-        )
+def _load_paths(config: RunConfig, loops: bool) -> List[PLPath]:
+    """The --path file, or the two --loops files, which must use the same
+    punctures; --punctures overrides the files' own."""
+    if loops and len(config.loops) != 2:
+        raise ValidationError("this campaign needs --loops FILE1 --loops FILE2")
+    if not loops and config.path_file is None:
+        raise ValidationError("this campaign needs --path FILE")
+    override = parse_punctures(config.punctures) if config.punctures else None
+    files = config.loops if loops else [config.path_file]
+    paths = [load_path_file(f, override) for f in files]
+    if len({path.punctures.points for path in paths}) > 1:
+        raise ValidationError("the two loop files use different punctures")
+    return paths
 
 
-def _verify_coaction(config: RunConfig, reporter: _Reporter) -> None:
-    path = _load_single_path(config)
-    conn = ConnectionSpec(path.punctures, config.degree + 1)
-    disc = coaction_check(conn, path, config.accuracy)["max_discrepancy"]
+def _judged(config: RunConfig, check: str, report: dict) -> dict:
+    """A numeric check's record: its report, tolerance and verdict."""
     tol = config.default_tolerance()
-    reporter.emit(
-        {
-            "command": "verify",
-            "which": "coaction",
-            "check": "reduced_coaction_formula",
-            "degree": config.degree,
-            "max_discrepancy": disc,
-            "tolerance": tol,
-            "passed": disc <= tol,
-        }
-    )
+    passed = report["max_discrepancy"] <= tol
+    return {"check": check, **report, "tolerance": tol, "passed": passed}
 
 
-def _verify_pentagon(config: RunConfig, reporter: _Reporter) -> None:
-    path = _load_single_path(config)
+def _verify_algebra(config: RunConfig, which: str) -> List[dict]:
+    suite = algebra_suite(seed=config.seed, degree=config.degree)
+    return [{"check": name, "seed": config.seed, **record} for name, record in suite]
+
+
+def _verify_path(config: RunConfig, which: str) -> List[dict]:
+    """coaction, or pentagon: the same check after refusing loops."""
+    (path,) = _load_paths(config, loops=False)
     conn = ConnectionSpec(path.punctures, config.degree + 1)
-    report = pentagon_projection_check(conn, path, config.accuracy)
-    tol = config.default_tolerance()
-    reporter.emit(
-        {
-            "command": "verify",
-            "which": "pentagon",
-            "check": "pentagon_projection",
-            "degree": config.degree,
-            "rot": report["rot"],
-            "n_crossings": report["n_crossings"],
-            "max_discrepancy": report["max_discrepancy"],
-            "tolerance": tol,
-            "passed": report["max_discrepancy"] <= tol,
-        }
-    )
+    if which == "pentagon":
+        report = pentagon_projection_check(conn, path, config.accuracy)
+        return [_judged(config, "pentagon_projection", report)]
+    report = coaction_check(conn, path, config.accuracy)
+    return [_judged(config, "reduced_coaction_formula", report)]
 
 
-def _verify_goldman(config: RunConfig, reporter: _Reporter) -> None:
-    loop1, loop2 = _load_loop_pair(config)
+def _verify_goldman(config: RunConfig, which: str) -> List[dict]:
+    loop1, loop2 = _load_paths(config, loops=True)
     conn = ConnectionSpec(loop1.punctures, config.degree + 1)
     report = goldman_bracket_check(conn, loop2, loop1, config.accuracy)
-    tol = config.default_tolerance()
-    reporter.emit(
-        {
-            "command": "verify",
-            "which": "goldman",
-            "check": "loop_bracket_and_cobracket",
-            "degree": config.degree,
-            "n_crossings": report["n_crossings"],
-            "base_linking": report["base_linking"],
-            "bracket_discrepancy": report["bracket_discrepancy"],
-            "cobracket_discrepancy": report["cobracket_discrepancy"],
-            "max_discrepancy": report["max_discrepancy"],
-            "tolerance": tol,
-            "passed": report["max_discrepancy"] <= tol,
-        }
-    )
+    return [_judged(config, "loop_bracket_and_cobracket", report)]
 
 
-def _verify_poisson(config: RunConfig, reporter: _Reporter) -> None:
-    loop1, loop2 = _load_loop_pair(config)
+def _verify_poisson(config: RunConfig, which: str) -> List[dict]:
+    loop1, loop2 = _load_paths(config, loops=True)
     conn = ConnectionSpec(loop1.punctures, config.degree)
     X = MatrixTuple.random(
         loop1.punctures.n, config.matrix_size, config.radius, config.seed
     )
     report = verify_theorem2(conn, loop2, loop1, X, config.accuracy, config.tolerance)
-    record = report.to_json_dict()
-    reporter.emit(
-        {
-            "command": "verify",
-            "which": "poisson",
-            "check": "representation_bracket_three_way",
-            "degree": config.degree,
-            "N": config.matrix_size,
-            "radius": config.radius,
-            "seed": config.seed,
-            "max_discrepancy": report.max_discrepancy,
-            **record,
-        }
-    )
+    settings = {"N": config.matrix_size, "radius": config.radius, "seed": config.seed}
+    return [
+        {"check": "representation_bracket_three_way", **settings,
+         **report.to_json_dict()}
+    ]
 
 
-_VERIFIERS = {
-    "algebra": _verify_algebra,
-    "coaction": _verify_coaction,
-    "pentagon": _verify_pentagon,
-    "goldman": _verify_goldman,
-    "poisson": _verify_poisson,
+# campaign name -> (default degree, campaign)
+_CAMPAIGNS = {
+    "algebra": (4, _verify_algebra),
+    "coaction": (3, _verify_path),
+    "pentagon": (3, _verify_path),
+    "goldman": (3, _verify_goldman),
+    "poisson": (5, _verify_poisson),
 }
-
-
-def _load_single_path(config: RunConfig) -> PLPath:
-    if config.path_file is None:
-        raise ValidationError("this campaign needs --path FILE")
-    override = parse_punctures(config.punctures) if config.punctures else None
-    return load_path_file(config.path_file, override)
-
-
-def _load_loop_pair(config: RunConfig) -> Tuple[PLPath, PLPath]:
-    if len(config.loops) != 2:
-        raise ValidationError("this campaign needs --loops FILE1 --loops FILE2")
-    override = parse_punctures(config.punctures) if config.punctures else None
-    loop1 = load_path_file(config.loops[0], override)
-    loop2 = load_path_file(config.loops[1], override)
-    if loop1.punctures.points != loop2.punctures.points:
-        raise ValidationError("the two loop files use different punctures")
-    return loop1, loop2
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +599,7 @@ def cli() -> None:
 
 
 @cli.command(name="associator")
-@click.option("--degree", type=int, default=_DEFAULT_DEGREE["associator"], show_default=True)
+@click.option("--degree", type=int, default=3, show_default=True)
 @click.option("--accuracy", type=float, default=1e-10, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def cmd_associator(degree: int, accuracy: float, out: Optional[str]) -> None:
@@ -681,7 +620,7 @@ def cmd_associator(degree: int, accuracy: float, out: Optional[str]) -> None:
 
 
 @cli.command(name="verify")
-@click.argument("which", type=click.Choice(VERIFY_CHOICES))
+@click.argument("which", type=click.Choice(tuple(_CAMPAIGNS)))
 @click.option("--degree", type=int, default=None, help="Comparison degree.")
 @click.option("--accuracy", type=float, default=1e-10, show_default=True)
 @click.option("--tol", "tolerance", type=float, default=None, help="Override tolerance.")
@@ -692,34 +631,14 @@ def cmd_associator(degree: int, accuracy: float, out: Optional[str]) -> None:
 @click.option("--radius", type=float, default=0.1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def cmd_verify(
-    which: str,
-    degree: Optional[int],
-    accuracy: float,
-    tolerance: Optional[float],
-    path_file: Optional[str],
-    loops: Tuple[str, ...],
-    punctures: Optional[str],
-    matrix_size: int,
-    radius: float,
-    seed: int,
-    out: Optional[str],
-) -> None:
+def cmd_verify(which: str, degree: Optional[int], **settings) -> None:
     """Run one verification campaign and report JSON lines."""
-    config = RunConfig(
-        degree=degree if degree is not None else _DEFAULT_DEGREE[which],
-        accuracy=accuracy,
-        tolerance=tolerance,
-        path_file=path_file,
-        loops=loops,
-        punctures=punctures,
-        matrix_size=matrix_size,
-        radius=radius,
-        seed=seed,
-        out=out,
-    )
+    default_degree, campaign = _CAMPAIGNS[which]
+    config = RunConfig(default_degree if degree is None else degree, **settings)
     reporter = _Reporter(config.out)
-    _VERIFIERS[which](config, reporter)
+    shared = {"command": "verify", "which": which, "degree": config.degree}
+    for record in campaign(config, which):
+        reporter.emit({**shared, **record})
     reporter.close()
     if not reporter.all_passed:
         raise ToleranceFailure(f"{which}: at least one check exceeded tolerance")

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import product
-from typing import Dict, List, Sequence, Tuple
+from typing import Collection, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -310,20 +310,21 @@ def _advance(
 
 
 def _transport_polyline(
-    conn: ConnectionSpec, points: Sequence[complex], tol: float
-) -> Tuple[List[Levels], float]:
-    """The transport state at every point of the polyline, and the summed
-    subdivision residual."""
-    states = [_to_levels(conn.unit())]
+    conn: ConnectionSpec, points: Sequence[complex], tol: float, keep: Collection[int]
+) -> Tuple[Dict[int, Levels], float]:
+    """The transport state at each point index in `keep` and at the last
+    point, and the summed subdivision residual; no other state is kept."""
+    state = _to_levels(conn.unit())
+    states: Dict[int, Levels] = {}
     total_err = 0.0
     for k in range(len(points) - 1):
         z0 = complex(points[k])
         dz = complex(points[k + 1]) - z0
-        state, err = _advance(
-            conn, z0, dz, 0.0, 1.0, states[-1], tol, 0, f"segment {k}"
-        )
-        states.append(state)
+        state, err = _advance(conn, z0, dz, 0.0, 1.0, state, tol, 0, f"segment {k}")
         total_err += err
+        if k + 1 in keep:
+            states[k + 1] = state
+    states[len(points) - 1] = state
     return states, total_err
 
 
@@ -421,7 +422,7 @@ def holonomy_reg(
             conn, path.end, points[-2], tol
         )
         frame_err += err
-    states, quad_err = _transport_polyline(conn, points, tol)
+    states, quad_err = _transport_polyline(conn, points, tol, set(index.values()))
     total_err = quad_err + frame_err
     if total_err > accuracy:
         raise AccuracyError(
@@ -430,7 +431,7 @@ def holonomy_reg(
         )
     report["quadrature_error"] = quad_err
     prefixes = {t: _level_mul(states[i], pre) for t, i in index.items()}
-    end = _level_mul(states[-1], pre)
+    end = _level_mul(states[len(points) - 1], pre)
     # the end frame is grouplike, so its antipode is its inverse
     end = _level_mul(_level_antipode(post, conn.n_generators), end)
     return HolonomyResult(path, total_err, report, prefixes, end)

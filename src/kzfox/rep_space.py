@@ -343,6 +343,7 @@ class BivectorReport:
             "rhs_formula": float(np.max(np.abs(self.rhs_formula))),
             "vdb": float(np.max(np.abs(self.vdb))),
             "max_disc": self.max_disc,
+            "max_discrepancy": self.max_discrepancy,
             "tail_bound": self.tail,
             "tolerance": self.tolerance,
             "n_crossings": self.n_crossings,
@@ -375,8 +376,9 @@ def verify_theorem2(
     is transported once, with breakpoints at its crossing parameters; the
     crossing subholonomies are read off those transports, and every
     evaluation runs on their level arrays.  The tolerance defaults to
-    ``max(1e-4, tail_bound)``; a tuple with ``n * ||X|| >= 1``, whose tail
-    bound is infinite, raises ValidationError.
+    ``max(1e-4, tail_bound)``; a tuple with ``n * ||X|| >= 1``, on which
+    the series' tail diverges, raises ValidationError whatever the
+    tolerance.
     """
     m = _require_tangential(loop1, "start")
     for path, which in ((loop1, "end"), (loop2, "start"), (loop2, "end")):
@@ -387,7 +389,8 @@ def verify_theorem2(
     tail = tail_bound(conn.trunc_degree, X)
     if math.isinf(tail):
         raise ValidationError(f"n * ||X|| = {X.n * X.norm_bound:.6g} >= 1: the "
-                              "tail bound, and so the tolerance, would be infinite")
+                              "series' tail diverges on this tuple, so the "
+                              "truncated series bounds nothing")
     cuts = intersections(loop1, loop2)
     hol1 = holonomy_reg(conn, loop1, accuracy, [c.t for c in cuts])
     hol2 = holonomy_reg(conn, loop2, accuracy, [c.s for c in cuts])

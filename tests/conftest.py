@@ -1,5 +1,5 @@
-"""Shared fixtures: canonical path files, a seeded series factory, and a
-counter of FreeSeries method calls."""
+"""Shared fixtures: canonical path files, a seeded series factory, a seeded
+loop generator, and a counter of FreeSeries method calls."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import pytest
 
 from kzfox import COMPLEX, FreeSeries, RATIONAL
 from kzfox.cli import load_path_file
+from kzfox.kz_paths import Anchor, PLPath, PunctureConfig
 
 DATA = Path(__file__).parent / "data"
 
@@ -59,6 +60,33 @@ def dense_complex(rng: random.Random, n: int, degree: int) -> FreeSeries:
     return FreeSeries(
         n, degree, {w: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for w in words}, COMPLEX
     )
+
+
+def random_base_loop(rng: random.Random) -> PLPath:
+    """A random loop among the punctures 0, 1 and 2, based tangentially at 0
+    in direction +1, with tails of spans s1, s2 in (0.1, 0.9) on the ray.
+    It leaves to side sigma at height h1 and turns at x = X beyond 1 or
+    beyond 2; then it either comes back on the opposite side,
+    (s1, 0), (s1, h1), (X, h1), (X, -h2), (s2, -h2), (s2, 0),
+    or closes round the left of the base and comes back on the same side,
+    (s1, 0), (s1, h1), (X, h1), (X, -h3), (-L, -h3), (-L, h2), (s2, h2),
+    (s2, 0), with every height h of sign sigma.  The strand germs are
+    sigma/s1 out and -sigma/s2 or sigma/s2 in, so pairs of these loops reach
+    every order of the four tail strands at the base."""
+    s1, s2 = rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9)
+    sigma = rng.choice((1, -1))
+    h1, h2, h3 = (sigma * rng.uniform(0.1, 0.6) for _ in range(3))
+    x = rng.uniform(1.2, 1.8) + rng.randint(0, 1)
+    if rng.random() < 0.5:
+        points = [s1, complex(s1, h1), complex(x, h1), complex(x, -h2),
+                  complex(s2, -h2), s2]
+    else:
+        left = -rng.uniform(0.2, 0.8)
+        points = [s1, complex(s1, h1), complex(x, h1), complex(x, -h3),
+                  complex(left, -h3), complex(left, h2), complex(s2, h2), s2]
+    base = Anchor.tangential(1, 1.0)
+    return PLPath(PunctureConfig([0.0, 1.0, 2.0]), base, base,
+                  [complex(p) for p in points])
 
 
 @pytest.fixture

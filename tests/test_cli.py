@@ -165,18 +165,15 @@ def test_poisson_tol_is_the_tolerance(tol, code, capsys):
     assert record["tail_bound"] > 1e-4
 
 
-def test_rational_backend_rejected_for_numeric_campaigns(capsys):
-    code = main(
-        [
-            "verify",
-            "coaction",
-            "--path",
-            _path("path_embedded2.json"),
-            "--backend",
-            "rational",
-        ]
-    )
-    assert code == 1
+def test_unknown_option_exits_1_with_clicks_error(capsys):
+    """An option the command does not have ends in click's usage text and
+    its one error line, not a traceback."""
+    argv = ["verify", "coaction", "--path", _path("path_embedded2.json")]
+    assert main(argv + ["--backend", "rational"]) == 1
+    err = capsys.readouterr().err
+    (line,) = [line for line in err.splitlines() if line.startswith("Error:")]
+    assert "No such option" in line and "--backend" in line
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("size", ["0", "-2"])
@@ -201,14 +198,17 @@ def test_oversized_matrix_size_exits_1(capsys):
 
 
 def test_poisson_with_infinite_tail_bound_exits_1(capsys):
-    """With n * ||X|| >= 1 the tail bound, and so the tolerance, would be
-    infinite: the campaign is refused instead of passing."""
+    """With n * ||X|| >= 1 the series' tail diverges, so the truncated series
+    bounds nothing: the campaign is refused instead of passing, also when
+    --tol sets a finite tolerance."""
     argv = ["verify", "poisson", "--loops", _path("loop_a4.json")]
     argv += ["--loops", _path("loop_bup.json"), "--degree", "3", "--radius", "5"]
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert "n * ||X|| = 15 >= 1" in captured.err
-    assert captured.out == ""
+    for tol in ([], ["--tol", "1e-6"]):
+        assert main(argv + tol) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: n * ||X|| = 15 >= 1: ")
+        assert "tail diverges" in captured.err and "tolerance" not in captured.err
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("option", ["--tol", "--accuracy", "--radius"])

@@ -30,7 +30,7 @@ from kzfox import (
 from kzfox import kz_holonomy
 from kzfox.cli import main
 from kzfox.coefficients import r_am_series, r_zeta_series
-from kzfox.errors import AccuracyError, DomainError, ValidationError
+from kzfox.errors import AccuracyError, DomainError, KzfoxError, ValidationError
 from kzfox.fox_calculus import d_left, d_right
 from kzfox.kz_holonomy import (
     coaction_check,
@@ -53,7 +53,7 @@ from kzfox.trivial_extension import (
     square_zw,
 )
 
-from conftest import LOOP_PAIRS, dense_complex
+from conftest import LOOP_PAIRS, dense_complex, random_base_loop
 
 P3 = PunctureConfig([0.0, 1.0, 2.0])
 BASE = Anchor.tangential(1, 1.0)
@@ -288,7 +288,8 @@ def test_level_composition_matches_series_operations():
 def test_transport_levels_own_their_memory():
     """Every level a panel returns, and every state the polyline keeps, owns
     its memory: none is a view of a panel's work buffer, whose 17 rows (node
-    values and end value) would stay pinned as long as the state."""
+    values and end value) would stay pinned as long as the state.  The
+    polyline keeps only the states asked for and the last one."""
     conn = ConnectionSpec(P3, 5)
     unit = kz_holonomy._to_levels(conn.unit())
     for pole, z0, dz in ((0, 0.5 + 0.5j, 0.3 - 0.1j), (2, 1.0, 1j)):
@@ -296,9 +297,9 @@ def test_transport_levels_own_their_memory():
         state = kz_holonomy._panel_transport(conn, z0, dz, 0.1, 0.2, state, pole)
         assert len(state) == 6
         assert all(a.flags.owndata for a in state)
-    states, _ = kz_holonomy._transport_polyline(conn, LOOP_A1, 1e-10)
-    assert len(states) == len(LOOP_A1)
-    assert all(a.flags.owndata for state in states for a in state)
+    states, _ = kz_holonomy._transport_polyline(conn, LOOP_A1, 1e-10, {2, 4})
+    assert set(states) == {2, 4, len(LOOP_A1) - 1}
+    assert all(a.flags.owndata for state in states.values() for a in state)
 
 
 def test_transport_makes_no_series_products(load_path, count_series_calls):
@@ -619,6 +620,34 @@ def test_rho_paths_loops(load_path):
         h2 = holonomy_reg(conn, loop2).series
         rhs = rho_paths(conn, loop2, loop1)
         assert (rho_kks(h2, h1).with_degree(3) - rhs).norm_inf() < 1e-10, (name1, name2)
+
+
+def test_rho_paths_loops_on_all_24_strand_orders():
+    """Seeded random loop pairs at one base point reach all 24 orders of the
+    four tail-strand germs; on the first admissible pair of each order the
+    loop variant meets rho_kks through degree 3.  Pairs the geometry rejects
+    (KzfoxError) are skipped."""
+    rng = random.Random(1617)
+    checked = {}
+    for _ in range(400):
+        loop1, loop2 = random_base_loop(rng), random_base_loop(rng)
+        germs = [kz_holonomy._ray_germ(loop, which)
+                 for loop in (loop1, loop2) for which in ("out", "in")]
+        order = tuple(sorted(range(4), key=germs.__getitem__))
+        if len(set(germs)) < 4 or order in checked:
+            continue
+        conn = ConnectionSpec(P3, 4)
+        try:
+            rhs = rho_paths(conn, loop2, loop1)
+        except KzfoxError:
+            continue
+        h1 = holonomy_reg(conn, loop1).series
+        h2 = holonomy_reg(conn, loop2).series
+        checked[order] = (rho_kks(h2, h1).with_degree(3) - rhs).norm_inf()
+        assert checked[order] < 1e-10, (order, loop1.points, loop2.points)
+        if len(checked) == 24:
+            break
+    assert len(checked) == 24
 
 
 def _case_analysis_linking(germs):
