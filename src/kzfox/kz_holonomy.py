@@ -468,42 +468,14 @@ def _require_tangential(path: PLPath, which: str) -> int:
     return anchor.puncture
 
 
-def _ray_germ(path: PLPath, which: str) -> float:
-    """Resolved height of a tail strand near its tangential anchor: the
-    strand leaving the start anchor ("out") or arriving at the end anchor
-    ("in").
-
-    Near a tangential anchor every path runs exactly on the anchor ray, so
-    polyline realizations degenerate: the smooth curves they stand for are
-    separated by infinitesimal heights.  The resolution pushes each strand to
-    the side it eventually departs to, with strands that leave the ray earlier
-    lying farther from it.  The returned value is (departure side) / (contact
-    span), and 0.0 for a tail that stays on the ray up to the far anchor;
-    comparing two such values reproduces the vertical order of the resolved
-    strands in the ray frame w = (z - base) / direction.
-    """
-    anchor = path.start if which == "out" else path.end
-    base = anchor.location(path.punctures)
-    v = anchor.direction
-    pts = path.points if which == "out" else tuple(reversed(path.points))
-    span = 0.0
-    for pt in pts[1:]:
-        w = (pt - base) / v
-        if abs(w.imag) > 1e-12 * max(1.0, abs(w.real)):
-            return (1.0 if w.imag > 0 else -1.0) / span
-        span = w.real
-    return 0.0
-
-
 def _above(x: Tuple[PLPath, str], y: Tuple[PLPath, str]) -> float:
     """1.0 when the tail strand x = (path, "out" | "in") lies above strand y
-    at their common tangential point, that is, has the larger `_ray_germ`;
-    else 0.0.
+    at their common tangential point, that is, has the larger height; else 0.0.
 
     This is the one strand order at a base point: a loop's closing turn
     ([p>P] - 1/2 of winding), the crossing of two loops there and the corner
     terms of the pairing formula all read it."""
-    g_x, g_y = _ray_germ(*x), _ray_germ(*y)
+    g_x, g_y = (path.tails[which].height for path, which in (x, y))
     if g_x == g_y:
         raise ValidationError(
             "ambiguous base-strand ordering: two tails have equal ray-contact "

@@ -8,11 +8,12 @@ extraction.
 
 Crossing predicates run in exact rational arithmetic (floats are rationals),
 so detection never guesses: genuinely degenerate inputs raise a validation
-error instead.  The only tolerated degeneracy is the unavoidable one: the
-terminal segments of tangentially anchored paths lie exactly on the anchor
-ray, so such tail segments may overlap each other; their interaction is
-accounted for analytically by the regularization terms downstream and they
-are never reported as crossings.
+error instead.  The only tolerated degeneracy is the unavoidable one: near a
+tangential anchor a path runs exactly on the anchor ray, so the tails of
+paths at one anchor (`Tail`) may overlap each other; this strand bundle is
+accounted for analytically by the regularization terms downstream and its
+contacts are never reported as crossings.  Any other segment on an anchor ray
+that touches or overlaps a tail is refused as a non-transverse contact.
 """
 
 from __future__ import annotations
@@ -128,8 +129,40 @@ class Crossing:
     sign: int
 
 
+def _on_ray(pt: complex, z: complex, v: complex) -> bool:
+    ratio = (pt - z) / v
+    return abs(ratio.imag) <= 1e-12 * max(1.0, abs(ratio)) and ratio.real >= 0
+
+
+@dataclass(frozen=True)
+class Tail:
+    """A path's strand at one of its tangential anchors: the strand leaving
+    the start anchor ("out") or arriving at the end anchor ("in").  The path's
+    `segments` (indices, the run counted from the anchor) lie on the anchor
+    ray at `point` in `direction`; `leave` pairs the segment that leaves the
+    ray with the vertex it leaves from (no such segment when the tail stays on
+    the ray up to the far anchor).
+
+    Near a tangential anchor every path runs exactly on the anchor ray, so
+    polyline realizations degenerate: the smooth curves they stand for are
+    separated by infinitesimal heights.  The resolution pushes each strand to
+    the side it eventually departs to, with strands that leave the ray earlier
+    lying farther from it.  `height` is (departure side) / (contact span), and
+    0.0 for a tail that stays on the ray up to the far anchor; comparing two
+    heights reproduces the vertical order of the resolved strands in the ray
+    frame w = (z - point) / direction.
+    """
+
+    point: complex
+    direction: complex
+    segments: range
+    leave: Tuple[int, complex]
+    height: float
+
+
 class PLPath:
-    """Polyline path with anchors, arclength-parametrized on [0, 1]."""
+    """Polyline path with anchors, arclength-parametrized on [0, 1]; `tails`
+    maps "out" and "in" to the `Tail` at each tangential anchor."""
 
     def __init__(
         self,
@@ -150,9 +183,13 @@ class PLPath:
             raise ValidationError("path needs at least one segment")
         self._validate_segments()
         self._validate_anchor_directions()
+        self.tails = {
+            which: self._tail(anchor, which == "in")
+            for which, anchor in (("out", start), ("in", end))
+            if anchor.kind == TANGENTIAL
+        }
         lengths = [abs(b - a) for a, b in zip(pts, pts[1:])]
         total = sum(lengths)
-        self.segment_lengths = tuple(lengths)
         self.length = total
         cum = [0.0]
         for L in lengths:
@@ -217,6 +254,22 @@ class PLPath:
                 raise ValidationError(
                     "last segment must approach the end anchor against its direction"
                 )
+
+    def _tail(self, anchor: Anchor, reverse: bool) -> Tail:
+        """The tail at a tangential anchor; "in" reads the points reversed."""
+        z, v = anchor.location(self.punctures), anchor.direction
+        pts = self.points[::-1] if reverse else self.points
+        n = self.n_segments
+        count = 0
+        while count < n and _on_ray(pts[count + 1], z, v):
+            count += 1
+        height = 0.0
+        if count < n:
+            side = 1.0 if ((pts[count + 1] - z) / v).imag > 0 else -1.0
+            height = side / ((pts[count] - z) / v).real
+        segments = range(n - count, n) if reverse else range(count)
+        leave = (n - count - 1 if reverse else count, pts[count])
+        return Tail(z, v, segments, leave, height)
 
     # -- parametrization ----------------------------------------------------
 
@@ -294,66 +347,21 @@ def _segment_intersection(a, b, c, d):
     return ("touch", t, u)
 
 
-def _tangential_rays(path: PLPath) -> list:
-    """(anchor point, unit ray direction) per tangential anchor.  The ray
-    carries the terminal tail segment of the path."""
-    return [
-        (anchor.location(path.punctures), anchor.direction)
-        for anchor in (path.start, path.end)
-        if anchor.kind == TANGENTIAL
-    ]
-
-
-def _on_ray(pt: complex, z: complex, v: complex) -> bool:
-    ratio = (pt - z) / v
-    return abs(ratio.imag) <= 1e-12 * max(1.0, abs(ratio)) and ratio.real >= 0
-
-
-def _segment_on_ray(path: PLPath, k: int, z: complex, v: complex) -> bool:
-    a, b = path.segment(k)
-    return _on_ray(a, z, v) and _on_ray(b, z, v)
-
-
-def _qualifies_on_ray(path: PLPath, k: int, pt: complex, z: complex, v: complex) -> bool:
-    """Segment k of the path participates in the strand bundle of ray (z, v)
-    at contact point pt: it lies on the ray itself, or it meets pt at a
-    vertex shared with an adjacent segment of the same path on that ray."""
-    if _segment_on_ray(path, k, z, v):
-        return True
-    a, b = path.segment(k)
-    for end in (a, b):
-        if end != pt:
-            continue
-        for adj in (k - 1, k + 1):
-            if 0 <= adj < path.n_segments and _segment_on_ray(path, adj, z, v):
-                sa, sb = path.segment(adj)
-                if end in (sa, sb):
-                    return True
-    return False
-
-
 def _tail_contact_skippable(
     path_a: PLPath, i: int, path_b: PLPath, j: int, pt: Optional[complex]
 ) -> bool:
     """Contacts inside a shared anchor-ray strand bundle are not crossings:
-    coinciding on-ray strands and their landing/leaving vertices are
-    accounted for analytically by the regularization terms downstream."""
-    for za, va in _tangential_rays(path_a):
-        for zb, vb in _tangential_rays(path_b):
-            if za != zb or abs(va - vb) > 1e-12:
+    coinciding tail strands and their departure vertices are accounted for
+    analytically by the regularization terms downstream.  On a ray shared by
+    a tail of each path, an overlap (pt is None) is skipped when both segments
+    are tail segments, a touch at pt when each segment is a tail segment or
+    leaves the ray at pt."""
+    for ta in path_a.tails.values():
+        for tb in path_b.tails.values():
+            if ta.point != tb.point or abs(ta.direction - tb.direction) > 1e-12:
                 continue
-            if pt is None:
-                # collinear overlap: both segments on the shared ray
-                if _segment_on_ray(path_a, i, za, va) and _segment_on_ray(
-                    path_b, j, zb, vb
-                ):
-                    return True
-                continue
-            if not _on_ray(pt, za, va):
-                continue
-            if _qualifies_on_ray(path_a, i, pt, za, va) and _qualifies_on_ray(
-                path_b, j, pt, zb, vb
-            ):
+            strands = ((ta, i), (tb, j))
+            if all(k in t.segments or (k, pt) == t.leave for t, k in strands):
                 return True
     return False
 
@@ -362,8 +370,8 @@ def _crossings(path1: PLPath, path2: PLPath, same: bool) -> List[Crossing]:
     """The segment-pair scan behind both public functions; `same` scans the
     pairs i < j of one path and skips the shared vertex of adjacent segments."""
     out: List[Crossing] = []
-    shared_anchors = {z for z, _ in _tangential_rays(path1)} & {
-        z for z, _ in _tangential_rays(path2)
+    shared_anchors = {t.point for t in path1.tails.values()} & {
+        t.point for t in path2.tails.values()
     }
     first, second = ("", "") if same else (" (first path)", " (second path)")
     for i in range(path1.n_segments):
@@ -482,6 +490,9 @@ def compose(path2: PLPath, path1: PLPath) -> PLPath:
     exactly -pi of tangent winding in total), and the outgoing strand rejoins
     the departing ray.  The four junction turning angles cancel in pairs, so
     the composite satisfies rot(p2 p1) = rot(p1) + rot(p2) - 1/2 exactly.
+    The junction's two segments on the anchor ray overlap, so unless both
+    belong to the composite's tails every crossing scan refuses it as a
+    non-transverse contact; its holonomy and rotation number are unaffected.
     """
     if path1.punctures.points != path2.punctures.points:
         raise CompositionError("paths live on different puncture configurations")

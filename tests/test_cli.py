@@ -153,6 +153,44 @@ def test_tolerance_failure_exits_2(capsys):
     assert "[FAIL]" in capsys.readouterr().err
 
 
+# L1's segment from (0.6, 0) to (0.8, 0) lies on the anchor ray inside L2's
+# tail; the open path S from puncture 1 to 3 runs back over its own tail
+# between (0.3, 0) and (0.1, 0).  Neither segment belongs to a tail.
+ON_RAY_OFF_TAIL = {
+    "L1": [[0.2, 0], [0.2, 0.3], [0.6, 0.3], [0.6, 0], [0.8, 0], [0.8, -0.3],
+           [1.5, -0.3], [1.5, 0.45], [0.35, 0.45], [0.35, 0]],
+    "L2": [[0.9, 0], [0.9, -0.2], [1.7, -0.2], [1.7, -0.6], [0.1, -0.6], [0.1, 0]],
+    "S": [[0.6, 0], [0.6, 0.3], [0.3, 0.3], [0.3, 0], [0.1, 0], [0.1, -0.3],
+          [1.6, -0.3], [1.6, 0]],
+}
+
+
+@pytest.mark.parametrize(
+    "which, files",
+    [("goldman", ["L1", "L2"]), ("poisson", ["L1", "L2"]),
+     ("coaction", ["S"]), ("pentagon", ["S"])],
+)
+def test_segment_on_the_ray_off_the_tails_exits_1(which, files, tmp_path, capsys):
+    """A contact between a tail and a segment on the anchor ray that is not
+    part of a tail is refused as non-transverse, not skipped as a tail
+    contact (which left a crossing uncounted and failed the identity)."""
+    base = {"kind": "tangential", "puncture": 1, "direction": [1, 0]}
+    end3 = {"kind": "tangential", "puncture": 3, "direction": [-1, 0]}
+    argv = ["verify", which]
+    for name in files:
+        path_file = tmp_path / f"{name}.json"
+        path_file.write_text(json.dumps({
+            "punctures": [[0, 0], [1, 0], [2, 0]],
+            "start": base,
+            "end": end3 if name == "S" else base,
+            "points": ON_RAY_OFF_TAIL[name],
+        }))
+        argv += ["--path" if name == "S" else "--loops", str(path_file)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-transverse touching between segments"), err
+
+
 @pytest.mark.parametrize("tol, code", [("1e-30", 2), ("1e-6", 0)])
 def test_poisson_tol_is_the_tolerance(tol, code, capsys):
     """--tol sets the poisson tolerance, as in the other campaigns, not a

@@ -1,6 +1,7 @@
 """Transport engine, regularized holonomy, and the assembled identities."""
 
 import cmath
+import dataclasses
 import itertools
 import json
 import math
@@ -327,6 +328,30 @@ def test_multiplicativity_tangential_composition():
     assert (hc - hb * ha).norm_inf() < 1e-12
 
 
+def test_reversal_and_chen_multiplicativity_on_random_loops():
+    """On 12 seeded `random_base_loop` draws, Hol(gamma reversed) * Hol(gamma)
+    = 1, and at a random interior split t both the pieces of one transport
+    and two separate subpath transports multiply to the loop's holonomy.
+    Draws the geometry rejects (KzfoxError) are skipped."""
+    rng = random.Random(1801)
+    conn = ConnectionSpec(P3, 4)
+    worst = 0.0
+    for _ in range(12):
+        loop, t = random_base_loop(rng), rng.uniform(0.1, 0.9)
+        try:
+            hol = holonomy_reg(conn, loop, breakpoints=[t])
+            inverse = holonomy_reg(conn, loop.reversed()).series
+            head = holonomy_reg(conn, subpath(loop, 0.0, t)).series
+            tail = holonomy_reg(conn, subpath(loop, t, 1.0)).series
+        except KzfoxError:
+            continue
+        h = hol.series
+        worst = max(worst, (inverse * h - conn.unit()).norm_inf(),
+                    (hol.piece(t, 1.0) * hol.piece(0.0, t) - h).norm_inf(),
+                    (tail * head - h).norm_inf())
+    assert worst <= 1e-12
+
+
 def test_reversed_path_inverts_holonomy():
     """Hol(gamma reversed) * Hol(gamma) = 1 at a tangential base point."""
     conn = ConnectionSpec(P3, 4)
@@ -631,7 +656,7 @@ def test_rho_paths_loops_on_all_24_strand_orders():
     checked = {}
     for _ in range(400):
         loop1, loop2 = random_base_loop(rng), random_base_loop(rng)
-        germs = [kz_holonomy._ray_germ(loop, which)
+        germs = [loop.tails[which].height
                  for loop in (loop1, loop2) for which in ("out", "in")]
         order = tuple(sorted(range(4), key=germs.__getitem__))
         if len(set(germs)) < 4 or order in checked:
@@ -667,20 +692,42 @@ def test_base_linking_is_the_alternating_corner_sum(monkeypatch):
     """[p>Q] - [P>Q] - [p>q] + [P>q] equals the case analysis on all 24
     orders of four distinct germs; equal germs are ambiguous."""
     loop1, loop2 = _loop(LOOP_A1), _loop(LOOP_B1)
-    curve = {id(loop1): 1, id(loop2): 2}
     strands = [(1, "out"), (1, "in"), (2, "out"), (2, "in")]
     signs = set()
+
+    def set_heights(germs):
+        for curve, path in ((1, loop1), (2, loop2)):
+            monkeypatch.setattr(path, "tails", {
+                which: dataclasses.replace(tail, height=germs[(curve, which)])
+                for which, tail in path.tails.items()
+            })
+
     for heights in itertools.permutations([2.0, 0.5, -0.5, -3.0]):
         germs = dict(zip(strands, heights))
-        monkeypatch.setattr(kz_holonomy, "_ray_germ",
-                            lambda path, which: germs[(curve[id(path)], which)])
+        set_heights(germs)
         want = _case_analysis_linking(germs)
         assert kz_holonomy._base_linking(loop1, loop2) == want
         signs.add(want)
     assert signs == {-1.0, 0.0, 1.0}
     germs[(2, "in")] = germs[(1, "out")]
+    set_heights(germs)
     with pytest.raises(ValidationError, match="ambiguous base-strand ordering"):
         kz_holonomy._base_linking(loop1, loop2)
+
+
+@pytest.mark.parametrize(
+    "second, first",
+    [("loop_b1", "loop_a1"), ("loop_bup", "loop_a4"),
+     ("loop_a5", "loop_bup"), ("loop_a1", "loop_b1")],
+)
+def test_coaction_refuses_composite_loops(load_path, second, first):
+    """`compose` puts on-ray segments in the middle of the path, at the
+    junction; their contacts with the tails are non-transverse and refused,
+    not skipped as tail contacts (which failed the identity by up to 2.0)."""
+    loop = compose(load_path(second + ".json"), load_path(first + ".json"))
+    contact = "non-transverse touching|collinear overlap"
+    with pytest.raises(ValidationError, match=contact):
+        coaction_check(ConnectionSpec(P3, 3), loop)
 
 
 def test_rho_paths_rejects_coinciding_endpoints():

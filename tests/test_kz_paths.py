@@ -1,6 +1,7 @@
 """Polyline path geometry: anchors, crossings, rotation numbers,
 composition, subpaths."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from unittest import mock
@@ -108,6 +109,50 @@ def test_two_loop_crossing_count_and_signs():
 def test_identical_loops_rejected():
     with pytest.raises(ValidationError):
         intersections(_loop(LOOP_A1), _loop(LOOP_A1))
+
+
+# ---------------------------------------------------------------------------
+# tail strands
+# ---------------------------------------------------------------------------
+FIXTURE_HEIGHTS = {
+    "loop_a1.json": (2.5, -2.5),
+    "loop_a4.json": (-10 / 3, 10 / 7),
+    "loop_b1.json": (2.0, -5.0),
+    "loop_bup.json": (20 / 3, 20 / 9),
+    "path_embedded2.json": (0.0, 0.0),
+}
+
+
+def test_fixture_tail_heights(load_path):
+    """Departure side over contact span, and 0.0 for a tail that stays on the
+    ray up to the far anchor (path_embedded2 is one straight segment)."""
+    for name, heights in FIXTURE_HEIGHTS.items():
+        tails = load_path(name).tails
+        assert (tails["out"].height, tails["in"].height) == heights, name
+
+
+def _mirrored(tail, n):
+    """The tail with its segment indices read from the other end of a path of
+    n segments."""
+    return dataclasses.replace(
+        tail,
+        segments=range(n - tail.segments.stop, n - tail.segments.start),
+        leave=(n - 1 - tail.leave[0], tail.leave[1]),
+    )
+
+
+def test_reversal_swaps_the_tails(data_dir, load_path):
+    """The reversed path's "out" tail is the path's "in" tail and vice versa,
+    on every fixture."""
+    names = sorted(f.name for f in data_dir.glob("*.json"))
+    assert len(names) == 8
+    for name in names:
+        path = load_path(name)
+        n = path.n_segments
+        assert path.reversed().tails == {
+            "out": _mirrored(path.tails["in"], n),
+            "in": _mirrored(path.tails["out"], n),
+        }, name
 
 
 def _segment_intersection_unfiltered(a, b, c, d):
