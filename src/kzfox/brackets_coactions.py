@@ -13,6 +13,7 @@ derivations.
 
 from __future__ import annotations
 
+from .errors import DomainError
 from .fox_calculus import FoxPairing, d_left, d_right, rho_kks_pairing
 from .free_hopf import (
     CyclicSeries,
@@ -254,4 +255,4 @@ def double_derivation_from_fox(kind: str, m: int, a: FreeSeries) -> TensorSeries
         return alpha(da.map_right(lambda s: d_right(m, s)))
     if kind == "left":
         return beta(da.map_right(lambda s: d_left(m, s)))
-    raise ValueError(f"kind must be 'left' or 'right', got {kind!r}")
+    raise DomainError(f"kind must be 'left' or 'right', got {kind!r}")

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, UnsupportedConstantError
-from .free_hopf import COMPLEX, RATIONAL, FreeSeries
+from .free_hopf import COMPLEX, FreeSeries
 
 TWO_PI_I = complex(0.0, 2.0 * math.pi)
 
@@ -113,6 +113,4 @@ def r_am_series(
             math.factorial(2 * k)
         )
         k += 1
-    if backend == RATIONAL:
-        return FreeSeries(n, degree, terms, RATIONAL)
-    return FreeSeries(n, degree, {w: complex(float(c), 0.0) for w, c in terms.items()}, COMPLEX)
+    return FreeSeries(n, degree, terms, backend)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .errors import ShapeError
 from .free_hopf import FreeSeries, _graded_pairs
 
 def d_right(m: int, a: FreeSeries) -> FreeSeries:
@@ -37,8 +36,7 @@ class FoxPairing:
         self._func = func
 
     def __call__(self, a: FreeSeries, b: FreeSeries) -> FreeSeries:
-        if (a.n, a.degree, a.backend) != (b.n, b.degree, b.backend):
-            raise ShapeError("pairing arguments have mismatched shapes")
+        a._check(b)
         return self._func(a, b)
 
     def transpose(self) -> "FoxPairing":
@@ -66,8 +64,7 @@ def rho_kks_pairing() -> FoxPairing:
 
 
 def rho_kks(a: FreeSeries, b: FreeSeries) -> FreeSeries:
-    if (a.n, a.degree, a.backend) != (b.n, b.degree, b.backend):
-        raise ShapeError("pairing arguments have mismatched shapes")
+    a._check(b)
     return _rho_kks_func(a, b)
 
 

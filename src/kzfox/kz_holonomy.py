@@ -596,6 +596,12 @@ def rho_paths(
     q = _require_tangential(path1, "end")
     r = _require_tangential(path2, "start")
     s = _require_tangential(path2, "end")
+    distinct = len({p, q, r, s})
+    if distinct not in (1, 4) and not (q == r and distinct == 3):
+        raise ValidationError(
+            "anchor punctures must be distinct (except a shared middle point "
+            "q = r, or two loops at a common point)"
+        )
     n, deg = conn.n_generators, conn.trunc_degree
     cuts = intersections(path1, path2)
     hol1 = holonomy_reg(conn, path1, accuracy, [c.t for c in cuts])
@@ -604,7 +610,7 @@ def rho_paths(
     total = FreeSeries.zero(n, deg, COMPLEX)
     for c in cuts:
         total = total + float(c.sign) * (hol2.piece(c.s, 1.0) * hol1.piece(0.0, c.t))
-    if p == q == r == s:
+    if distinct == 1:
         m = p
         one = FreeSeries.unit(n, deg, COMPLEX)
         total = total + (h2 - one) * r_am_series(m, deg, n) * (h1 - one)
@@ -612,12 +618,6 @@ def rho_paths(
         pQ, PQ, pq, Pq = _base_corners(path1, path2)
         total = total + pQ * (h2 * h1) - PQ * h2 - pq * h1 + Pq * one
         return total.with_degree(deg - 1)
-    distinct = {p, q, r, s}
-    if len(distinct) < 4 and not (q == r and len({p, q, s}) == 3):
-        raise ValidationError(
-            "anchor punctures must be distinct (except a shared middle point "
-            "q = r, or two loops at a common point)"
-        )
     if q == r:
         total = total + h2 * r_am_series(q, deg, n) * h1
         total = total + _above((path1, "in"), (path2, "out")) * (h2 * h1)

@@ -5,6 +5,9 @@ algebra and M is a copy of A viewed as an (A tensor A)-bimodule with action
 
     (f tensor g) . m . (h tensor k) = eps(f) eps(k) g m h.
 
+An element is the dataclass ``TrivExtElement`` of the two parts, which share
+one shape (n, D, backend); it compares by value and is unhashable.
+
 The product twists the M component by the 2-cocycle of the adjacent-letter
 Fox pairing rho_kks:
 
@@ -62,35 +65,27 @@ def gen_w(i: int) -> DKGenerator:
 GEN_ZW = DKGenerator("zw")
 
 
+@dataclass(slots=True)
 class TrivExtElement:
     """An element tensor_part + m_part of (A tensor A) + M."""
 
-    __slots__ = ("tensor_part", "m_part")
+    tensor_part: TensorSeries
+    m_part: FreeSeries
 
-    def __init__(self, tensor_part: TensorSeries, m_part: FreeSeries):
-        if (tensor_part.n, tensor_part.degree, tensor_part.backend) != (
-            m_part.n,
-            m_part.degree,
-            m_part.backend,
-        ):
+    def __post_init__(self):
+        t, m = self.tensor_part, self.m_part
+        if (t.n, t.degree, t.backend) != (m.n, m.degree, m.backend):
             raise ShapeError("tensor_part and m_part have mismatched shapes")
-        self.tensor_part = tensor_part
-        self.m_part = m_part
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, n, degree, backend) -> "TrivExtElement":
-        return cls(
-            TensorSeries.zero(n, degree, backend), FreeSeries.zero(n, degree, backend)
-        )
+        return cls.from_tensor(TensorSeries.zero(n, degree, backend))
 
     @classmethod
     def unit(cls, n, degree, backend, scalar=1) -> "TrivExtElement":
-        return cls(
-            TensorSeries.unit(n, degree, backend, scalar),
-            FreeSeries.zero(n, degree, backend),
-        )
+        return cls.from_tensor(TensorSeries.unit(n, degree, backend, scalar))
 
     @classmethod
     def from_tensor(cls, t: TensorSeries) -> "TrivExtElement":
@@ -132,19 +127,10 @@ class TrivExtElement:
     def is_zero(self) -> bool:
         return self.tensor_part.is_zero() and self.m_part.is_zero()
 
-    def __eq__(self, other):
-        if not isinstance(other, TrivExtElement):
-            return NotImplemented
-        return self.tensor_part == other.tensor_part and self.m_part == other.m_part
-
-    def __repr__(self):
-        return f"TrivExtElement(tensor={self.tensor_part!r}, m={self.m_part!r})"
-
 
 def trivext_mul(u: TrivExtElement, v: TrivExtElement) -> TrivExtElement:
     """Product with the rho_kks 2-cocycle twist on the M component."""
-    if (u.n, u.degree, u.backend) != (v.n, v.degree, v.backend):
-        raise ShapeError("product arguments have mismatched shapes")
+    u.m_part._check(v.m_part)
     tensor = u.tensor_part * v.tensor_part
     left = u.tensor_part.eps_left()
     right = v.tensor_part.eps_right()

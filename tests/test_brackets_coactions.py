@@ -3,6 +3,8 @@
 from fractions import Fraction
 from typing import Dict, Tuple
 
+import pytest
+
 from kzfox import (
     CyclicByFree,
     FreeSeries,
@@ -30,6 +32,7 @@ from kzfox.brackets_coactions import (
     beta,
     beta_inv,
 )
+from kzfox.errors import DomainError
 from kzfox.free_hopf import Word
 from conftest import dense_complex, random_series
 
@@ -454,3 +457,8 @@ def test_double_derivation_on_generator():
     t = double_derivation_from_fox("right", 1, x1)
     assert t == TensorSeries.outer(one, one)
     assert double_derivation_from_fox("right", 2, x1).is_zero()
+
+
+def test_double_derivation_refuses_an_unknown_kind():
+    with pytest.raises(DomainError, match="kind must be 'left' or 'right'"):
+        double_derivation_from_fox("middle", 1, w([1]))

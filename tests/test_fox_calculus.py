@@ -149,8 +149,16 @@ def test_pairing_kills_constants(rng):
         assert rho(a, one).is_zero()
 
 
-def test_pairing_shape_mismatch():
+def test_pairing_shape_mismatch(rng):
+    """rho_kks and every FoxPairing raise ShapeError when the arguments differ
+    in generator count, truncation degree or backend, in either order."""
     a = FreeSeries.generator(1, N, D, RATIONAL)
-    b = FreeSeries.generator(1, N, D + 1, RATIONAL)
-    with pytest.raises(ShapeError):
-        rho_kks(a, b)
+    others = (FreeSeries.generator(1, N + 1, D, RATIONAL),
+              FreeSeries.generator(1, N, D + 1, RATIONAL),
+              a.to_complex())
+    for pair in [rho_kks, transpose(rho_kks_pairing())] + _pairings(rng):
+        for b in others:
+            with pytest.raises(ShapeError):
+                pair(a, b)
+            with pytest.raises(ShapeError):
+                pair(b, a)

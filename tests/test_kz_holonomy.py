@@ -352,6 +352,29 @@ def test_reversal_and_chen_multiplicativity_on_random_loops():
     assert worst <= 1e-12
 
 
+def test_random_loop_holonomies_are_grouplike():
+    """On 12 seeded `random_base_loop` draws the holonomy h is grouplike,
+    exp(log h) = h, and h.inverse() is the holonomy of the reversed loop, all
+    through the one power-series routine of FreeSeries.  Draws the geometry
+    rejects (KzfoxError) are skipped."""
+    rng = random.Random(1901)
+    conn = ConnectionSpec(P3, 4)
+    worst, checked = 0.0, 0
+    for _ in range(12):
+        loop = random_base_loop(rng)
+        try:
+            h = holonomy_reg(conn, loop).series
+            h_rev = holonomy_reg(conn, loop.reversed()).series
+        except KzfoxError:
+            continue
+        checked += 1
+        assert h.is_grouplike(1e-10)
+        worst = max(worst, (h.log().exp() - h).norm_inf(),
+                    (h.inverse() - h_rev).norm_inf())
+    assert checked > 0
+    assert worst <= 1e-12
+
+
 def test_reversed_path_inverts_holonomy():
     """Hol(gamma reversed) * Hol(gamma) = 1 at a tangential base point."""
     conn = ConnectionSpec(P3, 4)
@@ -730,7 +753,8 @@ def test_coaction_refuses_composite_loops(load_path, second, first):
         coaction_check(ConnectionSpec(P3, 3), loop)
 
 
-def test_rho_paths_rejects_coinciding_endpoints():
+def test_rho_paths_rejects_coinciding_endpoints(monkeypatch):
+    """Coinciding anchors are refused before either path is transported."""
     conn = ConnectionSpec(P3, 3)
     p12 = PLPath(P3, Anchor.tangential(1, 1.0), Anchor.tangential(2, -1.0), [])
     p21 = PLPath(
@@ -739,8 +763,17 @@ def test_rho_paths_rejects_coinciding_endpoints():
         Anchor.tangential(1, 1.0),
         [0.9, 0.85 - 0.25j, 0.15 - 0.25j, 0.1],
     )
-    with pytest.raises(ValidationError):
+    calls = []
+    original = kz_holonomy.holonomy_reg
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kz_holonomy, "holonomy_reg", counting)
+    with pytest.raises(ValidationError, match="anchor punctures must be distinct"):
         rho_paths(conn, p21, p12)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from kzfox import (
     trivext_mul,
     associator_tail,
 )
-from kzfox.errors import UnsupportedConstantError
+from kzfox.errors import ShapeError, UnsupportedConstantError
 from kzfox.trivial_extension import GEN_ZW, SIDE_LEFT, SIDE_RIGHT, delta_z, delta_w, delta_zw
 from conftest import random_series
 
@@ -108,6 +108,31 @@ def test_trivext_unit():
     e = TrivExtElement.m_unit(N, D, RATIONAL)
     assert trivext_mul(one, e) == e
     assert trivext_mul(e, one) == e
+
+
+def test_trivext_element_equality_shape_and_hash():
+    """Elements compare by value and never equal a non-element; parts of
+    different shapes, and products of elements of different shapes, raise
+    ShapeError; elements are unhashable."""
+    one, x = _unit_pair()
+    u = TrivExtElement(TensorSeries.outer(x, one), x)
+    assert u == TrivExtElement(TensorSeries.outer(x, one), x)
+    assert u != TrivExtElement(TensorSeries.outer(one, x), x)
+    assert u != TrivExtElement(TensorSeries.outer(x, one), one)
+    assert u != x and u != u.tensor_part and u != (u.tensor_part, u.m_part)
+    for m in (FreeSeries.generator(1, N + 1, D, RATIONAL),
+              FreeSeries.generator(1, N, D + 1, RATIONAL), x.to_complex()):
+        with pytest.raises(ShapeError):
+            TrivExtElement(TensorSeries.outer(x, one), m)
+    for other in (TrivExtElement.unit(N + 1, D, RATIONAL),
+                  TrivExtElement.unit(N, D + 1, RATIONAL),
+                  TrivExtElement.unit(N, D, COMPLEX)):
+        with pytest.raises(ShapeError):
+            trivext_mul(u, other)
+        with pytest.raises(ShapeError):
+            trivext_mul(other, u)
+    with pytest.raises(TypeError):
+        hash(u)
 
 
 # ---------------------------------------------------------------------------
