@@ -21,6 +21,7 @@ from .free_hopf import (
     TensorSeries,
     _Sparse,
     _graded_pairs,
+    _monomial,
     _split_words,
     cyclic_min,
     pair_len,
@@ -91,21 +92,14 @@ def double_bracket_from_pairing(
     (outer in the second slot, inner in the first) and, as rho(1, .) =
     rho(., 1) = 0, equals the letter table on generators.  Skew-symmetry of
     rho is needed only for antisymmetry, not for the biderivation rules.
-    Cost: n^2 pairing calls, then |u||v| table lookups per word pair.
+    Cost: n^2 pairing calls per shape (the pairing keeps the table), then
+    |u||v| table lookups per word pair.
     """
     a._check(b)
     n, D, backend = a.n, a.degree, a.backend
-    gens = [FreeSeries.generator(i, n, D, backend) for i in range(1, n + 1)]
-    # (degree, S-leg word, second leg, signed coefficient), in degree order;
-    # the word pairs are distinct, so the sort never compares coefficients
-    table = {
-        (i, j): sorted(
-            (len(r1) + len(r2), r1[::-1], r2, -cr if len(r1) % 2 else cr)
-            for (r1, r2), cr in rho(xi, xj).coproduct().coeffs.items()
-        )
-        for i, xi in enumerate(gens, 1)
-        for j, xj in enumerate(gens, 1)
-    }
+    table = rho._tables.get((n, D, backend))
+    if table is None:
+        table = rho._tables[n, D, backend] = _letter_table(rho, n, D, backend)
 
     def terms():
         # {{u_p, v_q}} replaces two letters, so the word pair may reach D + 2
@@ -121,6 +115,21 @@ def double_bracket_from_pairing(
                         yield key, cuv * cr
 
     return TensorSeries._trusted(n, D, terms(), backend)
+
+
+def _letter_table(rho: FoxPairing, n: int, D: int, backend: str) -> dict:
+    """{(i, j): the terms of {{x_i, x_j}} as (degree, S-leg word, second leg,
+    signed coefficient), in degree order}; the word pairs are distinct, so the
+    sort never compares coefficients."""
+    gens = [_monomial((i,), n, D, backend) for i in range(1, n + 1)]
+    return {
+        (i, j): sorted(
+            (len(r1) + len(r2), r1[::-1], r2, -cr if len(r1) % 2 else cr)
+            for (r1, r2), cr in rho(xi, xj).coproduct().coeffs.items()
+        )
+        for i, xi in enumerate(gens, 1)
+        for j, xj in enumerate(gens, 1)
+    }
 
 
 def double_bracket_kks(a: FreeSeries, b: FreeSeries) -> TensorSeries:

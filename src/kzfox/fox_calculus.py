@@ -30,10 +30,12 @@ def _without_counit(a: FreeSeries) -> FreeSeries:
 
 
 class FoxPairing:
-    """Bilinear pairing object; ``pair(a, b)`` evaluates it."""
+    """Bilinear pairing object; ``pair(a, b)`` evaluates it.  It keeps its
+    double bracket's letter tables, one per shape (n, D, backend)."""
 
     def __init__(self, func: Callable[[FreeSeries, FreeSeries], FreeSeries]):
         self._func = func
+        self._tables: dict = {}
 
     def __call__(self, a: FreeSeries, b: FreeSeries) -> FreeSeries:
         a._check(b)
@@ -59,8 +61,12 @@ def _rho_kks_func(a: FreeSeries, b: FreeSeries) -> FreeSeries:
     )
 
 
+_RHO_KKS = FoxPairing(_rho_kks_func)
+
+
 def rho_kks_pairing() -> FoxPairing:
-    return FoxPairing(_rho_kks_func)
+    """The adjacent-letter pairing, one shared instance (and letter tables)."""
+    return _RHO_KKS
 
 
 def rho_kks(a: FreeSeries, b: FreeSeries) -> FreeSeries:

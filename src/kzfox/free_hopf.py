@@ -3,8 +3,8 @@
 Series live in K<<x_1, ..., x_n>> cut at total degree D.  Words are tuples of
 generator indices in 1..n; the empty tuple is the unit monomial.  Every
 operation re-truncates its result to D (degrees above D are meaningless here,
-by design).  Two coefficient backends are supported: "rational" (exact
-`fractions.Fraction`) and "complex" (IEEE double `complex`).
+by design).  Two coefficient backends are supported: "rational" (exact, a
+lean `fractions.Fraction` subclass) and "complex" (IEEE double `complex`).
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
+from numbers import Complex
 from typing import Callable, Dict, Iterable, Tuple
 
 from .errors import DomainError, ShapeError
@@ -26,24 +28,84 @@ COMPLEX = "complex"
 _FLOAT_DROP = 1e-300
 
 
+class _Rational(Fraction):
+    """The rational backend's stored coefficient, made by `_coerce`.  With
+    both operands of this type, +, - and * run the gcd-reduced algorithms of
+    `fractions` without `Fraction.__new__`; any other operand gets
+    `Fraction`'s own operator.  ==, hash, ordering, str, bool and abs are
+    inherited, so it equals and hashes like the `Fraction` of its value."""
+
+    __slots__ = ()
+
+    def __add__(a, b):
+        if type(b) is not _Rational:
+            return Fraction.__add__(a, b)
+        na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+        g = gcd(da, db)
+        if g == 1:
+            return _from_coprime(na * db + da * nb, da * db)
+        s = da // g
+        t = na * (db // g) + nb * s
+        g2 = gcd(t, g)
+        if g2 == 1:
+            return _from_coprime(t, s * db)
+        return _from_coprime(t // g2, s * (db // g2))
+
+    def __sub__(a, b):
+        if type(b) is not _Rational:
+            return Fraction.__sub__(a, b)
+        return a + -b
+
+    def __mul__(a, b):
+        if type(b) is not _Rational:
+            return Fraction.__mul__(a, b)
+        na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+        g1 = gcd(na, db)
+        if g1 > 1:
+            na //= g1
+            db //= g1
+        g2 = gcd(nb, da)
+        if g2 > 1:
+            nb //= g2
+            da //= g2
+        return _from_coprime(na * nb, db * da)
+
+    def __neg__(a):
+        return _from_coprime(-a._numerator, a._denominator)
+
+
+_new_object = object.__new__
+
+
+def _from_coprime(numerator: int, denominator: int) -> _Rational:
+    """numerator/denominator, already reduced, without `Fraction.__new__`."""
+    out = _new_object(_Rational)
+    out._numerator = numerator
+    out._denominator = denominator
+    return out
+
+
 def _coerce(backend: str, value):
+    """`value` as a stored coefficient of the backend, else `DomainError`;
+    the common types are tested by identity, before any ABC check."""
+    t = type(value)
     if backend == RATIONAL:
-        if isinstance(value, Fraction):
+        if t is _Rational:
             return value
-        if isinstance(value, int):
-            return Fraction(value)
+        if t is Fraction:
+            return _from_coprime(value._numerator, value._denominator)
+        if t is int:
+            return _from_coprime(value, 1)
+        if isinstance(value, (int, Fraction)):
+            return _from_coprime(value.numerator, value.denominator)
         if isinstance(value, float) and value.is_integer():
-            return Fraction(int(value))
+            return _from_coprime(int(value), 1)
         raise DomainError(f"cannot coerce {value!r} into the rational backend")
     if backend == COMPLEX:
-        return complex(value)
+        if t is complex or t is float or t is int or isinstance(value, Complex):
+            return complex(value)
+        raise DomainError(f"cannot coerce {value!r} into the complex backend")
     raise DomainError(f"unknown backend {backend!r}")
-
-
-def _is_stored_zero(backend: str, c) -> bool:
-    if backend == RATIONAL:
-        return c == 0
-    return abs(c) < _FLOAT_DROP
 
 
 def _accumulate(backend: str, pairs, terms=None) -> dict:
@@ -59,7 +121,11 @@ def _accumulate(backend: str, pairs, terms=None) -> dict:
     for key, c in pairs:
         acc = get(key)
         terms[key] = c if acc is None else acc + c
-    for key in [k for k, c in terms.items() if _is_stored_zero(backend, c)]:
+    if backend == RATIONAL:
+        dead = [k for k, c in terms.items() if not c]
+    else:
+        dead = [k for k, c in terms.items() if abs(c) < _FLOAT_DROP]
+    for key in dead:
         del terms[key]
     return terms
 
@@ -76,13 +142,22 @@ def word_sort_key(word: Word):
     return (len(word), word)
 
 
-def _split_words(w: Word):
-    """All coproduct splittings of a word into two ordered subsequences."""
-    m = len(w)
-    for mask in range(1 << m):
-        left = tuple(w[i] for i in range(m) if mask >> i & 1)
-        right = tuple(w[i] for i in range(m) if not (mask >> i & 1))
-        yield left, right
+def _split_words(w: Word) -> Tuple[Tuple[Word, Word], ...]:
+    """All coproduct splittings of a word into two ordered subsequences, in
+    bitmask order (bit i sends letter i left): those of w[:-1] with the last
+    letter put right, then left.  Words of up to 6 letters are memoized (at
+    most 4096, of up to 64 splittings); a longer one is built on its prefix."""
+    return _split_memo(w) if len(w) <= 6 else _split_build(w)
+
+
+def _split_build(w: Word) -> Tuple[Tuple[Word, Word], ...]:
+    if not w:
+        return (((), ()),)
+    head, x = _split_words(w[:-1]), w[-1:]
+    return tuple((l, r + x) for l, r in head) + tuple((l + x, r) for l, r in head)
+
+
+_split_memo = lru_cache(maxsize=4096)(_split_build)
 
 
 class _Sparse:
@@ -109,6 +184,7 @@ class _Sparse:
         self.n = n
         self.degree = degree
         self.backend = backend
+        rational = backend == RATIONAL
         # one pass on purpose: via `_accumulate` it measured ~5% slower on `exact`
         coeffs: Dict[object, object] = {}
         if terms:
@@ -122,7 +198,7 @@ class _Sparse:
                 c = _coerce(backend, c)
                 acc = coeffs.get(key)
                 c = c if acc is None else acc + c
-                if _is_stored_zero(backend, c):
+                if (not c) if rational else abs(c) < _FLOAT_DROP:
                     coeffs.pop(key, None)
                 else:
                     coeffs[key] = c
@@ -275,7 +351,7 @@ class FreeSeries(_Sparse):
 
     # -- product ------------------------------------------------------------
     def __mul__(self, other):
-        if not isinstance(other, FreeSeries):
+        if not isinstance(other, _Sparse):
             return self.scale(other)
         self._check(other)
         return self._like(
@@ -334,7 +410,7 @@ class FreeSeries(_Sparse):
 
     def inverse(self) -> "FreeSeries":
         eps = self.counit()
-        if _is_stored_zero(self.backend, eps):
+        if (not eps) if self.backend == RATIONAL else abs(eps) < _FLOAT_DROP:
             raise DomainError("series with zero counit is not invertible")
         u = FreeSeries.unit(self.n, self.degree, self.backend) - self.scale(1 / eps)
         return u._power_series(lambda k: Fraction(1)).scale(1 / eps)
@@ -362,6 +438,13 @@ class FreeSeries(_Sparse):
         return {"n": self.n, "degree": self.degree, "terms": terms}
 
 
+def _monomial(word: Word, n: int, degree: int, backend: str) -> FreeSeries:
+    """The word with coefficient 1 (zero above D), skipping the constructor's
+    checks: its letters must lie in 1..n."""
+    terms = {word: _coerce(backend, 1)} if len(word) <= degree else {}
+    return FreeSeries._trusted(n, degree, (), backend, terms)
+
+
 class TensorSeries(_Sparse):
     """Sparse truncated element of A (x) A, keyed by word pairs."""
 
@@ -385,7 +468,7 @@ class TensorSeries(_Sparse):
         return cls._trusted(a.n, a.degree, terms, a.backend)
 
     def __mul__(self, other):
-        if not isinstance(other, TensorSeries):
+        if not isinstance(other, _Sparse):
             return self.scale(other)
         self._check(other)
         return self._like(
@@ -416,7 +499,7 @@ class TensorSeries(_Sparse):
         terms = (
             ((wa, b), c * ca)
             for (a, b), c in self.coeffs.items()
-            for wa, ca in f(FreeSeries.from_word(a, n, D, backend)).coeffs.items()
+            for wa, ca in f(_monomial(a, n, D, backend)).coeffs.items()
         )
         return TensorSeries(n, D, terms, backend)
 
@@ -425,7 +508,7 @@ class TensorSeries(_Sparse):
         terms = (
             ((a, wb), c * cb)
             for (a, b), c in self.coeffs.items()
-            for wb, cb in f(FreeSeries.from_word(b, n, D, backend)).coeffs.items()
+            for wb, cb in f(_monomial(b, n, D, backend)).coeffs.items()
         )
         return TensorSeries(n, D, terms, backend)
 

@@ -1,5 +1,7 @@
 """Truncated free-algebra arithmetic and the Hopf structure maps."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -25,6 +27,7 @@ from kzfox import (
 from kzfox.brackets_coactions import alpha, alpha_inv, beta, beta_inv
 from kzfox.cli import _cbf_mul_free_left, _cbf_mul_free_right, _triple_coproduct
 from kzfox.errors import DomainError, ShapeError
+from kzfox.free_hopf import _Rational, _coerce, _split_memo, _split_words
 from kzfox.kz_holonomy import _to_levels, _to_series
 from kzfox.trivial_extension import delta_z
 from conftest import dense_complex, random_series
@@ -471,7 +474,8 @@ def test_trusted_results_make_no_normal_calls(monkeypatch):
     # inputs built, the constructor still checks and coerces outside input
     with pytest.raises(DomainError):
         FreeSeries(2, 4, {(1, 3): 1}, RATIONAL)
-    assert type(FreeSeries(2, 4, {(1,): 2}, RATIONAL).coefficient((1,))) is Fraction
+    assert type(FreeSeries(2, 4, {(1,): 2}, RATIONAL).coefficient((1,))) is _Rational
+    assert issubclass(_Rational, Fraction)
     assert calls
     fixed = {"double_bracket", "delta_z_tensor", "delta_z_m"}
     for name, f in _trusted_maps().items():
@@ -486,3 +490,101 @@ def test_trusted_results_make_no_normal_calls(monkeypatch):
             assert on_dense == len(calls), name
         else:
             assert calls == [], name
+
+
+# ---------------------------------------------------------------------------
+# the rational backend's scalar
+# ---------------------------------------------------------------------------
+BIG = 2**80
+fractions_ = st.builds(
+    Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)
+) | st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(-2**65, 3**41)])
+
+
+def _assert_same_value(got, want, exact_type):
+    assert type(got) is exact_type
+    assert got == want and want == got
+    assert hash(got) == hash(want)
+    assert str(got) == str(want)
+    assert bool(got) == bool(want)
+    assert abs(got) == abs(want)
+    assert math.gcd(got.numerator, got.denominator) == 1 and got.denominator > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(fractions_, fractions_)
+def test_rational_scalar_matches_fraction(x, y):
+    """+, -, * and unary - of two stored scalars give a reduced stored scalar
+    equal, hashing and printing like the Fraction result."""
+    a, b = _coerce(RATIONAL, x), _coerce(RATIONAL, y)
+    _assert_same_value(a, x, _Rational)
+    for got, want in ((a + b, x + y), (a - b, x - y), (a * b, x * y), (-a, -x)):
+        _assert_same_value(got, want, _Rational)
+    assert (a == b) == (x == y)
+    assert (a < b) == (x < y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fractions_, st.integers(-BIG, BIG) | fractions_)
+def test_rational_scalar_with_other_operands_falls_back_to_fraction(x, other):
+    """An int or plain Fraction operand, on either side, gets Fraction's own
+    operator and a plain Fraction result."""
+    a = _coerce(RATIONAL, x)
+    pairs = (
+        (a + other, x + other), (other + a, other + x),
+        (a - other, x - other), (other - a, other - x),
+        (a * other, x * other), (other * a, other * x),
+    )
+    for got, want in pairs:
+        _assert_same_value(got, want, Fraction)
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, COMPLEX])
+def test_bad_coefficients_raise_domain_error(backend):
+    """A str, None or a sparse container is no coefficient on either backend,
+    in the constructor and in scale; a bool stays an int."""
+    unit = FreeSeries.unit(2, 3, backend)
+    for bad in ("3", None, unit, TensorSeries.unit(2, 3, backend)):
+        with pytest.raises(DomainError):
+            FreeSeries(2, 3, {(1,): bad}, backend)
+        with pytest.raises(DomainError):
+            unit.scale(bad)
+    assert FreeSeries(2, 3, {(1,): True}, backend).coefficient((1,)) == 1
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, COMPLEX])
+def test_products_of_different_container_types_raise_shape_error(backend):
+    a, t = FreeSeries.unit(2, 3, backend), TensorSeries.unit(2, 3, backend)
+    for x, y in ((a, t), (t, a), (a, a.cyclic_project()), (t, a.cyclic_project())):
+        with pytest.raises(ShapeError):
+            x * y
+
+
+# ---------------------------------------------------------------------------
+# memoized word splittings
+# ---------------------------------------------------------------------------
+def _bitmask_split_words(w):
+    """The coproduct splittings by a bitmask count: bit i sends letter i left."""
+    m = len(w)
+    for mask in range(1 << m):
+        left = tuple(w[i] for i in range(m) if mask >> i & 1)
+        right = tuple(w[i] for i in range(m) if not (mask >> i & 1))
+        yield left, right
+
+
+def test_split_words_match_the_bitmask_count():
+    for n in (1, 2, 3):
+        for k in range(7):
+            for w in itertools.product(range(1, n + 1), repeat=k):
+                assert list(_split_words(w)) == list(_bitmask_split_words(w)), w
+    long_word = (1, 2, 3, 1, 1, 2, 3, 2, 1)
+    assert list(_split_words(long_word)) == list(_bitmask_split_words(long_word))
+
+
+def test_split_memo_is_bounded():
+    """The memo holds at most 4096 words of at most 6 letters: a 9-letter
+    word (512 splittings) is built on its memoized prefixes only."""
+    assert 0 < _split_memo.cache_info().maxsize <= 4096
+    _split_memo.cache_clear()
+    assert len(_split_words((1, 2, 3) * 3)) == 512
+    assert _split_memo.cache_info().currsize == 7  # the prefixes of 0..6 letters

@@ -2,19 +2,26 @@
 the loops it replaced: each reference below visits all key pairs of its two
 arguments and discards the pairs above the truncation degree by length."""
 
+import gc
 import itertools
+import weakref
 from typing import Dict, Tuple
 
 import pytest
 
 from kzfox import (
+    COMPLEX,
+    RATIONAL,
     CyclicByFree,
     CyclicWedge,
     FreeSeries,
     TensorSeries,
     double_bracket_from_pairing,
+    rho_inner,
     rho_kks,
     rho_kks_pairing,
+    rho_left,
+    rho_right,
     transpose,
 )
 from kzfox import free_hopf
@@ -234,3 +241,45 @@ def test_dense_product_visits_only_the_pairs_that_fit(rng, monkeypatch):
     assert len(a.coeffs) == len(b.coeffs) == 1093
     a * b
     assert len(visited) == sum((k + 1) * 3**k for k in range(7)) == 7108
+
+
+# ---------------------------------------------------------------------------
+# letter tables kept per pairing and shape
+# ---------------------------------------------------------------------------
+def _in_backend(a: FreeSeries, backend: str) -> FreeSeries:
+    return a.to_complex() if backend == COMPLEX else a
+
+
+def test_letter_tables_match_the_reference_in_every_shape(rng):
+    """Each pairing keeps one letter table per (n, D, backend).  Once the
+    (2, 3, rational) tables are held, the other shapes and the other
+    pairings still match the reference, which builds its table per call:
+    no table is read for a shape or a pairing it was not built for."""
+    kks = rho_kks_pairing()
+    assert rho_kks_pairing() is kks
+    shared = [kks, transpose(kks), rho_left(1), rho_left(2), rho_right(2),
+              transpose(rho_right(1))]
+    for n, D, backend in [(2, 3, RATIONAL), (2, 5, RATIONAL), (3, 3, RATIONAL),
+                          (2, 3, COMPLEX)]:
+        a, b = (_in_backend(random_series(rng, n, D, D, 6), backend) for _ in range(2))
+        inner = [rho_inner(_in_backend(random_series(rng, n, D, 2), backend))
+                 for _ in range(2)]
+        for rho in shared + inner:
+            ref = _ref_double_bracket(rho, a, b)
+            for _ in range(2):  # the first call may build the table
+                got = double_bracket_from_pairing(rho, a, b)
+                assert got.coeffs.keys() == ref.coeffs.keys()
+                assert got == ref if backend == RATIONAL else got.allclose(ref, 1e-14)
+            assert (n, D, backend) in rho._tables
+        assert inner[0]._tables is not inner[1]._tables
+
+
+def test_letter_tables_are_freed_with_their_pairing(rng):
+    a, b = random_series(rng, 2, 3), random_series(rng, 2, 3)
+    rho = rho_inner(random_series(rng, 2, 3, 2))
+    double_bracket_from_pairing(rho, a, b)
+    assert rho._tables
+    alive = weakref.ref(rho)
+    del rho
+    gc.collect()
+    assert alive() is None  # nothing outside the pairing holds it or its tables
