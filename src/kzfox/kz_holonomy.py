@@ -1,9 +1,8 @@
 """Numerical parallel transport and regularized holonomy of the logarithmic
 flat connection  (1/2 pi i) sum_i x_i dlog(z - z_i)  along polyline paths.
 
-The transport is computed degree by degree on level arrays: level k of a state
-holds the coefficients of the n^k words of length k in lexicographic order,
-and the triangular system of iterated integrals they satisfy is evaluated on
+The transport is computed degree by degree on level arrays (`kzfox.levels`):
+the triangular system of iterated integrals they satisfy is evaluated on
 adaptive Gauss-Legendre panels, one broadcast and one real matmul per level
 (on the complex integrand's real and imaginary parts).  Tangential endpoints
 are regularized by one cutoff at 0.3 of the anchor's local scale: the stretch
@@ -19,24 +18,23 @@ an identity needs; the result keeps the prefix holonomies P(t) there, and
 every piece Hol(path[a, b]) = P(b) P(a)^-1 is read off them (Chen's
 identity).  On top of the transport engine sit the assembled right-hand
 sides of the holonomy identities: the reduced-coaction formula (which is
-also the projected pentagon identity), checked on level arrays, the pairing
-formula for two paths, and the loop-bracket checks on cyclic words.
+also the projected pentagon identity) and the pairing formula for two paths,
+both assembled on level arrays, and the loop-bracket checks on cyclic words.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from itertools import product
+from functools import cached_property
 from typing import Collection, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from . import levels
 from .brackets_coactions import CyclicWedge, necklace_bracket, necklace_cobracket
 from .coefficients import TWO_PI_I, r_am_series, r_zeta_series
 from .errors import AccuracyError, DomainError, ValidationError
-from .fox_calculus import d_left, d_right
 from .free_hopf import COMPLEX, CyclicSeries, FreeSeries
 from .kz_paths import (
     Anchor,
@@ -44,13 +42,16 @@ from .kz_paths import (
     PLPath,
     PunctureConfig,
     TANGENTIAL,
+    above,
+    base_corners,
+    base_linking,
     intersections,
+    require_tangential,
     rotation_number,
     self_intersections,
     snap_half_integer,
 )
-
-Levels = List[np.ndarray]  # level k: the n^k words of length k, ravel order
+from .levels import Levels
 
 DEFAULT_ACCURACY = 1e-10
 # cutoff radius at a tangential anchor, as a fraction of its local scale
@@ -95,12 +96,6 @@ class ConnectionSpec:
     def n_generators(self) -> int:
         return self.punctures.n
 
-    def unit(self) -> FreeSeries:
-        return FreeSeries.unit(self.n_generators, self.trunc_degree, COMPLEX)
-
-    def generator(self, i: int) -> FreeSeries:
-        return FreeSeries.generator(i, self.n_generators, self.trunc_degree, COMPLEX)
-
 
 @dataclass(frozen=True)
 class HolonomyResult:
@@ -120,11 +115,11 @@ class HolonomyResult:
 
     @cached_property
     def series(self) -> FreeSeries:
-        return _to_series(self.path.punctures.n, self.levels)
+        return levels.to_series(self.path.punctures.n, self.levels)
 
     def _prefix(self, t: float) -> Levels:
         if t == 0.0:
-            return [np.ones(1, complex)] + [np.zeros_like(a) for a in self.levels[1:]]
+            return levels.unit(self.path.punctures.n, len(self.levels) - 1)
         if t == 1.0:
             return self.levels
         if t not in self.prefixes:
@@ -137,11 +132,11 @@ class HolonomyResult:
         if a == 0.0:
             return self._prefix(b)
         n = self.path.punctures.n
-        return _level_mul(self._prefix(b), _level_antipode(self._prefix(a), n))
+        return levels.mul(self._prefix(b), levels.antipode(self._prefix(a), n))
 
     def piece(self, a: float, b: float) -> FreeSeries:
         """Hol(path[a, b]), a level product of two prefixes."""
-        return _to_series(self.path.punctures.n, self._piece_levels(a, b))
+        return levels.to_series(self.path.punctures.n, self._piece_levels(a, b))
 
     def to_json_dict(self) -> dict:
         report = {"accuracy": self.accuracy_estimate}
@@ -161,59 +156,6 @@ class HolonomyResult:
 # ---------------------------------------------------------------------------
 # transport engine
 # ---------------------------------------------------------------------------
-def _level_mul(a: Levels, b: Levels) -> Levels:
-    """Truncated product: level k is the sum over i of outer(a_i, b_{k-i})."""
-    return [
-        sum(np.outer(a[i], b[k - i]).ravel() for i in range(k + 1))
-        for k in range(len(a))
-    ]
-
-
-def _level_antipode(levels: Levels, n: int) -> Levels:
-    """S(w) = (-1)^|w| reversed(w): each level with its axes reversed."""
-    return [(-1) ** k * v.reshape((n,) * k).T.ravel() for k, v in enumerate(levels)]
-
-
-def _sparse_mul(levels: Levels, coeffs: dict, n: int, left: bool) -> Levels:
-    """`levels` times sparse `coeffs` (on the left when `left`): a term c*w of
-    length j adds c * A_{k-j} at w's index among level k's last (first) j letters."""
-    out = [np.zeros_like(a) for a in levels]
-    for w, c in coeffs.items():
-        j, index = len(w), reduce(lambda i, letter: i * n + letter - 1, w, 0)
-        for k in range(j, len(levels)):
-            block = out[k].reshape(n**j, -1).T if left else out[k].reshape(-1, n**j)
-            block[:, index] += c * levels[k - j]
-    return out
-
-
-def _combine(terms: Sequence[Tuple[float, Levels]], n: int, degree: int) -> Levels:
-    """The sum of s * A over the (s, A) terms, through `degree`."""
-    zero = [np.zeros(n**k, dtype=complex) for k in range(degree + 1)]
-    return [sum((s * a[k] for s, a in terms), z) for k, z in enumerate(zero)]
-
-
-def _to_series(n: int, levels: Levels) -> FreeSeries:
-    """The one conversion from level arrays to a FreeSeries; the keys are
-    normal words within D by construction, so only stored zeros are dropped."""
-    letters = range(1, n + 1)
-    words = (w for k in range(len(levels)) for w in product(letters, repeat=k))
-    terms = dict(zip(words, np.concatenate(levels).tolist()))
-    return FreeSeries._trusted(n, len(levels) - 1, (), COMPLEX, terms)
-
-
-def _to_levels(series: FreeSeries) -> Levels:
-    """The one conversion from a complex FreeSeries to level arrays, the
-    inverse of `_to_series`: word w goes to index sum_i (w_i - 1) n^(k-1-i)."""
-    n = series.n
-    levels = [np.zeros(n**k, dtype=complex) for k in range(series.degree + 1)]
-    for w, c in series.coeffs.items():
-        index = 0
-        for letter in w:
-            index = index * n + letter - 1
-        levels[len(w)][index] = c
-    return levels
-
-
 def _panel_transport(
     conn: ConnectionSpec,
     z0: complex,
@@ -314,7 +256,7 @@ def _transport_polyline(
 ) -> Tuple[Dict[int, Levels], float]:
     """The transport state at each point index in `keep` and at the last
     point, and the summed subdivision residual; no other state is kept."""
-    state = _to_levels(conn.unit())
+    state = levels.unit(conn.n_generators, conn.trunc_degree)
     states: Dict[int, Levels] = {}
     total_err = 0.0
     for k in range(len(points) - 1):
@@ -375,13 +317,13 @@ def _local_frame(
     zp = conn.punctures.point(p)
     v = anchor.direction / abs(anchor.direction)
     r = _CUTOFF * _local_scale(conn, p, abs(neighbour - zp))
+    unit = levels.unit(conn.n_generators, conn.trunc_degree)
     state, err = _advance(
-        conn, zp, v, 0.0, r, _to_levels(conn.unit()), accuracy, 0,
-        f"the local frame at puncture {p}", pole=p,
+        conn, zp, v, 0.0, r, unit, accuracy, 0, f"the local frame at puncture {p}", pole=p
     )
     c = math.log(r) / TWO_PI_I
     branch = {(p,) * k: c**k / math.factorial(k) for k in range(conn.trunc_degree + 1)}
-    return zp + v * r, r, _sparse_mul(state, branch, conn.n_generators, False), err
+    return zp + v * r, r, levels.sparse_mul(state, branch, conn.n_generators, False), err
 
 
 def holonomy_reg(
@@ -410,7 +352,7 @@ def holonomy_reg(
     n_frames = (path.start.kind == TANGENTIAL) + (path.end.kind == TANGENTIAL)
     tol = accuracy / (len(points) - 1 + n_frames)
     report: dict = {}
-    pre = post = _to_levels(conn.unit())
+    pre = post = levels.unit(conn.n_generators, conn.trunc_degree)
     frame_err = 0.0
     if path.start.kind == TANGENTIAL:
         points[0], report["cutoff_start"], pre, err = _local_frame(
@@ -430,10 +372,10 @@ def holonomy_reg(
             f"accuracy {accuracy:.3e}; the path may run too close to a puncture"
         )
     report["quadrature_error"] = quad_err
-    prefixes = {t: _level_mul(states[i], pre) for t, i in index.items()}
-    end = _level_mul(states[len(points) - 1], pre)
+    prefixes = {t: levels.mul(states[i], pre) for t, i in index.items()}
+    end = levels.mul(states[len(points) - 1], pre)
     # the end frame is grouplike, so its antipode is its inverse
-    end = _level_mul(_level_antipode(post, conn.n_generators), end)
+    end = levels.mul(levels.antipode(post, conn.n_generators), end)
     return HolonomyResult(path, total_err, report, prefixes, end)
 
 
@@ -461,105 +403,39 @@ def associator(degree: int, accuracy: float = DEFAULT_ACCURACY) -> FreeSeries:
 # degree D-1; the assemblies below therefore return/compare series truncated
 # to D-1.
 # ---------------------------------------------------------------------------
-def _require_tangential(path: PLPath, which: str) -> int:
-    anchor = path.start if which == "start" else path.end
-    if anchor.kind != TANGENTIAL:
-        raise ValidationError(f"{which} anchor must be tangential")
-    return anchor.puncture
-
-
-def _above(x: Tuple[PLPath, str], y: Tuple[PLPath, str]) -> float:
-    """1.0 when the tail strand x = (path, "out" | "in") lies above strand y
-    at their common tangential point, that is, has the larger height; else 0.0.
-
-    This is the one strand order at a base point: a loop's closing turn
-    ([p>P] - 1/2 of winding), the crossing of two loops there and the corner
-    terms of the pairing formula all read it."""
-    g_x, g_y = (path.tails[which].height for path, which in (x, y))
-    if g_x == g_y:
-        raise ValidationError(
-            "ambiguous base-strand ordering: two tails have equal ray-contact "
-            "spans on the same side; perturb a turning point"
-        )
-    return 1.0 if g_x > g_y else 0.0
-
-
-def _base_corners(loop1: PLPath, loop2: PLPath) -> Tuple[float, ...]:
-    """The corner indicators [p>Q], [P>Q], [p>q], [P>q] of two loops at one
-    base point, with P, p loop1's outgoing and incoming strands and Q, q
-    loop2's.  In the pairing formula each corner turns the -1/2 constant of
-    r_am in the loop term into -1/2 + [loop1's strand above loop2's]."""
-    return tuple(_above((loop1, a), (loop2, b)) for a, b in
-                 (("in", "out"), ("out", "out"), ("in", "in"), ("out", "in")))
-
-
-def _base_linking(loop1: PLPath, loop2: PLPath) -> float:
-    """Sign of the crossing between two loops at their common base point in
-    the resolved smooth model: the alternating corner sum, +-1 when the four
-    tail strands alternate and 0.0 when they nest."""
-    pQ, PQ, pq, Pq = _base_corners(loop1, loop2)
-    return pQ - PQ - pq + Pq
-
-
 def crossing_breakpoints(crossings: Sequence[Crossing]) -> List[float]:
     """Both parameters of each self-crossing: the breakpoints of a transport
     that serves every piece the self-crossing terms need."""
     return [x for c in crossings for x in (c.t, c.s)]
 
 
-def _mu_bar_levels(levels: Levels, n: int) -> Levels:
-    """mu_bar through D-1: level k sums the adjacent-axis diagonals of level k+1."""
-    out = []
-    for k, a in enumerate(levels[1:]):
-        cube = a.reshape((n,) * (k + 1))
-        diagonals = (np.moveaxis(cube.diagonal(0, i, i + 1), -1, i) for i in range(k))
-        out.append(sum(diagonals, np.zeros((n,) * k, dtype=complex)).ravel())
-    return out
-
-
-def _fox_levels(levels: Levels, m: int, n: int, left: bool) -> Levels:
-    """d_left(m, .) when `left`, else d_right(m, .): slices, through degree D-1."""
-    return [(a.reshape(-1, n) if left else a.reshape(n, -1).T)[:, m - 1]
-            for a in levels[1:]]
-
-
-def _rho_kks_levels(a: Levels, b: Levels, n: int) -> Levels:
-    """rho_kks(a, b) through degree D: u.x paired with x.v gives u.x.v, so
-    level k joins a_i and b_(k+1-i) on their shared letter, for i = 1..k."""
-    return [np.zeros(1, dtype=complex)] + [
-        sum(np.einsum("px,xq->pxq", a[i].reshape(-1, n), b[k + 1 - i].reshape(n, -1))
-            .ravel() for i in range(1, k + 1))
-        for k in range(1, len(a))
-    ]
-
-
 def _coaction_rhs(hol: HolonomyResult, cuts: Sequence[Crossing], rot: float) -> Levels:
     """`mu_bar_rhs` as level arrays through degree D-1."""
-    p, q = (_require_tangential(hol.path, which) for which in ("start", "end"))
+    p, q = (require_tangential(hol.path, which) for which in ("start", "end"))
     h, n, deg = hol.levels, hol.path.punctures.n, len(hol.levels) - 1
     if deg < 1:
         raise DomainError("the reduced-coaction formula needs truncation degree >= 1")
     zeta_p = r_zeta_series(p, deg, n, negate_variable=True).coeffs
     terms = [
-        (1.0, _sparse_mul(h, zeta_p, n, False)),
+        (1.0, levels.sparse_mul(h, zeta_p, n, False)),
         (rot, h),
-        (-1.0, _sparse_mul(h, r_zeta_series(q, deg, n).coeffs, n, True)),
-        (-1.0, _fox_levels(h, p, n, True)),
-        (-1.0, _fox_levels(h, q, n, False)),
+        (-1.0, levels.sparse_mul(h, r_zeta_series(q, deg, n).coeffs, n, True)),
+        (-1.0, levels.fox(h, p, n, True)),
+        (-1.0, levels.fox(h, q, n, False)),
     ]
     for c in cuts:
         pieces = hol._piece_levels(c.s, 1.0)[:deg], hol._piece_levels(0.0, c.t)[:deg]
-        terms.append((float(c.sign), _level_mul(*pieces)))
+        terms.append((float(c.sign), levels.mul(*pieces)))
     if p == q:
         # A loop's smooth model has one more self-intersection than the
         # polyline shows: the closing of the two tail strands through the
         # base point.  Its regularized contribution is a universal series in
         # the base generator, fixed by the closure turn direction: the
         # constant -1/2 of r_am becomes 1/2 - [p>P].
-        closure = _to_levels(r_am_series(p, deg - 1, n))
-        closure[0] += 1.0 - _above((hol.path, "in"), (hol.path, "out"))
+        closure = levels.from_series(r_am_series(p, deg - 1, n))
+        closure[0] += 1.0 - above((hol.path, "in"), (hol.path, "out"))
         terms.append((1.0, closure))
-    return _combine(terms, n, deg - 1)
+    return levels.combine(terms, n, deg - 1)
 
 
 def mu_bar_rhs(
@@ -571,7 +447,7 @@ def mu_bar_rhs(
     transport with breakpoints at `crossing_breakpoints(crossings)`; the
     result is truncated to degree D-1, the range on which the assembly is
     exact."""
-    return _to_series(hol.path.punctures.n, _coaction_rhs(hol, crossings, rot))
+    return levels.to_series(hol.path.punctures.n, _coaction_rhs(hol, crossings, rot))
 
 
 def rho_paths(
@@ -588,14 +464,13 @@ def rho_paths(
     loops at a common tangential point the loop variant of the formula is
     assembled instead.  Where tail strands of the two paths meet at a
     puncture, each pair of a path1 strand X and a path2 strand Y adds a
-    corner term [X>Y] (`_above`): the four corners of `_base_corners` for two
+    corner term [X>Y] (`above`): the four corners of `base_corners` for two
     loops, [path1 arriving > path2 leaving] times h2 h1 at a shared middle
-    point.  The result is truncated to degree D-1.
+    point.  The terms are level arrays of the two transports, summed through
+    degree D-1 (so D >= 1) and converted to a series once.
     """
-    p = _require_tangential(path1, "start")
-    q = _require_tangential(path1, "end")
-    r = _require_tangential(path2, "start")
-    s = _require_tangential(path2, "end")
+    p, q = (require_tangential(path1, which) for which in ("start", "end"))
+    r, s = (require_tangential(path2, which) for which in ("start", "end"))
     distinct = len({p, q, r, s})
     if distinct not in (1, 4) and not (q == r and distinct == 3):
         raise ValidationError(
@@ -603,27 +478,36 @@ def rho_paths(
             "q = r, or two loops at a common point)"
         )
     n, deg = conn.n_generators, conn.trunc_degree
+    if deg < 1:
+        raise DomainError("the pairing formula needs truncation degree >= 1")
     cuts = intersections(path1, path2)
     hol1 = holonomy_reg(conn, path1, accuracy, [c.t for c in cuts])
     hol2 = holonomy_reg(conn, path2, accuracy, [c.s for c in cuts])
-    h1, h2 = hol1.series, hol2.series
-    total = FreeSeries.zero(n, deg, COMPLEX)
-    for c in cuts:
-        total = total + float(c.sign) * (hol2.piece(c.s, 1.0) * hol1.piece(0.0, c.t))
+    h1, h2 = hol1.levels[:deg], hol2.levels[:deg]
+    # the Fox terms; for two loops (p = q = r = s) they sum to
+    # d_left(p, h2) (h1 - 1) + (h2 - 1) d_right(p, h1)
+    terms = [
+        (-1.0, levels.fox(hol2.levels, p, n, True)),
+        (-1.0, levels.fox(hol1.levels, s, n, False)),
+        (1.0, levels.mul(levels.fox(hol2.levels, q, n, True), h1)),
+        (1.0, levels.mul(h2, levels.fox(hol1.levels, r, n, False))),
+    ] + [
+        (float(c.sign), levels.mul(hol2._piece_levels(c.s, 1.0)[:deg],
+                                   hol1._piece_levels(0.0, c.t)[:deg]))
+        for c in cuts
+    ]
     if distinct == 1:
-        m = p
-        one = FreeSeries.unit(n, deg, COMPLEX)
-        total = total + (h2 - one) * r_am_series(m, deg, n) * (h1 - one)
-        total = total + d_left(m, h2) * (h1 - one) + (h2 - one) * d_right(m, h1)
-        pQ, PQ, pq, Pq = _base_corners(path1, path2)
-        total = total + pQ * (h2 * h1) - PQ * h2 - pq * h1 + Pq * one
-        return total.with_degree(deg - 1)
-    if q == r:
-        total = total + h2 * r_am_series(q, deg, n) * h1
-        total = total + _above((path1, "in"), (path2, "out")) * (h2 * h1)
-    total = total - d_left(p, h2) - d_right(s, h1)
-    total = total + d_left(q, h2) * h1 + h2 * d_right(r, h1)
-    return total.with_degree(deg - 1)
+        # (h2 - 1) r_am (h1 - 1) and the four corners
+        g1, g2 = ([h[0] - 1.0] + h[1:] for h in (h1, h2))
+        r_am = levels.sparse_mul(g2, r_am_series(p, deg, n).coeffs, n, False)
+        pQ, PQ, pq, Pq = base_corners(path1, path2)
+        terms += [(1.0, levels.mul(r_am, g1)), (pQ, levels.mul(h2, h1)), (-PQ, h2),
+                  (-pq, h1), (Pq, levels.unit(n, deg - 1))]
+    elif q == r:
+        r_am = levels.sparse_mul(h2, r_am_series(q, deg, n).coeffs, n, False)
+        terms += [(1.0, levels.mul(r_am, h1)),
+                  (above((path1, "in"), (path2, "out")), levels.mul(h2, h1))]
+    return levels.to_series(n, levels.combine(terms, n, deg - 1))
 
 
 def goldman_bracket_check(
@@ -636,7 +520,7 @@ def goldman_bracket_check(
     crossing formula on cyclic words, and each loop's necklace cobracket
     against its crossing-plus-rotation formula."""
     ends = (loop1, "start"), (loop1, "end"), (loop2, "start"), (loop2, "end")
-    if len({_require_tangential(*end) for end in ends}) > 1:
+    if len({require_tangential(*end) for end in ends}) > 1:
         raise ValidationError("both loops must share one tangential base point")
     n, deg = conn.n_generators, conn.trunc_degree
     crossings = intersections(loop1, loop2)
@@ -653,15 +537,15 @@ def goldman_bracket_check(
     terms = []
     for c in crossings:
         # each loop rerooted at the crossing: Hol(loop[0, t]) Hol(loop[t, 1])
-        r1 = _level_mul(hol1._piece_levels(0.0, c.t), hol1._piece_levels(c.t, 1.0))
-        r2 = _level_mul(hol2._piece_levels(0.0, c.s), hol2._piece_levels(c.s, 1.0))
-        terms.append((float(c.sign), _level_mul(r1, r2)))
+        r1 = levels.mul(hol1._piece_levels(0.0, c.t), hol1._piece_levels(c.t, 1.0))
+        r2 = levels.mul(hol2._piece_levels(0.0, c.s), hol2._piece_levels(c.s, 1.0))
+        terms.append((float(c.sign), levels.mul(r1, r2)))
     # The base point is itself an intersection of the two loops; the resolved
     # curves cross there once when the four tail strands alternate.
-    base_sign = _base_linking(loop1, loop2)
+    base_sign = base_linking(loop1, loop2)
     if base_sign:
-        terms.append((base_sign, _level_mul(hol1.levels, hol2.levels)))
-    rhs = _to_series(n, _combine(terms, n, deg)).cyclic_project()
+        terms.append((base_sign, levels.mul(hol1.levels, hol2.levels)))
+    rhs = levels.to_series(n, levels.combine(terms, n, deg)).cyclic_project()
     report = {
         "bracket_discrepancy": (lhs - rhs).norm_through(deg - 1),
         "n_crossings": len(crossings),
@@ -690,15 +574,15 @@ def _cobracket_discrepancy(
     # The rotation term uses the tangent winding of the closed-up smooth
     # curve: the polyline rotation number plus the closing turn at the base,
     # counterclockwise (+1/2) when the incoming strand lies above the outgoing.
-    turn = _above((loop, "in"), (loop, "out")) - 0.5
+    turn = above((loop, "in"), (loop, "out")) - 0.5
     rot = snap_half_integer(rotation_number(loop)) + turn
     one_cyc = FreeSeries.unit(n, deg, COMPLEX).cyclic_project()
     rhs = CyclicWedge.wedge(one_cyc, cyc).scale(rot)
     for c in crossings:
         middle = hol.piece(c.t, c.s)
-        outer = _level_mul(hol._piece_levels(c.s, 1.0), hol._piece_levels(0.0, c.t))
+        outer = levels.mul(hol._piece_levels(c.s, 1.0), hol._piece_levels(0.0, c.t))
         rhs = rhs + CyclicWedge.wedge(
-            middle.cyclic_project(), _to_series(n, outer).cyclic_project()
+            middle.cyclic_project(), levels.to_series(n, outer).cyclic_project()
         ).scale(float(c.sign))
     return (lhs - rhs).norm_through(deg - 1)
 
@@ -715,7 +599,7 @@ def coaction_check(
     hol = holonomy_reg(conn, path, accuracy, crossing_breakpoints(crossings))
     rot = snap_half_integer(rotation_number(path))
     rhs = _coaction_rhs(hol, crossings, rot)
-    lhs = _mu_bar_levels(hol.levels, conn.n_generators)
+    lhs = levels.mu_bar(hol.levels, conn.n_generators)
     return {
         "max_discrepancy": max(float(np.abs(a - b).max()) for a, b in zip(lhs, rhs)),
         "rot": rot,
@@ -739,8 +623,8 @@ def pentagon_projection_check(
     projected identity is then the reduced-coaction formula, so it is checked
     by `coaction_check`.  A loop (start and end at the same tangential point)
     is rejected: the identity has no closure term for it."""
-    _require_tangential(path, "start")
-    _require_tangential(path, "end")
+    require_tangential(path, "start")
+    require_tangential(path, "end")
     if path.start == path.end:
         raise ValidationError(
             "the pentagon projection needs a path between two tangential "

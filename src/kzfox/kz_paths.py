@@ -2,9 +2,9 @@
 
 Paths are polylines whose endpoints are either regular points or tangential
 anchors (a puncture plus a unit departure direction).  The module provides
-transverse crossing detection with orientation signs, rotation numbers by
-exterior-angle summation, clockwise-half-turn composition, and subpath
-extraction.
+transverse crossing detection with orientation signs, the order of tail
+strands at a shared tangential point, rotation numbers by exterior-angle
+summation, clockwise-half-turn composition, and subpath extraction.
 
 Crossing predicates run in exact rational arithmetic (floats are rationals),
 so detection never guesses: genuinely degenerate inputs raise a validation
@@ -299,6 +299,49 @@ class PLPath:
 
     def reversed(self) -> "PLPath":
         return PLPath(self.punctures, self.end, self.start, self.vertices[::-1])
+
+
+# -- strand order at a tangential point ---------------------------------------
+
+
+def require_tangential(path: PLPath, which: str) -> int:
+    anchor = path.start if which == "start" else path.end
+    if anchor.kind != TANGENTIAL:
+        raise ValidationError(f"{which} anchor must be tangential")
+    return anchor.puncture
+
+
+def above(x: Tuple[PLPath, str], y: Tuple[PLPath, str]) -> float:
+    """1.0 when the tail strand x = (path, "out" | "in") lies above strand y
+    at their common tangential point, that is, has the larger height; else 0.0.
+
+    This is the one strand order at a base point: a loop's closing turn
+    ([p>P] - 1/2 of winding), the crossing of two loops there and the corner
+    terms of the pairing formula all read it."""
+    g_x, g_y = (path.tails[which].height for path, which in (x, y))
+    if g_x == g_y:
+        raise ValidationError(
+            "ambiguous base-strand ordering: two tails have equal ray-contact "
+            "spans on the same side; perturb a turning point"
+        )
+    return 1.0 if g_x > g_y else 0.0
+
+
+def base_corners(loop1: PLPath, loop2: PLPath) -> Tuple[float, ...]:
+    """The corner indicators [p>Q], [P>Q], [p>q], [P>q] of two loops at one
+    base point, with P, p loop1's outgoing and incoming strands and Q, q
+    loop2's.  In the pairing formula each corner turns the -1/2 constant of
+    r_am in the loop term into -1/2 + [loop1's strand above loop2's]."""
+    return tuple(above((loop1, a), (loop2, b)) for a, b in
+                 (("in", "out"), ("out", "out"), ("in", "in"), ("out", "in")))
+
+
+def base_linking(loop1: PLPath, loop2: PLPath) -> float:
+    """Sign of the crossing between two loops at their common base point in
+    the resolved smooth model: the alternating corner sum, +-1 when the four
+    tail strands alternate and 0.0 when they nest."""
+    pQ, PQ, pq, Pq = base_corners(loop1, loop2)
+    return pQ - PQ - pq + Pq
 
 
 # -- crossing detection ------------------------------------------------------

@@ -1,0 +1,121 @@
+"""Level arrays: the dense numeric form of a truncated complex series.
+
+Level k of a series in n generators holds the coefficients of the n^k words
+of length k in lexicographic order, so word w has index
+sum_i (w_i - 1) n^(k-1-i).  The transport, the assembled identity right-hand
+sides and the evaluation on matrices all run on this format; `to_series` and
+`from_series` are the one pair of conversions to and from FreeSeries.
+"""
+
+from __future__ import annotations
+
+from functools import reduce
+from itertools import product
+from typing import List, Sequence, Tuple
+
+import numpy as np
+
+from .free_hopf import COMPLEX, FreeSeries
+
+Levels = List[np.ndarray]  # level k: the n^k words of length k, ravel order
+
+
+def unit(n: int, degree: int) -> Levels:
+    """The unit series through `degree`."""
+    return [np.ones(1, dtype=complex)] + [
+        np.zeros(n**k, dtype=complex) for k in range(1, degree + 1)
+    ]
+
+
+def to_series(n: int, levels: Levels) -> FreeSeries:
+    """The one conversion from level arrays to a FreeSeries; the keys are
+    normal words within D by construction, so only stored zeros are dropped."""
+    letters = range(1, n + 1)
+    words = (w for k in range(len(levels)) for w in product(letters, repeat=k))
+    terms = dict(zip(words, np.concatenate(levels).tolist()))
+    return FreeSeries._trusted(n, len(levels) - 1, (), COMPLEX, terms)
+
+
+def from_series(series: FreeSeries) -> Levels:
+    """The one conversion from a complex FreeSeries to level arrays, the
+    inverse of `to_series`."""
+    n = series.n
+    levels = [np.zeros(n**k, dtype=complex) for k in range(series.degree + 1)]
+    for w, c in series.coeffs.items():
+        levels[len(w)][reduce(lambda i, letter: i * n + letter - 1, w, 0)] = c
+    return levels
+
+
+def mul(a: Levels, b: Levels) -> Levels:
+    """Truncated product: level k is the sum over i of outer(a_i, b_{k-i})."""
+    return [
+        sum(np.outer(a[i], b[k - i]).ravel() for i in range(k + 1))
+        for k in range(len(a))
+    ]
+
+
+def antipode(levels: Levels, n: int) -> Levels:
+    """S(w) = (-1)^|w| reversed(w): each level with its axes reversed."""
+    return [(-1) ** k * v.reshape((n,) * k).T.ravel() for k, v in enumerate(levels)]
+
+
+def sparse_mul(levels: Levels, coeffs: dict, n: int, left: bool) -> Levels:
+    """`levels` times sparse `coeffs` (on the left when `left`): a term c*w of
+    length j adds c * A_{k-j} at w's index among level k's last (first) j letters."""
+    out = [np.zeros_like(a) for a in levels]
+    for w, c in coeffs.items():
+        j, index = len(w), reduce(lambda i, letter: i * n + letter - 1, w, 0)
+        for k in range(j, len(levels)):
+            block = out[k].reshape(n**j, -1).T if left else out[k].reshape(-1, n**j)
+            block[:, index] += c * levels[k - j]
+    return out
+
+
+def combine(terms: Sequence[Tuple[float, Levels]], n: int, degree: int) -> Levels:
+    """The sum of s * A over the (s, A) terms, through `degree`."""
+    zero = [np.zeros(n**k, dtype=complex) for k in range(degree + 1)]
+    return [sum((s * a[k] for s, a in terms), z) for k, z in enumerate(zero)]
+
+
+def mu_bar(levels: Levels, n: int) -> Levels:
+    """mu_bar through D-1: level k sums the adjacent-axis diagonals of level k+1."""
+    out = []
+    for k, a in enumerate(levels[1:]):
+        cube = a.reshape((n,) * (k + 1))
+        diagonals = (np.moveaxis(cube.diagonal(0, i, i + 1), -1, i) for i in range(k))
+        out.append(sum(diagonals, np.zeros((n,) * k, dtype=complex)).ravel())
+    return out
+
+
+def fox(levels: Levels, m: int, n: int, left: bool) -> Levels:
+    """d_left(m, .) when `left`, else d_right(m, .): slices, through degree D-1."""
+    return [(a.reshape(-1, n) if left else a.reshape(n, -1).T)[:, m - 1]
+            for a in levels[1:]]
+
+
+def rho_kks(a: Levels, b: Levels, n: int) -> Levels:
+    """rho_kks(a, b) through degree D: u.x paired with x.v gives u.x.v, so
+    level k joins a_i and b_(k+1-i) on their shared letter, for i = 1..k."""
+    return [np.zeros(1, dtype=complex)] + [
+        sum(np.einsum("px,xq->pxq", a[i].reshape(-1, n), b[k + 1 - i].reshape(n, -1))
+            .ravel() for i in range(1, k + 1))
+        for k in range(1, len(a))
+    ]
+
+
+def evaluate(levels: Levels, mats) -> np.ndarray:
+    """``sum_w c_w M_{w_1} ... M_{w_k}`` from level arrays, by Horner's scheme
+    from the top degree down.  The stack holds ``sum_u c_{uv} M_u`` for each
+    suffix v of length k, transposed as R[c, v, a]: its rows (c, first letter
+    of v) make the step to k - 1 one (N x nN)(nN x n^(k-1) N) matmul against
+    the stacked generators, with no transpose."""
+    n, N = len(mats), mats[0].shape[0]
+    # stacked[c, (b, i)] = (M_i)[b, c]
+    stacked = np.stack(mats, axis=1).transpose(2, 0, 1).reshape(N, N * n)
+    diag = np.arange(N)
+    R = np.zeros((N, n ** (len(levels) - 1), N), dtype=complex)
+    R[diag, :, diag] = levels[-1]
+    for c_k in reversed(levels[:-1]):
+        R = (stacked @ R.reshape(N * n, -1)).reshape(N, c_k.size, N)
+        R[diag, :, diag] += c_k
+    return R.reshape(N, N).T

@@ -28,21 +28,19 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from . import levels
 from .coefficients import r_am_series
 from .errors import DomainError, ShapeError, ValidationError
 from .free_hopf import COMPLEX, FreeSeries
-from .kz_holonomy import (
-    DEFAULT_ACCURACY,
-    ConnectionSpec,
-    Levels,
-    _base_corners,
-    _base_linking,
-    _require_tangential,
-    _rho_kks_levels,
-    _to_levels,
-    holonomy_reg,
+from .kz_holonomy import DEFAULT_ACCURACY, ConnectionSpec, holonomy_reg
+from .kz_paths import (
+    PLPath,
+    base_corners,
+    base_linking,
+    intersections,
+    require_tangential,
 )
-from .kz_paths import PLPath, intersections
+from .levels import Levels
 
 __all__ = [
     "MatrixTuple",
@@ -106,24 +104,6 @@ class MatrixTuple:
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
-def _evaluate_levels(levels: Levels, mats) -> np.ndarray:
-    """``sum_w c_w M_{w_1} ... M_{w_k}`` from level arrays, by Horner's scheme
-    from the top degree down.  The stack holds ``sum_u c_{uv} M_u`` for each
-    suffix v of length k, transposed as R[c, v, a]: its rows (c, first letter
-    of v) make the step to k - 1 one (N x nN)(nN x n^(k-1) N) matmul against
-    the stacked generators, with no transpose."""
-    n, N = len(mats), mats[0].shape[0]
-    # stacked[c, (b, i)] = (M_i)[b, c]
-    stacked = np.stack(mats, axis=1).transpose(2, 0, 1).reshape(N, N * n)
-    diag = np.arange(N)
-    R = np.zeros((N, n ** (len(levels) - 1), N), dtype=complex)
-    R[diag, :, diag] = levels[-1]
-    for c_k in reversed(levels[:-1]):
-        R = (stacked @ R.reshape(N * n, -1)).reshape(N, c_k.size, N)
-        R[diag, :, diag] += c_k
-    return R.reshape(N, N).T
-
-
 def evaluate(series: FreeSeries, X: MatrixTuple) -> np.ndarray:
     """Evaluate a truncated series on a matrix tuple.
 
@@ -136,7 +116,7 @@ def evaluate(series: FreeSeries, X: MatrixTuple) -> np.ndarray:
         raise DomainError("evaluation requires the float backend")
     if series.n != X.n:
         raise ShapeError("series and matrix tuple have different generator counts")
-    return _evaluate_levels(_to_levels(series), X.matrices)
+    return levels.evaluate(levels.from_series(series), X.matrices)
 
 
 def tail_bound(degree: int, X: MatrixTuple) -> float:
@@ -152,8 +132,8 @@ def tail_bound(degree: int, X: MatrixTuple) -> float:
 # ---------------------------------------------------------------------------
 # exact gradients and the bracket oracle
 # ---------------------------------------------------------------------------
-def _level_gradient(levels: Levels, X: MatrixTuple) -> np.ndarray:
-    """Exact gradient of the series of ``levels`` evaluated on the tuple:
+def _level_gradient(series: Levels, X: MatrixTuple) -> np.ndarray:
+    """Exact gradient of the level arrays ``series`` evaluated on the tuple:
     ``grad[l, a, b, i, j] = d f(X)_ij / d (X_{l+1})_ab``.  Evaluated on the
     block tuple ``[[X_k, d_kl E_ab], [0, X_k]]`` the series carries that
     derivative in its upper-right block (Mathias 1996), so one evaluation of
@@ -165,7 +145,7 @@ def _level_gradient(levels: Levels, X: MatrixTuple) -> np.ndarray:
     grad = np.empty((n, N, N, N, N), dtype=complex)
     for l, a, b in np.ndindex(n, N, N):
         block[l, a, N + b] = 1.0
-        grad[l, a, b] = _evaluate_levels(levels, block)[:N, N:]
+        grad[l, a, b] = levels.evaluate(series, block)[:N, N:]
         block[l, a, N + b] = 0.0
     return grad
 
@@ -283,7 +263,7 @@ def _grouplike_double_bracket_tensor(
     big = [np.kron(-M.T, eye) + np.kron(eye, M) for M in X.matrices]
     # np.kron interleaves the indices: W[p, q, r, s] = S-leg[r, p] * leg[q, s];
     # the left leg of {{a, b}} is b S(r') a, contracted as (')_{uj} ('')_{iv}
-    W = _evaluate_levels(r, big).reshape(N, N, N, N)
+    W = levels.evaluate(r, big).reshape(N, N, N, N)
     return np.einsum("ua,biav,bj->ijuv", Mb, W, Ma)
 
 
@@ -368,7 +348,7 @@ def verify_theorem2(
     entries, from their exact gradients, (ii) the geometric formula (signed
     crossing subholonomies, plus the bivector, plus the four corner terms of
     the tail strands at the base: with M1, M2 the evaluated holonomies and
-    [X>Y] the strand order of `_base_corners`,
+    [X>Y] the strand order of `base_corners`,
     ``[p>Q] d_uj (M2 M1)_iv - [P>Q] (M1)_uj (M2)_iv - [p>q] (M2)_uj (M1)_iv
     + [P>q] (M1 M2)_uj d_iv``), (iii) the evaluated double bracket of the
     two grouplike holonomies, from the adjacent-letter pairing of their level
@@ -380,9 +360,9 @@ def verify_theorem2(
     the series' tail diverges, raises ValidationError whatever the
     tolerance.
     """
-    m = _require_tangential(loop1, "start")
+    m = require_tangential(loop1, "start")
     for path, which in ((loop1, "end"), (loop2, "start"), (loop2, "end")):
-        if _require_tangential(path, which) != m:
+        if require_tangential(path, which) != m:
             raise ValidationError("both loops must share one tangential base point")
     if conn.n_generators != X.n:
         raise ShapeError("connection and matrix tuple have different generator counts")
@@ -395,8 +375,8 @@ def verify_theorem2(
     hol1 = holonomy_reg(conn, loop1, accuracy, [c.t for c in cuts])
     hol2 = holonomy_reg(conn, loop2, accuracy, [c.s for c in cuts])
 
-    def at(levels: Levels) -> np.ndarray:
-        return _evaluate_levels(levels, X.matrices)
+    def at(series: Levels) -> np.ndarray:
+        return levels.evaluate(series, X.matrices)
 
     M1, M2 = at(hol1.levels), at(hol2.levels)
 
@@ -412,7 +392,7 @@ def verify_theorem2(
         t_b = at(hol2._piece_levels(c.s, 1.0)) @ at(hol1._piece_levels(0.0, c.t))
         crossing += float(c.sign) * np.einsum("uj,iv->ijuv", t_a, t_b)
     eye = np.eye(N)
-    pQ, PQ, pq, Pq = _base_corners(loop1, loop2)
+    pQ, PQ, pq, Pq = base_corners(loop1, loop2)
     for corner, t_a, t_b in ((pQ, eye, M2 @ M1), (-PQ, M1, M2), (-pq, M2, M1),
                              (Pq, M1 @ M2, eye)):
         if corner:
@@ -421,7 +401,7 @@ def verify_theorem2(
     formula = crossing + pi
 
     # (iii) evaluated double bracket of the grouplike holonomies
-    r = _rho_kks_levels(hol2.levels, hol1.levels, X.n)
+    r = levels.rho_kks(hol2.levels, hol1.levels, X.n)
     vdb = _grouplike_double_bracket_tensor(r, X, M2, M1)
 
     return BivectorReport(
@@ -431,7 +411,7 @@ def verify_theorem2(
         crossing_part=crossing,
         pi_part=pi,
         n_crossings=len(cuts),
-        base_linking=_base_linking(loop1, loop2),
+        base_linking=base_linking(loop1, loop2),
         tail=tail,
         tolerance=max(1e-4, tail) if tolerance is None else tolerance,
     )

@@ -1,5 +1,5 @@
-"""Shared fixtures: canonical path files, a seeded series factory, a seeded
-loop generator, and a counter of FreeSeries method calls."""
+"""Shared fixtures: canonical path files, a seeded series factory, seeded
+loop and open-path generators, and a counter of FreeSeries method calls."""
 
 from __future__ import annotations
 
@@ -87,6 +87,31 @@ def random_base_loop(rng: random.Random) -> PLPath:
     base = Anchor.tangential(1, 1.0)
     return PLPath(PunctureConfig([0.0, 1.0, 2.0]), base, base,
                   [complex(p) for p in points])
+
+
+def random_open_path(rng: random.Random, n: int, p: int, q: int,
+                     start: float = 0.0) -> PLPath:
+    """A random path among the punctures 0, 1, ..., n - 1, from puncture p
+    (1-based) in direction d_p to puncture q, arriving against direction d_q,
+    with d_p = `start` when it is nonzero and each other direction a random
+    +-1.  Its tails have spans s1, s2 in (0.1, 0.9) on the rays; it leaves
+    to height h1, runs to x = X, at least 0.2 from every puncture and within
+    0.8 of the anchors' span, changes to height h2 and comes back:
+    (z_p + d_p s1, 0), (., h1), (X, h1), (X, h2), (z_q + d_q s2, h2),
+    (z_q + d_q s2, 0), with h1, h2 of random signs.  So pairs of these paths
+    cross 0, 1 or 2 times and reach both orders of two strands at a shared
+    middle point."""
+    zp, zq = float(p - 1), float(q - 1)
+    d_p = start or rng.choice((1.0, -1.0))
+    d_q = rng.choice((1.0, -1.0))
+    s1, s2 = rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9)
+    h1, h2 = (rng.choice((1, -1)) * rng.uniform(0.1, 0.6) for _ in range(2))
+    x = rng.randint(int(min(zp, zq)) - 1, int(max(zp, zq))) + rng.uniform(0.2, 0.8)
+    a, b = zp + d_p * s1, zq + d_q * s2
+    points = [a, complex(a, h1), complex(x, h1), complex(x, h2), complex(b, h2), b]
+    return PLPath(PunctureConfig([float(k) for k in range(n)]),
+                  Anchor.tangential(p, d_p), Anchor.tangential(q, d_q),
+                  [complex(z) for z in points])
 
 
 @pytest.fixture

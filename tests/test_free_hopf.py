@@ -28,7 +28,7 @@ from kzfox.brackets_coactions import alpha, alpha_inv, beta, beta_inv
 from kzfox.cli import _cbf_mul_free_left, _cbf_mul_free_right, _triple_coproduct
 from kzfox.errors import DomainError, ShapeError
 from kzfox.free_hopf import _Rational, _coerce, _split_memo, _split_words
-from kzfox.kz_holonomy import _to_levels, _to_series
+from kzfox.levels import from_series, to_series
 from kzfox.trivial_extension import delta_z
 from conftest import dense_complex, random_series
 
@@ -418,7 +418,7 @@ def _trusted_maps():
         "alpha_inv": lambda a, b: alpha_inv(outer(a, b)),
         "beta": lambda a, b: beta(outer(a, b)),
         "beta_inv": lambda a, b: beta_inv(outer(a, b)),
-        "to_series": lambda a, b: _to_series(a.n, _to_levels(a.to_complex())),
+        "to_series": lambda a, b: to_series(a.n, from_series(a.to_complex())),
         "delta_z_tensor": lambda a, b: delta_z(1, a).tensor_part,
         "delta_z_m": lambda a, b: delta_z(1, a).m_part,
         "cbf_right": lambda a, b: _cbf_mul_free_right(_cyclic_by_free(a, b), b),
@@ -455,9 +455,9 @@ def test_trusted_results_pass_the_constructor_unchanged():
 
 
 def test_trusted_results_make_no_normal_calls(monkeypatch):
-    """The maps above never run a key through `_normal`; the double bracket
-    and delta_z only build their generator images through the constructor, a
-    count that does not grow with the input."""
+    """The maps above never run a key through `_normal`, the double bracket
+    included; delta_z only builds its generator images through the
+    constructor, a count that does not grow with the input."""
     a, b = (dense_complex(random.Random(s), 3, 4) for s in (1, 2))
     ca, cb = a.cyclic_project(), b.cyclic_project()
     cab = _cyclic_by_free(a, b)
@@ -477,7 +477,7 @@ def test_trusted_results_make_no_normal_calls(monkeypatch):
     assert type(FreeSeries(2, 4, {(1,): 2}, RATIONAL).coefficient((1,))) is _Rational
     assert issubclass(_Rational, Fraction)
     assert calls
-    fixed = {"double_bracket", "delta_z_tensor", "delta_z_m"}
+    fixed = {"delta_z_tensor", "delta_z_m"}
     for name, f in _trusted_maps().items():
         x, y = {"necklace_bracket": (ca, cb), "cbf_right": (cab, b),
                 "cbf_left": (cab, b)}.get(name, (a, b))

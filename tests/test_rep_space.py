@@ -25,7 +25,7 @@ from kzfox import (
     tail_bound,
     verify_theorem2,
 )
-from kzfox import fox_calculus, kz_holonomy, rep_space
+from kzfox import fox_calculus, levels, rep_space
 from kzfox.cli import main
 from kzfox.coefficients import r_am_series
 from kzfox.errors import DomainError, ShapeError, ValidationError
@@ -248,16 +248,16 @@ def test_level_evaluation_matches_word_products(monkeypatch):
                     ))
     assert worst <= 1e-14
 
-    level_eval = rep_space._evaluate_levels
+    level_eval = levels.evaluate
     checked = []
 
-    def checking(levels, mats):
-        got = level_eval(levels, mats)
-        want = _reference_evaluate(kz_holonomy._to_series(len(mats), levels), mats)
+    def checking(arrays, mats):
+        got = level_eval(arrays, mats)
+        want = _reference_evaluate(levels.to_series(len(mats), arrays), mats)
         checked.append((mats[0].shape[0], _relative_error(got, want)))
         return got
 
-    monkeypatch.setattr(rep_space, "_evaluate_levels", checking)
+    monkeypatch.setattr(levels, "evaluate", checking)
     words = [w for k in range(5) for w in itertools.product((1, 2, 3), repeat=k)]
 
     def dense():
@@ -268,9 +268,7 @@ def test_level_evaluation_matches_word_products(monkeypatch):
     for N in (2, 3):
         X = MatrixTuple.random(3, N, radius=0.3, seed=N)
         a, b = dense(), dense()
-        r = kz_holonomy._rho_kks_levels(
-            kz_holonomy._to_levels(a), kz_holonomy._to_levels(b), 3
-        )
+        r = levels.rho_kks(levels.from_series(a), levels.from_series(b), 3)
         rep_space._grouplike_double_bracket_tensor(r, X, evaluate(a, X), evaluate(b, X))
         assert (N * N) in [size for size, _ in checked]
     assert max(err for _, err in checked) <= 1e-14
@@ -293,28 +291,28 @@ def test_level_gradient_matches_finite_differences():
     rng = np.random.default_rng(29)
     worst = 0.0
     for n, N, D in itertools.product((1, 2, 3), (1, 2, 3), range(6)):
-        levels = [
+        arrays = [
             rng.standard_normal(n**k) + 1j * rng.standard_normal(n**k)
             for k in range(D + 1)
         ]
         X = MatrixTuple.random(n, N, radius=0.3, seed=7 * D + N)
         want = _matrix_gradient(
-            lambda Y: rep_space._evaluate_levels(levels, Y.matrices), X
+            lambda Y: levels.evaluate(arrays, Y.matrices), X
         )
-        worst = max(worst, np.max(np.abs(_level_gradient(levels, X) - want)))
+        worst = max(worst, np.max(np.abs(_level_gradient(arrays, X) - want)))
     assert worst <= 1e-9
 
 
 def test_level_gradient_makes_one_evaluation_per_direction(monkeypatch):
     """n N^2 evaluations of doubled size; finite differences made 4 n N^2."""
     calls = []
-    evaluate_levels = rep_space._evaluate_levels
+    evaluate_levels = levels.evaluate
 
-    def counting(levels, mats):
+    def counting(arrays, mats):
         calls.append(mats[0].shape)
-        return evaluate_levels(levels, mats)
+        return evaluate_levels(arrays, mats)
 
-    monkeypatch.setattr(rep_space, "_evaluate_levels", counting)
+    monkeypatch.setattr(levels, "evaluate", counting)
     for n, N in ((1, 1), (3, 2), (2, 3)):
         calls.clear()
         _level_gradient([np.ones(n**k, dtype=complex) for k in range(4)],
@@ -625,8 +623,8 @@ def test_verify_poisson_converts_no_levels_to_series(data_dir, monkeypatch, caps
     """The evaluated double bracket pairs the transports' level arrays: the
     poisson campaign converts no holonomy to a FreeSeries and makes no sparse
     pairing (every rho_kks call runs `_rho_kks_func`)."""
-    calls = {"_to_series": 0, "_rho_kks_func": 0}
-    for module, name in ((kz_holonomy, "_to_series"), (fox_calculus, "_rho_kks_func")):
+    calls = {"to_series": 0, "_rho_kks_func": 0}
+    for module, name in ((levels, "to_series"), (fox_calculus, "_rho_kks_func")):
         original = getattr(module, name)
 
         def counting(*args, _name=name, _original=original):
@@ -636,7 +634,7 @@ def test_verify_poisson_converts_no_levels_to_series(data_dir, monkeypatch, caps
         monkeypatch.setattr(module, name, counting)
     loops = [str(data_dir / name) for name in ("loop_a4.json", "loop_bup.json")]
     assert main(["verify", "poisson", "--loops", loops[0], "--loops", loops[1]]) == 0
-    assert calls == {"_to_series": 0, "_rho_kks_func": 0}
+    assert calls == {"to_series": 0, "_rho_kks_func": 0}
 
 
 def test_exact_gradients_leave_no_finite_difference_floor(load_path):
