@@ -4,11 +4,12 @@ flat connection  (1/2 pi i) sum_i x_i dlog(z - z_i)  along polyline paths.
 The transport is computed degree by degree on level arrays (`kzfox.levels`):
 the triangular system of iterated integrals they satisfy is evaluated on
 adaptive Gauss-Legendre panels, one broadcast and one real matmul per level
-(on the complex integrand's real and imaginary parts).  Tangential endpoints
-are regularized by one cutoff at 0.3 of the anchor's local scale: the stretch
-inside the cutoff is the analytic local frame (the same panel with the
-puncture's pole conjugated away) times a branch-fixed logarithmic factor, so
-the result carries no cutoff error.  Frames and prefixes are composed as level
+(on the complex integrand's real and imaginary parts, the level's add folded
+in), and at the top level one product of the weighted factors with the node
+values below.  Tangential endpoints are regularized by one cutoff at 0.3 of
+the anchor's local scale: the stretch inside the cutoff is the analytic local
+frame (the same panel with the puncture's pole conjugated away) times a
+branch-fixed logarithmic factor, so the result carries no cutoff error.  Frames and prefixes are composed as level
 products.  The reported accuracy is the summed subdivision residual of the
 polyline and both frames; a transport whose summed residual exceeds the
 requested accuracy raises AccuracyError.
@@ -25,9 +26,10 @@ both assembled on level arrays, and the loop-bracket checks on cyclic words.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Dict, List, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,10 +48,10 @@ from .kz_paths import (
     base_corners,
     base_linking,
     intersections,
-    require_tangential,
     rotation_number,
     self_intersections,
     snap_half_integer,
+    tangential_points,
 )
 from .levels import Levels
 
@@ -77,8 +79,9 @@ def _gauss_legendre_setup(order: int):
 
 
 _GL_NODES, _GL_WEIGHTS, _GL_INTMAT = _gauss_legendre_setup(_GL_ORDER)
-# integrand node values -> next node values (rows 0-15) and end value (row 16)
-_GL_MAP = np.vstack([_GL_INTMAT, _GL_WEIGHTS])
+# integrand node values (rows 0-15) and level (row 16) -> level plus next node
+# values (rows 0-15) and level plus end value (row 16)
+_GL_MAP = np.c_[np.vstack([_GL_INTMAT, _GL_WEIGHTS]), np.ones(_GL_ORDER + 1)]
 
 
 class ConnectionSpec:
@@ -173,31 +176,38 @@ def _panel_transport(
     equation conjugated by the local monodromy factor u^{x_pole/2pi i}.  The
     conjugation replaces the simple pole at the puncture with the bounded
     commutator term (x_pole U - U x_pole)/u, so the integrand is analytic up
-    to u = 0."""
+    to u = 0.  The top level's end value contracts the weighted factors with
+    the node values below it, so its (16, n^D) integrand is never built."""
     half = 0.5 * (b - a)
     u = 0.5 * (a + b) + half * _GL_NODES
     z = z0 + dz * u
     n = conn.n_generators
-    # node-major: factors[node, i] and nodes[node, word]
-    factors = (dz * half / TWO_PI_I) / (z[:, None] - conn._points)
+    # factors[i, node] and nodes[node, word]
+    factors = (dz * half / TWO_PI_I) / (z - conn._points[:, None])
     if pole:
-        factors[:, pole - 1] = (half / TWO_PI_I) / u
+        factors[pole - 1] = (half / TWO_PI_I) / u
     nodes = np.full((_GL_ORDER, 1), init[0][0])
     end = [init[0]]
-    for k, level in enumerate(init[1:], 2):
-        # the integrand of x_i w is the factor of x_i times the node values of w
-        g = (factors[:, :, None] * nodes[:, None]).reshape(_GL_ORDER, -1)
+    for level in init[1:-1]:
+        # the integrand of x_i w is the factor of x_i times the node values of
+        # w, in rows 0-15 of the work buffer; the level is row 16
+        work = np.empty((_GL_ORDER + 1, level.size), dtype=complex)
+        g = work[:-1].reshape(_GL_ORDER, n, -1)
+        np.multiply(factors.T[:, :, None], nodes[:, None], out=g)
         if pole:
             # words ending in the pole: minus its factor times the node values
             # of the word without that letter
-            g.reshape(len(g), -1, n)[..., pole - 1] -= factors[:, [pole - 1]] * nodes
-        # one real matmul on the real and imaginary parts; the top level's node
-        # values are never read, so it takes the end row alone
-        rows = _GL_MAP[-1:] if k == len(init) else _GL_MAP
-        out = (rows @ g.view(float)).view(complex)
-        end.append(level + out[-1])  # a copy, so the state pins no work buffer
+            g.reshape(len(g), -1, n)[..., pole - 1] -= factors[[pole - 1]].T * nodes
+        work[-1] = level
+        out = (_GL_MAP @ work.view(float)).view(complex)
+        end.append(out[-1].copy())  # a copy, so the state pins no work buffer
         nodes = out[:-1]
-        nodes += level
+    if len(init) > 1:
+        weighted = factors * _GL_WEIGHTS
+        top = init[-1] + (weighted @ nodes).ravel()
+        if pole:
+            top.reshape(-1, n)[:, pole - 1] -= weighted[pole - 1] @ nodes
+        end.append(top)
     return end
 
 
@@ -222,19 +232,27 @@ def _advance(
     depth: int,
     where: str,
     pole: int = 0,
+    whole: Optional[Levels] = None,
+    work: Optional[Counter] = None,
 ) -> Tuple[Levels, float]:
     """Adaptive bisection of a panel until whole and split panels agree to
-    `tol`; returns the state at u = b and the summed panel residual."""
-    whole = _panel_transport(conn, z0, dz, a, b, init, pole)
+    `tol`; returns the state at u = b and the summed panel residual.  A left
+    child's `whole` is its parent's first half; `work` counts panels and depth."""
+    work = Counter() if work is None else work
+    work["panels"] += 3 if whole is None else 2
+    work["max_depth"] = max(work["max_depth"], depth)
+    whole = whole or _panel_transport(conn, z0, dz, a, b, init, pole)
     mid = 0.5 * (a + b)
     first = _panel_transport(conn, z0, dz, a, mid, init, pole)
     halves = _panel_transport(conn, z0, dz, mid, b, first, pole)
-    err = max(float(np.max(np.abs(w - h))) for w, h in zip(whole, halves))
+    err = float(np.max(np.abs(np.concatenate(whole) - np.concatenate(halves))))
     # the roundoff floor keeps deep subdivisions from demanding sub-epsilon
     # panel residuals; it scales with the panel's conditioning, because the
-    # roundoff in 1/(z - z_i) grows as the gap to a puncture shrinks
-    threshold = max(tol, _ROUNDOFF_FLOOR * _conditioning(conn, z0, dz, a, b, pole))
-    if err <= threshold:
+    # roundoff in 1/(z - z_i) grows as the gap to a puncture shrinks; a
+    # residual within tol passes whatever the floor
+    if err <= tol or err <= (
+        threshold := max(tol, _ROUNDOFF_FLOOR * _conditioning(conn, z0, dz, a, b, pole))
+    ):
         return halves, err
     if depth >= _MAX_DEPTH:
         raise AccuracyError(
@@ -243,16 +261,17 @@ def _advance(
             "close to a puncture"
         )
     left, err_l = _advance(
-        conn, z0, dz, a, mid, init, 0.5 * tol, depth + 1, where, pole
+        conn, z0, dz, a, mid, init, 0.5 * tol, depth + 1, where, pole, first, work
     )
     right, err_r = _advance(
-        conn, z0, dz, mid, b, left, 0.5 * tol, depth + 1, where, pole
+        conn, z0, dz, mid, b, left, 0.5 * tol, depth + 1, where, pole, None, work
     )
     return right, err_l + err_r
 
 
 def _transport_polyline(
-    conn: ConnectionSpec, points: Sequence[complex], tol: float, keep: Collection[int]
+    conn: ConnectionSpec, points: Sequence[complex], tol: float, keep: Collection[int],
+    work: Optional[Counter] = None,
 ) -> Tuple[Dict[int, Levels], float]:
     """The transport state at each point index in `keep` and at the last
     point, and the summed subdivision residual; no other state is kept."""
@@ -262,7 +281,8 @@ def _transport_polyline(
     for k in range(len(points) - 1):
         z0 = complex(points[k])
         dz = complex(points[k + 1]) - z0
-        state, err = _advance(conn, z0, dz, 0.0, 1.0, state, tol, 0, f"segment {k}")
+        state, err = _advance(conn, z0, dz, 0.0, 1.0, state, tol, 0, f"segment {k}",
+                              work=work)
         total_err += err
         if k + 1 in keep:
             states[k + 1] = state
@@ -302,7 +322,8 @@ def _local_scale(conn: ConnectionSpec, puncture: int, tail_length: float) -> flo
 
 
 def _local_frame(
-    conn: ConnectionSpec, anchor: Anchor, neighbour: complex, accuracy: float
+    conn: ConnectionSpec, anchor: Anchor, neighbour: complex, accuracy: float,
+    work: Optional[Counter] = None,
 ) -> Tuple[complex, float, Levels, float]:
     """Cut a tangential anchor off at radius r = _CUTOFF * local scale along
     its ray.  Returns the cut point, r, the regularizing factor
@@ -318,9 +339,8 @@ def _local_frame(
     v = anchor.direction / abs(anchor.direction)
     r = _CUTOFF * _local_scale(conn, p, abs(neighbour - zp))
     unit = levels.unit(conn.n_generators, conn.trunc_degree)
-    state, err = _advance(
-        conn, zp, v, 0.0, r, unit, accuracy, 0, f"the local frame at puncture {p}", pole=p
-    )
+    state, err = _advance(conn, zp, v, 0.0, r, unit, accuracy, 0,
+                          f"the local frame at puncture {p}", pole=p, work=work)
     c = math.log(r) / TWO_PI_I
     branch = {(p,) * k: c**k / math.factorial(k) for k in range(conn.trunc_degree + 1)}
     return zp + v * r, r, levels.sparse_mul(state, branch, conn.n_generators, False), err
@@ -345,26 +365,28 @@ def holonomy_reg(
     its segments and the frames.  `accuracy_estimate` is the summed
     subdivision residual of the polyline and of both local frames, and an
     AccuracyError is raised when it exceeds `accuracy`; the report records
-    the cut radii and the polyline's share as `quadrature_error`."""
+    the cut radii, the polyline's share as `quadrature_error`, and the panel
+    evaluations (`panels`) and deepest subdivision (`max_depth`) of all."""
     if path.punctures.points != conn.punctures.points:
         raise ValidationError("path and connection use different punctures")
     points, index = _with_breakpoints(path, breakpoints)
     n_frames = (path.start.kind == TANGENTIAL) + (path.end.kind == TANGENTIAL)
     tol = accuracy / (len(points) - 1 + n_frames)
     report: dict = {}
+    work: Counter = Counter()
     pre = post = levels.unit(conn.n_generators, conn.trunc_degree)
     frame_err = 0.0
     if path.start.kind == TANGENTIAL:
         points[0], report["cutoff_start"], pre, err = _local_frame(
-            conn, path.start, points[1], tol
+            conn, path.start, points[1], tol, work
         )
         frame_err += err
     if path.end.kind == TANGENTIAL:
         points[-1], report["cutoff_end"], post, err = _local_frame(
-            conn, path.end, points[-2], tol
+            conn, path.end, points[-2], tol, work
         )
         frame_err += err
-    states, quad_err = _transport_polyline(conn, points, tol, set(index.values()))
+    states, quad_err = _transport_polyline(conn, points, tol, set(index.values()), work)
     total_err = quad_err + frame_err
     if total_err > accuracy:
         raise AccuracyError(
@@ -372,6 +394,7 @@ def holonomy_reg(
             f"accuracy {accuracy:.3e}; the path may run too close to a puncture"
         )
     report["quadrature_error"] = quad_err
+    report.update(panels=work["panels"], max_depth=work["max_depth"])
     prefixes = {t: levels.mul(states[i], pre) for t, i in index.items()}
     end = levels.mul(states[len(points) - 1], pre)
     # the end frame is grouplike, so its antipode is its inverse
@@ -411,7 +434,7 @@ def crossing_breakpoints(crossings: Sequence[Crossing]) -> List[float]:
 
 def _coaction_rhs(hol: HolonomyResult, cuts: Sequence[Crossing], rot: float) -> Levels:
     """`mu_bar_rhs` as level arrays through degree D-1."""
-    p, q = (require_tangential(hol.path, which) for which in ("start", "end"))
+    p, q = tangential_points((hol.path, "start"), (hol.path, "end"))
     h, n, deg = hol.levels, hol.path.punctures.n, len(hol.levels) - 1
     if deg < 1:
         raise DomainError("the reduced-coaction formula needs truncation degree >= 1")
@@ -460,17 +483,17 @@ def rho_paths(
     (first argument = second factor of the pairing, as in rho(H2, H1)).
 
     path1 runs from tangential p to q, path2 from tangential r to s; all
-    anchor punctures distinct except possibly q = r.  When both paths are
-    loops at a common tangential point the loop variant of the formula is
-    assembled instead.  Where tail strands of the two paths meet at a
+    anchor punctures distinct except possibly q = r, and anchors at one puncture
+    share its direction.  When both paths are loops at a common tangential
+    point the loop variant of the formula is assembled instead.  Where tail strands of the two paths meet at a
     puncture, each pair of a path1 strand X and a path2 strand Y adds a
     corner term [X>Y] (`above`): the four corners of `base_corners` for two
     loops, [path1 arriving > path2 leaving] times h2 h1 at a shared middle
     point.  The terms are level arrays of the two transports, summed through
     degree D-1 (so D >= 1) and converted to a series once.
     """
-    p, q = (require_tangential(path1, which) for which in ("start", "end"))
-    r, s = (require_tangential(path2, which) for which in ("start", "end"))
+    p, q, r, s = tangential_points(
+        (path1, "start"), (path1, "end"), (path2, "start"), (path2, "end"))
     distinct = len({p, q, r, s})
     if distinct not in (1, 4) and not (q == r and distinct == 3):
         raise ValidationError(
@@ -520,7 +543,7 @@ def goldman_bracket_check(
     crossing formula on cyclic words, and each loop's necklace cobracket
     against its crossing-plus-rotation formula."""
     ends = (loop1, "start"), (loop1, "end"), (loop2, "start"), (loop2, "end")
-    if len({require_tangential(*end) for end in ends}) > 1:
+    if len(set(tangential_points(*ends))) > 1:
         raise ValidationError("both loops must share one tangential base point")
     n, deg = conn.n_generators, conn.trunc_degree
     crossings = intersections(loop1, loop2)
@@ -623,8 +646,7 @@ def pentagon_projection_check(
     projected identity is then the reduced-coaction formula, so it is checked
     by `coaction_check`.  A loop (start and end at the same tangential point)
     is rejected: the identity has no closure term for it."""
-    require_tangential(path, "start")
-    require_tangential(path, "end")
+    tangential_points((path, "start"), (path, "end"))
     if path.start == path.end:
         raise ValidationError(
             "the pentagon projection needs a path between two tangential "

@@ -304,11 +304,18 @@ class PLPath:
 # -- strand order at a tangential point ---------------------------------------
 
 
-def require_tangential(path: PLPath, which: str) -> int:
-    anchor = path.start if which == "start" else path.end
-    if anchor.kind != TANGENTIAL:
-        raise ValidationError(f"{which} anchor must be tangential")
-    return anchor.puncture
+def tangential_points(*ends: Tuple[PLPath, str]) -> List[int]:
+    """The punctures of the tangential anchors at `ends`, (path, "start" |
+    "end") pairs.  Anchors at one puncture must also share its direction:
+    along another ray, an anchor is another tangential point."""
+    anchors = [path.start if which == "start" else path.end for path, which in ends]
+    for (_, which), anchor in zip(ends, anchors):
+        if anchor.kind != TANGENTIAL:
+            raise ValidationError(f"{which} anchor must be tangential")
+    if len({anchor.puncture for anchor in set(anchors)}) < len(set(anchors)):
+        raise ValidationError("two anchors at one puncture point in different "
+                              "directions: they are different tangential points")
+    return [anchor.puncture for anchor in anchors]
 
 
 def above(x: Tuple[PLPath, str], y: Tuple[PLPath, str]) -> float:

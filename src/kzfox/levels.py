@@ -47,11 +47,12 @@ def from_series(series: FreeSeries) -> Levels:
 
 
 def mul(a: Levels, b: Levels) -> Levels:
-    """Truncated product: level k is the sum over i of outer(a_i, b_{k-i})."""
-    return [
-        sum(np.outer(a[i], b[k - i]).ravel() for i in range(k + 1))
-        for k in range(len(a))
-    ]
+    """Truncated product: level k sums outer(a_i, b_{k-i}) over i, in place."""
+    out = [a[0][0] * b_k for b_k in b[: len(a)]]
+    for k in range(1, len(a)):
+        for i in range(1, k + 1):
+            out[k] += (a[i][:, None] * b[k - i]).ravel()
+    return out
 
 
 def antipode(levels: Levels, n: int) -> Levels:

@@ -38,7 +38,7 @@ from .kz_paths import (
     base_corners,
     base_linking,
     intersections,
-    require_tangential,
+    tangential_points,
 )
 from .levels import Levels
 
@@ -360,10 +360,10 @@ def verify_theorem2(
     the series' tail diverges, raises ValidationError whatever the
     tolerance.
     """
-    m = require_tangential(loop1, "start")
-    for path, which in ((loop1, "end"), (loop2, "start"), (loop2, "end")):
-        if require_tangential(path, which) != m:
-            raise ValidationError("both loops must share one tangential base point")
+    ends = (loop1, "start"), (loop1, "end"), (loop2, "start"), (loop2, "end")
+    m, *others = tangential_points(*ends)
+    if set(others) != {m}:
+        raise ValidationError("both loops must share one tangential base point")
     if conn.n_generators != X.n:
         raise ShapeError("connection and matrix tuple have different generator counts")
     tail = tail_bound(conn.trunc_degree, X)

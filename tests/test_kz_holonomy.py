@@ -235,15 +235,20 @@ def _random_coeffs(rng, conn):
 
 
 def test_level_panel_matches_word_by_word_reference():
-    conn = ConnectionSpec(P3, 5)
+    """For n = 2 and 3, with and without a pole: every degree D = 1..8 is the
+    top level of its own transport, so the top-level fold of the weights into
+    the factors, and its pole correction, is checked word by word at each
+    level.  The reference runs once at D = 8: its words of length <= D are
+    the D-truncated panel."""
     rng = random.Random(7)
-    words = _words(conn)
     worst = 0.0
-    for pole in (0, 1, 2, 3):
-        for _ in range(4):
-            init = _random_coeffs(rng, conn)
+    for n in (2, 3):
+        punctures = PunctureConfig([float(k) for k in range(n)])
+        top = ConnectionSpec(punctures, 8)
+        for pole, _ in itertools.product(range(n + 1), range(4 if n == 2 else 1)):
+            init = _random_coeffs(rng, top)
             if pole:
-                z0 = conn.punctures.point(pole)
+                z0 = top.punctures.point(pole)
                 dz = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
                 a = rng.uniform(0.0, 0.1)
                 b = a + rng.uniform(0.05, 0.2)
@@ -251,13 +256,32 @@ def test_level_panel_matches_word_by_word_reference():
                 z0 = complex(rng.uniform(-0.5, 2.5), rng.uniform(0.2, 1.0))
                 dz = complex(rng.uniform(-1, 1), rng.uniform(-0.15, 0.15))
                 a, b = 0.0, 1.0
-            level = kz_holonomy._panel_transport(
-                conn, z0, dz, a, b, _as_levels(conn, init), pole
-            )
-            reference = _reference_panel(conn, z0, dz, a, b, init, pole)
-            for w, c in zip(words, np.concatenate(level)):
-                worst = max(worst, abs(c - reference[w]))
+            reference = _as_levels(top, _reference_panel(top, z0, dz, a, b, init, pole))
+            start = _as_levels(top, init)
+            for degree in range(1, 9):
+                conn = ConnectionSpec(punctures, degree)
+                level = kz_holonomy._panel_transport(
+                    conn, z0, dz, a, b, start[: degree + 1], pole
+                )
+                assert len(level) == degree + 1
+                for got, want in zip(level, reference):
+                    worst = max(worst, float(np.abs(got - want).max()))
     assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_level_product_and_antipode_match_series_operations(degree):
+    """Level product and level antipode against FreeSeries product and
+    antipode, for n = 2 and 3 at every degree through 8."""
+    rng = random.Random(100 + degree)
+    for n in (2, 3):
+        conn = ConnectionSpec(PunctureConfig([float(k) for k in range(n)]), degree)
+        a, b = _random_coeffs(rng, conn), _random_coeffs(rng, conn)
+        sa, sb = FreeSeries(n, degree, a, COMPLEX), FreeSeries(n, degree, b, COMPLEX)
+        product = levels.mul(_as_levels(conn, a), _as_levels(conn, b))
+        assert levels.to_series(n, product).allclose(sa * sb, 1e-14)
+        antipode = levels.antipode(_as_levels(conn, a), n)
+        assert levels.to_series(n, antipode) == sa.antipode()
 
 
 def test_level_composition_matches_series_operations():
@@ -304,6 +328,34 @@ def test_transport_levels_own_their_memory():
     states, _ = kz_holonomy._transport_polyline(conn, LOOP_A1, 1e-10, {2, 4})
     assert set(states) == {2, 4, len(LOOP_A1) - 1}
     assert all(a.flags.owndata for state in states.values() for a in state)
+
+
+def test_transport_work_counters(load_path, monkeypatch):
+    """The report's `panels` and `max_depth` on fig8 at D = 5.  Each `_advance`
+    call evaluates its whole panel and two halves, except a bisected panel's
+    left child, which takes its whole panel from the parent's first half: the
+    count is three per call less one per bisection.  The panel conditioning
+    is asked for only above the tolerance, so here once per bisection."""
+    path = load_path("fig8.json")
+    calls = {"advance": 0, "top": 0, "conditioning": 0}
+    advance, conditioning = kz_holonomy._advance, kz_holonomy._conditioning
+
+    def counting_advance(*args, **kwargs):
+        calls["advance"] += 1
+        calls["top"] += args[7] == 0
+        return advance(*args, **kwargs)
+
+    def counting_conditioning(*args):
+        calls["conditioning"] += 1
+        return conditioning(*args)
+
+    monkeypatch.setattr(kz_holonomy, "_advance", counting_advance)
+    monkeypatch.setattr(kz_holonomy, "_conditioning", counting_conditioning)
+    report = holonomy_reg(ConnectionSpec(path.punctures, 5), path).regularization_report
+    bisected = (calls["advance"] - calls["top"]) // 2
+    assert report["panels"] == 3 * calls["advance"] - bisected
+    assert (report["panels"], report["max_depth"], bisected) == (43, 1, 2)
+    assert calls["conditioning"] == bisected
 
 
 def test_transport_makes_no_series_products(load_path, count_series_calls):
@@ -829,6 +881,44 @@ def test_rho_paths_on_seeded_open_path_pairs(kind):
     assert accepted == 12
     assert worst < 1e-10
     assert corners == ({0.0, 1.0} if kind == "shared_middle" else set())
+
+
+def test_anchors_at_one_puncture_must_share_its_direction(monkeypatch):
+    """Two anchors at one puncture but along different rays are different
+    tangential points.  Before any transport, a ValidationError refuses a
+    shared middle point that path2 leaves against path1's arrival direction
+    (12 seeded `random_open_path` draws) and a loop pair based along opposite
+    rays (rho_paths, goldman_bracket_check, verify_theorem2).  The coaction
+    refuses a path whose two ends sit at one puncture along opposite rays."""
+    from kzfox.rep_space import MatrixTuple, verify_theorem2
+
+    calls = []
+    original = kz_holonomy.holonomy_reg
+    monkeypatch.setattr(kz_holonomy, "holonomy_reg",
+                        lambda *args: calls.append(args) or original(*args))
+    rng = random.Random(2201)
+    for _ in range(12):
+        p, q, s = rng.sample(range(1, 4), 3)
+        path1 = random_open_path(rng, 3, p, q)
+        path2 = random_open_path(rng, 3, q, s, start=-path1.end.direction.real)
+        with pytest.raises(ValidationError, match="different directions"):
+            rho_paths(ConnectionSpec(path1.punctures, 4), path2, path1)
+    conn = ConnectionSpec(P3, 4)
+    loop = _loop(LOOP_A1)
+    mirrored = PLPath(P3, Anchor.tangential(1, -1.0), Anchor.tangential(1, -1.0),
+                      [-complex(z) for z in LOOP_A1])
+    X = MatrixTuple.random(3, 2, radius=0.1, seed=5)
+    for check in (rho_paths, goldman_bracket_check,
+                  lambda conn, b, a: verify_theorem2(conn, b, a, X)):
+        for loop2, loop1 in ((mirrored, loop), (loop, mirrored)):
+            with pytest.raises(ValidationError, match="different directions"):
+                check(conn, loop2, loop1)
+    assert calls == []
+    # the coaction refuses it after the transport; it used to fail by 0.5
+    opposite = PLPath(P3, Anchor.tangential(1, 1.0), Anchor.tangential(1, -1.0),
+                      [0.3, 0.3 + 0.5j, -0.4 + 0.5j, -0.4])
+    with pytest.raises(ValidationError, match="different directions"):
+        coaction_check(conn, opposite)
 
 
 def test_pairing_and_campaigns_make_no_complex_series_arithmetic(data_dir, monkeypatch):

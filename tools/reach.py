@@ -40,8 +40,8 @@ def _data(name: str) -> str:
 
 # campaign -> (arguments without --degree, default and stretch degrees)
 CAMPAIGNS = {
-    "coaction": (["--path", _data("fig8.json")], (3, 7, 8, 9, 10, 11, 12)),
-    "pentagon": (["--path", _data("fig8.json")], (3, 8, 9, 10, 11, 12)),
+    "coaction": (["--path", _data("fig8.json")], (3, 7, 8, 9, 10, 11, 12, 13)),
+    "pentagon": (["--path", _data("fig8.json")], (3, 8, 9, 10, 11, 12, 13)),
     "goldman": (
         ["--loops", _data("loop_a1.json"), "--loops", _data("loop_b1.json")],
         (3, 6, 7, 8, 9),
