@@ -2,7 +2,8 @@
 
 Provides Riemann zeta values at integer arguments (Euler-Maclaurin
 accelerated Dirichlet series, no external tables), exact Bernoulli numbers,
-and the two one-variable series built from them:
+and the two one-variable series built from them, as coefficients c_0..c_D (the
+one home of both formulas) and as FreeSeries:
 
     r_zeta(x)  = -(1/2*pi*i) * sum_{m>=2} zeta(m) * (x/2*pi*i)^(m-1)
     r_am(x)    = -1/2 + sum_{k>=1} B_{2k}/(2k)! * x^(2k-1)
@@ -73,6 +74,23 @@ def zeta_from_bernoulli(k: int) -> float:
     return float(val) * (2.0 * math.pi) ** (2 * k)
 
 
+def r_zeta_coefficients(degree: int, sign: int = 1) -> list:
+    """c_0..c_degree of r_zeta(sign * x) in one variable: c_0 = 0 and
+    c_(m-1) = -zeta(m) * sign^(m-1) / (2 pi i)^m."""
+    if degree < 0:
+        raise DomainError("degree must be >= 0")
+    return [0.0] + [-zeta(m) / TWO_PI_I**m * sign ** (m - 1)
+                    for m in range(2, degree + 2)]
+
+
+def r_am_coefficients(degree: int) -> list:
+    """c_0..c_degree of r_am in one variable, exactly: c_j = B_(j+1)/(j+1)!,
+    since B_1 = -1/2 and the odd Bernoulli numbers above it vanish."""
+    if degree < 0:
+        raise DomainError("degree must be >= 0")
+    return [_bernoulli_all(j + 1) / math.factorial(j + 1) for j in range(degree + 1)]
+
+
 def r_zeta_series(
     generator: int,
     degree: int,
@@ -85,15 +103,9 @@ def r_zeta_series(
         raise UnsupportedConstantError(
             "the exact rational backend cannot represent pi and zeta values"
         )
-    if degree < 0:
-        raise DomainError("degree must be >= 0")
-    n = n_generators or generator
-    sign = -1 if negate_variable else 1
-    terms = {}
-    for m in range(2, degree + 2):
-        c = -zeta(m) / TWO_PI_I**m * sign ** (m - 1)
-        terms[(generator,) * (m - 1)] = c
-    return FreeSeries(n, degree, terms, COMPLEX)
+    coeffs = r_zeta_coefficients(degree, -1 if negate_variable else 1)
+    terms = {(generator,) * j: c for j, c in enumerate(coeffs)}  # zeros are dropped
+    return FreeSeries(n_generators or generator, degree, terms, COMPLEX)
 
 
 def r_am_series(
@@ -103,14 +115,5 @@ def r_am_series(
     backend: str = COMPLEX,
 ) -> FreeSeries:
     """The Bernoulli-side regularizing series: -1/2 + sum B_{2k}/(2k)! x^{2k-1}."""
-    if degree < 0:
-        raise DomainError("degree must be >= 0")
-    n = n_generators or generator
-    terms = {(): Fraction(-1, 2)}
-    k = 1
-    while 2 * k - 1 <= degree:
-        terms[(generator,) * (2 * k - 1)] = _bernoulli_all(2 * k) / Fraction(
-            math.factorial(2 * k)
-        )
-        k += 1
-    return FreeSeries(n, degree, terms, backend)
+    terms = {(generator,) * j: c for j, c in enumerate(r_am_coefficients(degree))}
+    return FreeSeries(n_generators or generator, degree, terms, backend)

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import levels
 from .brackets_coactions import CyclicWedge, necklace_bracket, necklace_cobracket
-from .coefficients import TWO_PI_I, r_am_series, r_zeta_series
+from .coefficients import TWO_PI_I, r_am_coefficients, r_zeta_coefficients
 from .errors import AccuracyError, DomainError, ValidationError
 from .free_hopf import COMPLEX, CyclicSeries, FreeSeries
 from .kz_paths import (
@@ -334,16 +334,16 @@ def _local_frame(
     coordinate (z - z_p)/v is real positive on the ray, so the branch factor
     uses a real logarithm; with U in place the result does not depend on r.
     The factor exp(c x_p), c = log(r) / 2pi i, is c^k / k! on the word p^k."""
-    p = anchor.puncture
+    p, n = anchor.puncture, conn.n_generators
     zp = conn.punctures.point(p)
     v = anchor.direction / abs(anchor.direction)
     r = _CUTOFF * _local_scale(conn, p, abs(neighbour - zp))
-    unit = levels.unit(conn.n_generators, conn.trunc_degree)
+    unit = levels.unit(n, conn.trunc_degree)
     state, err = _advance(conn, zp, v, 0.0, r, unit, accuracy, 0,
                           f"the local frame at puncture {p}", pole=p, work=work)
     c = math.log(r) / TWO_PI_I
-    branch = {(p,) * k: c**k / math.factorial(k) for k in range(conn.trunc_degree + 1)}
-    return zp + v * r, r, levels.sparse_mul(state, branch, conn.n_generators, False), err
+    branch = [c**k / math.factorial(k) for k in range(conn.trunc_degree + 1)]
+    return zp + v * r, r, levels.mul(state, levels.letter(n, p, branch)), err
 
 
 def holonomy_reg(
@@ -438,11 +438,10 @@ def _coaction_rhs(hol: HolonomyResult, cuts: Sequence[Crossing], rot: float) -> 
     h, n, deg = hol.levels, hol.path.punctures.n, len(hol.levels) - 1
     if deg < 1:
         raise DomainError("the reduced-coaction formula needs truncation degree >= 1")
-    zeta_p = r_zeta_series(p, deg, n, negate_variable=True).coeffs
     terms = [
-        (1.0, levels.sparse_mul(h, zeta_p, n, False)),
+        (1.0, levels.mul(h, levels.letter(n, p, r_zeta_coefficients(deg, -1)))),
         (rot, h),
-        (-1.0, levels.sparse_mul(h, r_zeta_series(q, deg, n).coeffs, n, True)),
+        (-1.0, levels.mul(levels.letter(n, q, r_zeta_coefficients(deg)), h)),
         (-1.0, levels.fox(h, p, n, True)),
         (-1.0, levels.fox(h, q, n, False)),
     ]
@@ -455,7 +454,7 @@ def _coaction_rhs(hol: HolonomyResult, cuts: Sequence[Crossing], rot: float) -> 
         # base point.  Its regularized contribution is a universal series in
         # the base generator, fixed by the closure turn direction: the
         # constant -1/2 of r_am becomes 1/2 - [p>P].
-        closure = levels.from_series(r_am_series(p, deg - 1, n))
+        closure = levels.letter(n, p, r_am_coefficients(deg - 1))
         closure[0] += 1.0 - above((hol.path, "in"), (hol.path, "out"))
         terms.append((1.0, closure))
     return levels.combine(terms, n, deg - 1)
@@ -522,12 +521,12 @@ def rho_paths(
     if distinct == 1:
         # (h2 - 1) r_am (h1 - 1) and the four corners
         g1, g2 = ([h[0] - 1.0] + h[1:] for h in (h1, h2))
-        r_am = levels.sparse_mul(g2, r_am_series(p, deg, n).coeffs, n, False)
+        r_am = levels.mul(g2, levels.letter(n, p, r_am_coefficients(deg - 1)))
         pQ, PQ, pq, Pq = base_corners(path1, path2)
         terms += [(1.0, levels.mul(r_am, g1)), (pQ, levels.mul(h2, h1)), (-PQ, h2),
                   (-pq, h1), (Pq, levels.unit(n, deg - 1))]
     elif q == r:
-        r_am = levels.sparse_mul(h2, r_am_series(q, deg, n).coeffs, n, False)
+        r_am = levels.mul(h2, levels.letter(n, q, r_am_coefficients(deg - 1)))
         terms += [(1.0, levels.mul(r_am, h1)),
                   (above((path1, "in"), (path2, "out")), levels.mul(h2, h1))]
     return levels.to_series(n, levels.combine(terms, n, deg - 1))
@@ -617,7 +616,9 @@ def coaction_check(
 ) -> dict:
     """Compare the reduced coaction of a path's holonomy with `mu_bar_rhs`
     through degree D-1, from one transport with breakpoints at the path's
-    self-crossings; both sides are level arrays."""
+    self-crossings; both sides are level arrays.  The anchors are read first,
+    so a path the formula refuses is never transported."""
+    tangential_points((path, "start"), (path, "end"))
     crossings = self_intersections(path)
     hol = holonomy_reg(conn, path, accuracy, crossing_breakpoints(crossings))
     rot = snap_half_integer(rotation_number(path))

@@ -4,7 +4,8 @@ Level k of a series in n generators holds the coefficients of the n^k words
 of length k in lexicographic order, so word w has index
 sum_i (w_i - 1) n^(k-1-i).  The transport, the assembled identity right-hand
 sides and the evaluation on matrices all run on this format; `to_series` and
-`from_series` are the one pair of conversions to and from FreeSeries.
+`from_series` are the one pair of conversions to and from FreeSeries, and a
+series in one letter enters as `letter`, for `mul` or `evaluate`.
 """
 
 from __future__ import annotations
@@ -22,9 +23,17 @@ Levels = List[np.ndarray]  # level k: the n^k words of length k, ravel order
 
 def unit(n: int, degree: int) -> Levels:
     """The unit series through `degree`."""
-    return [np.ones(1, dtype=complex)] + [
-        np.zeros(n**k, dtype=complex) for k in range(1, degree + 1)
-    ]
+    return letter(n, 1, [1.0] + [0.0] * degree)
+
+
+def letter(n: int, p: int, coeffs: Sequence) -> Levels:
+    """sum_j c_j x_p^j: the word p^j sits at index (p-1)(1 + n + ... + n^(j-1))."""
+    out, index = [], 0
+    for j, c in enumerate(coeffs):
+        out.append(np.zeros(n**j, dtype=complex))
+        out[j][index] = c
+        index = index * n + p - 1
+    return out
 
 
 def to_series(n: int, levels: Levels) -> FreeSeries:
@@ -41,8 +50,8 @@ def from_series(series: FreeSeries) -> Levels:
     inverse of `to_series`."""
     n = series.n
     levels = [np.zeros(n**k, dtype=complex) for k in range(series.degree + 1)]
-    for w, c in series.coeffs.items():
-        levels[len(w)][reduce(lambda i, letter: i * n + letter - 1, w, 0)] = c
+    for w, c in series.items():
+        levels[len(w)][reduce(lambda i, x: i * n + x - 1, w, 0)] = c
     return levels
 
 
@@ -58,18 +67,6 @@ def mul(a: Levels, b: Levels) -> Levels:
 def antipode(levels: Levels, n: int) -> Levels:
     """S(w) = (-1)^|w| reversed(w): each level with its axes reversed."""
     return [(-1) ** k * v.reshape((n,) * k).T.ravel() for k, v in enumerate(levels)]
-
-
-def sparse_mul(levels: Levels, coeffs: dict, n: int, left: bool) -> Levels:
-    """`levels` times sparse `coeffs` (on the left when `left`): a term c*w of
-    length j adds c * A_{k-j} at w's index among level k's last (first) j letters."""
-    out = [np.zeros_like(a) for a in levels]
-    for w, c in coeffs.items():
-        j, index = len(w), reduce(lambda i, letter: i * n + letter - 1, w, 0)
-        for k in range(j, len(levels)):
-            block = out[k].reshape(n**j, -1).T if left else out[k].reshape(-1, n**j)
-            block[:, index] += c * levels[k - j]
-    return out
 
 
 def combine(terms: Sequence[Tuple[float, Levels]], n: int, degree: int) -> Levels:

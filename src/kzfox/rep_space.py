@@ -29,7 +29,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from . import levels
-from .coefficients import r_am_series
+from .coefficients import r_am_coefficients
 from .errors import DomainError, ShapeError, ValidationError
 from .free_hopf import COMPLEX, FreeSeries
 from .kz_holonomy import DEFAULT_ACCURACY, ConnectionSpec, holonomy_reg
@@ -215,12 +215,9 @@ class BivectorPi:
             raise DomainError("generator index out of range")
         n, N = X.n, X.N
         ad = np.stack([_adjoint_operator(M) for M in X.matrices])
-        # R = sum_k c_k ad_{X_m}^k by Horner's scheme, c_k from r_am in one variable
-        coeffs, eye = r_am_series(1, degree, 1, COMPLEX).coeffs, np.eye(N * N)
-        R = np.zeros((N * N, N * N), dtype=complex)
-        for k in range(degree, -1, -1):
-            R = R @ ad[m - 1] + coeffs.get((1,) * k, 0.0) * eye
-        self._r_op = R
+        # R = sum_k c_k ad_{X_m}^k: r_am in one variable evaluated on ad_{X_m}
+        R = self._r_op = levels.evaluate(
+            levels.letter(1, 1, r_am_coefficients(degree)), [ad[m - 1]])
         # inner core[c, k, l, d, w, z] = (ad_{X_c} R ad_{X_d})[(k, l), (z, w)]
         inner = np.tensordot(ad @ R, ad, axes=(2, 1)).reshape((n, N, N) * 2)
         core = inner.swapaxes(4, 5) + _wedge_core(X, m)

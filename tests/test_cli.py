@@ -124,6 +124,23 @@ def test_missing_loop_argument_exits_1(capsys):
     assert main(["verify", "goldman", "--punctures", "0;1;2"]) == 1
 
 
+def test_missing_path_argument_exits_1(capsys):
+    assert main(["verify", "coaction"]) == 1
+    assert "--path" in capsys.readouterr().err
+
+
+def test_loop_files_with_different_punctures_exit_1(tmp_path, capsys):
+    with open(_path("loop_a1.json"), encoding="utf-8") as fp:
+        moved = json.load(fp)
+    moved["punctures"][2] = [2.0, 0.5]
+    other = tmp_path / "moved.json"
+    other.write_text(json.dumps(moved))
+    for which in ("goldman", "poisson"):
+        argv = ["verify", which, "--loops", _path("loop_b1.json"), "--loops", str(other)]
+        assert main(argv) == 1
+        assert "different punctures" in capsys.readouterr().err
+
+
 def test_malformed_path_file_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(
@@ -389,6 +406,24 @@ def test_goldman_campaign_reaches_degree_7(tmp_path, capsys):
     records = [json.loads(l) for l in out.read_text().splitlines() if l.strip()]
     assert records and all(r["passed"] is True for r in records)
     assert all(r["degree"] == 7 for r in records)
+
+
+def test_self_crossing_loop_meets_the_cobracket_crossing_term(tmp_path):
+    """`loop_fig8` crosses itself once (rot 1/2), so its cobracket check runs
+    the self-crossing term, which no other fixture loop reaches: the goldman
+    check against `loop_a1` in both orders at degree 5, and the coaction on
+    it, hold to 1e-13 (without the term the cobracket misses by 1.0)."""
+    fig8, a1 = _path("loop_fig8.json"), _path("loop_a1.json")
+    for k, argv in enumerate((
+        ["goldman", "--degree", "5", "--loops", fig8, "--loops", a1],
+        ["goldman", "--degree", "5", "--loops", a1, "--loops", fig8],
+        ["coaction", "--path", fig8],
+    )):
+        out = tmp_path / f"{k}.jsonl"
+        assert main(["verify", *argv, "--tol", "1e-13", "--out", str(out)]) == 0
+        (record,) = [json.loads(l) for l in out.read_text().splitlines() if l.strip()]
+        assert record["max_discrepancy"] <= 1e-13
+    assert (record["n_crossings"], record["rot"]) == (1, 0.5)
 
 
 def test_pentagon_campaign_reaches_degree_6(tmp_path):

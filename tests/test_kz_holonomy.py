@@ -31,7 +31,12 @@ from kzfox import (
 )
 from kzfox import fox_calculus, kz_holonomy, levels
 from kzfox.cli import load_path_file, main
-from kzfox.coefficients import r_am_series, r_zeta_series
+from kzfox.coefficients import (
+    r_am_coefficients,
+    r_am_series,
+    r_zeta_coefficients,
+    r_zeta_series,
+)
 from kzfox.errors import AccuracyError, DomainError, KzfoxError, ValidationError
 from kzfox.fox_calculus import d_left, d_right
 from kzfox.kz_holonomy import (
@@ -558,20 +563,22 @@ def _worst_level_error(arrays, series):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("degree", range(7))
 def test_level_maps_match_sparse_maps(n, degree):
-    """mu_bar, the products with one-generator series and the Fox derivatives
-    on level arrays against mu_bar_kks, FreeSeries.__mul__ and d_left /
-    d_right on dense complex series; at n = 1 the word x_1^j has index 0."""
+    """mu_bar, the products with one-generator series (`levels.letter`) and
+    the Fox derivatives on level arrays against mu_bar_kks, FreeSeries.__mul__
+    and d_left / d_right on dense complex series; at n = 1 the word x_1^j has
+    index 0."""
     a = dense_complex(random.Random(10 * n + degree), n, degree)
     arrays = levels.from_series(a)
     worst = _worst_level_error(levels.mu_bar(arrays, n), mu_bar_kks(a))
     for p in range(1, n + 1):
-        for z in (
-            r_zeta_series(p, degree, n),
-            r_zeta_series(p, degree, n, negate_variable=True),
-            r_am_series(p, degree, n),
+        for coeffs, z in (
+            (r_zeta_coefficients(degree), r_zeta_series(p, degree, n)),
+            (r_zeta_coefficients(degree, -1),
+             r_zeta_series(p, degree, n, negate_variable=True)),
+            (r_am_coefficients(degree), r_am_series(p, degree, n)),
         ):
-            right = levels.sparse_mul(arrays, z.coeffs, n, left=False)
-            left = levels.sparse_mul(arrays, z.coeffs, n, left=True)
+            one = levels.letter(n, p, coeffs)
+            right, left = levels.mul(arrays, one), levels.mul(one, arrays)
             worst = max(
                 worst, _worst_level_error(right, a * z), _worst_level_error(left, z * a)
             )
@@ -889,7 +896,9 @@ def test_anchors_at_one_puncture_must_share_its_direction(monkeypatch):
     shared middle point that path2 leaves against path1's arrival direction
     (12 seeded `random_open_path` draws) and a loop pair based along opposite
     rays (rho_paths, goldman_bracket_check, verify_theorem2).  The coaction
-    refuses a path whose two ends sit at one puncture along opposite rays."""
+    and the pentagon projection refuse, again before any transport, a path
+    whose two ends sit at one puncture along opposite rays and a path with a
+    regular end."""
     from kzfox.rep_space import MatrixTuple, verify_theorem2
 
     calls = []
@@ -914,11 +923,38 @@ def test_anchors_at_one_puncture_must_share_its_direction(monkeypatch):
             with pytest.raises(ValidationError, match="different directions"):
                 check(conn, loop2, loop1)
     assert calls == []
-    # the coaction refuses it after the transport; it used to fail by 0.5
+    # the opposite-ray path used to fail the coaction by 0.5
     opposite = PLPath(P3, Anchor.tangential(1, 1.0), Anchor.tangential(1, -1.0),
                       [0.3, 0.3 + 0.5j, -0.4 + 0.5j, -0.4])
-    with pytest.raises(ValidationError, match="different directions"):
-        coaction_check(conn, opposite)
+    regular_end = PLPath(P3, Anchor.tangential(1, 1.0), Anchor.regular(0.5 + 0.5j),
+                         [0.3, 0.3 + 0.5j])
+    for check in (coaction_check, pentagon_projection_check):
+        with pytest.raises(ValidationError, match="different directions"):
+            check(conn, opposite)
+        with pytest.raises(ValidationError, match="end anchor must be tangential"):
+            check(conn, regular_end)
+    assert calls == []
+
+
+def test_loops_at_different_punctures_are_refused_before_transport(monkeypatch):
+    """The bracket checks need one base point: loops based at two punctures
+    raise ValidationError in goldman_bracket_check and verify_theorem2,
+    in both orders, before any transport."""
+    from kzfox import rep_space
+    from kzfox.rep_space import MatrixTuple, verify_theorem2
+
+    calls = []
+    for module in (kz_holonomy, rep_space):
+        monkeypatch.setattr(module, "holonomy_reg", lambda *args: calls.append(args))
+    loop = _loop(LOOP_A1)
+    at_3 = PLPath(P3, Anchor.tangential(3, 1.0), Anchor.tangential(3, 1.0),
+                  [2 + complex(z) for z in LOOP_A1])
+    X = MatrixTuple.random(3, 2, radius=0.1, seed=5)
+    for check in (goldman_bracket_check, lambda conn, b, a: verify_theorem2(conn, b, a, X)):
+        for loop2, loop1 in ((at_3, loop), (loop, at_3)):
+            with pytest.raises(ValidationError, match="share one tangential base point"):
+                check(ConnectionSpec(P3, 4), loop2, loop1)
+    assert calls == []
 
 
 def test_pairing_and_campaigns_make_no_complex_series_arithmetic(data_dir, monkeypatch):
@@ -972,6 +1008,41 @@ def test_pairing_and_campaigns_make_no_complex_series_arithmetic(data_dir, monke
     ):
         assert main(argv) == 0
     assert calls == []
+
+
+def test_path_and_poisson_campaigns_build_no_sparse_series(data_dir, monkeypatch):
+    """The coaction, pentagon and poisson campaigns build no sparse series:
+    the regularizing series enter the kernel as level arrays
+    (`levels.letter`), so neither the validating `_Sparse` constructor nor
+    `_Sparse._trusted` runs.  The goldman campaign shows that the counter
+    sees both."""
+    from kzfox.free_hopf import _Sparse
+
+    made = []
+    init, trusted = _Sparse.__init__, _Sparse._trusted.__func__
+
+    def counting_init(self, *args, **kwargs):
+        made.append("__init__")
+        init(self, *args, **kwargs)
+
+    def counting_trusted(cls, *args, **kwargs):
+        made.append("_trusted")
+        return trusted(cls, *args, **kwargs)
+
+    monkeypatch.setattr(_Sparse, "__init__", counting_init)
+    monkeypatch.setattr(_Sparse, "_trusted", classmethod(counting_trusted))
+    fig8 = str(data_dir / "fig8.json")
+    loops = ["--loops", str(data_dir / "loop_a4.json"),
+             "--loops", str(data_dir / "loop_bup.json")]
+    for argv in (
+        ["verify", "coaction", "--path", fig8],
+        ["verify", "pentagon", "--path", fig8],
+        ["verify", "poisson"] + loops,
+    ):
+        assert main(argv) == 0
+        assert made == [], argv
+    assert main(["verify", "goldman"] + loops) == 0
+    assert {"__init__", "_trusted"} <= set(made)
 
 
 # ---------------------------------------------------------------------------
