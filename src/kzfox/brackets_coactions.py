@@ -14,7 +14,7 @@ derivations.
 from __future__ import annotations
 
 from .errors import DomainError
-from .fox_calculus import FoxPairing, d_left, d_right, rho_kks_pairing
+from .fox_calculus import FoxPairing, d_left, d_right, rho_kks, rho_kks_pairing
 from .free_hopf import (
     CyclicSeries,
     FreeSeries,
@@ -67,13 +67,6 @@ class CyclicWedge(_Sparse):
         if word_sort_key(v) < word_sort_key(u):
             return (v, u), -c
         return (u, v), c
-
-    @classmethod
-    def wedge(cls, x: CyclicSeries, y: CyclicSeries) -> "CyclicWedge":
-        """|x| wedge |y| = x (x) y - y (x) x, bilinear."""
-        x._check(y)
-        terms = (((u, v), cu * cv) for u, cu, v, cv in _graded_pairs(x, y, x.degree))
-        return cls(x.n, x.degree, terms, x.backend)
 
 
 # ---------------------------------------------------------------------------
@@ -191,27 +184,19 @@ def coaction_mu_kks(a: FreeSeries) -> CyclicByFree:
 # bracket and cobracket on cyclic words
 # ---------------------------------------------------------------------------
 def necklace_bracket(a, b) -> CyclicSeries:
-    """{|a|, |b|} = |{{a,b}}' {{a,b}}''| for the adjacent-letter pairing, on
-    the cyclic classes of a and b (series or cyclic series): a pair of classes
-    sums over its pairs of equal letters u_p = v_q = x (Goldman 1986;
-    Schedler 2005), {|u|, |v|} = sum |x V_q U_p| - |x U_p V_q|, where
-    U_p = u>p u<p and V_q = v>q v<q.  No double-bracket series is built."""
+    """{|a|, |b|} = |rho_kks(R a, R b) - rho_kks(R b, R a)| on the cyclic
+    classes of a and b (series or cyclic series), R summing the rotations of
+    each class word.  rho_kks pairs U x with x V to U x V, whose class
+    |x V U| is the term of the equal-letter form {|u|, |v|} =
+    sum |x V_q U_p| - |x U_p V_q|, U_p = u>p u<p and V_q = v>q v<q (Goldman
+    1986; Schedler 2005).  No double-bracket series is built."""
     ca, cb = a.cyclic_project(), b.cyclic_project()
-    ca._check(cb)
-
-    def terms():
-        # the shared letter is kept once, so the class pair may reach D + 1
-        for u, cu, v, cv in _graded_pairs(ca, cb, ca.degree + 1):
-            c = cu * cv
-            for q, y in enumerate(v):
-                rv = v[q:] + v[:q]  # x V_q
-                for p, x in enumerate(u):
-                    if x == y:
-                        ru = u[p:] + u[:p]  # x U_p
-                        yield cyclic_min(rv + ru[1:]), c
-                        yield cyclic_min(ru + rv[1:]), -c
-
-    return ca._like(terms())
+    ra, rb = (FreeSeries._trusted(c.n, c.degree, (
+        (u[i:] + u[:i], cu) for u, cu in c.items() for i in range(len(u))
+    ), c.backend) for c in (ca, cb))
+    # rho_kks checks the shapes
+    terms = (rho_kks(ra, rb) - rho_kks(rb, ra)).items()
+    return ca._like((cyclic_min(w), c) for w, c in terms)
 
 
 def necklace_cobracket(a) -> CyclicWedge:

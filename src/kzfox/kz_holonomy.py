@@ -20,7 +20,8 @@ every piece Hol(path[a, b]) = P(b) P(a)^-1 is read off them (Chen's
 identity).  On top of the transport engine sit the assembled right-hand
 sides of the holonomy identities: the reduced-coaction formula (which is
 also the projected pentagon identity) and the pairing formula for two paths,
-both assembled on level arrays, and the loop-bracket checks on cyclic words.
+both assembled on level arrays, and the loop bracket and cobracket checks on
+cyclic words, also on level arrays and compared on rotation sums.
 """
 
 from __future__ import annotations
@@ -34,10 +35,9 @@ from typing import Collection, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import levels
-from .brackets_coactions import CyclicWedge, necklace_bracket, necklace_cobracket
 from .coefficients import TWO_PI_I, r_am_coefficients, r_zeta_coefficients
 from .errors import AccuracyError, DomainError, ValidationError
-from .free_hopf import COMPLEX, CyclicSeries, FreeSeries
+from .free_hopf import FreeSeries
 from .kz_paths import (
     Anchor,
     Crossing,
@@ -129,17 +129,13 @@ class HolonomyResult:
             raise ValidationError(f"t = {t!r} is not a breakpoint of this transport")
         return self.prefixes[t]
 
-    def _piece_levels(self, a: float, b: float) -> Levels:
+    def piece(self, a: float, b: float) -> Levels:
         """Hol(path[a, b]) = P(b) * P(a)^-1 as level arrays; the prefix is
         grouplike, so its antipode is its inverse."""
         if a == 0.0:
             return self._prefix(b)
         n = self.path.punctures.n
         return levels.mul(self._prefix(b), levels.antipode(self._prefix(a), n))
-
-    def piece(self, a: float, b: float) -> FreeSeries:
-        """Hol(path[a, b]), a level product of two prefixes."""
-        return levels.to_series(self.path.punctures.n, self._piece_levels(a, b))
 
     def to_json_dict(self) -> dict:
         report = {"accuracy": self.accuracy_estimate}
@@ -446,7 +442,7 @@ def _coaction_rhs(hol: HolonomyResult, cuts: Sequence[Crossing], rot: float) -> 
         (-1.0, levels.fox(h, q, n, False)),
     ]
     for c in cuts:
-        pieces = hol._piece_levels(c.s, 1.0)[:deg], hol._piece_levels(0.0, c.t)[:deg]
+        pieces = hol.piece(c.s, 1.0)[:deg], hol.piece(0.0, c.t)[:deg]
         terms.append((float(c.sign), levels.mul(*pieces)))
     if p == q:
         # A loop's smooth model has one more self-intersection than the
@@ -514,8 +510,8 @@ def rho_paths(
         (1.0, levels.mul(levels.fox(hol2.levels, q, n, True), h1)),
         (1.0, levels.mul(h2, levels.fox(hol1.levels, r, n, False))),
     ] + [
-        (float(c.sign), levels.mul(hol2._piece_levels(c.s, 1.0)[:deg],
-                                   hol1._piece_levels(0.0, c.t)[:deg]))
+        (float(c.sign), levels.mul(hol2.piece(c.s, 1.0)[:deg],
+                                   hol1.piece(0.0, c.t)[:deg]))
         for c in cuts
     ]
     if distinct == 1:
@@ -540,7 +536,8 @@ def goldman_bracket_check(
 ) -> dict:
     """Compare the necklace bracket of two loop holonomies against the
     crossing formula on cyclic words, and each loop's necklace cobracket
-    against its crossing-plus-rotation formula."""
+    against its crossing-plus-rotation formula.  Both sides are level arrays,
+    compared on their rotation sums (`levels.rotations`) through degree D-1."""
     ends = (loop1, "start"), (loop1, "end"), (loop2, "start"), (loop2, "end")
     if len(set(tangential_points(*ends))) > 1:
         raise ValidationError("both loops must share one tangential base point")
@@ -553,28 +550,28 @@ def goldman_bracket_check(
     hol2 = holonomy_reg(
         conn, loop2, accuracy, [c.s for c in crossings] + crossing_breakpoints(self2)
     )
-    # each holonomy is projected to cyclic words once, for all three maps
-    c1, c2 = hol1.series.cyclic_project(), hol2.series.cyclic_project()
-    lhs = necklace_bracket(c2, c1)
-    terms = []
+    # the bracket is compared through degree D-1, which reads no level above it
+    h1, h2 = hol1.levels[:deg], hol2.levels[:deg]
+    terms = [(-1.0, levels.necklace_bracket(h2, h1, n))]
     for c in crossings:
         # each loop rerooted at the crossing: Hol(loop[0, t]) Hol(loop[t, 1])
-        r1 = levels.mul(hol1._piece_levels(0.0, c.t), hol1._piece_levels(c.t, 1.0))
-        r2 = levels.mul(hol2._piece_levels(0.0, c.s), hol2._piece_levels(c.s, 1.0))
+        r1 = levels.mul(hol1.piece(0.0, c.t)[:deg], hol1.piece(c.t, 1.0))
+        r2 = levels.mul(hol2.piece(0.0, c.s)[:deg], hol2.piece(c.s, 1.0))
         terms.append((float(c.sign), levels.mul(r1, r2)))
     # The base point is itself an intersection of the two loops; the resolved
     # curves cross there once when the four tail strands alternate.
     base_sign = base_linking(loop1, loop2)
     if base_sign:
-        terms.append((base_sign, levels.mul(hol1.levels, hol2.levels)))
-    rhs = levels.to_series(n, levels.combine(terms, n, deg)).cyclic_project()
+        terms.append((base_sign, levels.mul(h1, h2)))
+    diff = levels.combine(terms, n, deg - 1)
     report = {
-        "bracket_discrepancy": (lhs - rhs).norm_through(deg - 1),
+        "bracket_discrepancy": max((float(np.abs(levels.rotations(a, n, k)).max())
+                                    for k, a in enumerate(diff)), default=0.0),
         "n_crossings": len(crossings),
         "base_linking": base_sign,
         "cobracket_discrepancy": [
-            _cobracket_discrepancy(conn, loop1, hol1, c1, self1),
-            _cobracket_discrepancy(conn, loop2, hol2, c2, self2),
+            _cobracket_discrepancy(hol1, self1),
+            _cobracket_discrepancy(hol2, self2),
         ],
     }
     report["max_discrepancy"] = max(
@@ -583,30 +580,31 @@ def goldman_bracket_check(
     return report
 
 
-def _cobracket_discrepancy(
-    conn: ConnectionSpec,
-    loop: PLPath,
-    hol: HolonomyResult,
-    cyc: CyclicSeries,
-    crossings: Sequence[Crossing],
-) -> float:
-    """The cobracket check; `cyc` is the cyclic projection of hol.series."""
-    n, deg = conn.n_generators, conn.trunc_degree
-    lhs = necklace_cobracket(cyc)
+def _cobracket_discrepancy(hol: HolonomyResult, crossings: Sequence[Crossing]) -> float:
+    """The cobracket check of the loop `hol.path` on leg arrays A
+    (`levels.necklace_cobracket`), compared on the rotation sums along both
+    legs of A[i, j] - A[j, i]^T, the antisymmetrized tensor on cyclic
+    classes."""
+    loop, n, deg = hol.path, hol.path.punctures.n, len(hol.levels) - 1
     # The rotation term uses the tangent winding of the closed-up smooth
     # curve: the polyline rotation number plus the closing turn at the base,
     # counterclockwise (+1/2) when the incoming strand lies above the outgoing.
     turn = above((loop, "in"), (loop, "out")) - 0.5
     rot = snap_half_integer(rotation_number(loop)) + turn
-    one_cyc = FreeSeries.unit(n, deg, COMPLEX).cyclic_project()
-    rhs = CyclicWedge.wedge(one_cyc, cyc).scale(rot)
-    for c in crossings:
-        middle = hol.piece(c.t, c.s)
-        outer = levels.mul(hol._piece_levels(c.s, 1.0), hol._piece_levels(0.0, c.t))
-        rhs = rhs + CyclicWedge.wedge(
-            middle.cyclic_project(), levels.to_series(n, outer).cyclic_project()
-        ).scale(float(c.sign))
-    return (lhs - rhs).norm_through(deg - 1)
+    # (s, u, v) stands for s |u| (x) |v|
+    rhs = [(rot, levels.unit(n, deg), hol.levels)] + [
+        (c.sign, hol.piece(c.t, c.s),
+         levels.mul(hol.piece(c.s, 1.0), hol.piece(0.0, c.t)))
+        for c in crossings
+    ]
+    legs = levels.necklace_cobracket(hol.levels, n, deg - 1)
+    for (i, j), a in legs.items():
+        a -= sum(s * np.outer(u[i], v[j]) for s, u, v in rhs)
+    return max((
+        float(np.abs(levels.rotations(levels.rotations(a - legs[j, i].T, n, i).T, n, j))
+              .max())
+        for (i, j), a in legs.items()
+    ), default=0.0)
 
 
 def coaction_check(

@@ -101,6 +101,44 @@ def rho_kks(a: Levels, b: Levels, n: int) -> Levels:
     ]
 
 
+def rotations(a: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The sum of the k rotations of the length-k words along axis 0 of `a`
+    (`a` itself for k <= 1): the rotation by j letters, w = u.v -> v.u with
+    |u| = j, swaps the axes of the (n^j, n^(k-j)) reshape.  At a word of
+    period p the sum is k/p times the coefficient of its cyclic class, so it
+    is injective on classes and never smaller than the class coefficient."""
+    return sum(a.reshape(n**j, -1, *a.shape[1:]).swapaxes(0, 1).reshape(a.shape)
+               for j in range(max(k, 1)))
+
+
+def necklace_bracket(a: Levels, b: Levels, n: int) -> Levels:
+    """Level arrays whose cyclic classes are the necklace bracket {|a|, |b|}:
+    rho_kks(R a, R b) - rho_kks(R b, R a), R summing rotations.  rho pairs
+    U.x with x.V to U.x.V, whose class |x.V.U| is the term of the
+    equal-letter form (Goldman 1986; Schedler 2005)."""
+    ra, rb = ([rotations(v, n, k) for k, v in enumerate(s)] for s in (a, b))
+    return [p - q for p, q in zip(rho_kks(ra, rb, n), rho_kks(rb, ra, n))]
+
+
+def necklace_cobracket(a: Levels, n: int, degree: int) -> dict:
+    """The necklace cobracket of |a| as leg arrays A[i, j] (n^i x n^j), for
+    every i + j <= `degree`: it is A - P21 A on cyclic classes.  The diagonal
+    of the first letter's axis and a later one of R a holds the words
+    x.M.x.R, and each gives half of |M| (x) |x.R| - |M.x| (x) |R|: every
+    unordered pair of equal letters is met twice among the rotations, and
+    both meetings give the same antisymmetrized term."""
+    out = {(i, d - i): np.zeros((n**i, n ** (d - i)), dtype=complex)
+           for d in range(degree + 1) for i in range(d + 1)}
+    for k in range(2, min(len(a), degree + 2)):
+        r = rotations(a[k], n, k)
+        for m in range(k - 1):  # |M| = m, |R| = k - 2 - m
+            # the diagonal's axes are (M, R, x); half's are (M, x, R)
+            half = 0.5 * np.moveaxis(r.reshape(n, n**m, n, -1).diagonal(0, 0, 2), -1, 1)
+            out[m, k - 1 - m] += half.reshape(n**m, -1)
+            out[m + 1, k - 2 - m] -= half.reshape(n ** (m + 1), -1)
+    return out
+
+
 def evaluate(levels: Levels, mats) -> np.ndarray:
     """``sum_w c_w M_{w_1} ... M_{w_k}`` from level arrays, by Horner's scheme
     from the top degree down.  The stack holds ``sum_u c_{uv} M_u`` for each

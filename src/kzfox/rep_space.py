@@ -385,8 +385,8 @@ def verify_theorem2(
     N = X.N
     crossing = np.zeros((N, N, N, N), dtype=complex)
     for c in cuts:
-        t_a = at(hol1._piece_levels(c.t, 1.0)) @ at(hol2._piece_levels(0.0, c.s))
-        t_b = at(hol2._piece_levels(c.s, 1.0)) @ at(hol1._piece_levels(0.0, c.t))
+        t_a = at(hol1.piece(c.t, 1.0)) @ at(hol2.piece(0.0, c.s))
+        t_b = at(hol2.piece(c.s, 1.0)) @ at(hol1.piece(0.0, c.t))
         crossing += float(c.sign) * np.einsum("uj,iv->ijuv", t_a, t_b)
     eye = np.eye(N)
     pQ, PQ, pq, Pq = base_corners(loop1, loop2)

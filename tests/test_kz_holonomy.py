@@ -24,6 +24,8 @@ from kzfox import (
     holonomy_reg,
     mu_bar_kks,
     mu_bar_rhs,
+    necklace_bracket,
+    necklace_cobracket,
     rho_kks,
     rho_paths,
     subpath,
@@ -137,6 +139,11 @@ def test_multiplicativity_regular_split():
         assert (h - tail * head).norm_inf() < 1e-8
 
 
+def _piece(hol, a, b):
+    """`hol.piece(a, b)` as a FreeSeries."""
+    return levels.to_series(hol.path.punctures.n, hol.piece(a, b))
+
+
 def _worst_piece_error(conn, path, hol):
     """Every piece a transport gives between its breakpoints (and the ends)
     against a separate transport of the subpath."""
@@ -145,7 +152,7 @@ def _worst_piece_error(conn, path, hol):
     for i, a in enumerate(cuts):
         for b in cuts[i + 1:]:
             reference = holonomy_reg(conn, subpath(path, a, b)).series
-            worst = max(worst, (hol.piece(a, b) - reference).norm_inf())
+            worst = max(worst, (_piece(hol, a, b) - reference).norm_inf())
     return worst
 
 
@@ -180,7 +187,7 @@ def test_pieces_of_one_transport_match_subpath_transports(load_path):
 
 def test_piece_needs_a_breakpoint():
     hol = holonomy_reg(ConnectionSpec(P3, 2), _loop(LOOP_A1), breakpoints=[0.5])
-    assert (hol.piece(0.0, 1.0) - hol.series).norm_inf() == 0.0
+    assert (_piece(hol, 0.0, 1.0) - hol.series).norm_inf() == 0.0
     with pytest.raises(ValidationError, match="not a breakpoint"):
         hol.piece(0.25, 1.0)
     with pytest.raises(DomainError):
@@ -407,7 +414,7 @@ def test_reversal_and_chen_multiplicativity_on_random_loops():
             continue
         h = hol.series
         worst = max(worst, (inverse * h - FreeSeries.unit(3, 4, COMPLEX)).norm_inf(),
-                    (hol.piece(t, 1.0) * hol.piece(0.0, t) - h).norm_inf(),
+                    (_piece(hol, t, 1.0) * _piece(hol, 0.0, t) - h).norm_inf(),
                     (tail * head - h).norm_inf())
     assert worst <= 1e-12
 
@@ -560,13 +567,34 @@ def _worst_level_error(arrays, series):
     return max(float(np.max(np.abs(a - b))) for a, b in zip(padded, want))
 
 
+def _rotated(arrays, n):
+    """`levels.rotations` of each level."""
+    return [levels.rotations(v, n, k) for k, v in enumerate(arrays)]
+
+
+def _rotated_wedge(legs, n):
+    """The rotation sums along both legs of A[i, j] - A[j, i]^T."""
+    return [levels.rotations(levels.rotations(a - legs[j, i].T, n, i).T, n, j)
+            for (i, j), a in sorted(legs.items())]
+
+
+def _wedge_legs(wedge, n, degree):
+    """A sparse CyclicWedge as leg arrays, each class pair on its key words."""
+    legs = {(i, d - i): np.zeros((n**i, n ** (d - i)), dtype=complex)
+            for d in range(degree + 1) for i in range(d + 1)}
+    index = lambda w: sum((x - 1) * n ** (len(w) - 1 - t) for t, x in enumerate(w))
+    for (u, v), c in wedge.items():
+        legs[len(u), len(v)][index(u), index(v)] += c
+    return legs
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("degree", range(7))
 def test_level_maps_match_sparse_maps(n, degree):
     """mu_bar, the products with one-generator series (`levels.letter`) and
     the Fox derivatives on level arrays against mu_bar_kks, FreeSeries.__mul__
-    and d_left / d_right on dense complex series; at n = 1 the word x_1^j has
-    index 0."""
+    and d_left / d_right on dense complex series, and the necklace bracket and
+    cobracket against the sparse maps; at n = 1 the word x_1^j has index 0."""
     a = dense_complex(random.Random(10 * n + degree), n, degree)
     arrays = levels.from_series(a)
     worst = _worst_level_error(levels.mu_bar(arrays, n), mu_bar_kks(a))
@@ -590,6 +618,21 @@ def test_level_maps_match_sparse_maps(n, degree):
             _worst_level_error(strip_first, d_right(p, a)),
         )
     assert worst <= 1e-14
+    # the necklace maps, compared on rotation sums (injective on cyclic
+    # classes) within 1e-13 of the largest rotation-summed coefficient of the
+    # inputs and the sparse results
+    b = dense_complex(random.Random(10 * n + degree + 500), n, degree)
+    B = levels.from_series(b)
+    top = max(degree - 1, 0)
+    got = _rotated(levels.necklace_bracket(arrays, B, n), n)
+    want = _rotated(levels.from_series(necklace_bracket(a, b)), n)
+    got_co = _rotated_wedge(levels.necklace_cobracket(arrays, n, top), n)
+    want_co = _rotated_wedge(_wedge_legs(necklace_cobracket(a), n, top), n)
+    assert len(got) == degree + 1 and len(got_co) == len(want_co)
+    scale = max(float(np.abs(v).max())
+                for v in want + want_co + _rotated(arrays, n) + _rotated(B, n))
+    for pairs in (zip(got, want), zip(got_co, want_co)):
+        assert max(float(np.abs(x - y).max()) for x, y in pairs) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -622,7 +665,7 @@ def _sparse_mu_bar_rhs(hol, crossings, rot):
     out = out + rot * series
     out = out - r_zeta_series(q, deg, n) * series
     for c in crossings:
-        out = out + float(c.sign) * (hol.piece(c.s, 1.0) * hol.piece(0.0, c.t))
+        out = out + float(c.sign) * (_piece(hol, c.s, 1.0) * _piece(hol, 0.0, c.t))
     out = out - d_left(p, series) - d_right(q, series)
     if p == q:
         # the closing turn of the loop: +-1/2 as the incoming strand lies
@@ -899,12 +942,14 @@ def test_anchors_at_one_puncture_must_share_its_direction(monkeypatch):
     and the pentagon projection refuse, again before any transport, a path
     whose two ends sit at one puncture along opposite rays and a path with a
     regular end."""
+    from kzfox import rep_space
     from kzfox.rep_space import MatrixTuple, verify_theorem2
 
     calls = []
     original = kz_holonomy.holonomy_reg
-    monkeypatch.setattr(kz_holonomy, "holonomy_reg",
-                        lambda *args: calls.append(args) or original(*args))
+    for module in (kz_holonomy, rep_space):
+        monkeypatch.setattr(module, "holonomy_reg",
+                            lambda *args: calls.append(args) or original(*args))
     rng = random.Random(2201)
     for _ in range(12):
         p, q, s = rng.sample(range(1, 4), 3)
@@ -1011,11 +1056,14 @@ def test_pairing_and_campaigns_make_no_complex_series_arithmetic(data_dir, monke
 
 
 def test_path_and_poisson_campaigns_build_no_sparse_series(data_dir, monkeypatch):
-    """The coaction, pentagon and poisson campaigns build no sparse series:
-    the regularizing series enter the kernel as level arrays
-    (`levels.letter`), so neither the validating `_Sparse` constructor nor
-    `_Sparse._trusted` runs.  The goldman campaign shows that the counter
-    sees both."""
+    """The coaction, pentagon, goldman and poisson campaigns build no sparse
+    series and take no cyclic minimum: the regularizing series enter the
+    kernel as level arrays (`levels.letter`), and the necklace maps run on
+    them (`levels.necklace_bracket`, `levels.necklace_cobracket`), so neither
+    the validating `_Sparse` constructor, nor `_Sparse._trusted`, nor
+    `cyclic_min` runs.  The algebra suite shows that the counter sees all
+    three."""
+    from kzfox import brackets_coactions, free_hopf
     from kzfox.free_hopf import _Sparse
 
     made = []
@@ -1029,20 +1077,27 @@ def test_path_and_poisson_campaigns_build_no_sparse_series(data_dir, monkeypatch
         made.append("_trusted")
         return trusted(cls, *args, **kwargs)
 
+    def counting_min(word, _original=free_hopf.cyclic_min):
+        made.append("cyclic_min")
+        return _original(word)
+
     monkeypatch.setattr(_Sparse, "__init__", counting_init)
     monkeypatch.setattr(_Sparse, "_trusted", classmethod(counting_trusted))
+    for module in (free_hopf, brackets_coactions):
+        monkeypatch.setattr(module, "cyclic_min", counting_min)
     fig8 = str(data_dir / "fig8.json")
     loops = ["--loops", str(data_dir / "loop_a4.json"),
              "--loops", str(data_dir / "loop_bup.json")]
     for argv in (
         ["verify", "coaction", "--path", fig8],
         ["verify", "pentagon", "--path", fig8],
+        ["verify", "goldman"] + loops,
         ["verify", "poisson"] + loops,
     ):
         assert main(argv) == 0
         assert made == [], argv
-    assert main(["verify", "goldman"] + loops) == 0
-    assert {"__init__", "_trusted"} <= set(made)
+    assert main(["verify", "algebra", "--degree", "2"]) == 0
+    assert {"__init__", "_trusted", "cyclic_min"} <= set(made)
 
 
 # ---------------------------------------------------------------------------
@@ -1054,6 +1109,10 @@ def test_goldman_bracket_check_report():
     assert report["n_crossings"] == 1
     assert report["base_linking"] in (-1.0, 1.0)
     assert report["max_discrepancy"] < 1e-8
+    # at truncation degree 0 there is no degree to compare
+    empty = goldman_bracket_check(ConnectionSpec(P3, 0), _loop(LOOP_B1), _loop(LOOP_A1))
+    assert empty["cobracket_discrepancy"] == [0.0, 0.0]
+    assert empty["max_discrepancy"] == 0.0
 
 
 def test_pentagon_projection_check_report():
@@ -1091,7 +1150,7 @@ def test_square_map_pentagon_matches_coaction_residual(load_path, name, degree):
     lhs = lhs + h * associator_tail(SIDE_RIGHT, p, degree, n)
     rhs = square_z(q, h) + square_w(p, h)
     for c in crossings:
-        rhs = rhs - float(c.sign) * (hol.piece(c.s, 1.0) * hol.piece(0.0, c.t))
+        rhs = rhs - float(c.sign) * (_piece(hol, c.s, 1.0) * _piece(hol, 0.0, c.t))
     residual = (lhs - rhs).with_degree(degree - 1)
     expected = mu_bar_rhs(hol, crossings, rot) - mu_bar_kks(h).with_degree(degree - 1)
     assert (residual - expected).norm_inf() <= 1e-14

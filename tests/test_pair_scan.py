@@ -13,7 +13,6 @@ from kzfox import (
     COMPLEX,
     RATIONAL,
     CyclicByFree,
-    CyclicWedge,
     FreeSeries,
     TensorSeries,
     double_bracket_from_pairing,
@@ -75,13 +74,6 @@ def _ref_tensor_mul(s: TensorSeries, t: TensorSeries) -> TensorSeries:
             acc = terms.get(key)
             terms[key] = c if acc is None else acc + c
     return TensorSeries(s.n, D, terms, s.backend)
-
-
-def _ref_wedge(x, y) -> CyclicWedge:
-    terms = (
-        ((u, v), cu * cv) for u, cu in x.coeffs.items() for v, cv in y.coeffs.items()
-    )
-    return CyclicWedge(x.n, x.degree, terms, x.backend)
 
 
 def _ref_rho_kks(a: FreeSeries, b: FreeSeries) -> FreeSeries:
@@ -150,18 +142,16 @@ def _ref_double_bracket(rho, a: FreeSeries, b: FreeSeries) -> TensorSeries:
 
 
 # ---------------------------------------------------------------------------
-# the eight product sites against their references
+# the seven product sites against their references
 # ---------------------------------------------------------------------------
 def _sites(a: FreeSeries, b: FreeSeries, s: TensorSeries, t: TensorSeries):
     """(name, scan result, reference result) for each product site, on the
     series a, b and the tensors s, t."""
-    x, y = a.cyclic_project(), b.cyclic_project()
     cbf = CyclicByFree.from_tensor(s)
     kks = rho_kks_pairing()
     yield "mul", a * b, _ref_mul(a, b)
     yield "outer", TensorSeries.outer(a, b), _ref_outer(a, b)
     yield "tensor_mul", s * t, _ref_tensor_mul(s, t)
-    yield "wedge", CyclicWedge.wedge(x, y), _ref_wedge(x, y)
     yield "rho_kks", rho_kks(a, b), _ref_rho_kks(a, b)
     yield "cbf_right", _cbf_mul_free_right(cbf, b), _ref_cbf_right(cbf, b)
     yield "cbf_left", _cbf_mul_free_left(a, cbf), _ref_cbf_left(a, cbf)
@@ -217,8 +207,6 @@ def test_sites_keep_shape_checks():
             TensorSeries.outer(a, other)
         with pytest.raises(ShapeError):
             TensorSeries.outer(a, a) * TensorSeries.outer(other, other)
-        with pytest.raises(ShapeError):
-            CyclicWedge.wedge(a.cyclic_project(), other.cyclic_project())
         with pytest.raises(ShapeError):
             rho_kks(a, other)
         with pytest.raises(ShapeError):

@@ -44,7 +44,7 @@ CAMPAIGNS = {
     "pentagon": (["--path", _data("fig8.json")], (3, 8, 9, 10, 11, 12, 13)),
     "goldman": (
         ["--loops", _data("loop_a1.json"), "--loops", _data("loop_b1.json")],
-        (3, 6, 7, 8, 9),
+        (3, 6, 7, 8, 9, 10, 11, 12, 13),
     ),
     "poisson": (
         ["--loops", _data("loop_a4.json"), "--loops", _data("loop_bup.json")],
