@@ -9,10 +9,11 @@ in), and at the top level one product of the weighted factors with the node
 values below.  Tangential endpoints are regularized by one cutoff at 0.3 of
 the anchor's local scale: the stretch inside the cutoff is the analytic local
 frame (the same panel with the puncture's pole conjugated away) times a
-branch-fixed logarithmic factor, so the result carries no cutoff error.  Frames and prefixes are composed as level
-products.  The reported accuracy is the summed subdivision residual of the
-polyline and both frames; a transport whose summed residual exceeds the
-requested accuracy raises AccuracyError.
+branch-fixed logarithmic factor, so the result carries no cutoff error.
+Frames and prefixes are composed as level products.  The reported accuracy
+is the summed subdivision residual of the polyline and both frames; a
+transport whose summed residual exceeds the requested accuracy raises
+AccuracyError.
 
 Each path is transported once, with breakpoints at the crossing parameters
 an identity needs; the result keeps the prefix holonomies P(t) there, and
@@ -21,7 +22,11 @@ identity).  On top of the transport engine sit the assembled right-hand
 sides of the holonomy identities: the reduced-coaction formula (which is
 also the projected pentagon identity) and the pairing formula for two paths,
 both assembled on level arrays, and the loop bracket and cobracket checks on
-cyclic words, also on level arrays and compared on rotation sums.
+cyclic words, also on level arrays and compared on rotation sums.  Every
+check reads and refuses its geometry (anchors, degree, rotation number,
+strand orders) before its first transport; the two-path identities
+(`rho_paths`, `goldman_bracket_check`, `rep_space.verify_theorem2`) then
+scan their crossings and transport through one front end, `transport_pair`.
 """
 
 from __future__ import annotations
@@ -428,30 +433,48 @@ def crossing_breakpoints(crossings: Sequence[Crossing]) -> List[float]:
     return [x for c in crossings for x in (c.t, c.s)]
 
 
-def _coaction_rhs(hol: HolonomyResult, cuts: Sequence[Crossing], rot: float) -> Levels:
-    """`mu_bar_rhs` as level arrays through degree D-1."""
-    p, q = tangential_points((hol.path, "start"), (hol.path, "end"))
-    h, n, deg = hol.levels, hol.path.punctures.n, len(hol.levels) - 1
+def _crossing_terms(
+    hol2: HolonomyResult, hol1: HolonomyResult, cuts: Sequence[Crossing], deg: int
+) -> List[Tuple[float, Levels]]:
+    """sign * Hol(path2[s, 1]) Hol(path1[0, t]) through degree deg-1 = D-1 at
+    each crossing (t on path1, s on path2): the crossing terms of the pairing
+    formula, and with hol2 = hol1 those of the reduced-coaction formula."""
+    return [(float(c.sign), levels.mul(hol2.piece(c.s, 1.0)[:deg],
+                                       hol1.piece(0.0, c.t)[:deg])) for c in cuts]
+
+
+def _coaction_geometry(path: PLPath, deg: int) -> Tuple[int, int, float]:
+    """What the reduced-coaction formula reads off a path besides its
+    crossings and rotation number, in the order it refuses them: the
+    punctures p, q of its anchors (both tangential), the truncation degree
+    (D >= 1), and for a loop the shift 1 - [p>P] of its closure constant
+    (0.0 for p != q).
+
+    A loop's smooth model has one more self-intersection than the polyline
+    shows: the closing of the two tail strands through the base point.  Its
+    regularized contribution is a universal series in the base generator,
+    fixed by the closure turn direction: the constant -1/2 of r_am becomes
+    1/2 - [p>P]."""
+    p, q = tangential_points(path)
     if deg < 1:
         raise DomainError("the reduced-coaction formula needs truncation degree >= 1")
+    return p, q, 1.0 - above((path, "in"), (path, "out")) if p == q else 0.0
+
+
+def _coaction_rhs(hol: HolonomyResult, cuts: Sequence[Crossing], rot: float) -> Levels:
+    """`mu_bar_rhs` as level arrays through degree D-1."""
+    h, n, deg = hol.levels, hol.path.punctures.n, len(hol.levels) - 1
+    p, q, shift = _coaction_geometry(hol.path, deg)
     terms = [
         (1.0, levels.mul(h, levels.letter(n, p, r_zeta_coefficients(deg, -1)))),
         (rot, h),
         (-1.0, levels.mul(levels.letter(n, q, r_zeta_coefficients(deg)), h)),
         (-1.0, levels.fox(h, p, n, True)),
         (-1.0, levels.fox(h, q, n, False)),
-    ]
-    for c in cuts:
-        pieces = hol.piece(c.s, 1.0)[:deg], hol.piece(0.0, c.t)[:deg]
-        terms.append((float(c.sign), levels.mul(*pieces)))
+    ] + _crossing_terms(hol, hol, cuts, deg)
     if p == q:
-        # A loop's smooth model has one more self-intersection than the
-        # polyline shows: the closing of the two tail strands through the
-        # base point.  Its regularized contribution is a universal series in
-        # the base generator, fixed by the closure turn direction: the
-        # constant -1/2 of r_am becomes 1/2 - [p>P].
         closure = levels.letter(n, p, r_am_coefficients(deg - 1))
-        closure[0] += 1.0 - above((hol.path, "in"), (hol.path, "out"))
+        closure[0] += shift
         terms.append((1.0, closure))
     return levels.combine(terms, n, deg - 1)
 
@@ -468,6 +491,33 @@ def mu_bar_rhs(
     return levels.to_series(hol.path.punctures.n, _coaction_rhs(hol, crossings, rot))
 
 
+def transport_pair(
+    conn: ConnectionSpec, path2: PLPath, path1: PLPath, accuracy: float,
+    self2: Sequence[Crossing], self1: Sequence[Crossing],
+) -> Tuple[List[Crossing], HolonomyResult, HolonomyResult]:
+    """The front end of the two-path identities: the crossings of path1 with
+    path2 (t on path1, s on path2), and each path transported once, with
+    breakpoints at its parameters of those crossings and at the
+    `crossing_breakpoints` of the self-crossings the caller passes for it
+    (`self1`, `self2`).  The callers read and refuse the pair's geometry
+    before calling it."""
+    cuts = intersections(path1, path2)
+    hol1 = holonomy_reg(conn, path1, accuracy,
+                        [c.t for c in cuts] + crossing_breakpoints(self1))
+    hol2 = holonomy_reg(conn, path2, accuracy,
+                        [c.s for c in cuts] + crossing_breakpoints(self2))
+    return cuts, hol2, hol1
+
+
+def loop_pair_base(loop2: PLPath, loop1: PLPath) -> int:
+    """The puncture of the one tangential base point of two loops; the loop
+    bracket and Theorem 2 refuse any other pair."""
+    m, *others = tangential_points(loop1, loop2)
+    if set(others) != {m}:
+        raise ValidationError("both loops must share one tangential base point")
+    return m
+
+
 def rho_paths(
     conn: ConnectionSpec,
     path2: PLPath,
@@ -478,17 +528,18 @@ def rho_paths(
     (first argument = second factor of the pairing, as in rho(H2, H1)).
 
     path1 runs from tangential p to q, path2 from tangential r to s; all
-    anchor punctures distinct except possibly q = r, and anchors at one puncture
-    share its direction.  When both paths are loops at a common tangential
-    point the loop variant of the formula is assembled instead.  Where tail strands of the two paths meet at a
-    puncture, each pair of a path1 strand X and a path2 strand Y adds a
-    corner term [X>Y] (`above`): the four corners of `base_corners` for two
-    loops, [path1 arriving > path2 leaving] times h2 h1 at a shared middle
-    point.  The terms are level arrays of the two transports, summed through
-    degree D-1 (so D >= 1) and converted to a series once.
+    anchor punctures distinct except possibly q = r, and anchors at one
+    puncture share its direction.  When both paths are loops at a common
+    tangential point the loop variant of the formula is assembled instead.
+    Where tail strands of the two paths meet at a puncture, each pair of a
+    path1 strand X and a path2 strand Y adds a corner term [X>Y] (`above`):
+    the four corners of `base_corners` for two loops, [path1 arriving > path2
+    leaving] times h2 h1 at a shared middle point.  The terms are level
+    arrays of the two transports (`transport_pair`), summed through degree
+    D-1 (so D >= 1) and converted to a series once; the anchors, the degree
+    and the corner orders are read before either transport.
     """
-    p, q, r, s = tangential_points(
-        (path1, "start"), (path1, "end"), (path2, "start"), (path2, "end"))
+    p, q, r, s = tangential_points(path1, path2)
     distinct = len({p, q, r, s})
     if distinct not in (1, 4) and not (q == r and distinct == 3):
         raise ValidationError(
@@ -498,9 +549,9 @@ def rho_paths(
     n, deg = conn.n_generators, conn.trunc_degree
     if deg < 1:
         raise DomainError("the pairing formula needs truncation degree >= 1")
-    cuts = intersections(path1, path2)
-    hol1 = holonomy_reg(conn, path1, accuracy, [c.t for c in cuts])
-    hol2 = holonomy_reg(conn, path2, accuracy, [c.s for c in cuts])
+    corners = (base_corners(path1, path2) if distinct == 1 else
+               [above((path1, "in"), (path2, "out"))] if q == r else [])
+    cuts, hol2, hol1 = transport_pair(conn, path2, path1, accuracy, (), ())
     h1, h2 = hol1.levels[:deg], hol2.levels[:deg]
     # the Fox terms; for two loops (p = q = r = s) they sum to
     # d_left(p, h2) (h1 - 1) + (h2 - 1) d_right(p, h1)
@@ -509,22 +560,17 @@ def rho_paths(
         (-1.0, levels.fox(hol1.levels, s, n, False)),
         (1.0, levels.mul(levels.fox(hol2.levels, q, n, True), h1)),
         (1.0, levels.mul(h2, levels.fox(hol1.levels, r, n, False))),
-    ] + [
-        (float(c.sign), levels.mul(hol2.piece(c.s, 1.0)[:deg],
-                                   hol1.piece(0.0, c.t)[:deg]))
-        for c in cuts
-    ]
+    ] + _crossing_terms(hol2, hol1, cuts, deg)
     if distinct == 1:
         # (h2 - 1) r_am (h1 - 1) and the four corners
         g1, g2 = ([h[0] - 1.0] + h[1:] for h in (h1, h2))
         r_am = levels.mul(g2, levels.letter(n, p, r_am_coefficients(deg - 1)))
-        pQ, PQ, pq, Pq = base_corners(path1, path2)
+        pQ, PQ, pq, Pq = corners
         terms += [(1.0, levels.mul(r_am, g1)), (pQ, levels.mul(h2, h1)), (-PQ, h2),
                   (-pq, h1), (Pq, levels.unit(n, deg - 1))]
     elif q == r:
         r_am = levels.mul(h2, levels.letter(n, q, r_am_coefficients(deg - 1)))
-        terms += [(1.0, levels.mul(r_am, h1)),
-                  (above((path1, "in"), (path2, "out")), levels.mul(h2, h1))]
+        terms += [(1.0, levels.mul(r_am, h1)), (corners[0], levels.mul(h2, h1))]
     return levels.to_series(n, levels.combine(terms, n, deg - 1))
 
 
@@ -537,19 +583,22 @@ def goldman_bracket_check(
     """Compare the necklace bracket of two loop holonomies against the
     crossing formula on cyclic words, and each loop's necklace cobracket
     against its crossing-plus-rotation formula.  Both sides are level arrays,
-    compared on their rotation sums (`levels.rotations`) through degree D-1."""
-    ends = (loop1, "start"), (loop1, "end"), (loop2, "start"), (loop2, "end")
-    if len(set(tangential_points(*ends))) > 1:
-        raise ValidationError("both loops must share one tangential base point")
+    compared on their rotation sums (`levels.rotations`) through degree D-1.
+    The base point, the strand orders there and the rotation numbers are read
+    before either transport."""
+    loop_pair_base(loop2, loop1)
+    # The base point is itself an intersection of the two loops; the resolved
+    # curves cross there once when the four tail strands alternate.
+    base_sign = base_linking(loop1, loop2)
+    # The cobracket's rotation term uses the tangent winding of the closed-up
+    # smooth curve: the polyline rotation number plus the closing turn at the
+    # base, counterclockwise (+1/2) when the incoming strand lies above the
+    # outgoing.
+    rot1, rot2 = (snap_half_integer(rotation_number(loop))
+                  + above((loop, "in"), (loop, "out")) - 0.5 for loop in (loop1, loop2))
     n, deg = conn.n_generators, conn.trunc_degree
-    crossings = intersections(loop1, loop2)
     self1, self2 = self_intersections(loop1), self_intersections(loop2)
-    hol1 = holonomy_reg(
-        conn, loop1, accuracy, [c.t for c in crossings] + crossing_breakpoints(self1)
-    )
-    hol2 = holonomy_reg(
-        conn, loop2, accuracy, [c.s for c in crossings] + crossing_breakpoints(self2)
-    )
+    crossings, hol2, hol1 = transport_pair(conn, loop2, loop1, accuracy, self2, self1)
     # the bracket is compared through degree D-1, which reads no level above it
     h1, h2 = hol1.levels[:deg], hol2.levels[:deg]
     terms = [(-1.0, levels.necklace_bracket(h2, h1, n))]
@@ -558,9 +607,6 @@ def goldman_bracket_check(
         r1 = levels.mul(hol1.piece(0.0, c.t)[:deg], hol1.piece(c.t, 1.0))
         r2 = levels.mul(hol2.piece(0.0, c.s)[:deg], hol2.piece(c.s, 1.0))
         terms.append((float(c.sign), levels.mul(r1, r2)))
-    # The base point is itself an intersection of the two loops; the resolved
-    # curves cross there once when the four tail strands alternate.
-    base_sign = base_linking(loop1, loop2)
     if base_sign:
         terms.append((base_sign, levels.mul(h1, h2)))
     diff = levels.combine(terms, n, deg - 1)
@@ -570,8 +616,8 @@ def goldman_bracket_check(
         "n_crossings": len(crossings),
         "base_linking": base_sign,
         "cobracket_discrepancy": [
-            _cobracket_discrepancy(hol1, self1),
-            _cobracket_discrepancy(hol2, self2),
+            _cobracket_discrepancy(hol1, self1, rot1),
+            _cobracket_discrepancy(hol2, self2, rot2),
         ],
     }
     report["max_discrepancy"] = max(
@@ -580,17 +626,14 @@ def goldman_bracket_check(
     return report
 
 
-def _cobracket_discrepancy(hol: HolonomyResult, crossings: Sequence[Crossing]) -> float:
-    """The cobracket check of the loop `hol.path` on leg arrays A
-    (`levels.necklace_cobracket`), compared on the rotation sums along both
-    legs of A[i, j] - A[j, i]^T, the antisymmetrized tensor on cyclic
-    classes."""
-    loop, n, deg = hol.path, hol.path.punctures.n, len(hol.levels) - 1
-    # The rotation term uses the tangent winding of the closed-up smooth
-    # curve: the polyline rotation number plus the closing turn at the base,
-    # counterclockwise (+1/2) when the incoming strand lies above the outgoing.
-    turn = above((loop, "in"), (loop, "out")) - 0.5
-    rot = snap_half_integer(rotation_number(loop)) + turn
+def _cobracket_discrepancy(
+    hol: HolonomyResult, crossings: Sequence[Crossing], rot: float
+) -> float:
+    """The cobracket check of the loop `hol.path`, with tangent winding `rot`,
+    on leg arrays A (`levels.necklace_cobracket`), compared on the rotation
+    sums along both legs of A[i, j] - A[j, i]^T, the antisymmetrized tensor
+    on cyclic classes."""
+    n, deg = hol.path.punctures.n, len(hol.levels) - 1
     # (s, u, v) stands for s |u| (x) |v|
     rhs = [(rot, levels.unit(n, deg), hol.levels)] + [
         (c.sign, hol.piece(c.t, c.s),
@@ -614,12 +657,13 @@ def coaction_check(
 ) -> dict:
     """Compare the reduced coaction of a path's holonomy with `mu_bar_rhs`
     through degree D-1, from one transport with breakpoints at the path's
-    self-crossings; both sides are level arrays.  The anchors are read first,
-    so a path the formula refuses is never transported."""
-    tangential_points((path, "start"), (path, "end"))
+    self-crossings; both sides are level arrays.  The anchors, the degree and
+    the snapped rotation number are read first, so a path the formula refuses
+    is never transported."""
+    _coaction_geometry(path, conn.trunc_degree)
+    rot = snap_half_integer(rotation_number(path))
     crossings = self_intersections(path)
     hol = holonomy_reg(conn, path, accuracy, crossing_breakpoints(crossings))
-    rot = snap_half_integer(rotation_number(path))
     rhs = _coaction_rhs(hol, crossings, rot)
     lhs = levels.mu_bar(hol.levels, conn.n_generators)
     return {
@@ -645,7 +689,7 @@ def pentagon_projection_check(
     projected identity is then the reduced-coaction formula, so it is checked
     by `coaction_check`.  A loop (start and end at the same tangential point)
     is rejected: the identity has no closure term for it."""
-    tangential_points((path, "start"), (path, "end"))
+    tangential_points(path)
     if path.start == path.end:
         raise ValidationError(
             "the pentagon projection needs a path between two tangential "

@@ -304,12 +304,12 @@ class PLPath:
 # -- strand order at a tangential point ---------------------------------------
 
 
-def tangential_points(*ends: Tuple[PLPath, str]) -> List[int]:
-    """The punctures of the tangential anchors at `ends`, (path, "start" |
-    "end") pairs.  Anchors at one puncture must also share its direction:
-    along another ray, an anchor is another tangential point."""
-    anchors = [path.start if which == "start" else path.end for path, which in ends]
-    for (_, which), anchor in zip(ends, anchors):
+def tangential_points(*paths: PLPath) -> List[int]:
+    """The punctures of the start and end anchors of each path, in order;
+    every anchor must be tangential.  Anchors at one puncture must also share
+    its direction: along another ray, an anchor is another tangential point."""
+    anchors = [anchor for path in paths for anchor in (path.start, path.end)]
+    for which, anchor in zip(("start", "end") * len(paths), anchors):
         if anchor.kind != TANGENTIAL:
             raise ValidationError(f"{which} anchor must be tangential")
     if len({anchor.puncture for anchor in set(anchors)}) < len(set(anchors)):

@@ -32,14 +32,8 @@ from . import levels
 from .coefficients import r_am_coefficients
 from .errors import DomainError, ShapeError, ValidationError
 from .free_hopf import COMPLEX, FreeSeries
-from .kz_holonomy import DEFAULT_ACCURACY, ConnectionSpec, holonomy_reg
-from .kz_paths import (
-    PLPath,
-    base_corners,
-    base_linking,
-    intersections,
-    tangential_points,
-)
+from .kz_holonomy import DEFAULT_ACCURACY, ConnectionSpec, loop_pair_base, transport_pair
+from .kz_paths import PLPath, base_corners, base_linking
 from .levels import Levels
 
 __all__ = [
@@ -349,18 +343,16 @@ def verify_theorem2(
     ``[p>Q] d_uj (M2 M1)_iv - [P>Q] (M1)_uj (M2)_iv - [p>q] (M2)_uj (M1)_iv
     + [P>q] (M1 M2)_uj d_iv``), (iii) the evaluated double bracket of the
     two grouplike holonomies, from the adjacent-letter pairing of their level
-    arrays.  ``base_linking`` records the alternating corner sum.  Each loop
-    is transported once, with breakpoints at its crossing parameters; the
-    crossing subholonomies are read off those transports, and every
-    evaluation runs on their level arrays.  The tolerance defaults to
-    ``max(1e-4, tail_bound)``; a tuple with ``n * ||X|| >= 1``, on which
-    the series' tail diverges, raises ValidationError whatever the
-    tolerance.
+    arrays.  ``base_linking`` records the alternating corner sum.  The base
+    point, the tuple and the corner orders are read first; then
+    `kz_holonomy.transport_pair` transports each loop once, with breakpoints
+    at its crossing parameters; the crossing subholonomies are read off those
+    transports, and every evaluation runs on their level arrays.  The
+    tolerance defaults to ``max(1e-4, tail_bound)``; a tuple with
+    ``n * ||X|| >= 1``, on which the series' tail diverges, raises
+    ValidationError whatever the tolerance.
     """
-    ends = (loop1, "start"), (loop1, "end"), (loop2, "start"), (loop2, "end")
-    m, *others = tangential_points(*ends)
-    if set(others) != {m}:
-        raise ValidationError("both loops must share one tangential base point")
+    m = loop_pair_base(loop2, loop1)
     if conn.n_generators != X.n:
         raise ShapeError("connection and matrix tuple have different generator counts")
     tail = tail_bound(conn.trunc_degree, X)
@@ -368,9 +360,8 @@ def verify_theorem2(
         raise ValidationError(f"n * ||X|| = {X.n * X.norm_bound:.6g} >= 1: the "
                               "series' tail diverges on this tuple, so the "
                               "truncated series bounds nothing")
-    cuts = intersections(loop1, loop2)
-    hol1 = holonomy_reg(conn, loop1, accuracy, [c.t for c in cuts])
-    hol2 = holonomy_reg(conn, loop2, accuracy, [c.s for c in cuts])
+    pQ, PQ, pq, Pq = base_corners(loop1, loop2)
+    cuts, hol2, hol1 = transport_pair(conn, loop2, loop1, accuracy, (), ())
 
     def at(series: Levels) -> np.ndarray:
         return levels.evaluate(series, X.matrices)
@@ -381,19 +372,14 @@ def verify_theorem2(
     g2, g1 = _level_gradient(hol2.levels, X), _level_gradient(hol1.levels, X)
     oracle = _oracle_tensor(g2, g1, X)
 
-    # (ii) crossing subholonomies plus the bivector
-    N = X.N
-    crossing = np.zeros((N, N, N, N), dtype=complex)
-    for c in cuts:
-        t_a = at(hol1.piece(c.t, 1.0)) @ at(hol2.piece(0.0, c.s))
-        t_b = at(hol2.piece(c.s, 1.0)) @ at(hol1.piece(0.0, c.t))
-        crossing += float(c.sign) * np.einsum("uj,iv->ijuv", t_a, t_b)
-    eye = np.eye(N)
-    pQ, PQ, pq, Pq = base_corners(loop1, loop2)
-    for corner, t_a, t_b in ((pQ, eye, M2 @ M1), (-PQ, M1, M2), (-pq, M2, M1),
-                             (Pq, M1 @ M2, eye)):
-        if corner:
-            crossing += corner * np.einsum("uj,iv->ijuv", t_a, t_b)
+    # (ii) crossing subholonomies and corners, each a signed product
+    # s (t_a)_uj (t_b)_iv, plus the bivector
+    eye = np.eye(X.N)
+    terms = [(float(c.sign), at(hol1.piece(c.t, 1.0)) @ at(hol2.piece(0.0, c.s)),
+              at(hol2.piece(c.s, 1.0)) @ at(hol1.piece(0.0, c.t))) for c in cuts]
+    terms += [(pQ, eye, M2 @ M1), (-PQ, M1, M2), (-pq, M2, M1), (Pq, M1 @ M2, eye)]
+    crossing = sum((s * np.einsum("uj,iv->ijuv", t_a, t_b) for s, t_a, t_b in terms if s),
+                   np.zeros((X.N,) * 4, dtype=complex))
     pi = bivector_pi(X, m, conn.trunc_degree).pair_gradients(g2, g1)
     formula = crossing + pi
 

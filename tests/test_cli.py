@@ -544,7 +544,7 @@ def test_goldman_builds_no_double_bracket(monkeypatch, capsys):
     ],
 )
 def test_campaign_transports_each_path_once(monkeypatch, capsys, argv, transports):
-    from kzfox import kz_holonomy, rep_space
+    from kzfox import kz_holonomy
 
     calls = []
     transport = kz_holonomy.holonomy_reg
@@ -554,7 +554,6 @@ def test_campaign_transports_each_path_once(monkeypatch, capsys, argv, transport
         return transport(conn, path, *args, **kwargs)
 
     monkeypatch.setattr(kz_holonomy, "holonomy_reg", counting)
-    monkeypatch.setattr(rep_space, "holonomy_reg", counting)
     assert main(["verify"] + argv) == 0
     assert len(calls) == transports
     assert len({id(path) for path in calls}) == transports

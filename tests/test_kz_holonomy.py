@@ -942,14 +942,12 @@ def test_anchors_at_one_puncture_must_share_its_direction(monkeypatch):
     and the pentagon projection refuse, again before any transport, a path
     whose two ends sit at one puncture along opposite rays and a path with a
     regular end."""
-    from kzfox import rep_space
     from kzfox.rep_space import MatrixTuple, verify_theorem2
 
     calls = []
     original = kz_holonomy.holonomy_reg
-    for module in (kz_holonomy, rep_space):
-        monkeypatch.setattr(module, "holonomy_reg",
-                            lambda *args: calls.append(args) or original(*args))
+    monkeypatch.setattr(kz_holonomy, "holonomy_reg",
+                        lambda *args: calls.append(args) or original(*args))
     rng = random.Random(2201)
     for _ in range(12):
         p, q, s = rng.sample(range(1, 4), 3)
@@ -985,12 +983,10 @@ def test_loops_at_different_punctures_are_refused_before_transport(monkeypatch):
     """The bracket checks need one base point: loops based at two punctures
     raise ValidationError in goldman_bracket_check and verify_theorem2,
     in both orders, before any transport."""
-    from kzfox import rep_space
     from kzfox.rep_space import MatrixTuple, verify_theorem2
 
     calls = []
-    for module in (kz_holonomy, rep_space):
-        monkeypatch.setattr(module, "holonomy_reg", lambda *args: calls.append(args))
+    monkeypatch.setattr(kz_holonomy, "holonomy_reg", lambda *args: calls.append(args))
     loop = _loop(LOOP_A1)
     at_3 = PLPath(P3, Anchor.tangential(3, 1.0), Anchor.tangential(3, 1.0),
                   [2 + complex(z) for z in LOOP_A1])
@@ -999,6 +995,53 @@ def test_loops_at_different_punctures_are_refused_before_transport(monkeypatch):
         for loop2, loop1 in ((at_3, loop), (loop, at_3)):
             with pytest.raises(ValidationError, match="share one tangential base point"):
                 check(ConnectionSpec(P3, 4), loop2, loop1)
+    assert calls == []
+
+
+def test_single_path_refusals_come_before_transport(load_path, monkeypatch):
+    """The coaction and the pentagon projection read the anchors, then the
+    degree, then the snapped rotation number before any transport: degree 0
+    raises DomainError and a path whose rotation number is -1/8 raises
+    ValidationError, with no `holonomy_reg` call."""
+    calls = []
+    monkeypatch.setattr(kz_holonomy, "holonomy_reg", lambda *args: calls.append(args))
+    fig8 = load_path("fig8.json")
+    eighth = cmath.exp(0.25j * math.pi)
+    p2 = PunctureConfig([0.0, 1.0])
+    skew = PLPath(p2, Anchor.tangential(1, eighth), Anchor.tangential(2, -1.0),
+                  [0.2 * eighth, 0.5 + 0.3j, 0.8])
+    for check in (coaction_check, pentagon_projection_check):
+        with pytest.raises(DomainError, match="needs truncation degree >= 1"):
+            check(ConnectionSpec(fig8.punctures, 0), fig8)
+        with pytest.raises(ValidationError, match=r"-0\.125\d* is not a half-integer"):
+            check(ConnectionSpec(p2, 3), skew)
+    assert calls == []
+
+
+def test_ambiguous_base_strand_order_is_refused_before_transport(monkeypatch):
+    """Two loops whose outgoing tails leave the base ray at the same point on
+    the same side have no strand order there: the loop bracket, the pairing
+    formula and Theorem 2 raise ValidationError with no `holonomy_reg` call.
+    A loop whose own incoming and outgoing tails tie is refused by the
+    coaction and the loop bracket, again before any transport."""
+    from kzfox.rep_space import MatrixTuple, verify_theorem2
+
+    calls = []
+    monkeypatch.setattr(kz_holonomy, "holonomy_reg", lambda *args: calls.append(args))
+    conn = ConnectionSpec(P3, 3)
+    a = _loop([0.4, 0.4 + 0.3j, 1.5 + 0.3j, 1.5 - 0.3j, 0.6 - 0.3j, 0.6])
+    b = _loop([0.4, 0.7 + 0.5j, 1.3 + 0.5j, 1.3 - 0.6j, 0.3 - 0.6j, 0.3])
+    X = MatrixTuple.random(3, 2, radius=0.1, seed=5)
+    for check in (goldman_bracket_check, rho_paths,
+                  lambda conn, b, a: verify_theorem2(conn, b, a, X)):
+        with pytest.raises(ValidationError, match="ambiguous base-strand ordering"):
+            check(conn, b, a)
+    tied = _loop([0.4, 0.2 + 0.3j, 0.2 + 0.8j, 1.5 + 0.8j, 1.5 - 0.3j, 0.8 - 0.3j,
+                  0.8 + 0.3j, 0.6 + 0.3j, 0.4])
+    with pytest.raises(ValidationError, match="ambiguous base-strand ordering"):
+        coaction_check(conn, tied)
+    with pytest.raises(ValidationError, match="ambiguous base-strand ordering"):
+        goldman_bracket_check(conn, tied, tied)
     assert calls == []
 
 

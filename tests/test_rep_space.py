@@ -664,3 +664,18 @@ def test_three_way_agreement_on_fixture_pairs(load_path, names, degree, seed, bo
     rep = verify_theorem2(conn, loop2, loop1, X)
     assert rep.passed
     assert rep.max_disc["oracle_vs_formula"] <= bound
+
+
+def test_rep_space_transports_nothing_itself():
+    """rep_space reads its loop pairs through `kz_holonomy.transport_pair`:
+    it imports no underscore name from another kzfox module and none of the
+    transport and crossing-scan entry points."""
+    import ast
+
+    with open(rep_space.__file__, encoding="utf-8") as fp:
+        tree = ast.parse(fp.read())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.level for alias in node.names}
+    assert imported
+    assert not {name for name in imported if name.startswith("_")}
+    assert not imported & {"holonomy_reg", "intersections", "tangential_points"}
