@@ -112,12 +112,6 @@ class RunConfig:
         if self.matrix_size < 1:
             raise ValidationError("matrix size --N must be >= 1")
 
-    def default_tolerance(self) -> float:
-        """Numeric campaigns: 1e-5 through degree 3, 1e-4 above."""
-        if self.tolerance is not None:
-            return self.tolerance
-        return 1e-5 if self.degree <= 3 else 1e-4
-
 
 # ---------------------------------------------------------------------------
 # input files
@@ -215,33 +209,25 @@ def load_path_file(
 # ---------------------------------------------------------------------------
 # report output
 # ---------------------------------------------------------------------------
-class _Reporter:
-    def __init__(self, out: Optional[str]):
-        self._path = out
-        self._lines: List[str] = []
-        self.all_passed = True
-
-    def emit(self, record: dict) -> None:
-        self._lines.append(json.dumps(record, sort_keys=True))
-        if record.get("passed") is False:
-            self.all_passed = False
-        status = record.get("passed")
-        if status is not None:
-            tag = "PASS" if status else "FAIL"
-            name = record.get("check", record.get("command", "?"))
-            disc = record.get("max_discrepancy")
+def _write_records(out: Optional[str], name: str, records: List[dict]) -> None:
+    """Write the records as JSON lines to `out` (stdout when None), with a
+    one-line summary of each judged record on stderr; a failed record ends
+    the run in exit code 2."""
+    for record in records:
+        if "passed" in record:
+            tag = "PASS" if record["passed"] else "FAIL"
+            disc, tol = record.get("max_discrepancy"), record.get("tolerance")
             extra = "" if disc is None else f": max discrepancy {disc:.3e}"
-            tol = record.get("tolerance")
             extra += "" if tol is None else f" (tol {tol:.1e})"
-            click.echo(f"[{tag}] {name}{extra}", err=True)
-
-    def close(self) -> None:
-        text = "\n".join(self._lines) + ("\n" if self._lines else "")
-        if self._path is None:
-            sys.stdout.write(text)
-        else:
-            with open(self._path, "w", encoding="utf-8") as fp:
-                fp.write(text)
+            click.echo(f"[{tag}] {record.get('check', name)}{extra}", err=True)
+    text = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        with open(out, "w", encoding="utf-8") as fp:
+            fp.write(text)
+    if not all(record.get("passed", True) for record in records):
+        raise ToleranceFailure(f"{name}: at least one check exceeded tolerance")
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +502,8 @@ def algebra_suite(seed: int = 0, n: int = 2, degree: int = 4, cases: int = 12):
 # verification campaigns
 #
 # Each campaign returns its records with its check's report spread into them;
-# `cmd_verify` adds the fields that every record shares.  The checks are
+# `_judged` gives a numeric record its tolerance and verdict, and `cmd_verify`
+# adds the fields that every record shares.  The checks are
 # called through this module's names at call time, never through a stored
 # reference, so a wrapper installed on those names sees every call.
 # ---------------------------------------------------------------------------
@@ -536,8 +523,12 @@ def _load_paths(config: RunConfig, loops: bool) -> List[PLPath]:
 
 
 def _judged(config: RunConfig, check: str, report: dict) -> dict:
-    """A numeric check's record: its report, tolerance and verdict."""
-    tol = config.default_tolerance()
+    """A numeric check's record: its report, tolerance and verdict.  This is
+    the one tolerance rule: ``--tol`` if given; otherwise 1e-5 through degree
+    3 and 1e-4 above, raised to the report's ``tail_bound`` if it has one."""
+    tol = config.tolerance
+    if tol is None:
+        tol = max(1e-5 if config.degree <= 3 else 1e-4, report.get("tail_bound", 0.0))
     passed = report["max_discrepancy"] <= tol
     return {"check": check, **report, "tolerance": tol, "passed": passed}
 
@@ -571,12 +562,9 @@ def _verify_poisson(config: RunConfig, which: str) -> List[dict]:
     X = MatrixTuple.random(
         loop1.punctures.n, config.matrix_size, config.radius, config.seed
     )
-    report = verify_theorem2(conn, loop2, loop1, X, config.accuracy, config.tolerance)
+    report = verify_theorem2(conn, loop2, loop1, X, config.accuracy)
     settings = {"N": config.matrix_size, "radius": config.radius, "seed": config.seed}
-    return [
-        {"check": "representation_bracket_three_way", **settings,
-         **report.to_json_dict()}
-    ]
+    return [_judged(config, "representation_bracket_three_way", {**settings, **report})]
 
 
 # campaign name -> (default degree, campaign)
@@ -606,17 +594,10 @@ def cmd_associator(degree: int, accuracy: float, out: Optional[str]) -> None:
     """Regularized holonomy of the straight path between two punctures."""
     config = RunConfig(degree, accuracy, out=out)
     series = associator(config.degree, config.accuracy)
-    reporter = _Reporter(config.out)
-    reporter.emit(
-        {
-            "command": "associator",
-            "degree": config.degree,
-            "accuracy": config.accuracy,
-            "series": series.to_json_dict(),
-            "passed": True,
-        }
-    )
-    reporter.close()
+    record = {"command": "associator", "degree": config.degree,
+              "accuracy": config.accuracy, "series": series.to_json_dict(),
+              "passed": True}
+    _write_records(config.out, "associator", [record])
 
 
 @cli.command(name="verify")
@@ -635,13 +616,9 @@ def cmd_verify(which: str, degree: Optional[int], **settings) -> None:
     """Run one verification campaign and report JSON lines."""
     default_degree, campaign = _CAMPAIGNS[which]
     config = RunConfig(default_degree if degree is None else degree, **settings)
-    reporter = _Reporter(config.out)
     shared = {"command": "verify", "which": which, "degree": config.degree}
-    for record in campaign(config, which):
-        reporter.emit({**shared, **record})
-    reporter.close()
-    if not reporter.all_passed:
-        raise ToleranceFailure(f"{which}: at least one check exceeded tolerance")
+    records = [{**shared, **record} for record in campaign(config, which)]
+    _write_records(config.out, which, records)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

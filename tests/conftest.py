@@ -1,5 +1,6 @@
 """Shared fixtures: canonical path files, a seeded series factory, seeded
-loop and open-path generators, and a counter of FreeSeries method calls."""
+loop, loop-pair and open-path generators, and a counter of FreeSeries method
+calls."""
 
 from __future__ import annotations
 
@@ -87,6 +88,14 @@ def random_base_loop(rng: random.Random) -> PLPath:
     base = Anchor.tangential(1, 1.0)
     return PLPath(PunctureConfig([0.0, 1.0, 2.0]), base, base,
                   [complex(p) for p in points])
+
+
+def random_loop_pairs(seed: int, count: int) -> list:
+    """The first `count` pairs (loop1, loop2) of `random_base_loop` draws from
+    random.Random(seed).  With seed 11, pairs 1 and 8 have a necklace bracket
+    of size 1 on rotation sums and the other seven a bracket of roundoff."""
+    rng = random.Random(seed)
+    return [(random_base_loop(rng), random_base_loop(rng)) for _ in range(count)]
 
 
 def random_open_path(rng: random.Random, n: int, p: int, q: int,

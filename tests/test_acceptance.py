@@ -219,13 +219,13 @@ def test_criterion_7_three_way_bracket_agreement():
     for seed in range(10):
         X = MatrixTuple.random(3, 2, radius=0.1, seed=seed)
         rep = verify_theorem2(conn, LOOP_BUP, LOOP_A4, X)
-        worst = max(worst, rep.max_discrepancy)
-        worst_pi = max(worst_pi, abs(rep.trace_pi()))
-        worst_trace = max(
-            worst_trace, abs(rep.trace_bracket() - rep.trace_crossing())
-        )
-        ok = ok and rep.passed and abs(rep.trace_pi()) <= 1e-6
-        ok = ok and worst_trace <= rep.tolerance
+        tolerance = max(1e-4, rep["tail_bound"])
+        worst = max(worst, rep["max_discrepancy"])
+        worst_pi = max(worst_pi, rep["trace_pi_contribution"])
+        worst_trace = max(worst_trace, rep["trace_crossing_gap"])
+        ok = ok and rep["max_discrepancy"] <= tolerance
+        ok = ok and rep["trace_pi_contribution"] <= 1e-6
+        ok = ok and worst_trace <= tolerance
     elapsed = time.time() - t0
     ok = ok and elapsed < 600.0
     _report(7, ok, f"10 seeds, N=2 n=3 D=5: max pairwise discrepancy "

@@ -220,6 +220,34 @@ def test_poisson_tol_is_the_tolerance(tol, code, capsys):
     assert record["tail_bound"] > 1e-4
 
 
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (["coaction", "--path", "fig8.json", "--degree", "3"], 1e-5),
+        (["coaction", "--path", "fig8.json", "--degree", "4"], 1e-4),
+        (["pentagon", "--path", "fig8.json", "--degree", "3"], 1e-5),
+        (["pentagon", "--path", "fig8.json", "--degree", "4"], 1e-4),
+        (["goldman", "--loops", "loop_a1.json", "--loops", "loop_b1.json",
+          "--degree", "3"], 1e-5),
+        (["poisson", "--loops", "loop_a4.json", "--loops", "loop_bup.json"], 1.0414e-3),
+        (["poisson", "--loops", "loop_a5.json", "--loops", "loop_b1.json",
+          "--degree", "2", "--radius", "0.01"], 2.7835e-5),
+    ],
+    ids=["coaction-3", "coaction-4", "pentagon-3", "pentagon-4", "goldman-3",
+         "poisson-default", "poisson-2-tail-above-1e-5"],
+)
+def test_default_tolerance_of_each_campaign(args, expected, capsys):
+    """Without --tol a numeric record's tolerance is 1e-5 through degree 3
+    and 1e-4 above, raised to the report's tail_bound when it has one (the
+    poisson records; at degree 2 the tail bound 2.8e-5 is the tolerance)."""
+    argv = ["verify"] + [_path(a) if a.endswith(".json") else a for a in args]
+    assert main(argv) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["tolerance"] == pytest.approx(expected, rel=1e-4)
+    floor = 1e-5 if record["degree"] <= 3 else 1e-4
+    assert record["tolerance"] == max(floor, record.get("tail_bound", 0.0))
+
+
 def test_unknown_option_exits_1_with_clicks_error(capsys):
     """An option the command does not have ends in click's usage text and
     its one error line, not a traceback."""

@@ -42,10 +42,12 @@ from kzfox.coefficients import (
 from kzfox.errors import AccuracyError, DomainError, KzfoxError, ValidationError
 from kzfox.fox_calculus import d_left, d_right
 from kzfox.kz_holonomy import (
+    DEFAULT_ACCURACY,
     coaction_check,
     crossing_breakpoints,
     goldman_bracket_check,
     pentagon_projection_check,
+    transport_pair,
 )
 from kzfox.kz_paths import (
     above,
@@ -64,7 +66,13 @@ from kzfox.trivial_extension import (
     square_zw,
 )
 
-from conftest import LOOP_PAIRS, dense_complex, random_base_loop, random_open_path
+from conftest import (
+    LOOP_PAIRS,
+    dense_complex,
+    random_base_loop,
+    random_loop_pairs,
+    random_open_path,
+)
 
 P3 = PunctureConfig([0.0, 1.0, 2.0])
 BASE = Anchor.tangential(1, 1.0)
@@ -1156,6 +1164,24 @@ def test_goldman_bracket_check_report():
     empty = goldman_bracket_check(ConnectionSpec(P3, 0), _loop(LOOP_B1), _loop(LOOP_A1))
     assert empty["cobracket_discrepancy"] == [0.0, 0.0]
     assert empty["max_discrepancy"] == 0.0
+
+
+def test_goldman_on_seeded_pairs_with_nonzero_brackets():
+    """On every fixture pair the necklace bracket {|h2|, |h1|} is roundoff, so
+    those pairs leave the bracket side of the identity unchecked.  Among the
+    first 9 seeded pairs of `random_loop_pairs(11, 9)`, two have a bracket of
+    size 1 (pairs 1 and 8), and every pair meets the crossing formula to
+    roundoff at truncation 6."""
+    conn = ConnectionSpec(P3, 6)
+    brackets = []
+    for loop1, loop2 in random_loop_pairs(11, 9):
+        report = goldman_bracket_check(conn, loop2, loop1)
+        assert report["max_discrepancy"] <= 1e-13
+        _, hol2, hol1 = transport_pair(conn, loop2, loop1, DEFAULT_ACCURACY, (), ())
+        bracket = levels.necklace_bracket(hol2.levels, hol1.levels, 3)
+        brackets.append(max(float(np.abs(levels.rotations(a, 3, k)).max())
+                            for k, a in enumerate(bracket)))
+    assert sum(size >= 0.1 for size in brackets) >= 2
 
 
 def test_pentagon_projection_check_report():
