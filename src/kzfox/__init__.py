@@ -14,7 +14,6 @@ from .fox_calculus import (
     rho_kks_pairing,
     rho_left,
     rho_right,
-    transpose,
 )
 from .brackets_coactions import (
     CyclicByFree,
@@ -34,8 +33,6 @@ from .trivial_extension import (
     gen_w,
     gen_z,
     pi,
-    pi0,
-    pi1,
     square_w,
     square_z,
     square_zw,
@@ -68,72 +65,6 @@ from .rep_space import (
     evaluate,
     tail_bound,
     verify_theorem2,
-)
-
-__all__ = sorted(
-    [
-        "COMPLEX",
-        "RATIONAL",
-        "CyclicSeries",
-        "FreeSeries",
-        "TensorSeries",
-        "CyclicByFree",
-        "CyclicWedge",
-        "FoxPairing",
-        "DKGenerator",
-        "TrivExtElement",
-        "Anchor",
-        "PLPath",
-        "PunctureConfig",
-        "bernoulli",
-        "zeta",
-        "r_am_series",
-        "r_zeta_series",
-        "d_left",
-        "d_right",
-        "rho_inner",
-        "rho_kks",
-        "rho_kks_pairing",
-        "rho_left",
-        "rho_right",
-        "transpose",
-        "coaction_mu_kks",
-        "double_bracket_from_pairing",
-        "double_bracket_kks",
-        "double_derivation_from_fox",
-        "mu_bar_kks",
-        "necklace_bracket",
-        "necklace_cobracket",
-        "associator_tail",
-        "gen_w",
-        "gen_z",
-        "pi",
-        "pi0",
-        "pi1",
-        "square_w",
-        "square_z",
-        "square_zw",
-        "trivext_mul",
-        "compose",
-        "intersections",
-        "rotation_number",
-        "self_intersections",
-        "subpath",
-        "ConnectionSpec",
-        "HolonomyResult",
-        "associator",
-        "holonomy_reg",
-        "coaction_check",
-        "mu_bar_rhs",
-        "rho_paths",
-        "goldman_bracket_check",
-        "pentagon_projection_check",
-        "MatrixTuple",
-        "bivector_pi",
-        "evaluate",
-        "tail_bound",
-        "verify_theorem2",
-    ]
 )
 
 __version__ = "0.1.0"

@@ -53,7 +53,6 @@ from .fox_calculus import (
     rho_kks_pairing,
     rho_left,
     rho_right,
-    transpose,
 )
 from .free_hopf import RATIONAL, FreeSeries, TensorSeries, _accumulate, _graded_pairs
 from .kz_holonomy import (
@@ -233,13 +232,15 @@ def _write_records(out: Optional[str], name: str, records: List[dict]) -> None:
 # ---------------------------------------------------------------------------
 # exact identity suite (rational backend)
 # ---------------------------------------------------------------------------
-def _random_series(rng, n, degree, max_word=3, terms=5) -> FreeSeries:
-    coeffs = {}
-    for _ in range(terms):
-        k = rng.randint(0, max_word)
-        w = tuple(rng.randint(1, n) for _ in range(k))
-        coeffs[w] = coeffs.get(w, 0) + Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-    return FreeSeries(n, degree, coeffs, RATIONAL)
+def _random_series(rng, n, degree, max_word=3) -> FreeSeries:
+    """Five random (word, coefficient) draws; the constructor sums repeated
+    words and drops zeros."""
+
+    def draw():
+        word = tuple(rng.randint(1, n) for _ in range(rng.randint(0, max_word)))
+        return word, Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    return FreeSeries(n, degree, [draw() for _ in range(5)], RATIONAL)
 
 
 def _triple_coproduct(a: FreeSeries, split_left: bool) -> dict:
@@ -371,7 +372,7 @@ def algebra_suite(seed: int = 0, n: int = 2, degree: int = 4, cases: int = 12):
 
     def skew_symmetry():
         a, b = rnd(), rnd()
-        return transpose(rho0)(a, b) == -rho_kks(a, b)
+        return rho0.transpose()(a, b) == -rho_kks(a, b)
 
     run("adjacent_pairing_skew", skew_symmetry)
 

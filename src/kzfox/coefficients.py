@@ -7,9 +7,6 @@ one home of both formulas) and as FreeSeries:
 
     r_zeta(x)  = -(1/2*pi*i) * sum_{m>=2} zeta(m) * (x/2*pi*i)^(m-1)
     r_am(x)    = -1/2 + sum_{k>=1} B_{2k}/(2k)! * x^(2k-1)
-
-The exact rational backend refuses the zeta series (it needs pi and zeta
-values); r_am is available on both backends.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, UnsupportedConstantError
+from .errors import DomainError
 from .free_hopf import COMPLEX, FreeSeries
 
 TWO_PI_I = complex(0.0, 2.0 * math.pi)
@@ -95,14 +92,10 @@ def r_zeta_series(
     generator: int,
     degree: int,
     n_generators: int | None = None,
-    backend: str = COMPLEX,
     negate_variable: bool = False,
 ) -> FreeSeries:
-    """The zeta-side regularizing series evaluated at (+/-) x_generator."""
-    if backend != COMPLEX:
-        raise UnsupportedConstantError(
-            "the exact rational backend cannot represent pi and zeta values"
-        )
+    """The zeta-side regularizing series evaluated at (+/-) x_generator, on
+    the complex backend."""
     coeffs = r_zeta_coefficients(degree, -1 if negate_variable else 1)
     terms = {(generator,) * j: c for j, c in enumerate(coeffs)}  # zeros are dropped
     return FreeSeries(n_generators or generator, degree, terms, COMPLEX)

@@ -13,10 +13,6 @@ class ShapeError(KzfoxError, ValueError):
     """Operands disagree in generator count, truncation degree or backend."""
 
 
-class UnsupportedConstantError(KzfoxError, TypeError):
-    """The exact rational backend cannot represent a transcendental constant."""
-
-
 class ValidationError(KzfoxError, ValueError):
     """Geometric input violates a required invariant (degeneracy, cusp, ...)."""
 

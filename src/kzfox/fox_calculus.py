@@ -99,7 +99,3 @@ def rho_right(m: int) -> FoxPairing:
         return _without_counit(a) * d_right(m, b)
 
     return FoxPairing(func)
-
-
-def transpose(rho: FoxPairing) -> FoxPairing:
-    return rho.transpose()

@@ -340,8 +340,8 @@ class FreeSeries(_Sparse):
         return cls(n, degree, {(i,): 1}, backend)
 
     @classmethod
-    def from_word(cls, word, n, degree, backend=RATIONAL, coeff=1):
-        return cls(n, degree, {tuple(word): coeff}, backend)
+    def from_word(cls, word, n, degree, backend=RATIONAL):
+        return cls(n, degree, {tuple(word): 1}, backend)
 
     def coefficient(self, word: Iterable[int]):
         c = self.coeffs.get(tuple(word))
@@ -456,8 +456,8 @@ class TensorSeries(_Sparse):
         return (tuple(key[0]), tuple(key[1])), c
 
     @classmethod
-    def unit(cls, n, degree, backend=RATIONAL, scalar=1):
-        return cls(n, degree, {((), ()): scalar}, backend)
+    def unit(cls, n, degree, backend=RATIONAL):
+        return cls(n, degree, {((), ()): 1}, backend)
 
     @classmethod
     def outer(cls, a: FreeSeries, b: FreeSeries) -> "TensorSeries":

@@ -500,7 +500,11 @@ def transport_pair(
     breakpoints at its parameters of those crossings and at the
     `crossing_breakpoints` of the self-crossings the caller passes for it
     (`self1`, `self2`).  The callers read and refuse the pair's geometry
-    before calling it."""
+    before calling it; truncation degree 0, on which every two-path identity
+    compares nothing (they are exact through D-1), is refused here before
+    the crossing scan."""
+    if conn.trunc_degree < 1:
+        raise DomainError("the two-path identities need truncation degree >= 1")
     cuts = intersections(path1, path2)
     hol1 = holonomy_reg(conn, path1, accuracy,
                         [c.t for c in cuts] + crossing_breakpoints(self1))
@@ -535,9 +539,9 @@ def rho_paths(
     path1 strand X and a path2 strand Y adds a corner term [X>Y] (`above`):
     the four corners of `base_corners` for two loops, [path1 arriving > path2
     leaving] times h2 h1 at a shared middle point.  The terms are level
-    arrays of the two transports (`transport_pair`), summed through degree
-    D-1 (so D >= 1) and converted to a series once; the anchors, the degree
-    and the corner orders are read before either transport.
+    arrays of the two transports (`transport_pair`, which refuses D = 0),
+    summed through degree D-1 and converted to a series once; the anchors,
+    the corner orders and the degree are read before either transport.
     """
     p, q, r, s = tangential_points(path1, path2)
     distinct = len({p, q, r, s})
@@ -547,8 +551,6 @@ def rho_paths(
             "q = r, or two loops at a common point)"
         )
     n, deg = conn.n_generators, conn.trunc_degree
-    if deg < 1:
-        raise DomainError("the pairing formula needs truncation degree >= 1")
     corners = (base_corners(path1, path2) if distinct == 1 else
                [above((path1, "in"), (path2, "out"))] if q == r else [])
     cuts, hol2, hol1 = transport_pair(conn, path2, path1, accuracy, (), ())

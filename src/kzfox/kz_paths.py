@@ -508,11 +508,11 @@ def rotation_number(path: PLPath) -> float:
     return total / _TWO_PI
 
 
-def snap_half_integer(x: float, tol: float = 1e-9) -> float:
-    """Round to the nearest half-integer; error if outside tolerance."""
+def snap_half_integer(x: float) -> float:
+    """Round to the nearest half-integer; error if farther than 1e-9 from it."""
     snapped = round(2.0 * x) / 2.0
-    if abs(snapped - x) > tol:
-        raise ValidationError(f"{x} is not a half-integer within {tol}")
+    if abs(snapped - x) > 1e-9:
+        raise ValidationError(f"{x} is not a half-integer within 1e-09")
     return snapped
 
 

@@ -9,8 +9,9 @@ module provides
 
 * :func:`evaluate` -- truncated series evaluated on a matrix tuple,
 * :func:`bivector_pi` -- the bivector collecting the non-crossing terms of
-  the loop-holonomy bracket formula, the operator product ``ad R ad`` on
-  vectorized matrices, which pairs two gradients by two matmuls,
+  the loop-holonomy bracket formula, as the core matrix of the operator
+  product ``ad R ad`` on vectorized matrices, which pairs two gradients by
+  two matmuls,
 * :func:`verify_theorem2` -- a three-way comparison (oracle / geometric
   crossing formula plus bivector / algebraic double bracket) for a pair of
   loop holonomies, whose oracle side pairs exact gradients: a series
@@ -34,16 +35,6 @@ from .free_hopf import COMPLEX, FreeSeries
 from .kz_holonomy import DEFAULT_ACCURACY, ConnectionSpec, loop_pair_base, transport_pair
 from .kz_paths import PLPath, base_corners, base_linking
 from .levels import Levels
-
-__all__ = [
-    "MatrixTuple",
-    "BivectorPi",
-    "evaluate",
-    "tail_bound",
-    "bivector_pi",
-    "verify_theorem2",
-]
-
 
 # ---------------------------------------------------------------------------
 # matrix tuples
@@ -184,9 +175,10 @@ def _wedge_core(X: MatrixTuple, m: int) -> np.ndarray:
     return wedge
 
 
-class BivectorPi:
+def bivector_pi(X: MatrixTuple, m: int, degree: int) -> np.ndarray:
     """The bivector collecting the non-crossing contributions to the bracket
-    of two loop-holonomy entries based at the puncture of generator ``m``.
+    of two loop-holonomy entries based at the puncture of generator ``m``
+    (1-based), as its ``(n N^2, n N^2)`` core on row-major vectorizations.
 
     It is the biderivation whose values on coordinate pairs are
 
@@ -196,39 +188,21 @@ class BivectorPi:
     * left/right parts: ``d_am (d_uj (X_b)_iv - (X_b)_uj d_iv)`` plus
       ``d_bm (d_uj (X_a)_iv - (X_a)_uj d_iv)``.
 
-    On row-major vectorizations the inner part is the operator product
-    ``ad_{X_a} R ad_{X_b}``; with the wedge part it is stored as one
-    ``(n N^2, n N^2)`` core, so that two gradient tensors pair by two matmuls
-    (:meth:`pair_gradients`).
+    The inner part is the operator product ``ad_{X_a} R ad_{X_b}``; with the
+    wedge part it forms one core, so that two gradient tensors ``gF, gG``
+    (from :func:`_level_gradient`, reshaped to ``(n N^2, N^2)``) pair as
+    ``gF.T @ core @ gG``.
     """
-
-    def __init__(self, X: MatrixTuple, m: int, degree: int):
-        if not 1 <= m <= X.n:
-            raise DomainError("generator index out of range")
-        n, N = X.n, X.N
-        ad = np.stack([_adjoint_operator(M) for M in X.matrices])
-        # R = sum_k c_k ad_{X_m}^k: r_am in one variable evaluated on ad_{X_m}
-        R = self._r_op = levels.evaluate(
-            levels.letter(1, 1, r_am_coefficients(degree)), [ad[m - 1]])
-        # inner core[c, k, l, d, w, z] = (ad_{X_c} R ad_{X_d})[(k, l), (z, w)]
-        inner = np.tensordot(ad @ R, ad, axes=(2, 1)).reshape((n, N, N) * 2)
-        core = inner.swapaxes(4, 5) + _wedge_core(X, m)
-        self._core = core.reshape(n * N * N, n * N * N)
-
-    # -- pairing ------------------------------------------------------------
-    def pair_gradients(self, gF: np.ndarray, gG: np.ndarray) -> np.ndarray:
-        """Pair two gradient tensors (from :func:`_level_gradient`):
-        returns ``out[i, j, u, v] = Pi(F_ij, G_uv)``."""
-        N = gF.shape[-1]
-        F, G = (g.reshape(-1, N * N) for g in (gF, gG))
-        return (F.T @ self._core @ G).reshape((N,) * 4)
-
-
-def bivector_pi(X: MatrixTuple, m: int, degree: int = 16) -> BivectorPi:
-    """Materialize the bivector pairing for loops based at the puncture of
-    generator ``m`` (1-based); the adjoint-operator series is truncated at
-    ``degree``."""
-    return BivectorPi(X, m, degree)
+    if not 1 <= m <= X.n:
+        raise DomainError("generator index out of range")
+    n, N = X.n, X.N
+    ad = np.stack([_adjoint_operator(M) for M in X.matrices])
+    # R = sum_k c_k ad_{X_m}^k: r_am in one variable evaluated on ad_{X_m}
+    R = levels.evaluate(levels.letter(1, 1, r_am_coefficients(degree)), [ad[m - 1]])
+    # inner core[c, k, l, d, w, z] = (ad_{X_c} R ad_{X_d})[(k, l), (z, w)]
+    inner = np.tensordot(ad @ R, ad, axes=(2, 1)).reshape((n, N, N) * 2)
+    core = inner.swapaxes(4, 5) + _wedge_core(X, m)
+    return core.reshape(n * N * N, n * N * N)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +294,8 @@ def verify_theorem2(
     terms += [(pQ, eye, M2 @ M1), (-PQ, M1, M2), (-pq, M2, M1), (Pq, M1 @ M2, eye)]
     crossing = sum((s * np.einsum("uj,iv->ijuv", t_a, t_b) for s, t_a, t_b in terms if s),
                    np.zeros((X.N,) * 4, dtype=complex))
-    pi = bivector_pi(X, m, conn.trunc_degree).pair_gradients(g2, g1)
+    F, G = (g.reshape(-1, X.N * X.N) for g in (g2, g1))
+    pi = (F.T @ bivector_pi(X, m, conn.trunc_degree) @ G).reshape((X.N,) * 4)
     formula = crossing + pi
 
     # (iii) evaluated double bracket of the grouplike holonomies

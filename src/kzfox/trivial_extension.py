@@ -84,8 +84,8 @@ class TrivExtElement:
         return cls.from_tensor(TensorSeries.zero(n, degree, backend))
 
     @classmethod
-    def unit(cls, n, degree, backend, scalar=1) -> "TrivExtElement":
-        return cls.from_tensor(TensorSeries.unit(n, degree, backend, scalar))
+    def unit(cls, n, degree, backend) -> "TrivExtElement":
+        return cls.from_tensor(TensorSeries.unit(n, degree, backend))
 
     @classmethod
     def from_tensor(cls, t: TensorSeries) -> "TrivExtElement":
@@ -101,18 +101,6 @@ class TrivExtElement:
         return cls.from_m(FreeSeries.unit(n, degree, backend, scalar))
 
     # -- linear structure --------------------------------------------------
-
-    @property
-    def n(self):
-        return self.m_part.n
-
-    @property
-    def degree(self):
-        return self.m_part.degree
-
-    @property
-    def backend(self):
-        return self.m_part.backend
 
     def __add__(self, other: "TrivExtElement") -> "TrivExtElement":
         return TrivExtElement(
@@ -162,14 +150,6 @@ def pi(word, n: int, degree: int, backend) -> TrivExtElement:
     for g in word:
         out = trivext_mul(out, pi_generator(g, n, degree, backend))
     return out
-
-
-def pi0(u: TrivExtElement) -> TensorSeries:
-    return u.tensor_part
-
-
-def pi1(u: TrivExtElement) -> FreeSeries:
-    return u.m_part
 
 
 # -- the three coproduct-like algebra maps ---------------------------------
@@ -244,15 +224,15 @@ def delta_zw(a: FreeSeries) -> TrivExtElement:
 
 
 def square_z(q: int, a: FreeSeries) -> FreeSeries:
-    return -pi1(delta_z(q, a))
+    return -delta_z(q, a).m_part
 
 
 def square_w(p: int, a: FreeSeries) -> FreeSeries:
-    return -pi1(delta_w(p, a))
+    return -delta_w(p, a).m_part
 
 
 def square_zw(a: FreeSeries) -> FreeSeries:
-    return -pi1(delta_zw(a))
+    return -delta_zw(a).m_part
 
 
 def associator_tail(side: str, puncture: int, degree: int, n: int) -> FreeSeries:

@@ -4,7 +4,9 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the lines as they
 print; each test also asserts, so a plain ``pytest`` run fails loudly.
 """
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from kzfox import (
     subpath,
     verify_theorem2,
 )
-from kzfox.cli import algebra_suite
+from kzfox.cli import algebra_suite, main
 from kzfox.kz_holonomy import (
     coaction_check,
     goldman_bracket_check,
@@ -41,10 +43,10 @@ from kzfox.trivial_extension import (
     gen_w,
     gen_z,
     pi_generator,
-    pi1,
 )
 
 # shared geometry -----------------------------------------------------------
+DATA = Path(__file__).parent / "data"
 P2 = PunctureConfig([0.0, 1.0])
 P3 = PunctureConfig([0.0, 1.0, 2.0])
 BASE = Anchor.tangential(1, 1.0)
@@ -137,7 +139,7 @@ def test_criterion_3_associator_zeta_recovery():
     )
     worst = {2: 0.0, 3: 0.0, 4: 0.0}
     for images, side in corners:
-        tail = pi1(_algebra_map(s, images))
+        tail = _algebra_map(s, images).m_part
         predicted = associator_tail(side, 1, D, n)
         for m in (2, 3, 4):
             w = (1,) * (m - 1)
@@ -195,15 +197,29 @@ def test_criterion_5_pentagon_projection():
 # ---------------------------------------------------------------------------
 # 6. loop bracket and cobracket
 # ---------------------------------------------------------------------------
-def test_criterion_6_loop_bracket_and_cobracket():
+def test_criterion_6_loop_bracket_and_cobracket(tmp_path):
     t0 = time.time()
     conn = ConnectionSpec(P3, 4)  # comparison degree 3
     report = goldman_bracket_check(conn, LOOP_B1, LOOP_A1)
-    elapsed = time.time() - t0
     ok = report["n_crossings"] == 1 and report["max_discrepancy"] <= 1e-5
+    # two fixture pairs whose necklace bracket is of size 1, so the bracket
+    # side of the identity is seen: goldman at degree 7 and default poisson
+    worst = 0.0
+    for pair in (1, 8):
+        loops = [arg for j in (1, 2) for arg in
+                 ("--loops", str(DATA / f"loop_pair{pair}_{j}.json"))]
+        for argv in (["goldman", "--degree", "7"], ["poisson"]):
+            out = tmp_path / f"{pair}_{argv[0]}.jsonl"
+            ok = ok and main(["verify", *argv, *loops, "--out", str(out)]) == 0
+            (record,) = [json.loads(l) for l in out.read_text().splitlines()]
+            if argv[0] == "goldman":
+                worst = max(worst, record["max_discrepancy"])
+    ok = ok and worst <= 1e-13
+    elapsed = time.time() - t0
     _report(6, ok, f"one-crossing loop pair at D=3, bracket "
                    f"{report['bracket_discrepancy']:.1e}, cobracket "
-                   f"{max(report['cobracket_discrepancy']):.1e}, {elapsed:.1f}s")
+                   f"{max(report['cobracket_discrepancy']):.1e}; nonzero-bracket "
+                   f"pairs at D=7 {worst:.1e}, {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------

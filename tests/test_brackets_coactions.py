@@ -22,7 +22,6 @@ from kzfox import (
     rho_kks_pairing,
     rho_left,
     rho_right,
-    transpose,
 )
 from kzfox.brackets_coactions import (
     CyclicWedge,
@@ -132,7 +131,7 @@ def test_double_bracket_matches_sweedler_form(rng):
                 rho_inner(random_series(rng, n, D, 2)),
                 rho_left(rng.randint(1, n)),
                 rho_right(rng.randint(1, n)),
-                transpose(rho_kks_pairing()),
+                rho_kks_pairing().transpose(),
             )
             for rho in pairings:
                 a = random_series(rng, n, D, 4, 6)

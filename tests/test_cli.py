@@ -2,12 +2,15 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from kzfox.cli import load_path_file, main, parse_punctures
+from kzfox import RATIONAL, FreeSeries
+from kzfox.cli import _random_series, load_path_file, main, parse_punctures
 from kzfox.errors import ValidationError
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -434,6 +437,59 @@ def test_goldman_campaign_reaches_degree_7(tmp_path, capsys):
     records = [json.loads(l) for l in out.read_text().splitlines() if l.strip()]
     assert records and all(r["passed"] is True for r in records)
     assert all(r["degree"] == 7 for r in records)
+
+
+def _dict_draw(rng, n, degree, max_word):
+    """The reference draw of `cli._random_series`: the same five draws summed
+    into a dict before the constructor."""
+    coeffs = {}
+    for _ in range(5):
+        k = rng.randint(0, max_word)
+        w = tuple(rng.randint(1, n) for _ in range(k))
+        coeffs[w] = coeffs.get(w, 0) + Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return FreeSeries(n, degree, coeffs, RATIONAL)
+
+
+def test_random_series_matches_the_dict_draw():
+    """Passing the draws straight to the constructor gives the same series
+    and leaves the generator in the same state, over 1000 seeds."""
+    for seed in range(1000):
+        for n, degree, max_word in ((2, 4, 3), (3, 3, 2), (2, 2, 3)):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert _random_series(rng, n, degree, max_word) == _dict_draw(
+                ref, n, degree, max_word)
+            assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("pair, crossings", [(1, 3), (8, 1)])
+def test_loop_pairs_with_a_nonzero_bracket(pair, crossings, tmp_path):
+    """Pairs 1 and 8 of `random_loop_pairs(11, 9)`, written as fixtures, have
+    a necklace bracket of size 1, so their goldman check sees the bracket
+    side of the identity: it holds to 1e-13 at degree 7, and the default
+    poisson campaign passes on them."""
+    loops = ["--loops", _path(f"loop_pair{pair}_1.json"),
+             "--loops", _path(f"loop_pair{pair}_2.json")]
+    for k, argv in enumerate((["goldman", "--degree", "7"], ["poisson"])):
+        out = tmp_path / f"{k}.jsonl"
+        assert main(["verify", *argv, *loops, "--out", str(out)]) == 0
+        (record,) = [json.loads(l) for l in out.read_text().splitlines() if l.strip()]
+        assert record["passed"] is True and record["n_crossings"] == crossings
+        if k == 0:
+            assert record["max_discrepancy"] <= 1e-13
+
+
+def test_poisson_degree_zero_exits_1_before_transport(monkeypatch, capsys):
+    """Every two-path identity is exact through D-1, so the poisson campaign
+    refuses --degree 0 with exit code 1 and no transport."""
+    from kzfox import kz_holonomy
+
+    calls = []
+    monkeypatch.setattr(kz_holonomy, "holonomy_reg", lambda *args: calls.append(args))
+    argv = ["verify", "poisson", "--loops", _path("loop_a1.json"),
+            "--loops", _path("loop_b1.json"), "--degree", "0", "--radius", "0.01"]
+    assert main(argv) == 1
+    assert "truncation degree >= 1" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_self_crossing_loop_meets_the_cobracket_crossing_term(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from kzfox import COMPLEX, RATIONAL, bernoulli, r_am_series, r_zeta_series, zeta
 from kzfox.coefficients import zeta_from_bernoulli
-from kzfox.errors import DomainError, UnsupportedConstantError
+from kzfox.errors import DomainError
 
 KNOWN_BERNOULLI = {
     2: Fraction(1, 6),
@@ -73,11 +73,6 @@ def test_r_zeta_series_negate_variable():
     flipped = r_zeta_series(1, 6, 1, negate_variable=True)
     for w, c in plain.coeffs.items():
         assert flipped.coefficient(w) == pytest.approx((-1) ** len(w) * c, rel=1e-14)
-
-
-def test_r_zeta_series_refuses_rational_backend():
-    with pytest.raises(UnsupportedConstantError):
-        r_zeta_series(1, 3, 1, backend=RATIONAL)
 
 
 def test_bernoulli_zeta_consistency_identity():

@@ -15,7 +15,6 @@ from kzfox import (
     rho_kks_pairing,
     rho_left,
     rho_right,
-    transpose,
 )
 from kzfox.errors import ShapeError
 from conftest import random_series
@@ -103,12 +102,12 @@ def test_adjacent_pairing_skew_symmetric(rng):
     for _ in range(25):
         a = random_series(rng, N, D)
         b = random_series(rng, N, D)
-        assert transpose(rho)(a, b) == -rho_kks(a, b)
+        assert rho.transpose()(a, b) == -rho_kks(a, b)
 
 
 def test_transpose_involutive(rng):
     for rho in (rho_kks_pairing(), rho_left(1), rho_right(2)):
-        double = transpose(transpose(rho))
+        double = rho.transpose().transpose()
         for _ in range(10):
             a = random_series(rng, N, D)
             b = random_series(rng, N, D)
@@ -156,7 +155,7 @@ def test_pairing_shape_mismatch(rng):
     others = (FreeSeries.generator(1, N + 1, D, RATIONAL),
               FreeSeries.generator(1, N, D + 1, RATIONAL),
               a.to_complex())
-    for pair in [rho_kks, transpose(rho_kks_pairing())] + _pairings(rng):
+    for pair in [rho_kks, rho_kks_pairing().transpose()] + _pairings(rng):
         for b in others:
             with pytest.raises(ShapeError):
                 pair(a, b)

@@ -1154,16 +1154,19 @@ def test_path_and_poisson_campaigns_build_no_sparse_series(data_dir, monkeypatch
 # ---------------------------------------------------------------------------
 # report-level checks (deeper tolerances exercised in the acceptance suite)
 # ---------------------------------------------------------------------------
-def test_goldman_bracket_check_report():
+def test_goldman_bracket_check_report(monkeypatch):
     conn = ConnectionSpec(P3, 4)
     report = goldman_bracket_check(conn, _loop(LOOP_B1), _loop(LOOP_A1))
     assert report["n_crossings"] == 1
     assert report["base_linking"] in (-1.0, 1.0)
     assert report["max_discrepancy"] < 1e-8
-    # at truncation degree 0 there is no degree to compare
-    empty = goldman_bracket_check(ConnectionSpec(P3, 0), _loop(LOOP_B1), _loop(LOOP_A1))
-    assert empty["cobracket_discrepancy"] == [0.0, 0.0]
-    assert empty["max_discrepancy"] == 0.0
+    # at truncation degree 0 there is no degree to compare: refused before
+    # any transport
+    calls = []
+    monkeypatch.setattr(kz_holonomy, "holonomy_reg", lambda *args: calls.append(args))
+    with pytest.raises(DomainError, match="truncation degree >= 1"):
+        goldman_bracket_check(ConnectionSpec(P3, 0), _loop(LOOP_B1), _loop(LOOP_A1))
+    assert calls == []
 
 
 def test_goldman_on_seeded_pairs_with_nonzero_brackets():

@@ -145,7 +145,7 @@ def test_reversal_swaps_the_tails(data_dir, load_path):
     """The reversed path's "out" tail is the path's "in" tail and vice versa,
     on every fixture."""
     names = sorted(f.name for f in data_dir.glob("*.json"))
-    assert len(names) == 9
+    assert len(names) == 13
     for name in names:
         path = load_path(name)
         n = path.n_segments

@@ -21,7 +21,6 @@ from kzfox import (
     rho_kks_pairing,
     rho_left,
     rho_right,
-    transpose,
 )
 from kzfox import free_hopf
 from kzfox.cli import _cbf_mul_free_left, _cbf_mul_free_right
@@ -155,7 +154,7 @@ def _sites(a: FreeSeries, b: FreeSeries, s: TensorSeries, t: TensorSeries):
     yield "rho_kks", rho_kks(a, b), _ref_rho_kks(a, b)
     yield "cbf_right", _cbf_mul_free_right(cbf, b), _ref_cbf_right(cbf, b)
     yield "cbf_left", _cbf_mul_free_left(a, cbf), _ref_cbf_left(a, cbf)
-    for rho in (kks, transpose(kks)):
+    for rho in (kks, kks.transpose()):
         yield (
             "double_bracket",
             double_bracket_from_pairing(rho, a, b),
@@ -245,8 +244,8 @@ def test_letter_tables_match_the_reference_in_every_shape(rng):
     no table is read for a shape or a pairing it was not built for."""
     kks = rho_kks_pairing()
     assert rho_kks_pairing() is kks
-    shared = [kks, transpose(kks), rho_left(1), rho_left(2), rho_right(2),
-              transpose(rho_right(1))]
+    shared = [kks, kks.transpose(), rho_left(1), rho_left(2), rho_right(2),
+              rho_right(1).transpose()]
     for n, D, backend in [(2, 3, RATIONAL), (2, 5, RATIONAL), (3, 3, RATIONAL),
                           (2, 3, COMPLEX)]:
         a, b = (_in_backend(random_series(rng, n, D, D, 6), backend) for _ in range(2))

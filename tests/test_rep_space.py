@@ -404,11 +404,20 @@ def test_vdb_matches_oracle_on_coordinate_pairs():
 # the bivector
 # ---------------------------------------------------------------------------
 def test_regularization_series_constant_term():
-    """At X_m = 0 the adjoint-series operator reduces to -1/2 times the
-    identity pairing."""
-    X = MatrixTuple([np.zeros((2, 2)), np.zeros((2, 2))])
-    pi = bivector_pi(X, 1, degree=8)
-    assert np.max(np.abs(pi._r_op + 0.5 * np.eye(4))) < 1e-14
+    """At X_m = 0 the adjoint series R reduces to -1/2 times the identity, so
+    the inner core is ``-1/2 ([X_c, [X_d, E_zw]])_kl``: the core less its
+    wedge part, on a tuple whose other matrix is nonzero."""
+    X = MatrixTuple([np.zeros((2, 2)), [[0.1, 0.2j], [-0.3, 0.05]]])
+    inner = bivector_pi(X, 1, 8) - rep_space._wedge_core(X, 1).reshape(8, 8)
+    want = np.zeros((2, 2, 2, 2, 2, 2), dtype=complex)
+    for c, d, w, z in itertools.product(range(2), repeat=4):
+        Xc, Xd = X.matrices[c], X.matrices[d]
+        E = np.zeros((2, 2))
+        E[z, w] = 1.0
+        B = Xd @ E - E @ Xd
+        want[c, :, :, d, w, z] = -0.5 * (Xc @ B - B @ Xc)
+    assert np.max(np.abs(want)) > 0.01
+    assert np.max(np.abs(inner - want.reshape(8, 8))) < 1e-14
 
 
 def test_bivector_wedge_antisymmetric():
@@ -429,7 +438,7 @@ def _loop_core(X, m, degree):
     R as a sum of powers of ``ad_{X_m}``, the inner part
     ``([X_c, R([X_d, E_zw])])_kl`` by loops over generators and matrix
     entries, and the left and right parts one generator at a time; the
-    reference for the operator-product core of `BivectorPi`."""
+    reference for the operator-product core of `bivector_pi`."""
     n, N = X.n, X.N
     coeffs = {len(w): c for w, c in r_am_series(1, degree, 1, COMPLEX).coeffs.items()}
     ad = rep_space._adjoint_operator(X.matrices[m - 1])
@@ -471,7 +480,7 @@ def test_bivector_core_matches_loop_construction():
         for m in range(1, n + 1):
             for degree in (0, 5, 16):
                 want = _loop_core(X, m, degree).reshape(n * N * N, n * N * N)
-                worst = max(worst, np.max(np.abs(bivector_pi(X, m, degree)._core - want)))
+                worst = max(worst, np.max(np.abs(bivector_pi(X, m, degree) - want)))
     assert worst <= 1e-14
 
 
@@ -501,7 +510,7 @@ def test_gl_action_on_coordinates_is_adjoint():
 def test_bivector_rejects_bad_generator_index():
     X = MatrixTuple.random(2, 2)
     with pytest.raises(DomainError):
-        bivector_pi(X, 3)
+        bivector_pi(X, 3, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,13 @@ from kzfox import (
     gen_z,
     mu_bar_kks,
     pi,
-    pi0,
-    pi1,
     square_w,
     square_z,
     square_zw,
     trivext_mul,
     associator_tail,
 )
-from kzfox.errors import ShapeError, UnsupportedConstantError
+from kzfox.errors import ShapeError
 from kzfox.trivial_extension import GEN_ZW, SIDE_LEFT, SIDE_RIGHT, delta_z, delta_w, delta_zw
 from conftest import random_series
 
@@ -43,11 +41,11 @@ def _unit_pair():
 # ---------------------------------------------------------------------------
 def test_generator_images():
     one, x1 = _unit_pair()
-    assert pi0(pi([gen_z(1)], N, D, RATIONAL)) == TensorSeries.outer(x1, one)
-    assert pi0(pi([gen_w(1)], N, D, RATIONAL)) == TensorSeries.outer(one, x1)
+    assert pi([gen_z(1)], N, D, RATIONAL).tensor_part == TensorSeries.outer(x1, one)
+    assert pi([gen_w(1)], N, D, RATIONAL).tensor_part == TensorSeries.outer(one, x1)
     zw = pi([GEN_ZW], N, D, RATIONAL)
-    assert pi0(zw).is_zero()
-    assert pi1(zw) == -one
+    assert zw.tensor_part.is_zero()
+    assert zw.m_part == -one
 
 
 def test_square_zero_part():
@@ -80,7 +78,7 @@ def test_mixed_commutator_is_nonzero_on_diagonal():
     v = pi([gen_w(1)], N, D, RATIONAL)
     c = trivext_mul(u, v) - trivext_mul(v, u)
     assert not c.is_zero()
-    assert pi0(c).is_zero()
+    assert c.tensor_part.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +140,9 @@ def test_delta_maps_project_to_expected_tensors(rng):
     one = FreeSeries.unit(N, D, RATIONAL)
     for _ in range(10):
         a = random_series(rng, N, D)
-        assert pi0(delta_z(1, a)) == TensorSeries.outer(a, one)
-        assert pi0(delta_w(2, a)) == TensorSeries.outer(one, a)
-        assert pi0(delta_zw(a)) == a.coproduct()
+        assert delta_z(1, a).tensor_part == TensorSeries.outer(a, one)
+        assert delta_w(2, a).tensor_part == TensorSeries.outer(one, a)
+        assert delta_zw(a).tensor_part == a.coproduct()
 
 
 def test_delta_maps_are_algebra_maps(rng):
@@ -162,8 +160,8 @@ def test_delta_maps_are_algebra_maps(rng):
 def test_delta_z_on_marked_generator():
     one, x1 = _unit_pair()
     u = delta_z(1, x1)
-    assert pi0(u) == TensorSeries.outer(x1, one)
-    assert pi1(u) == -one
+    assert u.tensor_part == TensorSeries.outer(x1, one)
+    assert u.m_part == -one
 
 
 def test_square_maps_equal_fox_derivatives(rng):
@@ -188,7 +186,3 @@ def test_associator_tail_values():
 def test_associator_tail_is_float_only():
     # the zeta constants force the float backend
     assert associator_tail(SIDE_LEFT, 1, 3, N).backend == COMPLEX
-    with pytest.raises(UnsupportedConstantError):
-        from kzfox import r_zeta_series
-
-        r_zeta_series(1, 3, N, backend=RATIONAL)

@@ -42,8 +42,9 @@ def _data(name: str) -> str:
 CAMPAIGNS = {
     "coaction": (["--path", _data("fig8.json")], (3, 7, 8, 9, 10, 11, 12, 13)),
     "pentagon": (["--path", _data("fig8.json")], (3, 8, 9, 10, 11, 12, 13)),
+    # a pair whose necklace bracket is of size 1, so the bracket side is timed
     "goldman": (
-        ["--loops", _data("loop_a1.json"), "--loops", _data("loop_b1.json")],
+        ["--loops", _data("loop_pair1_1.json"), "--loops", _data("loop_pair1_2.json")],
         (3, 6, 7, 8, 9, 10, 11, 12, 13),
     ),
     "poisson": (
