@@ -130,9 +130,8 @@ def _accumulate(backend: str, pairs, terms=None) -> dict:
     return terms
 
 
-@lru_cache(maxsize=None)
 def cyclic_min(word: Word) -> Word:
-    """Lexicographically minimal rotation of a word, memoized per word."""
+    """Lexicographically minimal rotation of a word."""
     if len(word) <= 1:
         return word
     return min(word[i:] + word[:i] for i in range(len(word)))

@@ -50,12 +50,12 @@ from .kz_paths import (
     PunctureConfig,
     TANGENTIAL,
     above,
-    base_corners,
     base_linking,
     intersections,
     rotation_number,
     self_intersections,
     snap_half_integer,
+    strand_pairs,
     tangential_points,
 )
 from .levels import Levels
@@ -447,18 +447,19 @@ def _coaction_geometry(path: PLPath, deg: int) -> Tuple[int, int, float]:
     """What the reduced-coaction formula reads off a path besides its
     crossings and rotation number, in the order it refuses them: the
     punctures p, q of its anchors (both tangential), the truncation degree
-    (D >= 1), and for a loop the shift 1 - [p>P] of its closure constant
-    (0.0 for p != q).
+    (D >= 1), and for a loop the shift [P>p] of its closure constant (0.0
+    for p != q), with P its outgoing and p its incoming strand.
 
     A loop's smooth model has one more self-intersection than the polyline
     shows: the closing of the two tail strands through the base point.  Its
     regularized contribution is a universal series in the base generator,
-    fixed by the closure turn direction: the constant -1/2 of r_am becomes
-    1/2 - [p>P]."""
+    fixed by the closure turn direction: it is the (out, in) corner of
+    `strand_pairs` for the loop with itself, so the constant -1/2 of r_am
+    becomes -1/2 + [P>p]."""
     p, q = tangential_points(path)
     if deg < 1:
         raise DomainError("the reduced-coaction formula needs truncation degree >= 1")
-    return p, q, 1.0 - above((path, "in"), (path, "out")) if p == q else 0.0
+    return p, q, above((path, "out"), (path, "in")) if p == q else 0.0
 
 
 def _coaction_rhs(hol: HolonomyResult, cuts: Sequence[Crossing], rot: float) -> Levels:
@@ -528,51 +529,36 @@ def rho_paths(
     path1: PLPath,
     accuracy: float = DEFAULT_ACCURACY,
 ) -> FreeSeries:
-    """Right-hand side of the pairing formula for the holonomies of two paths
-    (first argument = second factor of the pairing, as in rho(H2, H1)).
+    """Right-hand side of the pairing formula for the holonomies h1, h2 of two
+    paths (first argument = second factor of the pairing, as in rho(H2, H1)).
 
-    path1 runs from tangential p to q, path2 from tangential r to s; all
-    anchor punctures distinct except possibly q = r, and anchors at one
-    puncture share its direction.  When both paths are loops at a common
-    tangential point the loop variant of the formula is assembled instead.
-    Where tail strands of the two paths meet at a puncture, each pair of a
-    path1 strand X and a path2 strand Y adds a corner term [X>Y] (`above`):
-    the four corners of `base_corners` for two loops, [path1 arriving > path2
-    leaving] times h2 h1 at a shared middle point.  The terms are level
-    arrays of the two transports (`transport_pair`, which refuses D = 0),
-    summed through degree D-1 and converted to a series once; the anchors,
-    the corner orders and the degree are read before either transport.
+    path1 runs from tangential p to q and path2 from tangential r to s, any
+    of them equal, loops included; anchors at one puncture share its
+    direction.  Besides the four Fox terms and the crossing terms, each pair
+    of tail strands x of path1 and y of path2 at a shared tangential point m
+    (`strand_pairs`, with its sign and order [x>y]) adds the corner term
+    sign * L (r_am(x_m) + [x>y]) R, with L = h2 when y leaves m and R = h1
+    when x arrives there.  The terms are level arrays of the two transports
+    (`transport_pair`, which refuses D = 0), summed through degree D-1 and
+    converted to a series once; the anchors, the strand orders and the
+    degree are read before either transport.
     """
     p, q, r, s = tangential_points(path1, path2)
-    distinct = len({p, q, r, s})
-    if distinct not in (1, 4) and not (q == r and distinct == 3):
-        raise ValidationError(
-            "anchor punctures must be distinct (except a shared middle point "
-            "q = r, or two loops at a common point)"
-        )
     n, deg = conn.n_generators, conn.trunc_degree
-    corners = (base_corners(path1, path2) if distinct == 1 else
-               [above((path1, "in"), (path2, "out"))] if q == r else [])
+    pairs = strand_pairs(path1, path2)
     cuts, hol2, hol1 = transport_pair(conn, path2, path1, accuracy, (), ())
     h1, h2 = hol1.levels[:deg], hol2.levels[:deg]
-    # the Fox terms; for two loops (p = q = r = s) they sum to
-    # d_left(p, h2) (h1 - 1) + (h2 - 1) d_right(p, h1)
     terms = [
         (-1.0, levels.fox(hol2.levels, p, n, True)),
         (-1.0, levels.fox(hol1.levels, s, n, False)),
         (1.0, levels.mul(levels.fox(hol2.levels, q, n, True), h1)),
         (1.0, levels.mul(h2, levels.fox(hol1.levels, r, n, False))),
     ] + _crossing_terms(hol2, hol1, cuts, deg)
-    if distinct == 1:
-        # (h2 - 1) r_am (h1 - 1) and the four corners
-        g1, g2 = ([h[0] - 1.0] + h[1:] for h in (h1, h2))
-        r_am = levels.mul(g2, levels.letter(n, p, r_am_coefficients(deg - 1)))
-        pQ, PQ, pq, Pq = corners
-        terms += [(1.0, levels.mul(r_am, g1)), (pQ, levels.mul(h2, h1)), (-PQ, h2),
-                  (-pq, h1), (Pq, levels.unit(n, deg - 1))]
-    elif q == r:
-        r_am = levels.mul(h2, levels.letter(n, q, r_am_coefficients(deg - 1)))
-        terms += [(1.0, levels.mul(r_am, h1)), (corners[0], levels.mul(h2, h1))]
+    for x, y, sign, order in pairs:
+        corner = levels.letter(n, q if x == "in" else p, r_am_coefficients(deg - 1))
+        corner[0] += order
+        corner = levels.mul(h2, corner) if y == "out" else corner
+        terms.append((sign, levels.mul(corner, h1) if x == "in" else corner))
     return levels.to_series(n, levels.combine(terms, n, deg - 1))
 
 

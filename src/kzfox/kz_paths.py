@@ -159,6 +159,11 @@ class Tail:
     leave: Tuple[int, complex]
     height: float
 
+    @property
+    def ray(self) -> Tuple[complex, complex]:
+        """(point, direction): tails on one ray share a tangential point."""
+        return self.point, self.direction
+
 
 class PLPath:
     """Polyline path with anchors, arclength-parametrized on [0, 1]; `tails`
@@ -334,21 +339,25 @@ def above(x: Tuple[PLPath, str], y: Tuple[PLPath, str]) -> float:
     return 1.0 if g_x > g_y else 0.0
 
 
-def base_corners(loop1: PLPath, loop2: PLPath) -> Tuple[float, ...]:
-    """The corner indicators [p>Q], [P>Q], [p>q], [P>q] of two loops at one
-    base point, with P, p loop1's outgoing and incoming strands and Q, q
-    loop2's.  In the pairing formula each corner turns the -1/2 constant of
-    r_am in the loop term into -1/2 + [loop1's strand above loop2's]."""
-    return tuple(above((loop1, a), (loop2, b)) for a, b in
-                 (("in", "out"), ("out", "out"), ("in", "in"), ("out", "in")))
+def strand_pairs(path1: PLPath, path2: PLPath) -> List[Tuple[str, str, float, float]]:
+    """Each pair of a tail strand x of path1 and y of path2 ("out" | "in")
+    that leave or reach one tangential point, as (x, y, sign, [x>y]), in the
+    order (in, out), (out, out), (in, in), (out, in).  The sign is +1 exactly
+    when one strand arrives and the other leaves.  Every corner term of the
+    pairing formula reads this list: each turns the -1/2 constant of r_am at
+    the point into -1/2 + [x>y]."""
+    return [(x, y, 1.0 if (x == "in") != (y == "in") else -1.0, above((path1, x), (path2, y)))
+            for x, y in (("in", "out"), ("out", "out"), ("in", "in"), ("out", "in"))
+            if x in path1.tails and y in path2.tails
+            and path1.tails[x].ray == path2.tails[y].ray]
 
 
 def base_linking(loop1: PLPath, loop2: PLPath) -> float:
     """Sign of the crossing between two loops at their common base point in
-    the resolved smooth model: the alternating corner sum, +-1 when the four
-    tail strands alternate and 0.0 when they nest."""
-    pQ, PQ, pq, Pq = base_corners(loop1, loop2)
-    return pQ - PQ - pq + Pq
+    the resolved smooth model: the signed sum of the strand orders of
+    `strand_pairs`, +-1 when the four tail strands alternate and 0.0 when
+    they nest."""
+    return sum(sign * order for _, _, sign, order in strand_pairs(loop1, loop2))
 
 
 # -- crossing detection ------------------------------------------------------
@@ -408,7 +417,7 @@ def _tail_contact_skippable(
     leaves the ray at pt."""
     for ta in path_a.tails.values():
         for tb in path_b.tails.values():
-            if ta.point != tb.point or abs(ta.direction - tb.direction) > 1e-12:
+            if ta.ray != tb.ray:
                 continue
             strands = ((ta, i), (tb, j))
             if all(k in t.segments or (k, pt) == t.leave for t, k in strands):

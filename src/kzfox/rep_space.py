@@ -24,7 +24,7 @@ module provides
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .coefficients import r_am_coefficients
 from .errors import DomainError, ShapeError, ValidationError
 from .free_hopf import COMPLEX, FreeSeries
 from .kz_holonomy import DEFAULT_ACCURACY, ConnectionSpec, loop_pair_base, transport_pair
-from .kz_paths import PLPath, base_corners, base_linking
+from .kz_paths import PLPath, base_linking, strand_pairs
 from .levels import Levels
 
 # ---------------------------------------------------------------------------
@@ -245,13 +245,15 @@ def verify_theorem2(
     Computes the bracket tensor ``{(H2)_ij, (H1)_uv}`` of the two loop
     holonomies three ways: (i) the linear Poisson bracket of the evaluated
     entries, from their exact gradients, (ii) the geometric formula (signed
-    crossing subholonomies, plus the bivector, plus the four corner terms of
-    the tail strands at the base: with M1, M2 the evaluated holonomies and
-    [X>Y] the strand order of `base_corners`,
-    ``[p>Q] d_uj (M2 M1)_iv - [P>Q] (M1)_uj (M2)_iv - [p>q] (M2)_uj (M1)_iv
-    + [P>q] (M1 M2)_uj d_iv``), (iii) the evaluated double bracket of the
+    crossing subholonomies, plus the bivector, plus a corner term for each
+    pair of tail strands x of loop1 and y of loop2 at the base: with M1, M2
+    the evaluated holonomies and (x, y, sign, [x>y]) the entries of
+    `strand_pairs`, ``sign [x>y] (t_a)_uj (t_b)_iv``, where
+    t_a = (M1 if x leaves)(M2 if y arrives) and
+    t_b = (M2 if y leaves)(M1 if x arrives), the identity when neither
+    factor occurs), (iii) the evaluated double bracket of the
     two grouplike holonomies, from the adjacent-letter pairing of their level
-    arrays.  ``base_linking`` records the alternating corner sum.  The base
+    arrays.  ``base_linking`` records the signed sum of the orders.  The base
     point, the tuple and the corner orders are read first; then
     `kz_holonomy.transport_pair` transports each loop once, with breakpoints
     at its crossing parameters; the crossing subholonomies are read off those
@@ -274,7 +276,7 @@ def verify_theorem2(
         raise ValidationError(f"n * ||X|| = {X.n * X.norm_bound:.6g} >= 1: the "
                               "series' tail diverges on this tuple, so the "
                               "truncated series bounds nothing")
-    pQ, PQ, pq, Pq = base_corners(loop1, loop2)
+    pairs = strand_pairs(loop1, loop2)
     cuts, hol2, hol1 = transport_pair(conn, loop2, loop1, accuracy, (), ())
 
     def at(series: Levels) -> np.ndarray:
@@ -291,7 +293,10 @@ def verify_theorem2(
     eye = np.eye(X.N)
     terms = [(float(c.sign), at(hol1.piece(c.t, 1.0)) @ at(hol2.piece(0.0, c.s)),
               at(hol2.piece(c.s, 1.0)) @ at(hol1.piece(0.0, c.t))) for c in cuts]
-    terms += [(pQ, eye, M2 @ M1), (-PQ, M1, M2), (-pq, M2, M1), (Pq, M1 @ M2, eye)]
+    for x, y, sign, order in pairs:
+        t_a = [M for M, used in ((M1, x == "out"), (M2, y == "in")) if used]
+        t_b = [M for M, used in ((M2, y == "out"), (M1, x == "in")) if used]
+        terms.append((sign * order, *(reduce(np.matmul, t) if t else eye for t in (t_a, t_b))))
     crossing = sum((s * np.einsum("uj,iv->ijuv", t_a, t_b) for s, t_a, t_b in terms if s),
                    np.zeros((X.N,) * 4, dtype=complex))
     F, G = (g.reshape(-1, X.N * X.N) for g in (g2, g1))

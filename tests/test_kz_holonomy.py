@@ -56,6 +56,7 @@ from kzfox.kz_paths import (
     rotation_number,
     self_intersections,
     snap_half_integer,
+    strand_pairs,
 )
 from kzfox.trivial_extension import (
     SIDE_LEFT,
@@ -815,7 +816,7 @@ def _case_analysis_linking(germs):
     """The base linking from the vertical order of the four tail strands,
     ``germs[(curve, "out" | "in")]``: 0 when the curves nest, else the sign
     read off the strand after loop1's outgoing one.  The reference for the
-    alternating corner sum of `base_linking`."""
+    signed sum of the orders in `base_linking`."""
     order = sorted(germs, key=lambda strand: -germs[strand])
     curves = [curve for curve, _ in order]
     if curves not in ([1, 2, 1, 2], [2, 1, 2, 1]):
@@ -826,8 +827,11 @@ def _case_analysis_linking(germs):
 
 def test_base_linking_is_the_alternating_corner_sum(monkeypatch):
     """[p>Q] - [P>Q] - [p>q] + [P>q] equals the case analysis on all 24
-    orders of four distinct germs; equal germs are ambiguous."""
+    orders of four distinct germs; equal germs are ambiguous.  The four
+    corners are listed by `strand_pairs` in that order, with those signs."""
     loop1, loop2 = _loop(LOOP_A1), _loop(LOOP_B1)
+    assert [entry[:3] for entry in strand_pairs(loop1, loop2)] == [
+        ("in", "out", 1.0), ("out", "out", -1.0), ("in", "in", -1.0), ("out", "in", 1.0)]
     strands = [(1, "out"), (1, "in"), (2, "out"), (2, "in")]
     signs = set()
 
@@ -866,8 +870,10 @@ def test_coaction_refuses_composite_loops(load_path, second, first):
         coaction_check(ConnectionSpec(P3, 3), loop)
 
 
-def test_rho_paths_rejects_coinciding_endpoints(monkeypatch):
-    """Coinciding anchors are refused before either path is transported."""
+def test_rho_paths_on_coinciding_endpoints():
+    """Two paths that share both endpoints, each arriving where the other
+    leaves (q = r and p = s), meet rho_kks through degree 2 in both orders:
+    each shared point adds its one corner term."""
     conn = ConnectionSpec(P3, 3)
     p12 = PLPath(P3, Anchor.tangential(1, 1.0), Anchor.tangential(2, -1.0), [])
     p21 = PLPath(
@@ -876,17 +882,11 @@ def test_rho_paths_rejects_coinciding_endpoints(monkeypatch):
         Anchor.tangential(1, 1.0),
         [0.9, 0.85 - 0.25j, 0.15 - 0.25j, 0.1],
     )
-    calls = []
-    original = kz_holonomy.holonomy_reg
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(kz_holonomy, "holonomy_reg", counting)
-    with pytest.raises(ValidationError, match="anchor punctures must be distinct"):
-        rho_paths(conn, p21, p12)
-    assert calls == []
+    for path2, path1 in ((p21, p12), (p12, p21)):
+        h1 = holonomy_reg(conn, path1).series
+        h2 = holonomy_reg(conn, path2).series
+        rhs = rho_paths(conn, path2, path1)
+        assert (rho_kks(h2, h1).with_degree(2) - rhs).norm_inf() < 1e-13
 
 
 def test_rho_paths_refuses_degree_zero_before_transport(monkeypatch):
@@ -905,24 +905,61 @@ def test_rho_paths_refuses_degree_zero_before_transport(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("kind", ["disjoint", "shared_middle"])
+# the open kinds: (p, q, r, s) as positions in a sample of distinct punctures,
+# and the (path1 strand, path2 strand) pairs at shared tangential points
+_OPEN_KINDS = {
+    "disjoint": ((0, 1, 2, 3), set()),
+    "shared_middle": ((0, 1, 1, 2), {("in", "out")}),
+    "shared_start": ((0, 1, 0, 2), {("out", "out")}),
+    "shared_end": ((0, 1, 2, 1), {("in", "in")}),
+    "start_is_end": ((0, 1, 2, 0), {("out", "in")}),
+    "shared_ends": ((0, 1, 0, 1), {("out", "out"), ("in", "in")}),
+    "swapped_ends": ((0, 1, 1, 0), {("in", "out"), ("out", "in")}),
+}
+_ALL_PAIRS = {("in", "out"), ("out", "out"), ("in", "in"), ("out", "in")}
+
+
+def _seeded_pair(rng, kind):
+    """path1, path2 of one kind: `random_open_path` draws on the anchors of
+    `_OPEN_KINDS`, path2 leaving a shared anchor along path1's ray, or a
+    `random_base_loop` with an open path from or to its base point 1."""
+    if kind in ("loop_then_open", "open_then_loop"):
+        other = rng.choice((2, 3))
+        p, q = rng.choice(((1, other), (other, 1)))
+        pair = (random_base_loop(rng),
+                random_open_path(rng, 3, p, q, start=1.0 if p == 1 else 0.0))
+        return pair if kind == "loop_then_open" else pair[::-1]
+    n = 4 if kind == "disjoint" else 3
+    points = rng.sample(range(1, n + 1), n)
+    p, q, r, s = (points[i] for i in _OPEN_KINDS[kind][0])
+    path1 = random_open_path(rng, n, p, q)
+    ray = {p: path1.start.direction, q: path1.end.direction}
+    return path1, random_open_path(rng, n, r, s, start=ray.get(r, 0.0).real)
+
+
+@pytest.mark.parametrize("kind", list(_OPEN_KINDS) + ["loop_then_open", "open_then_loop"])
 def test_rho_paths_on_seeded_open_path_pairs(kind):
-    """12 seeded pairs of `random_open_path` draws of each kind meet rho_kks
-    through degree 3: four distinct anchors among four punctures, and a
-    shared middle point q = r, where path2 leaves along path1's arrival ray
-    (both corner values occur).  Pairs the geometry rejects (KzfoxError) are
-    skipped; measured worst 8.5e-16."""
+    """At least 12 seeded pairs of each kind meet rho_kks through degree 3 at
+    1e-13: four distinct anchors; q = r, p = r, q = s, p = s, p = r with
+    q = s, and q = r with p = s; a loop with an open path from or to its base
+    point, in both orders.  Pairs are drawn until both orders of every strand
+    pair at a shared point have occurred.  A draw whose shared anchors point
+    along different rays is redrawn, and pairs the geometry rejects
+    (KzfoxError) are skipped; measured worst 8.9e-16 on the first 16 pairs
+    of each kind."""
     rng = random.Random(2101)
-    accepted, worst, corners = 0, 0.0, set()
-    for _ in range(60):
-        if kind == "disjoint":
-            p, q, r, s = rng.sample(range(1, 5), 4)
-            path1 = random_open_path(rng, 4, p, q)
-            path2 = random_open_path(rng, 4, r, s)
-        else:
-            p, q, s = rng.sample(range(1, 4), 3)
-            path1 = random_open_path(rng, 3, p, q)
-            path2 = random_open_path(rng, 3, q, s, start=path1.end.direction.real)
+    accepted, worst, orders = 0, 0.0, {}
+    pairs = _OPEN_KINDS[kind][1] if kind in _OPEN_KINDS else _ALL_PAIRS
+
+    def covered():
+        return set(orders) == pairs and all(seen == {0.0, 1.0} for seen in orders.values())
+
+    for _ in range(200):
+        path1, path2 = _seeded_pair(rng, kind)
+        rays = {}
+        if any(rays.setdefault(a.puncture, a.direction) != a.direction
+               for a in (path1.start, path1.end, path2.start, path2.end)):
+            continue
         conn = ConnectionSpec(path1.punctures, 4)
         try:
             rhs = rho_paths(conn, path2, path1)
@@ -931,14 +968,13 @@ def test_rho_paths_on_seeded_open_path_pairs(kind):
         h1 = holonomy_reg(conn, path1).series
         h2 = holonomy_reg(conn, path2).series
         worst = max(worst, (rho_kks(h2, h1).with_degree(3) - rhs).norm_inf())
-        if kind == "shared_middle":
-            corners.add(above((path1, "in"), (path2, "out")))
+        for x, y, _, order in strand_pairs(path1, path2):
+            orders.setdefault((x, y), set()).add(order)
         accepted += 1
-        if accepted == 12:
+        if accepted >= 12 and covered():
             break
-    assert accepted == 12
-    assert worst < 1e-10
-    assert corners == ({0.0, 1.0} if kind == "shared_middle" else set())
+    assert accepted >= 12 and covered(), (accepted, orders)
+    assert worst < 1e-13
 
 
 def test_anchors_at_one_puncture_must_share_its_direction(monkeypatch):
@@ -1030,7 +1066,8 @@ def test_ambiguous_base_strand_order_is_refused_before_transport(monkeypatch):
     """Two loops whose outgoing tails leave the base ray at the same point on
     the same side have no strand order there: the loop bracket, the pairing
     formula and Theorem 2 raise ValidationError with no `holonomy_reg` call.
-    A loop whose own incoming and outgoing tails tie is refused by the
+    So does the pairing formula on two open paths that leave one tangential
+    point so, in both orders.  A loop whose own incoming and outgoing tails tie is refused by the
     coaction and the loop bracket, again before any transport."""
     from kzfox.rep_space import MatrixTuple, verify_theorem2
 
@@ -1044,6 +1081,13 @@ def test_ambiguous_base_strand_order_is_refused_before_transport(monkeypatch):
                   lambda conn, b, a: verify_theorem2(conn, b, a, X)):
         with pytest.raises(ValidationError, match="ambiguous base-strand ordering"):
             check(conn, b, a)
+    # two open paths leaving puncture 1 along one ray (p = r), both turning
+    # up at 0.4
+    p12 = PLPath(P3, BASE, Anchor.tangential(2, 1.0), [0.4, 0.4 + 0.3j, 1.5 + 0.3j, 1.5])
+    p13 = PLPath(P3, BASE, Anchor.tangential(3, -1.0), [0.4, 0.7 + 0.5j, 1.6 + 0.5j, 1.6])
+    for path2, path1 in ((p13, p12), (p12, p13)):
+        with pytest.raises(ValidationError, match="ambiguous base-strand ordering"):
+            rho_paths(conn, path2, path1)
     tied = _loop([0.4, 0.2 + 0.3j, 0.2 + 0.8j, 1.5 + 0.8j, 1.5 - 0.3j, 0.8 - 0.3j,
                   0.8 + 0.3j, 0.6 + 0.3j, 0.4])
     with pytest.raises(ValidationError, match="ambiguous base-strand ordering"):

@@ -1,6 +1,7 @@
 """Polyline path geometry: anchors, crossings, rotation numbers,
 composition, subpaths."""
 
+import cmath
 import dataclasses
 import math
 from fractions import Fraction
@@ -129,6 +130,21 @@ def test_fixture_tail_heights(load_path):
     for name, heights in FIXTURE_HEIGHTS.items():
         tails = load_path(name).tails
         assert (tails["out"].height, tails["in"].height) == heights, name
+
+
+def test_one_strand_bundle_needs_one_ray():
+    """Tails share a strand bundle only on one ray, (point, direction) equal:
+    two tails leaving puncture 1 along the same segment overlap as a bundle,
+    and with the second anchor's direction turned by 1e-13 (its tail still on
+    the ray within roundoff) the same overlap is refused."""
+    path1 = PLPath(P3, BASE, Anchor.tangential(2, 1.0), [0.5, 0.5 + 0.3j, 1.5 + 0.3j, 1.5])
+    points = [0.5, 0.5 - 0.3j, 2.5 - 0.3j, 2.5]
+    assert intersections(path1, PLPath(P3, BASE, Anchor.tangential(3, 1.0), points)) == []
+    turned = PLPath(P3, Anchor.tangential(1, cmath.exp(1e-13j)), Anchor.tangential(3, 1.0),
+                    points)
+    assert turned.tails["out"].segments == range(1)
+    with pytest.raises(ValidationError, match="collinear overlap"):
+        intersections(path1, turned)
 
 
 def _mirrored(tail, n):

@@ -1,17 +1,22 @@
-"""`tools/sloc.py`, the package's code-size count."""
+"""`tools/sloc.py`, the package's code-size count, and the mutant table of
+`tools/mutants.py`."""
 
 import importlib.util
 import os
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "sloc.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def _sloc():
-    spec = importlib.util.spec_from_file_location("sloc", TOOL)
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _sloc():
+    return _tool("sloc")
 
 
 SOURCE = '''"""Module docstring,
@@ -68,3 +73,18 @@ def test_main_total_is_the_sum_of_the_files(capsys):
         raw, code, name = row.split()
         with open(os.path.join(sloc.PACKAGE, name), encoding="utf-8") as fp:
             assert sloc.count(fp.read()) == (int(raw), int(code))
+
+
+def test_each_mutant_text_occurs_once_and_names_existing_tests():
+    """Every listed mutant applies: its old text occurs exactly once in its
+    file, and each of its node ids names a test function of an existing test
+    file.  No mutant is run."""
+    mutants = _tool("mutants").MUTANTS
+    assert len(mutants) == 8
+    for mutant in mutants:
+        assert (ROOT / mutant.path).read_text(encoding="utf-8").count(mutant.old) == 1, mutant
+        assert mutant.old != mutant.new
+        for node in mutant.tests:
+            path, name = node.split("::")
+            test = (ROOT / path).read_text(encoding="utf-8")
+            assert f"def {name.split('[')[0]}(" in test, node

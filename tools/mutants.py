@@ -1,0 +1,102 @@
+"""Mutation audit of the corner rule of the pairing formula.
+
+Each mutant is one text replacement in one file: the old text occurs exactly
+once there.  For each mutant the script copies `src/`, `tests/` and
+`pyproject.toml` into a temporary directory, applies the replacement to the
+copy, and runs the mutant's pytest node ids there.  It prints "killed" when
+they fail and "survived" when they pass, and exits 1 if any mutant survived
+(2 if a run could not be made: a missing text or a pytest usage error).  The
+checkout itself is never written.
+
+    python tools/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple, Tuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEEDED = "tests/test_kz_holonomy.py::test_rho_paths_on_seeded_open_path_pairs"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the checkout
+    old: str
+    new: str
+    tests: Tuple[str, ...]
+
+
+MUTANTS = [
+    Mutant("the sign rule inverted", "src/kzfox/kz_paths.py",
+           '1.0 if (x == "in") != (y == "in") else -1.0',
+           '1.0 if (x == "in") == (y == "in") else -1.0',
+           ("tests/test_kz_holonomy.py::test_base_linking_is_the_alternating_corner_sum",)),
+    Mutant("the [x>y] term dropped", "src/kzfox/kz_holonomy.py",
+           "corner[0] += order", "corner[0] += 0.0",
+           (f"{SEEDED}[shared_start]",)),
+    Mutant("the order read as [y>x]", "src/kzfox/kz_paths.py",
+           "above((path1, x), (path2, y))", "above((path2, y), (path1, x))",
+           (f"{SEEDED}[shared_start]",)),
+    Mutant("L attached when y arrives", "src/kzfox/kz_holonomy.py",
+           'if y == "out" else corner', 'if y == "in" else corner',
+           (f"{SEEDED}[shared_middle]",)),
+    Mutant("R attached when x leaves", "src/kzfox/kz_holonomy.py",
+           'h1) if x == "in" else', 'h1) if x == "out" else',
+           (f"{SEEDED}[shared_middle]",)),
+    Mutant("r_am at the other endpoint's puncture", "src/kzfox/kz_holonomy.py",
+           'q if x == "in" else p', 'p if x == "in" else q',
+           (f"{SEEDED}[shared_middle]",)),
+    Mutant("route (ii) t_a and t_b swapped", "src/kzfox/rep_space.py",
+           "for t in (t_a, t_b)", "for t in (t_b, t_a)",
+           ("tests/test_rep_space.py::test_three_way_agreement_on_pairs_with_nonzero_brackets",)),
+    Mutant("the coaction closure read as [p>P]", "src/kzfox/kz_holonomy.py",
+           'above((path, "out"), (path, "in"))', 'above((path, "in"), (path, "out"))',
+           ("tests/test_kz_holonomy.py::test_mu_bar_identity_loop",)),
+]
+
+
+def run(mutant: Mutant) -> int:
+    """The pytest exit code of the mutant's tests on a mutated copy."""
+    with tempfile.TemporaryDirectory(prefix="kzfox-mutant-") as tmp:
+        ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache")
+        for tree in ("src", "tests"):
+            shutil.copytree(os.path.join(ROOT, tree), os.path.join(tmp, tree), ignore=ignore)
+        shutil.copy(os.path.join(ROOT, "pyproject.toml"), tmp)
+        target = os.path.join(tmp, mutant.path)
+        with open(target, encoding="utf-8") as fp:
+            text = fp.read()
+        if text.count(mutant.old) != 1:
+            print(f"{mutant.path}: {mutant.old!r} does not occur exactly once",
+                  file=sys.stderr)
+            raise SystemExit(2)
+        with open(target, "w", encoding="utf-8") as fp:
+            fp.write(text.replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH=os.path.join(tmp, "src"),
+                   PYTHONDONTWRITEBYTECODE="1")
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             *mutant.tests],
+            cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        ).returncode
+
+
+def main() -> int:
+    survived = 0
+    for mutant in MUTANTS:
+        code = run(mutant)
+        if code not in (0, 1):
+            print(f"error     {mutant.name} (pytest exit {code})")
+            return 2
+        print(f"{'survived' if code == 0 else 'killed  '}  {mutant.name}")
+        survived += code == 0
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
