@@ -93,7 +93,6 @@ class RunConfig:
     tolerance: Optional[float] = None
     path_file: Optional[str] = None
     loops: Tuple[str, ...] = ()
-    punctures: Optional[str] = None
     matrix_size: int = 2
     radius: float = 0.1
     seed: int = 0
@@ -127,46 +126,25 @@ def _as_complex(value, where: str) -> complex:
 
 
 def _parse_anchor(obj, where: str) -> Anchor:
-    if not isinstance(obj, dict) or "kind" not in obj:
+    """An anchor object: its numbers converted, and only the fields of its
+    kind passed to `Anchor`, which checks them."""
+    if not isinstance(obj, dict):
         raise ValidationError(f"{where}: expected an object with a 'kind' field")
-    kind = obj["kind"]
-    if kind == "regular":
-        if "point" not in obj:
-            raise ValidationError(f"{where}: regular anchor needs a 'point' field")
-        return Anchor.regular(_as_complex(obj["point"], f"{where}.point"))
-    if kind == "tangential":
-        if "puncture" not in obj:
-            raise ValidationError(
-                f"{where}: tangential anchor needs a 'puncture' field"
-            )
-        direction = (
-            _as_complex(obj["direction"], f"{where}.direction")
-            if "direction" in obj
-            else 1.0
-        )
-        return Anchor.tangential(obj["puncture"], direction)
-    raise ValidationError(f"{where}.kind: must be 'regular' or 'tangential'")
+    kind = obj.get("kind")
+    values = {"direction": 1 + 0j} if kind == "tangential" else {}
+    for key in {"regular": ("point",), "tangential": ("puncture", "direction")}.get(kind, ()):
+        if key in obj:
+            values[key] = obj[key] if key == "puncture" else _as_complex(obj[key], f"{where}.{key}")
+    try:
+        return Anchor(kind, **values)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
-def parse_punctures(text: str) -> PunctureConfig:
-    """Parse a semicolon-separated list of complex points, e.g. '0;1;2+1j'."""
-    points = []
-    for k, token in enumerate(text.split(";")):
-        try:
-            points.append(complex(token.strip()))
-        except ValueError:
-            raise ValidationError(
-                f"--punctures entry {k}: {token.strip()!r} is not a complex number"
-            )
-    return PunctureConfig(points)
-
-
-def load_path_file(
-    filename: str, punctures: Optional[PunctureConfig] = None
-) -> PLPath:
+def load_path_file(filename: str) -> PLPath:
     """Read a path description: {'punctures': [...], 'start': anchor,
-    'end': anchor, 'points': [...]}; an explicit PunctureConfig overrides
-    the file's 'punctures' field."""
+    'end': anchor, 'points': [...]}.  The file is the one source of the
+    path's punctures."""
     try:
         with open(filename, "r", encoding="utf-8") as fp:
             data = json.load(fp)
@@ -181,15 +159,14 @@ def load_path_file(
     for key in ("punctures", "points"):
         if not isinstance(data.get(key, []), list):
             raise ValidationError(f"{filename}: '{key}' must be a list")
-    if punctures is None:
-        if "punctures" not in data:
-            raise ValidationError(f"{filename}: missing 'punctures' field")
-        punctures = PunctureConfig(
-            [
-                _as_complex(p, f"{filename}: punctures[{k}]")
-                for k, p in enumerate(data["punctures"])
-            ]
-        )
+    if "punctures" not in data:
+        raise ValidationError(f"{filename}: missing 'punctures' field")
+    punctures = PunctureConfig(
+        [
+            _as_complex(p, f"{filename}: punctures[{k}]")
+            for k, p in enumerate(data["punctures"])
+        ]
+    )
     for key in ("start", "end"):
         if key not in data:
             raise ValidationError(f"{filename}: missing '{key}' field")
@@ -509,15 +486,14 @@ def algebra_suite(seed: int = 0, n: int = 2, degree: int = 4, cases: int = 12):
 # reference, so a wrapper installed on those names sees every call.
 # ---------------------------------------------------------------------------
 def _load_paths(config: RunConfig, loops: bool) -> List[PLPath]:
-    """The --path file, or the two --loops files, which must use the same
-    punctures; --punctures overrides the files' own."""
+    """The --path file, or the two --loops files, which must list the same
+    punctures: each path's punctures are read from its file."""
     if loops and len(config.loops) != 2:
         raise ValidationError("this campaign needs --loops FILE1 --loops FILE2")
     if not loops and config.path_file is None:
         raise ValidationError("this campaign needs --path FILE")
-    override = parse_punctures(config.punctures) if config.punctures else None
     files = config.loops if loops else [config.path_file]
-    paths = [load_path_file(f, override) for f in files]
+    paths = [load_path_file(f) for f in files]
     if len({path.punctures.points for path in paths}) > 1:
         raise ValidationError("the two loop files use different punctures")
     return paths
@@ -608,7 +584,6 @@ def cmd_associator(degree: int, accuracy: float, out: Optional[str]) -> None:
 @click.option("--tol", "tolerance", type=float, default=None, help="Override tolerance.")
 @click.option("--path", "path_file", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--loops", multiple=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--punctures", default=None, help="Semicolon-separated complex points.")
 @click.option("--N", "matrix_size", type=int, default=2, show_default=True)
 @click.option("--radius", type=float, default=0.1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)

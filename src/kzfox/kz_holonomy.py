@@ -107,7 +107,9 @@ class ConnectionSpec:
 
 @dataclass(frozen=True)
 class HolonomyResult:
-    """Regularized holonomy along a path, with an error report.
+    """Regularized holonomy along a path, with its report: `accuracy_estimate`,
+    the summed subdivision residual, and `regularization_report`, the cut
+    radii, `quadrature_error`, `panels` and `max_depth` of `holonomy_reg`.
 
     `levels` is the holonomy as the transport's level arrays, and `prefixes`
     maps each breakpoint t of the transport to the level arrays of the prefix
@@ -141,20 +143,6 @@ class HolonomyResult:
             return self._prefix(b)
         n = self.path.punctures.n
         return levels.mul(self._prefix(b), levels.antipode(self._prefix(a), n))
-
-    def to_json_dict(self) -> dict:
-        report = {"accuracy": self.accuracy_estimate}
-        report.update(self.regularization_report)
-        if (
-            self.path.start.kind == TANGENTIAL
-            and self.path.end.kind == TANGENTIAL
-        ):
-            report["rot"] = snap_half_integer(rotation_number(self.path))
-            report["crossings"] = [
-                {"t": c.t, "s": c.s, "sign": c.sign}
-                for c in self_intersections(self.path)
-            ]
-        return {"series": self.series.to_json_dict(), "report": report}
 
 
 # ---------------------------------------------------------------------------

@@ -130,8 +130,11 @@ class Crossing:
 
 
 def _on_ray(pt: complex, z: complex, v: complex) -> bool:
+    """Whether pt lies on the open ray from z in the unit direction v: the
+    ratio r = (pt - z) / v has Re r > 0 and |Im r| <= 1e-12 |r|.  This is the
+    one ray test; the tails and the anchors' first and last segments read it."""
     ratio = (pt - z) / v
-    return abs(ratio.imag) <= 1e-12 * max(1.0, abs(ratio)) and ratio.real >= 0
+    return abs(ratio.imag) <= 1e-12 * abs(ratio) and ratio.real > 0
 
 
 @dataclass(frozen=True)
@@ -187,7 +190,6 @@ class PLPath:
         if len(pts) < 2:
             raise ValidationError("path needs at least one segment")
         self._validate_segments()
-        self._validate_anchor_directions()
         self.tails = {
             which: self._tail(anchor, which == "in")
             for which, anchor in (("out", start), ("in", end))
@@ -243,31 +245,23 @@ class PLPath:
                 return False
         return True
 
-    def _validate_anchor_directions(self):
-        pts = self.points
-        if self.start.kind == TANGENTIAL:
-            v = self.start.direction
-            ratio = (pts[1] - pts[0]) / v
-            if abs(ratio.imag) > 1e-12 * abs(ratio) or ratio.real <= 0:
-                raise ValidationError(
-                    "first segment must leave the start anchor along its direction"
-                )
-        if self.end.kind == TANGENTIAL:
-            v = self.end.direction
-            ratio = (pts[-2] - pts[-1]) / v
-            if abs(ratio.imag) > 1e-12 * abs(ratio) or ratio.real <= 0:
-                raise ValidationError(
-                    "last segment must approach the end anchor against its direction"
-                )
-
     def _tail(self, anchor: Anchor, reverse: bool) -> Tail:
-        """The tail at a tangential anchor; "in" reads the points reversed."""
+        """The tail at a tangential anchor: the run of segments from the
+        anchor whose far ends are on its ray by `_on_ray`; "in" reads the
+        points reversed.  A first (last) segment off the ray is refused: a
+        path leaves (approaches) a tangential anchor along its direction."""
         z, v = anchor.location(self.punctures), anchor.direction
         pts = self.points[::-1] if reverse else self.points
         n = self.n_segments
         count = 0
         while count < n and _on_ray(pts[count + 1], z, v):
             count += 1
+        if count == 0:
+            raise ValidationError(
+                "last segment must approach the end anchor against its direction"
+                if reverse
+                else "first segment must leave the start anchor along its direction"
+            )
         height = 0.0
         if count < n:
             side = 1.0 if ((pts[count + 1] - z) / v).imag > 0 else -1.0

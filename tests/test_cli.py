@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from kzfox import RATIONAL, FreeSeries
-from kzfox.cli import _random_series, load_path_file, main, parse_punctures
+from kzfox.cli import _random_series, load_path_file, main
 from kzfox.errors import ValidationError
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -23,15 +23,6 @@ def _path(name):
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-def test_parse_punctures():
-    cfg = parse_punctures("0;1;2+0.5j")
-    assert cfg.points == (0j, 1 + 0j, 2 + 0.5j)
-    with pytest.raises(ValidationError):
-        parse_punctures("0;;1")
-    with pytest.raises(ValidationError):
-        parse_punctures("0;zebra")
-
-
 def test_load_path_file(tmp_path):
     path = load_path_file(_path("fig8.json"))
     assert path.start.puncture == 1
@@ -101,6 +92,50 @@ def test_malformed_path_field_exits_1(field, value, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "which, anchor",
+    [
+        ("start", 3),
+        ("start", {"puncture": 1, "direction": [1.0, 0.0]}),
+        ("end", {"kind": "odd", "puncture": 3, "direction": [-1.0, 0.0]}),
+        ("start", {"kind": "regular"}),
+        ("end", {"kind": "tangential", "direction": [-1.0, 0.0]}),
+        ("start", {"kind": "tangential", "puncture": "1", "direction": [1.0, 0.0]}),
+        ("end", {"kind": "tangential", "puncture": 3.0, "direction": [-1.0, 0.0]}),
+        ("start", {"kind": "tangential", "puncture": True, "direction": [1.0, 0.0]}),
+        ("end", {"kind": "tangential", "puncture": 3, "direction": [float("nan"), 0.0]}),
+        ("start", {"kind": "tangential", "puncture": 1, "direction": [2.0, 0.0]}),
+    ],
+    ids=[
+        "not_an_object",
+        "kind_missing",
+        "kind_unknown",
+        "regular_without_point",
+        "tangential_without_puncture",
+        "puncture_string",
+        "puncture_float",
+        "puncture_boolean",
+        "direction_nan",
+        "direction_not_unit",
+    ],
+)
+def test_malformed_anchor_exits_1_naming_file_and_anchor(which, anchor, tmp_path, capsys):
+    """fig8.json with one anchor replaced by one that `Anchor` refuses: exit 1
+    with one error line that names the file and the anchor."""
+    with open(_path("fig8.json"), encoding="utf-8") as fp:
+        data = json.load(fp)
+    data[which] = anchor
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["verify", "coaction", "--path", str(bad), "--degree", "2"]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        err.strip()
+    ]
+    assert f"{bad}: {which}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "content",
     [b'\xff\xfe{"punctures": []}', b"[" * 100000],
     ids=["not_utf8", "nested_too_deeply"],
@@ -124,7 +159,14 @@ def test_unknown_command_exits_1(capsys):
 
 
 def test_missing_loop_argument_exits_1(capsys):
-    assert main(["verify", "goldman", "--punctures", "0;1;2"]) == 1
+    assert main(["verify", "goldman"]) == 1
+
+
+def test_punctures_come_only_from_the_path_files(capsys):
+    argv = ["verify", "goldman", "--punctures", "0;1;2",
+            "--loops", _path("loop_b1.json"), "--loops", _path("loop_a1.json")]
+    assert main(argv) == 1
+    assert "--punctures" in capsys.readouterr().err
 
 
 def test_missing_path_argument_exits_1(capsys):
@@ -380,8 +422,6 @@ def test_goldman_campaign(capsys):
         [
             "verify",
             "goldman",
-            "--punctures",
-            "0;1;2",
             "--loops",
             _path("loop_b1.json"),
             "--loops",

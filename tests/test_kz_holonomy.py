@@ -463,11 +463,10 @@ def test_reversed_path_inverts_holonomy():
 def test_holonomy_report_fields():
     conn = ConnectionSpec(P3, 3)
     res = holonomy_reg(conn, _loop(LOOP_A1))
-    data = res.to_json_dict()
-    assert "series" in data and "report" in data
-    assert data["report"]["rot"] in (-0.5, 0.5)
-    assert data["report"]["crossings"] == []
-    assert res.accuracy_estimate < 1e-6
+    report = res.regularization_report
+    assert set(report) == {"cutoff_start", "cutoff_end", "quadrature_error",
+                           "panels", "max_depth"}
+    assert 0.0 <= report["quadrature_error"] <= res.accuracy_estimate < 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,38 @@ def test_path_validation_first_segment_direction():
         _loop([0.3 + 0.2j, 0.4 + 0.3j, 0.4])
 
 
+RAY_END = Anchor.tangential(3, -1.0)
+FIRST = "first segment must leave the start anchor along its direction"
+LAST = "last segment must approach the end anchor against its direction"
+
+
+def test_one_ray_test_reads_the_tail_and_the_first_segment():
+    """A vertex 5e-13 off the ray at distance 0.1 is off it by the one
+    relative test, whether it is the path's second vertex (the tail ends
+    before it) or its first (the first segment is refused)."""
+    path = PLPath(P3, BASE, RAY_END, [0.05, 0.1 + 5e-13j, 0.1 + 0.3j, 1.5 + 0.3j, 1.5])
+    assert path.tails["out"].segments == range(0, 1)
+    assert path.tails["out"].height == 20.0
+    with pytest.raises(ValidationError, match=f"^{FIRST}$"):
+        PLPath(P3, BASE, RAY_END, [0.1 + 5e-13j, 0.1 + 0.3j, 1.5 + 0.3j, 1.5])
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([0.05 + 0.01j, 0.1 + 0.3j, 1.5 + 0.3j, 1.5], FIRST),
+        ([-0.05, -0.05 + 0.3j, 1.5 + 0.3j, 1.5], FIRST),
+        ([0.05, 0.1 + 0.3j, 1.5 + 0.3j, 1.5 + 0.01j], LAST),
+        ([0.05, 0.1 + 0.3j, 2.5 + 0.3j, 2.5], LAST),
+        ([0.05, 0.1 + 0.3j, 1.9 + 0.3j, 1.9 + 5e-13j], LAST),
+    ],
+    ids=["start_turned", "start_backwards", "end_turned", "end_backwards", "end_offset"],
+)
+def test_segment_off_its_anchor_ray_is_refused(points, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        PLPath(P3, BASE, RAY_END, points)
+
+
 # ---------------------------------------------------------------------------
 # crossings
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Mutation audit of the corner rule of the pairing formula.
+"""Mutation audit of the assembled identities: the corner rule of the pairing
+formula and the sign of every other assembled term.
 
 Each mutant is one text replacement in one file: the old text occurs exactly
 once there.  For each mutant the script copies `src/`, `tests/` and
@@ -22,6 +23,11 @@ from typing import NamedTuple, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDED = "tests/test_kz_holonomy.py::test_rho_paths_on_seeded_open_path_pairs"
+GOLDMAN = ("tests/test_cli.py::test_goldman_campaign",)
+COACTION = ("tests/test_acceptance.py::test_criterion_4_reduced_coaction_formula",)
+LOOP_COACTION = ("tests/test_kz_holonomy.py::test_mu_bar_identity_loop",)
+THREE_WAY = ("tests/test_acceptance.py::test_criterion_7_three_way_bracket_agreement",)
+HOLONOMY = "src/kzfox/kz_holonomy.py"
 
 
 class Mutant(NamedTuple):
@@ -57,7 +63,66 @@ MUTANTS = [
            ("tests/test_rep_space.py::test_three_way_agreement_on_pairs_with_nonzero_brackets",)),
     Mutant("the coaction closure read as [p>P]", "src/kzfox/kz_holonomy.py",
            'above((path, "out"), (path, "in"))', 'above((path, "in"), (path, "out"))',
-           ("tests/test_kz_holonomy.py::test_mu_bar_identity_loop",)),
+           LOOP_COACTION),
+    # the sign of every other assembled term
+    Mutant("goldman: bracket sign", HOLONOMY,
+           "(-1.0, levels.necklace_bracket(h2, h1, n))",
+           "(1.0, levels.necklace_bracket(h2, h1, n))",
+           ("tests/test_kz_holonomy.py::test_goldman_on_seeded_pairs_with_nonzero_brackets",)),
+    Mutant("goldman: crossing sign", HOLONOMY,
+           "terms.append((float(c.sign), levels.mul(r1, r2)))",
+           "terms.append((-float(c.sign), levels.mul(r1, r2)))", GOLDMAN),
+    Mutant("goldman: base sign", HOLONOMY,
+           "(base_sign, levels.mul(h1, h2))", "(-base_sign, levels.mul(h1, h2))", GOLDMAN),
+    Mutant("cobracket: rotation sign", HOLONOMY,
+           "(rot, levels.unit(n, deg), hol.levels)", "(-rot, levels.unit(n, deg), hol.levels)",
+           GOLDMAN),
+    Mutant("cobracket: crossing sign", HOLONOMY,
+           "(c.sign, hol.piece(c.t, c.s),", "(-c.sign, hol.piece(c.t, c.s),",
+           ("tests/test_cli.py::test_self_crossing_loop_meets_the_cobracket_crossing_term",)),
+    Mutant("cobracket: leg order", HOLONOMY,
+           "np.outer(u[i], v[j])", "np.outer(v[i], u[j])", GOLDMAN),
+    Mutant("coaction: zeta sign at p", HOLONOMY,
+           "(1.0, levels.mul(h, levels.letter(n, p,", "(-1.0, levels.mul(h, levels.letter(n, p,",
+           COACTION),
+    Mutant("coaction: zeta sign at q", HOLONOMY,
+           "(-1.0, levels.mul(levels.letter(n, q,", "(1.0, levels.mul(levels.letter(n, q,",
+           COACTION),
+    Mutant("coaction: sign of the zeta variable", HOLONOMY,
+           "r_zeta_coefficients(deg, -1)", "r_zeta_coefficients(deg, 1)", COACTION),
+    Mutant("coaction: rotation sign", HOLONOMY, "(rot, h),", "(-rot, h),", LOOP_COACTION),
+    Mutant("coaction: Fox sign at p", HOLONOMY,
+           "(-1.0, levels.fox(h, p, n, True))", "(1.0, levels.fox(h, p, n, True))", COACTION),
+    Mutant("coaction: Fox sign at q", HOLONOMY,
+           "(-1.0, levels.fox(h, q, n, False))", "(1.0, levels.fox(h, q, n, False))", COACTION),
+    Mutant("coaction: closure sign", HOLONOMY,
+           "terms.append((1.0, closure))", "terms.append((-1.0, closure))", LOOP_COACTION),
+    Mutant("shared crossing terms: sign", HOLONOMY,
+           "return [(float(c.sign), levels.mul(", "return [(-float(c.sign), levels.mul(",
+           COACTION),
+    Mutant("rho_paths: Fox sign of h2 at p", HOLONOMY,
+           "(-1.0, levels.fox(hol2.levels, p, n, True))",
+           "(1.0, levels.fox(hol2.levels, p, n, True))",
+           ("tests/test_kz_holonomy.py::test_rho_paths_disjoint",)),
+    Mutant("rho_paths: Fox sign of h1 at s", HOLONOMY,
+           "(-1.0, levels.fox(hol1.levels, s, n, False))",
+           "(1.0, levels.fox(hol1.levels, s, n, False))",
+           ("tests/test_kz_holonomy.py::test_rho_paths_disjoint",)),
+    Mutant("rho_paths: Fox sign of h2 at q", HOLONOMY,
+           "(1.0, levels.mul(levels.fox(hol2.levels, q, n, True), h1))",
+           "(-1.0, levels.mul(levels.fox(hol2.levels, q, n, True), h1))",
+           ("tests/test_kz_holonomy.py::test_rho_paths_disjoint",)),
+    Mutant("rho_paths: Fox sign of h1 at r", HOLONOMY,
+           "(1.0, levels.mul(h2, levels.fox(hol1.levels, r, n, False)))",
+           "(-1.0, levels.mul(h2, levels.fox(hol1.levels, r, n, False)))",
+           ("tests/test_kz_holonomy.py::test_rho_paths_disjoint",)),
+    Mutant("rho_paths: corner sign", HOLONOMY,
+           "terms.append((sign, levels.mul(corner, h1)", "terms.append((-sign, levels.mul(corner, h1)",
+           ("tests/test_kz_holonomy.py::test_rho_paths_shared_middle",)),
+    Mutant("route (ii): crossing sign", "src/kzfox/rep_space.py",
+           "terms = [(float(c.sign), at(", "terms = [(-float(c.sign), at(", THREE_WAY),
+    Mutant("route (ii): crossing - pi", "src/kzfox/rep_space.py",
+           "formula = crossing + pi", "formula = crossing - pi", THREE_WAY),
 ]
 
 
