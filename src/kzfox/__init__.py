@@ -21,18 +21,15 @@ from .brackets_coactions import (
     coaction_mu_kks,
     double_bracket_from_pairing,
     double_bracket_kks,
-    double_derivation_from_fox,
+    double_derivation_left,
+    double_derivation_right,
     mu_bar_kks,
     necklace_bracket,
     necklace_cobracket,
 )
 from .trivial_extension import (
-    DKGenerator,
     TrivExtElement,
-    associator_tail,
-    gen_w,
-    gen_z,
-    pi,
+    generator_images,
     square_w,
     square_z,
     square_zw,

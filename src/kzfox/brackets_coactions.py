@@ -13,7 +13,6 @@ derivations.
 
 from __future__ import annotations
 
-from .errors import DomainError
 from .fox_calculus import FoxPairing, d_left, d_right, rho_kks, rho_kks_pairing
 from .free_hopf import (
     CyclicSeries,
@@ -242,11 +241,11 @@ def beta_inv(t: TensorSeries) -> TensorSeries:
     )
 
 
-def double_derivation_from_fox(kind: str, m: int, a: FreeSeries) -> TensorSeries:
-    """alpha . (id (x) d_right_m) . coproduct, or beta . (id (x) d_left_m) . coproduct."""
-    da = a.coproduct()
-    if kind == "right":
-        return alpha(da.map_right(lambda s: d_right(m, s)))
-    if kind == "left":
-        return beta(da.map_right(lambda s: d_left(m, s)))
-    raise DomainError(f"kind must be 'left' or 'right', got {kind!r}")
+def double_derivation_left(m: int, a: FreeSeries) -> TensorSeries:
+    """beta . (id (x) d_left_m) . coproduct."""
+    return beta(a.coproduct().map_right(lambda s: d_left(m, s)))
+
+
+def double_derivation_right(m: int, a: FreeSeries) -> TensorSeries:
+    """alpha . (id (x) d_right_m) . coproduct."""
+    return alpha(a.coproduct().map_right(lambda s: d_right(m, s)))

@@ -40,7 +40,8 @@ from .brackets_coactions import (
     coaction_mu_kks,
     double_bracket_from_pairing,
     double_bracket_kks,
-    double_derivation_from_fox,
+    double_derivation_left,
+    double_derivation_right,
     mu_bar_kks,
 )
 from .errors import AccuracyError, KzfoxError, ValidationError
@@ -65,11 +66,8 @@ from .kz_holonomy import (
 from .kz_paths import Anchor, PLPath, PunctureConfig
 from .rep_space import MatrixTuple, verify_theorem2
 from .trivial_extension import (
-    GEN_ZW,
     TrivExtElement,
-    gen_w,
-    gen_z,
-    pi_generator,
+    generator_images,
     square_w,
     square_z,
     square_zw,
@@ -125,9 +123,18 @@ def _as_complex(value, where: str) -> complex:
     raise ValidationError(f"{where}: expected a number or [re, im] pair")
 
 
-def _parse_anchor(obj, where: str) -> Anchor:
-    """An anchor object: its numbers converted, and only the fields of its
-    kind passed to `Anchor`, which checks them."""
+def _named(where: str, build, *args, **kwargs):
+    """build(*args, **kwargs), its `ValidationError` prefixed with `where`."""
+    try:
+        return build(*args, **kwargs)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+
+
+def _parse_anchor(obj, where: str, punctures: PunctureConfig) -> Anchor:
+    """An anchor object: its numbers converted, only the fields of its kind
+    passed to `Anchor`, which checks them, and its location read from the
+    punctures, which checks a puncture index."""
     if not isinstance(obj, dict):
         raise ValidationError(f"{where}: expected an object with a 'kind' field")
     kind = obj.get("kind")
@@ -135,16 +142,15 @@ def _parse_anchor(obj, where: str) -> Anchor:
     for key in {"regular": ("point",), "tangential": ("puncture", "direction")}.get(kind, ()):
         if key in obj:
             values[key] = obj[key] if key == "puncture" else _as_complex(obj[key], f"{where}.{key}")
-    try:
-        return Anchor(kind, **values)
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
+    anchor = _named(where, Anchor, kind, **values)
+    _named(where, anchor.location, punctures)
+    return anchor
 
 
 def load_path_file(filename: str) -> PLPath:
     """Read a path description: {'punctures': [...], 'start': anchor,
     'end': anchor, 'points': [...]}.  The file is the one source of the
-    path's punctures."""
+    path's punctures.  Every refusal names the file."""
     try:
         with open(filename, "r", encoding="utf-8") as fp:
             data = json.load(fp)
@@ -161,12 +167,10 @@ def load_path_file(filename: str) -> PLPath:
             raise ValidationError(f"{filename}: '{key}' must be a list")
     if "punctures" not in data:
         raise ValidationError(f"{filename}: missing 'punctures' field")
-    punctures = PunctureConfig(
-        [
-            _as_complex(p, f"{filename}: punctures[{k}]")
-            for k, p in enumerate(data["punctures"])
-        ]
-    )
+    punctures = _named(filename, PunctureConfig, [
+        _as_complex(p, f"{filename}: punctures[{k}]")
+        for k, p in enumerate(data["punctures"])
+    ])
     for key in ("start", "end"):
         if key not in data:
             raise ValidationError(f"{filename}: missing '{key}' field")
@@ -174,12 +178,9 @@ def load_path_file(filename: str) -> PLPath:
         _as_complex(p, f"{filename}: points[{k}]")
         for k, p in enumerate(data.get("points", []))
     ]
-    return PLPath(
-        punctures,
-        _parse_anchor(data["start"], f"{filename}: start"),
-        _parse_anchor(data["end"], f"{filename}: end"),
-        points,
-    )
+    start, end = (_parse_anchor(data[key], f"{filename}: {key}", punctures)
+                  for key in ("start", "end"))
+    return _named(filename, PLPath, punctures, start, end, points)
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +418,7 @@ def algebra_suite(seed: int = 0, n: int = 2, degree: int = 4, cases: int = 12):
     def double_derivations_agree():
         a = rnd()
         m = rng.randint(1, n)
-        return double_derivation_from_fox(
-            "left", m, a
-        ) == double_derivation_from_fox("right", m, a)
+        return double_derivation_left(m, a) == double_derivation_right(m, a)
 
     run("double_derivation_left_right", double_derivations_agree)
 
@@ -444,20 +443,18 @@ def algebra_suite(seed: int = 0, n: int = 2, degree: int = 4, cases: int = 12):
     run("trivext_associativity", trivext_associativity)
 
     def generator_relations():
-        def image(g):
-            return pi_generator(g, n, D, RATIONAL)
+        z, w, crossed = generator_images(n, D, RATIONAL)
 
         def commutator(u, v):
             return trivext_mul(u, v) - trivext_mul(v, u)
 
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i != j and not commutator(image(gen_z(i)), image(gen_w(j))).is_zero():
+        for i in range(n):
+            for j in range(n):
+                if i != j and not commutator(z[i], w[j]).is_zero():
                     return False
-            mixed = image(gen_z(i)) + image(gen_w(i))
-            if not commutator(image(GEN_ZW), mixed).is_zero():
+            if not commutator(crossed, z[i] + w[i]).is_zero():
                 return False
-        return trivext_mul(image(GEN_ZW), image(GEN_ZW)).is_zero()
+        return trivext_mul(crossed, crossed).is_zero()
 
     run("generator_relations_vanish", generator_relations, count=1)
 

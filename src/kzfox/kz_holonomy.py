@@ -661,10 +661,11 @@ def pentagon_projection_check(
     generalized pentagon equation are d_right(q, .), d_left(p, .) and
     -mu_bar (`trivial_extension.square_z`, `square_w`, `square_zw`, checked
     against these closed forms by the exact suite), and its corner terms are
-    the zeta series at q and at -x_p (`associator_tail`).  Term by term the
-    projected identity is then the reduced-coaction formula, so it is checked
-    by `coaction_check`.  A loop (start and end at the same tangential point)
-    is rejected: the identity has no closure term for it."""
+    minus the zeta series at x_q and the zeta series at -x_p
+    (`coefficients.r_zeta_series`).  Term by term the projected identity is
+    then the reduced-coaction formula, so it is checked by `coaction_check`.
+    A loop (start and end at the same tangential point) is rejected: the
+    identity has no closure term for it."""
     tangential_points(path)
     if path.start == path.end:
         raise ValidationError(

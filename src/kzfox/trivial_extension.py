@@ -13,12 +13,16 @@ Fox pairing rho_kks:
 
     (t1 + m1)(t2 + m2) = t1 t2 + [t1 . m2 + m1 . t2 + rho_kks(t1, t2)].
 
-On top of that sit the three generator families of the relevant
-infinitesimal-braid quotient (two strands distinguished among n fixed ones),
-represented only through their images here: the maps ``delta_z``,
-``delta_w``, ``delta_zw`` extend generator assignments multiplicatively, and
-the ``square_*`` composites project their M components, recovering Fox
-derivatives and the adjacent-letter contraction.
+The projection of the generalized pentagon equation (AFR2024) sends the
+distinguished generators of the infinitesimal-braid quotient (two strands
+among n fixed ones) to one table of images, ``generator_images``: t_iz to
+x_i tensor 1, t_iw to 1 tensor x_i, and the crossed generator to -e, minus
+the unit of A sitting in M.  The maps ``delta_z``, ``delta_w``, ``delta_zw``
+extend images read from that table multiplicatively, and the ``square_*``
+composites project their M components, recovering Fox derivatives and the
+adjacent-letter contraction.  The corner terms of the projection are the
+zeta series of ``coefficients.r_zeta_series``: minus the series at x_q on
+the left, the series at -x_p on the right.
 
 This is the exact construction, one extension product per word.  The
 numeric pentagon check uses the closed forms it recovers (see
@@ -30,39 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coefficients import r_zeta_series
 from .errors import ShapeError, ValidationError
 from .fox_calculus import rho_kks
 from .free_hopf import FreeSeries, TensorSeries
-
-SIDE_LEFT = "left"
-SIDE_RIGHT = "right"
-
-
-@dataclass(frozen=True)
-class DKGenerator:
-    """One of the distinguished generators: kind 'z' or 'w' carries an index
-    into 1..n, kind 'zw' is the single crossed generator."""
-
-    kind: str
-    index: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("z", "w", "zw"):
-            raise ValidationError(f"unknown generator kind {self.kind!r}")
-        if self.kind in ("z", "w") and self.index < 1:
-            raise ValidationError("generator index must be >= 1")
-
-
-def gen_z(i: int) -> DKGenerator:
-    return DKGenerator("z", i)
-
-
-def gen_w(i: int) -> DKGenerator:
-    return DKGenerator("w", i)
-
-
-GEN_ZW = DKGenerator("zw")
 
 
 @dataclass(slots=True)
@@ -80,10 +54,6 @@ class TrivExtElement:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls, n, degree, backend) -> "TrivExtElement":
-        return cls.from_tensor(TensorSeries.zero(n, degree, backend))
-
-    @classmethod
     def unit(cls, n, degree, backend) -> "TrivExtElement":
         return cls.from_tensor(TensorSeries.unit(n, degree, backend))
 
@@ -96,9 +66,9 @@ class TrivExtElement:
         return cls(TensorSeries.zero(m.n, m.degree, m.backend), m)
 
     @classmethod
-    def m_unit(cls, n, degree, backend, scalar=1) -> "TrivExtElement":
+    def m_unit(cls, n, degree, backend) -> "TrivExtElement":
         """The element e: zero tensor part, unit of A sitting in M."""
-        return cls.from_m(FreeSeries.unit(n, degree, backend, scalar))
+        return cls.from_m(FreeSeries.unit(n, degree, backend))
 
     # -- linear structure --------------------------------------------------
 
@@ -129,27 +99,14 @@ def trivext_mul(u: TrivExtElement, v: TrivExtElement) -> TrivExtElement:
 # -- the projection of the distinguished generators ------------------------
 
 
-def pi_generator(g: DKGenerator, n: int, degree: int, backend) -> TrivExtElement:
-    """Generator images: z-family -> x_i tensor 1, w-family -> 1 tensor x_i,
-    the crossed generator -> minus the M unit."""
-    if g.kind == "zw":
-        return TrivExtElement.m_unit(n, degree, backend, -1)
-    if g.index > n:
-        raise ValidationError(f"generator index {g.index} exceeds n={n}")
-    x = FreeSeries.generator(g.index, n, degree, backend)
+def generator_images(n: int, degree: int, backend) -> tuple:
+    """(z, w, crossed): z[i-1] = x_i tensor 1 and w[i-1] = 1 tensor x_i, both
+    with a zero M part, and crossed = -e, minus the M unit."""
     one = FreeSeries.unit(n, degree, backend)
-    if g.kind == "z":
-        return TrivExtElement.from_tensor(TensorSeries.outer(x, one))
-    return TrivExtElement.from_tensor(TensorSeries.outer(one, x))
-
-
-def pi(word, n: int, degree: int, backend) -> TrivExtElement:
-    """Multiplicative extension of the generator assignment to a word (an
-    iterable of DKGenerator)."""
-    out = TrivExtElement.unit(n, degree, backend)
-    for g in word:
-        out = trivext_mul(out, pi_generator(g, n, degree, backend))
-    return out
+    xs = [FreeSeries.generator(i, n, degree, backend) for i in range(1, n + 1)]
+    z = [TrivExtElement.from_tensor(TensorSeries.outer(x, one)) for x in xs]
+    w = [TrivExtElement.from_tensor(TensorSeries.outer(one, x)) for x in xs]
+    return z, w, TrivExtElement.from_m(-one)
 
 
 # -- the three coproduct-like algebra maps ---------------------------------
@@ -185,34 +142,31 @@ def _algebra_map(a: FreeSeries, images) -> TrivExtElement:
     return TrivExtElement(tensor, m)
 
 
-def _delta(a: FreeSeries, families, marked: int | None = None) -> TrivExtElement:
-    """The algebra map sending x_i to the images of family(i) for each given
-    generator family, plus the crossed generator's image when i == marked."""
-    n, D, b = a.n, a.degree, a.backend
-    if marked is not None and not 1 <= marked <= n:
+def _marked(images, marked: int, crossed: TrivExtElement) -> list:
+    """The image list of `_algebra_map`: images[i-1] at x_i, plus the crossed
+    image at x_marked."""
+    n = len(images)
+    if not 1 <= marked <= n:
         raise ValidationError(f"index {marked} out of range 1..{n}")
-
-    def image(i):
-        gens = [f(i) for f in families] + ([GEN_ZW] if i == marked else [])
-        zero = TrivExtElement.zero(n, D, b)
-        return sum((pi_generator(g, n, D, b) for g in gens), zero)
-
-    return _algebra_map(a, [None] + [image(i) for i in range(1, n + 1)])
+    return [None] + [im + crossed if i == marked else im for i, im in enumerate(images, 1)]
 
 
 def delta_z(q: int, a: FreeSeries) -> TrivExtElement:
     """x_i -> (x_i tensor 1) + delta_{iq} (minus the M unit)."""
-    return _delta(a, (gen_z,), q)
+    z, _, crossed = generator_images(a.n, a.degree, a.backend)
+    return _algebra_map(a, _marked(z, q, crossed))
 
 
 def delta_w(p: int, a: FreeSeries) -> TrivExtElement:
     """x_i -> (1 tensor x_i) + delta_{ip} (minus the M unit)."""
-    return _delta(a, (gen_w,), p)
+    _, w, crossed = generator_images(a.n, a.degree, a.backend)
+    return _algebra_map(a, _marked(w, p, crossed))
 
 
 def delta_zw(a: FreeSeries) -> TrivExtElement:
     """x_i -> (x_i tensor 1) + (1 tensor x_i); tensor part is the coproduct."""
-    return _delta(a, (gen_z, gen_w))
+    z, w, _ = generator_images(a.n, a.degree, a.backend)
+    return _algebra_map(a, [None] + [u + v for u, v in zip(z, w)])
 
 
 # The square maps are the M components of the delta maps read through the
@@ -233,14 +187,3 @@ def square_w(p: int, a: FreeSeries) -> FreeSeries:
 
 def square_zw(a: FreeSeries) -> FreeSeries:
     return -delta_zw(a).m_part
-
-
-def associator_tail(side: str, puncture: int, degree: int, n: int) -> FreeSeries:
-    """M component of the two associator corner terms in the pentagon
-    projection: 'left' gives minus the zeta series at x_q, 'right' gives the
-    zeta series at minus x_p. Float backend only."""
-    if side == SIDE_LEFT:
-        return -r_zeta_series(puncture, degree, n)
-    if side == SIDE_RIGHT:
-        return r_zeta_series(puncture, degree, n, negate_variable=True)
-    raise ValidationError(f"side must be 'left' or 'right', got {side!r}")

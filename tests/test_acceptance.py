@@ -20,7 +20,6 @@ from kzfox import (
     PLPath,
     PunctureConfig,
     associator,
-    associator_tail,
     compose,
     holonomy_reg,
     r_am_series,
@@ -35,15 +34,7 @@ from kzfox.kz_holonomy import (
     pentagon_projection_check,
 )
 from kzfox.kz_paths import rotation_number, snap_half_integer
-from kzfox.trivial_extension import (
-    GEN_ZW,
-    SIDE_LEFT,
-    SIDE_RIGHT,
-    _algebra_map,
-    gen_w,
-    gen_z,
-    pi_generator,
-)
+from kzfox.trivial_extension import _algebra_map, generator_images
 
 # shared geometry -----------------------------------------------------------
 DATA = Path(__file__).parent / "data"
@@ -129,18 +120,18 @@ def test_criterion_3_associator_zeta_recovery():
     # the corner-term convention matches the inverse of our path orientation
     s = associator(D).inverse()
     n = s.n
+    z, w, crossed = generator_images(n, D, COMPLEX)
     corners = (
-        # x1 -> marked-left image, x2 -> crossed generator
-        ([None, pi_generator(gen_z(1), n, D, COMPLEX),
-          pi_generator(GEN_ZW, n, D, COMPLEX)], SIDE_RIGHT),
-        # x1 -> crossed generator, x2 -> marked-right image
-        ([None, pi_generator(GEN_ZW, n, D, COMPLEX),
-          pi_generator(gen_w(1), n, D, COMPLEX)], SIDE_LEFT),
+        # x1 -> marked-left image, x2 -> crossed generator: the zeta series
+        # at -x_1
+        ([None, z[0], crossed], r_zeta_series(1, D, n, negate_variable=True)),
+        # x1 -> crossed generator, x2 -> marked-right image: minus the zeta
+        # series at x_1
+        ([None, crossed, w[0]], -r_zeta_series(1, D, n)),
     )
     worst = {2: 0.0, 3: 0.0, 4: 0.0}
-    for images, side in corners:
+    for images, predicted in corners:
         tail = _algebra_map(s, images).m_part
-        predicted = associator_tail(side, 1, D, n)
         for m in (2, 3, 4):
             w = (1,) * (m - 1)
             got = complex(tail.coefficient(w))

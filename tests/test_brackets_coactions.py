@@ -13,7 +13,8 @@ from kzfox import (
     coaction_mu_kks,
     double_bracket_from_pairing,
     double_bracket_kks,
-    double_derivation_from_fox,
+    double_derivation_left,
+    double_derivation_right,
     mu_bar_kks,
     necklace_bracket,
     necklace_cobracket,
@@ -31,7 +32,6 @@ from kzfox.brackets_coactions import (
     beta,
     beta_inv,
 )
-from kzfox.errors import DomainError
 from kzfox.free_hopf import Word
 from conftest import dense_complex, random_series
 
@@ -445,19 +445,12 @@ def test_double_derivations_left_right_agree(rng):
     for _ in range(10):
         a = random_series(rng, N, D)
         for m in (1, 2):
-            assert double_derivation_from_fox(
-                "left", m, a
-            ) == double_derivation_from_fox("right", m, a)
+            assert double_derivation_left(m, a) == double_derivation_right(m, a)
 
 
 def test_double_derivation_on_generator():
     x1 = w([1])
     one = FreeSeries.unit(N, D, RATIONAL)
-    t = double_derivation_from_fox("right", 1, x1)
+    t = double_derivation_right(1, x1)
     assert t == TensorSeries.outer(one, one)
-    assert double_derivation_from_fox("right", 2, x1).is_zero()
-
-
-def test_double_derivation_refuses_an_unknown_kind():
-    with pytest.raises(DomainError, match="kind must be 'left' or 'right'"):
-        double_derivation_from_fox("middle", 1, w([1]))
+    assert double_derivation_right(2, x1).is_zero()

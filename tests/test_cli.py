@@ -56,6 +56,11 @@ def test_load_path_file(tmp_path):
         (("points", 3), [True, 0.55]),
         (("punctures", 1), [True, False]),
         (("punctures", 1, 0), 10**400),
+        (("end", "puncture"), 7),
+        (("end",), {"kind": "tangential", "puncture": 3}),
+        (("points", 1), [0.25, 0.0]),
+        (("points", 3), [0.7, -0.3]),
+        (("punctures", 1), [0.0, 0.0]),
     ],
     ids=[
         "points_not_a_list",
@@ -69,11 +74,17 @@ def test_load_path_file(tmp_path):
         "vertex_boolean",
         "puncture_boolean",
         "puncture_integer_overflow",
+        "anchor_puncture_out_of_range",
+        "anchor_direction_missing_and_off_the_ray",
+        "vertex_repeated",
+        "segment_through_puncture",
+        "punctures_not_distinct",
     ],
 )
 def test_malformed_path_field_exits_1(field, value, tmp_path, capsys):
     """fig8.json with one field set to a malformed value: exit 1 with one
-    error line, not a traceback or a NaN discrepancy that fails a check."""
+    error line that names the file, not a traceback or a NaN discrepancy
+    that fails a check."""
     with open(_path("fig8.json"), encoding="utf-8") as fp:
         data = json.load(fp)
     *parents, last = field
@@ -88,7 +99,10 @@ def test_malformed_path_field_exits_1(field, value, tmp_path, capsys):
     assert [line for line in err.splitlines() if line.startswith("error:")] == [
         err.strip()
     ]
+    assert f"{bad}:" in err
     assert "Traceback" not in err
+    if field == ("end", "puncture"):
+        assert f"{bad}: end: puncture index 7 out of range 1..3" in err
 
 
 @pytest.mark.parametrize(

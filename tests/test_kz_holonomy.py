@@ -58,14 +58,7 @@ from kzfox.kz_paths import (
     snap_half_integer,
     strand_pairs,
 )
-from kzfox.trivial_extension import (
-    SIDE_LEFT,
-    SIDE_RIGHT,
-    associator_tail,
-    square_w,
-    square_z,
-    square_zw,
-)
+from kzfox.trivial_extension import square_w, square_z, square_zw
 
 from conftest import (
     LOOP_PAIRS,
@@ -1261,8 +1254,8 @@ def test_square_map_pentagon_matches_coaction_residual(load_path, name, degree):
     hol = holonomy_reg(conn, path, breakpoints=crossing_breakpoints(crossings))
     h = hol.series
     rot = snap_half_integer(rotation_number(path))
-    lhs = associator_tail(SIDE_LEFT, q, degree, n) * h + square_zw(h) + rot * h
-    lhs = lhs + h * associator_tail(SIDE_RIGHT, p, degree, n)
+    lhs = -r_zeta_series(q, degree, n) * h + square_zw(h) + rot * h
+    lhs = lhs + h * r_zeta_series(p, degree, n, negate_variable=True)
     rhs = square_z(q, h) + square_w(p, h)
     for c in crossings:
         rhs = rhs - float(c.sign) * (_piece(hol, c.s, 1.0) * _piece(hol, 0.0, c.t))

@@ -13,18 +13,15 @@ from kzfox import (
     TrivExtElement,
     d_left,
     d_right,
-    gen_w,
-    gen_z,
+    generator_images,
     mu_bar_kks,
-    pi,
     square_w,
     square_z,
     square_zw,
     trivext_mul,
-    associator_tail,
 )
-from kzfox.errors import ShapeError
-from kzfox.trivial_extension import GEN_ZW, SIDE_LEFT, SIDE_RIGHT, delta_z, delta_w, delta_zw
+from kzfox.errors import ShapeError, ValidationError
+from kzfox.trivial_extension import delta_z, delta_w, delta_zw
 from conftest import random_series
 
 N = 2
@@ -41,11 +38,11 @@ def _unit_pair():
 # ---------------------------------------------------------------------------
 def test_generator_images():
     one, x1 = _unit_pair()
-    assert pi([gen_z(1)], N, D, RATIONAL).tensor_part == TensorSeries.outer(x1, one)
-    assert pi([gen_w(1)], N, D, RATIONAL).tensor_part == TensorSeries.outer(one, x1)
-    zw = pi([GEN_ZW], N, D, RATIONAL)
-    assert zw.tensor_part.is_zero()
-    assert zw.m_part == -one
+    z, w, crossed = generator_images(N, D, RATIONAL)
+    assert len(z) == len(w) == N
+    assert z[0] == TrivExtElement.from_tensor(TensorSeries.outer(x1, one))
+    assert w[0] == TrivExtElement.from_tensor(TensorSeries.outer(one, x1))
+    assert crossed == TrivExtElement.from_m(-one)
 
 
 def test_square_zero_part():
@@ -54,29 +51,23 @@ def test_square_zero_part():
 
 
 def test_relation_families_vanish():
-    def image(g):
-        return pi_one(g)
-
-    def pi_one(g):
-        return pi([g], N, D, RATIONAL)
+    z, w, crossed = generator_images(N, D, RATIONAL)
 
     def comm(u, v):
         return trivext_mul(u, v) - trivext_mul(v, u)
 
-    for i in (1, 2):
-        for j in (1, 2):
+    for i in range(N):
+        for j in range(N):
             if i != j:
-                assert comm(image(gen_z(i)), image(gen_w(j))).is_zero()
-        mixed = image(gen_z(i)) + image(gen_w(i))
-        assert comm(image(GEN_ZW), mixed).is_zero()
-    assert trivext_mul(image(GEN_ZW), image(GEN_ZW)).is_zero()
+                assert comm(z[i], w[j]).is_zero()
+        assert comm(crossed, z[i] + w[i]).is_zero()
+    assert trivext_mul(crossed, crossed).is_zero()
 
 
 def test_mixed_commutator_is_nonzero_on_diagonal():
     # [t_iz, t_iw] does NOT vanish: its image is the m-part -x_i
-    u = pi([gen_z(1)], N, D, RATIONAL)
-    v = pi([gen_w(1)], N, D, RATIONAL)
-    c = trivext_mul(u, v) - trivext_mul(v, u)
+    z, w, _ = generator_images(N, D, RATIONAL)
+    c = trivext_mul(z[0], w[0]) - trivext_mul(w[0], z[0])
     assert not c.is_zero()
     assert c.tensor_part.is_zero()
 
@@ -173,16 +164,9 @@ def test_square_maps_equal_fox_derivatives(rng):
         assert square_zw(a) == -mu_bar_kks(a)
 
 
-# ---------------------------------------------------------------------------
-# associator corner tails
-# ---------------------------------------------------------------------------
-def test_associator_tail_values():
-    right = associator_tail(SIDE_RIGHT, 1, 1, N)
-    assert right.coefficient((1,)) == pytest.approx(-1.0 / 24.0, rel=1e-12)
-    left = associator_tail(SIDE_LEFT, 1, 0, N)
-    assert left.is_zero()
-
-
-def test_associator_tail_is_float_only():
-    # the zeta constants force the float backend
-    assert associator_tail(SIDE_LEFT, 1, 3, N).backend == COMPLEX
+@pytest.mark.parametrize("marked", [0, N + 1])
+def test_marked_index_outside_1_to_n_is_refused(marked):
+    a = FreeSeries.generator(1, N, D, RATIONAL)
+    for delta in (delta_z, delta_w, square_z, square_w):
+        with pytest.raises(ValidationError, match=f"index {marked} out of range 1..{N}"):
+            delta(marked, a)

@@ -1,5 +1,6 @@
 """Mutation audit of the assembled identities: the corner rule of the pairing
-formula and the sign of every other assembled term.
+formula, the sign of every other assembled term, and the generator images
+and cocycle of the pentagon projection.
 
 Each mutant is one text replacement in one file: the old text occurs exactly
 once there.  For each mutant the script copies `src/`, `tests/` and
@@ -27,7 +28,9 @@ GOLDMAN = ("tests/test_cli.py::test_goldman_campaign",)
 COACTION = ("tests/test_acceptance.py::test_criterion_4_reduced_coaction_formula",)
 LOOP_COACTION = ("tests/test_kz_holonomy.py::test_mu_bar_identity_loop",)
 THREE_WAY = ("tests/test_acceptance.py::test_criterion_7_three_way_bracket_agreement",)
+SQUARE_MAPS = ("tests/test_trivial_extension.py::test_square_maps_equal_fox_derivatives",)
 HOLONOMY = "src/kzfox/kz_holonomy.py"
+EXTENSION = "src/kzfox/trivial_extension.py"
 
 
 class Mutant(NamedTuple):
@@ -123,6 +126,17 @@ MUTANTS = [
            "terms = [(float(c.sign), at(", "terms = [(-float(c.sign), at(", THREE_WAY),
     Mutant("route (ii): crossing - pi", "src/kzfox/rep_space.py",
            "formula = crossing + pi", "formula = crossing - pi", THREE_WAY),
+    # the projection of the pentagon equation: generator images and cocycle
+    Mutant("projection: crossed image +e", EXTENSION,
+           "from_m(-one)", "from_m(one)", SQUARE_MAPS),
+    Mutant("projection: t_iz sent to 1 (x) x_i", EXTENSION,
+           "TensorSeries.outer(x, one)", "TensorSeries.outer(one, x)", SQUARE_MAPS),
+    Mutant("projection: cocycle sign", EXTENSION,
+           "+ rho_kks(left, right)", "- rho_kks(left, right)", SQUARE_MAPS),
+    Mutant("projection: delta_zw sums u - v", EXTENSION,
+           "u + v for u, v", "u - v for u, v", SQUARE_MAPS),
+    Mutant("projection: crossed image dropped at the marked generator", EXTENSION,
+           "im + crossed if i == marked", "im if i == marked", SQUARE_MAPS),
 ]
 
 
