@@ -249,9 +249,11 @@ def _advance(
             f"(residual {err:.3e} > {threshold:.3e}); the path may run too "
             "close to a puncture"
         )
+    del whole, halves  # the children need neither, and the right child not `first`
     left, err_l = _advance(
         conn, z0, dz, a, mid, init, 0.5 * tol, depth + 1, where, pole, first, work
     )
+    del first
     right, err_r = _advance(
         conn, z0, dz, mid, b, left, 0.5 * tol, depth + 1, where, pole, None, work
     )

@@ -3,9 +3,10 @@
 Level k of a series in n generators holds the coefficients of the n^k words
 of length k in lexicographic order, so word w has index
 sum_i (w_i - 1) n^(k-1-i).  The transport, the assembled identity right-hand
-sides and the evaluation on matrices all run on this format; `to_series` and
-`from_series` are the one pair of conversions to and from FreeSeries, and a
-series in one letter enters as `letter`, for `mul` or `evaluate`.
+sides and the evaluation on matrices, with its gradient, all run on this
+format; `to_series` and `from_series` are the one pair of conversions to and
+from FreeSeries, and a series in one letter enters as `letter`, for `mul` or
+`evaluate`.
 """
 
 from __future__ import annotations
@@ -144,14 +145,36 @@ def evaluate(levels: Levels, mats) -> np.ndarray:
     from the top degree down.  The stack holds ``sum_u c_{uv} M_u`` for each
     suffix v of length k, transposed as R[c, v, a]: its rows (c, first letter
     of v) make the step to k - 1 one (N x nN)(nN x n^(k-1) N) matmul against
-    the stacked generators, with no transpose."""
-    n, N = len(mats), mats[0].shape[0]
-    # stacked[c, (b, i)] = (M_i)[b, c]
-    stacked = np.stack(mats, axis=1).transpose(2, 0, 1).reshape(N, N * n)
+    the stacked generators, with no transpose.  The top level enters already
+    contracted, R[c, v, a] = sum_i c_{iv} (M_i)[a, c]."""
+    n, N, M = len(mats), mats[0].shape[0], np.stack(mats)
+    if len(levels) == 1:
+        return levels[0][0] * np.eye(N, dtype=complex)
+    stacked = M.transpose(2, 1, 0).reshape(N, N * n)  # stacked[c, (b, i)] = (M_i)[b, c]
     diag = np.arange(N)
-    R = np.zeros((N, n ** (len(levels) - 1), N), dtype=complex)
-    R[diag, :, diag] = levels[-1]
-    for c_k in reversed(levels[:-1]):
-        R = (stacked @ R.reshape(N * n, -1)).reshape(N, c_k.size, N)
+    # order "C", so that the first reshape below is a view and not a copy
+    R = np.einsum("iv,iac->cva", levels[-1].reshape(n, -1), M, order="C")
+    for c_k in reversed(levels[1:-1]):
         R[diag, :, diag] += c_k
-    return R.reshape(N, N).T
+        R = (stacked @ R.reshape(N * n, -1)).reshape(N, -1, N)
+    return R.reshape(N, N).T + levels[0][0] * np.eye(N)
+
+
+def gradient(levels: Levels, mats) -> np.ndarray:
+    """The exact gradient of `evaluate`, ``grad[l, a, b, i, j] = d f_ij /
+    d (M_{l+1})_ab``: cut at one letter x_l, the word u.x_l.v gives
+    ``c_{u l v} (M_u)_ia (M_v)_bj``.  For each prefix length the level
+    arrays, sliced as (prefix, letter, suffix), meet the stack of suffix
+    products first and the stack of prefix products last."""
+    n, N, M = len(mats), mats[0].shape[0], np.stack(mats)
+    # words[k][v, (b, c)] = (M_v)_bc for the n^k words v of length k
+    words = [np.eye(N, dtype=complex).reshape(1, -1)]
+    for _ in range(len(levels) - 2):
+        words.append((words[-1].reshape(-1, 1, N, N) @ M).reshape(-1, N * N))
+    grad = np.zeros((N * N, n * N * N), dtype=complex)
+    for p in range(len(levels) - 1):  # the prefix u has length p
+        # S[(u, l), (b, c)] = sum_v c_{ulv} (M_v)_bc over the suffixes v of every length
+        S = sum(c.reshape(n ** (p + 1), -1) @ words[k - p - 1]
+                for k, c in enumerate(levels) if k > p)
+        grad += words[p].T @ S.reshape(n**p, -1)
+    return grad.reshape(N, N, n, N, N).transpose(2, 1, 3, 0, 4)

@@ -9,15 +9,14 @@ module provides
 
 * :func:`evaluate` -- truncated series evaluated on a matrix tuple,
 * :func:`bivector_pi` -- the bivector collecting the non-crossing terms of
-  the loop-holonomy bracket formula, as the core matrix of the operator
-  product ``ad R ad`` on vectorized matrices, which pairs two gradients by
-  two matmuls,
+  the loop-holonomy bracket formula, as one core matrix in the adjoint
+  operators, ``ad_c R ad_d + [c = m] ad_d + [d = m] ad_c`` on vectorized
+  matrices, which pairs two gradients by two matmuls,
 * :func:`verify_theorem2` -- a three-way comparison (oracle / geometric
   crossing formula plus bivector / algebraic double bracket) for a pair of
-  loop holonomies, whose oracle side pairs exact gradients: a series
-  evaluated on a block upper-triangular tuple carries its derivative in the
-  upper-right block.  The double bracket side pairs the two holonomies'
-  level arrays.  It returns a plain report dict and sets no tolerance and
+  loop holonomies, whose oracle side pairs exact gradients read off the
+  level arrays (`levels.gradient`).  The double bracket side pairs the two
+  holonomies' level arrays.  It returns a plain report dict and sets no tolerance and
   no verdict; the command line judges it like every other numeric check.
 """
 
@@ -33,7 +32,7 @@ from .coefficients import r_am_coefficients
 from .errors import DomainError, ShapeError, ValidationError
 from .free_hopf import COMPLEX, FreeSeries
 from .kz_holonomy import DEFAULT_ACCURACY, ConnectionSpec, loop_pair_base, transport_pair
-from .kz_paths import PLPath, base_linking, strand_pairs
+from .kz_paths import PLPath, strand_pairs
 from .levels import Levels
 
 # ---------------------------------------------------------------------------
@@ -115,27 +114,9 @@ def tail_bound(degree: int, X: MatrixTuple) -> float:
 # ---------------------------------------------------------------------------
 # exact gradients and the bracket oracle
 # ---------------------------------------------------------------------------
-def _level_gradient(series: Levels, X: MatrixTuple) -> np.ndarray:
-    """Exact gradient of the level arrays ``series`` evaluated on the tuple:
-    ``grad[l, a, b, i, j] = d f(X)_ij / d (X_{l+1})_ab``.  Evaluated on the
-    block tuple ``[[X_k, d_kl E_ab], [0, X_k]]`` the series carries that
-    derivative in its upper-right block (Mathias 1996), so one evaluation of
-    doubled size per direction gives it with no step and no difference error."""
-    n, N = X.n, X.N
-    block = np.zeros((n, 2 * N, 2 * N), dtype=complex)
-    for k, M in enumerate(X.matrices):
-        block[k, :N, :N] = block[k, N:, N:] = M
-    grad = np.empty((n, N, N, N, N), dtype=complex)
-    for l, a, b in np.ndindex(n, N, N):
-        block[l, a, N + b] = 1.0
-        grad[l, a, b] = levels.evaluate(series, block)[:N, N:]
-        block[l, a, N + b] = 0.0
-    return grad
-
-
 def _oracle_tensor(gF: np.ndarray, gG: np.ndarray, X: MatrixTuple) -> np.ndarray:
     """Linear Poisson bracket of all entry pairs, from the gradient tensors
-    of :func:`_level_gradient`: ``out[i, j, u, v] = {F_ij, G_uv}``,
+    of `levels.gradient`: ``out[i, j, u, v] = {F_ij, G_uv}``,
     oriented by the coordinate bracket
     ``{(x_a)_{ij}, (x_a)_{kl}} = d_{jk} (x_a)_{il} - d_{il} (x_a)_{kj}``."""
     N = X.N
@@ -153,28 +134,6 @@ def _oracle_tensor(gF: np.ndarray, gG: np.ndarray, X: MatrixTuple) -> np.ndarray
 # ---------------------------------------------------------------------------
 # the bivector
 # ---------------------------------------------------------------------------
-def _adjoint_operator(M: np.ndarray) -> np.ndarray:
-    """``ad_M`` on N x N matrices as an ``N^2 x N^2`` matrix acting on
-    row-major vectorizations."""
-    N = M.shape[0]
-    eye = np.eye(N)
-    return np.kron(M, eye) - np.kron(eye, M.T)
-
-
-def _wedge_core(X: MatrixTuple, m: int) -> np.ndarray:
-    """The left and right parts of the bivector, ``wedge[c, k, l, d, w, z]``:
-    ``T[d, k, l, w, z] = d_wl (X_d)_kz - (X_d)_wl d_kz`` pairs F-direction m
-    with G-direction d, and F-direction d with G-direction m."""
-    n, N = X.n, X.N
-    mats = np.stack(X.matrices)
-    eye = np.broadcast_to(np.eye(N), mats.shape)
-    T = np.einsum("sdwl,sdkz->dklwz", np.stack([eye, -mats]), np.stack([mats, eye]))
-    wedge = np.zeros((n, N, N, n, N, N), dtype=complex)
-    wedge[m - 1] += T.transpose(1, 2, 0, 3, 4)
-    wedge[:, :, :, m - 1] += T
-    return wedge
-
-
 def bivector_pi(X: MatrixTuple, m: int, degree: int) -> np.ndarray:
     """The bivector collecting the non-crossing contributions to the bracket
     of two loop-holonomy entries based at the puncture of generator ``m``
@@ -188,21 +147,23 @@ def bivector_pi(X: MatrixTuple, m: int, degree: int) -> np.ndarray:
     * left/right parts: ``d_am (d_uj (X_b)_iv - (X_b)_uj d_iv)`` plus
       ``d_bm (d_uj (X_a)_iv - (X_a)_uj d_iv)``.
 
-    The inner part is the operator product ``ad_{X_a} R ad_{X_b}``; with the
-    wedge part it forms one core, so that two gradient tensors ``gF, gG``
-    (from :func:`_level_gradient`, reshaped to ``(n N^2, N^2)``) pair as
-    ``gF.T @ core @ gG``.
+    In the adjoint operators it is one expression,
+    ``core_cd = ad_c R ad_d + [c = m] ad_d + [d = m] ad_c``, so that two
+    gradient tensors ``gF, gG`` (from `levels.gradient`, reshaped to
+    ``(n N^2, N^2)``) pair as ``gF.T @ core @ gG``.
     """
     if not 1 <= m <= X.n:
         raise DomainError("generator index out of range")
     n, N = X.n, X.N
-    ad = np.stack([_adjoint_operator(M) for M in X.matrices])
+    eye = np.eye(N)
+    ad = np.stack([np.kron(M, eye) - np.kron(eye, M.T) for M in X.matrices])
     # R = sum_k c_k ad_{X_m}^k: r_am in one variable evaluated on ad_{X_m}
     R = levels.evaluate(levels.letter(1, 1, r_am_coefficients(degree)), [ad[m - 1]])
-    # inner core[c, k, l, d, w, z] = (ad_{X_c} R ad_{X_d})[(k, l), (z, w)]
-    inner = np.tensordot(ad @ R, ad, axes=(2, 1)).reshape((n, N, N) * 2)
-    core = inner.swapaxes(4, 5) + _wedge_core(X, m)
-    return core.reshape(n * N * N, n * N * N)
+    # core[c, (k, l), d, (z, w)] = (ad_{X_c} R ad_{X_d})[(k, l), (z, w)]
+    core = np.tensordot(ad @ R, ad, axes=(2, 1))
+    core[m - 1] += ad.transpose(1, 0, 2)  # [c = m] ad_d
+    core[:, :, m - 1] += ad  # [d = m] ad_c
+    return core.reshape(n * N * N, n, N, N).swapaxes(2, 3).reshape(n * N * N, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +246,7 @@ def verify_theorem2(
     M1, M2 = at(hol1.levels), at(hol2.levels)
 
     # (i) linear Poisson bracket of all entry pairs, from exact gradients
-    g2, g1 = _level_gradient(hol2.levels, X), _level_gradient(hol1.levels, X)
+    g2, g1 = (levels.gradient(h.levels, X.matrices) for h in (hol2, hol1))
     oracle = _oracle_tensor(g2, g1, X)
 
     # (ii) crossing subholonomies and corners, each a signed product
@@ -321,7 +282,7 @@ def verify_theorem2(
         "max_discrepancy": max(max_disc.values()),
         "tail_bound": tail,
         "n_crossings": len(cuts),
-        "base_linking": base_linking(loop1, loop2),
+        "base_linking": sum(sign * order for _, _, sign, order in pairs),
         "trace_pi_contribution": abs(complex(np.einsum("iiuu->", pi))),
         "trace_crossing_gap": abs(complex(np.einsum("iiuu->", oracle - crossing))),
     }

@@ -30,7 +30,7 @@ from kzfox import fox_calculus, levels, rep_space
 from kzfox.cli import main
 from kzfox.coefficients import r_am_series
 from kzfox.errors import DomainError, ShapeError, ValidationError
-from kzfox.rep_space import _level_gradient, _oracle_tensor
+from kzfox.rep_space import _oracle_tensor
 
 from conftest import LOOP_PAIRS, random_loop_pairs
 
@@ -95,7 +95,7 @@ def _matrix_gradient(fun, X, step=_FD_STEP):
     ``grad[l, a, b, ...] = d fun(X)[...] / d (X_{l+1})_{ab}``, by
     Richardson-improved central differences (entries are holomorphic
     polynomials, so a real step computes the complex derivative): the second
-    route to the exact ``_level_gradient``."""
+    route to the exact `levels.gradient`."""
     rows = []
     for l, a, b in itertools.product(range(X.n), range(X.N), range(X.N)):
         d_full = (
@@ -108,6 +108,24 @@ def _matrix_gradient(fun, X, step=_FD_STEP):
         rows.append((4.0 * d_half - d_full) / 3.0)
     shape = (X.n, X.N, X.N) + np.shape(rows[0])
     return np.asarray(rows, dtype=complex).reshape(shape)
+
+
+def _block_gradient(arrays, X):
+    """The exact gradient by block-triangular evaluation: on the tuple
+    ``[[X_k, d_kl E_ab], [0, X_k]]`` the series carries
+    ``d f(X) / d (X_{l+1})_ab`` in its upper-right block (Mathias 1996), one
+    evaluation of doubled size per direction; the exact reference for
+    `levels.gradient`."""
+    n, N = X.n, X.N
+    block = np.zeros((n, 2 * N, 2 * N), dtype=complex)
+    for k, M in enumerate(X.matrices):
+        block[k, :N, :N] = block[k, N:, N:] = M
+    grad = np.empty((n, N, N, N, N), dtype=complex)
+    for l, a, b in np.ndindex(n, N, N):
+        block[l, a, N + b] = 1.0
+        grad[l, a, b] = _reference_evaluate(levels.to_series(n, arrays), block)[:N, N:]
+        block[l, a, N + b] = 0.0
+    return grad
 
 
 def kks_oracle(F, G, X, step=_FD_STEP):
@@ -287,25 +305,30 @@ def test_tail_bound_values():
 # exact gradients
 # ---------------------------------------------------------------------------
 def test_level_gradient_matches_finite_differences():
-    """The block-triangular gradient against Richardson central differences
-    on dense complex level arrays."""
+    """The gradient read off the level arrays against Richardson central
+    differences and, exactly, against the block-triangular gradient, on
+    dense complex level arrays."""
     rng = np.random.default_rng(29)
-    worst = 0.0
+    worst = exact = 0.0
     for n, N, D in itertools.product((1, 2, 3), (1, 2, 3), range(6)):
         arrays = [
             rng.standard_normal(n**k) + 1j * rng.standard_normal(n**k)
             for k in range(D + 1)
         ]
         X = MatrixTuple.random(n, N, radius=0.3, seed=7 * D + N)
+        got = levels.gradient(arrays, X.matrices)
         want = _matrix_gradient(
             lambda Y: levels.evaluate(arrays, Y.matrices), X
         )
-        worst = max(worst, np.max(np.abs(_level_gradient(arrays, X) - want)))
+        worst = max(worst, np.max(np.abs(got - want)))
+        exact = max(exact, np.max(np.abs(got - _block_gradient(arrays, X))))
     assert worst <= 1e-9
+    assert exact <= 1e-14
 
 
-def test_level_gradient_makes_one_evaluation_per_direction(monkeypatch):
-    """n N^2 evaluations of doubled size; finite differences made 4 n N^2."""
+def test_level_gradient_makes_no_evaluation(monkeypatch):
+    """The gradient contracts the level arrays with word products: no
+    `levels.evaluate` call, where the block-triangular route made n N^2."""
     calls = []
     evaluate_levels = levels.evaluate
 
@@ -315,10 +338,10 @@ def test_level_gradient_makes_one_evaluation_per_direction(monkeypatch):
 
     monkeypatch.setattr(levels, "evaluate", counting)
     for n, N in ((1, 1), (3, 2), (2, 3)):
-        calls.clear()
-        _level_gradient([np.ones(n**k, dtype=complex) for k in range(4)],
-                        MatrixTuple.random(n, N, seed=1))
-        assert calls == [(2 * N, 2 * N)] * (n * N * N)
+        grad = levels.gradient([np.ones(n**k, dtype=complex) for k in range(4)],
+                               MatrixTuple.random(n, N, seed=1).matrices)
+        assert grad.shape == (n, N, N, N, N)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +426,25 @@ def test_vdb_matches_oracle_on_coordinate_pairs():
 # ---------------------------------------------------------------------------
 # the bivector
 # ---------------------------------------------------------------------------
+def _wedge(X, m):
+    """The left and right parts of the bivector core, entry by entry:
+    ``core[c, k, l, d, w, z]`` gains ``d_wl (X_d)_kz - (X_d)_wl d_kz`` when
+    c = m (F-direction on generator m) and the same in X_c when d = m."""
+    n, N = X.n, X.N
+    core = np.zeros((n, N, N, n, N, N), dtype=complex)
+    for c, d, k, l, w, z in itertools.product(range(n), range(n), *[range(N)] * 4):
+        for e, Xe in ((c == m - 1, X.matrices[d]), (d == m - 1, X.matrices[c])):
+            if e:
+                core[c, k, l, d, w, z] += (w == l) * Xe[k, z] - Xe[w, l] * (k == z)
+    return core
+
+
 def test_regularization_series_constant_term():
     """At X_m = 0 the adjoint series R reduces to -1/2 times the identity, so
     the inner core is ``-1/2 ([X_c, [X_d, E_zw]])_kl``: the core less its
     wedge part, on a tuple whose other matrix is nonzero."""
     X = MatrixTuple([np.zeros((2, 2)), [[0.1, 0.2j], [-0.3, 0.05]]])
-    inner = bivector_pi(X, 1, 8) - rep_space._wedge_core(X, 1).reshape(8, 8)
+    inner = bivector_pi(X, 1, 8) - _wedge(X, 1).reshape(8, 8)
     want = np.zeros((2, 2, 2, 2, 2, 2), dtype=complex)
     for c, d, w, z in itertools.product(range(2), repeat=4):
         Xc, Xd = X.matrices[c], X.matrices[d]
@@ -421,32 +457,32 @@ def test_regularization_series_constant_term():
 
 
 def test_bivector_wedge_antisymmetric():
-    """The left-plus-right (wedge) core pairs two gradients antisymmetrically."""
+    """The left-plus-right (wedge) core pairs two gradients antisymmetrically,
+    and at degree 0, where R = -1/2 and the inner part pairs symmetrically,
+    it is all of the core's antisymmetric part."""
     X = MatrixTuple.random(3, 2, radius=0.2, seed=6)
-    core = rep_space._wedge_core(X, 1)
     gF = _matrix_gradient(lambda Y: Y.matrices[0][0, 1] * Y.matrices[2][1, 1], X)
     gG = _matrix_gradient(lambda Y: Y.matrices[1][1, 0] + Y.matrices[0][0, 0] ** 2, X)
 
-    def wedge(g1, g2):
-        return complex(np.einsum("ckl,ckldwz,dwz->", g1, core, g2))
+    def pair(core, g1, g2):
+        return complex(np.einsum("ckl,ckldwz,dwz->", g1, core.reshape((3, 2, 2) * 2), g2))
 
-    assert abs(wedge(gF, gG) + wedge(gG, gF)) < 1e-8
+    wedge = _wedge(X, 1)
+    assert abs(pair(wedge, gF, gG)) > 0.01
+    assert abs(pair(wedge, gF, gG) + pair(wedge, gG, gF)) < 1e-8
+    inner = bivector_pi(X, 1, 0) - wedge.reshape(12, 12)
+    assert abs(pair(inner, gF, gG) - pair(inner, gG, gF)) < 1e-8
 
 
 def _loop_core(X, m, degree):
     """The bivector core ``core[c, k, l, d, w, z]`` built entry by entry:
-    R as a sum of powers of ``ad_{X_m}``, the inner part
+    R applied as a sum of repeated commutators with ``X_m``, the inner part
     ``([X_c, R([X_d, E_zw])])_kl`` by loops over generators and matrix
-    entries, and the left and right parts one generator at a time; the
-    reference for the operator-product core of `bivector_pi`."""
+    entries, plus the left and right parts of `_wedge`; the reference for
+    the operator-product core of `bivector_pi`."""
     n, N = X.n, X.N
     coeffs = {len(w): c for w, c in r_am_series(1, degree, 1, COMPLEX).coeffs.items()}
-    ad = rep_space._adjoint_operator(X.matrices[m - 1])
-    R = np.zeros((N * N, N * N), dtype=complex)
-    power = np.eye(N * N, dtype=complex)
-    for k in range(degree + 1):
-        R += coeffs.get(k, 0.0) * power
-        power = power @ ad
+    Xm = X.matrices[m - 1]
     core = np.zeros((n, N, N, n, N, N), dtype=complex)
     E = np.zeros((N, N), dtype=complex)
     for d in range(n):
@@ -456,19 +492,14 @@ def _loop_core(X, m, degree):
                 E[z, w] = 1.0
                 B = Xd @ E - E @ Xd
                 E[z, w] = 0.0
-                RB = (R @ B.reshape(-1)).reshape(N, N)
+                RB = np.zeros((N, N), dtype=complex)
+                for k in range(degree + 1):
+                    RB += coeffs.get(k, 0.0) * B
+                    B = Xm @ B - B @ Xm
                 for c in range(n):
                     Xc = X.matrices[c]
                     core[c, :, :, d, w, z] = Xc @ RB - RB @ Xc
-    eye = np.eye(N)
-    for d in range(n):
-        Xd = X.matrices[d]
-        part = np.einsum("wl,kz->klwz", eye, Xd) - np.einsum("wl,kz->klwz", Xd, eye)
-        # left part: F-direction on generator m, any G-direction d
-        core[m - 1, :, :, d, :, :] += part
-        # right part: G-direction on generator m, any F-direction d
-        core[d, :, :, m - 1, :, :] += part
-    return core
+    return core + _wedge(X, m)
 
 
 def test_bivector_core_matches_loop_construction():
@@ -589,7 +620,7 @@ def test_same_loop_bracket_antisymmetric():
     antisymmetric under (i, j) <-> (u, v) and vanishes on the diagonal."""
     conn = ConnectionSpec(P3, 3)
     X = MatrixTuple.random(3, 2, radius=0.1, seed=1)
-    g = _level_gradient(holonomy_reg(conn, _loop(LOOP_A4)).levels, X)
+    g = levels.gradient(holonomy_reg(conn, _loop(LOOP_A4)).levels, X.matrices)
     T = _oracle_tensor(g, g, X)
     assert np.max(np.abs(T + T.transpose(2, 3, 0, 1))) < 1e-8
     for i in range(2):
@@ -695,6 +726,18 @@ def test_three_way_agreement_on_pairs_with_nonzero_brackets():
     for loop1, loop2 in (pairs[1], pairs[8]):
         rep = verify_theorem2(conn, loop2, loop1, X)
         assert rep["max_disc"]["oracle_vs_formula"] <= 1e-7
+
+
+def test_three_way_agreement_at_n_8(load_path):
+    """On 8 x 8 matrices, with 3 N^2 = 192 gradient directions per holonomy,
+    the three routes meet on `loop_a4` x `loop_bup` at D = 5 within the
+    fixture pairs' bound."""
+    loop1, loop2 = load_path("loop_a4.json"), load_path("loop_bup.json")
+    conn = ConnectionSpec(loop1.punctures, 5)
+    rep = verify_theorem2(conn, loop2, loop1, MatrixTuple.random(3, 8, 0.1, 0))
+    assert rep["n_crossings"] == 2
+    assert rep["max_discrepancy"] <= _tolerance(rep)
+    assert max(rep["max_disc"].values()) <= 1e-7
 
 
 def test_rep_space_transports_nothing_itself():

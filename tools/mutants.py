@@ -1,6 +1,7 @@
 """Mutation audit of the assembled identities: the corner rule of the pairing
-formula, the sign of every other assembled term, and the generator images
-and cocycle of the pentagon projection.
+formula, the sign of every other assembled term, the bivector core, the exact
+gradient and the evaluation seed, and the generator images and cocycle of the
+pentagon projection.
 
 Each mutant is one text replacement in one file: the old text occurs exactly
 once there.  For each mutant the script copies `src/`, `tests/` and
@@ -29,7 +30,10 @@ COACTION = ("tests/test_acceptance.py::test_criterion_4_reduced_coaction_formula
 LOOP_COACTION = ("tests/test_kz_holonomy.py::test_mu_bar_identity_loop",)
 THREE_WAY = ("tests/test_acceptance.py::test_criterion_7_three_way_bracket_agreement",)
 SQUARE_MAPS = ("tests/test_trivial_extension.py::test_square_maps_equal_fox_derivatives",)
+BIVECTOR = ("tests/test_rep_space.py::test_bivector_core_matches_loop_construction",)
+GRADIENT = ("tests/test_rep_space.py::test_level_gradient_matches_finite_differences",)
 HOLONOMY = "src/kzfox/kz_holonomy.py"
+LEVELS = "src/kzfox/levels.py"
 EXTENSION = "src/kzfox/trivial_extension.py"
 
 
@@ -126,6 +130,19 @@ MUTANTS = [
            "terms = [(float(c.sign), at(", "terms = [(-float(c.sign), at(", THREE_WAY),
     Mutant("route (ii): crossing - pi", "src/kzfox/rep_space.py",
            "formula = crossing + pi", "formula = crossing - pi", THREE_WAY),
+    # the bivector core, the exact gradient and the evaluation seed
+    Mutant("bivector: sign of [c = m] ad_d", "src/kzfox/rep_space.py",
+           "core[m - 1] += ad.transpose(1, 0, 2)", "core[m - 1] -= ad.transpose(1, 0, 2)",
+           BIVECTOR),
+    Mutant("bivector: sign of [d = m] ad_c", "src/kzfox/rep_space.py",
+           "core[:, :, m - 1] += ad", "core[:, :, m - 1] -= ad", BIVECTOR),
+    Mutant("gradient: (a, b) transposed", LEVELS,
+           ".transpose(2, 1, 3, 0, 4)", ".transpose(2, 3, 1, 0, 4)", GRADIENT),
+    Mutant("gradient: suffix stack read at the prefix length", LEVELS,
+           "@ words[k - p - 1]", "@ words[p]", GRADIENT),
+    Mutant("evaluate: seed with the generators transposed", LEVELS,
+           '"iv,iac->cva"', '"iv,ica->cva"',
+           ("tests/test_rep_space.py::test_level_evaluation_matches_word_products",)),
     # the projection of the pentagon equation: generator images and cocycle
     Mutant("projection: crossed image +e", EXTENSION,
            "from_m(-one)", "from_m(one)", SQUARE_MAPS),
