@@ -5,7 +5,7 @@ Subcommands
 -----------
 ``kzfox associator``
     Compute the regularized holonomy series of the straight path between two
-    punctures and emit it as JSON.
+    punctures and emit it as JSON, judged by its duality discrepancy.
 ``kzfox verify WHICH``
     Run one of the verification campaigns: ``algebra`` (seed-pinned exact
     identity suite over the rational backend), ``coaction`` / ``pentagon``
@@ -60,6 +60,7 @@ from .kz_holonomy import (
     ConnectionSpec,
     associator,
     coaction_check,
+    duality_discrepancy,
     goldman_bracket_check,
     pentagon_projection_check,
 )
@@ -565,12 +566,14 @@ def cli() -> None:
 @click.option("--accuracy", type=float, default=1e-10, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def cmd_associator(degree: int, accuracy: float, out: Optional[str]) -> None:
-    """Regularized holonomy of the straight path between two punctures."""
+    """Regularized holonomy of the straight path between two punctures,
+    judged by its duality discrepancy max |swap(Phi) Phi - 1|."""
     config = RunConfig(degree, accuracy, out=out)
     series = associator(config.degree, config.accuracy)
+    report = {"max_discrepancy": duality_discrepancy(series)}
     record = {"command": "associator", "degree": config.degree,
               "accuracy": config.accuracy, "series": series.to_json_dict(),
-              "passed": True}
+              **_judged(config, "associator_duality", report)}
     _write_records(config.out, "associator", [record])
 
 

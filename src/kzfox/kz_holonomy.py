@@ -407,6 +407,17 @@ def associator(degree: int, accuracy: float = DEFAULT_ACCURACY) -> FreeSeries:
     return holonomy_reg(conn, path, accuracy=accuracy).series
 
 
+def duality_discrepancy(phi: FreeSeries) -> float:
+    """max |swap(Phi) Phi - 1| over the words of a series Phi in two letters:
+    the duality relation Phi(x2, x1) Phi(x1, x2) = 1 of an associator.  Swap
+    exchanges x1 and x2, flipping every letter axis of each level array; in
+    two letters that reverses the level."""
+    phi_levels = levels.from_series(phi)
+    product = levels.mul([level[::-1] for level in phi_levels], phi_levels)
+    product[0] = product[0] - 1.0
+    return max(float(np.abs(level).max()) for level in product)
+
+
 # ---------------------------------------------------------------------------
 # assembled identity right-hand sides
 #

@@ -6,14 +6,15 @@ transverse crossing detection with orientation signs, the order of tail
 strands at a shared tangential point, rotation numbers by exterior-angle
 summation, clockwise-half-turn composition, and subpath extraction.
 
-Crossing predicates run in exact rational arithmetic (floats are rationals),
-so detection never guesses: genuinely degenerate inputs raise a validation
-error instead.  The only tolerated degeneracy is the unavoidable one: near a
-tangential anchor a path runs exactly on the anchor ray, so the tails of
-paths at one anchor (`Tail`) may overlap each other; this strand bundle is
-accounted for analytically by the regularization terms downstream and its
-contacts are never reported as crossings.  Any other segment on an anchor ray
-that touches or overlaps a tail is refused as a non-transverse contact.
+Crossing predicates run exactly on integer coordinates (every finite double
+is an integer times a power of two), so detection never guesses: genuinely
+degenerate inputs raise a validation error instead.  The only tolerated
+degeneracy is the unavoidable one: near a tangential anchor a path runs
+exactly on the anchor ray, so the tails of paths at one anchor (`Tail`) may
+overlap each other; this strand bundle is accounted for analytically by the
+regularization terms downstream and its contacts are never reported as
+crossings.  Any other segment on an anchor ray that touches or overlaps a
+tail is refused as a non-transverse contact.
 """
 
 from __future__ import annotations
@@ -100,23 +101,15 @@ class Anchor:
         return punctures.point(self.puncture)
 
 
-def _frac(x: float) -> Fraction:
-    return Fraction(x)  # exact: binary floats are rationals
-
-
-def _cross(ax, ay, bx, by):
-    return ax * by - ay * bx
-
-
-def _outside_box(a, b, c, d) -> bool:
-    """Whether the bounding boxes of segments [a, b] and [c, d] are strictly
-    disjoint; exact, as binary floats compare exactly."""
-    return (
-        max(a.real, b.real) < min(c.real, d.real)
-        or max(c.real, d.real) < min(a.real, b.real)
-        or max(a.imag, b.imag) < min(c.imag, d.imag)
-        or max(c.imag, d.imag) < min(a.imag, b.imag)
-    )
+def _integer_points(points: Sequence[complex]) -> Tuple[List[Tuple[int, int]], int]:
+    """The points as integer pairs (x, y) on one scale 2^e, with that scale.
+    Every finite double is an integer over a power of two, so the largest such
+    denominator among the coordinates maps each of them exactly onto an
+    integer; crossing predicates are exact on these without `Fraction`s."""
+    ratios = [c.as_integer_ratio() for p in points for c in (p.real, p.imag)]
+    scale = max(den for _, den in ratios)
+    coords = [num * (scale // den) for num, den in ratios]
+    return list(zip(coords[::2], coords[1::2])), scale
 
 
 @dataclass(frozen=True)
@@ -219,17 +212,17 @@ class PLPath:
                     )
 
     def _touches(self, a: complex, b: complex, z: complex, k: int, idx: int) -> bool:
-        # Exact test: z on segment [a, b]?  Not if outside its box.
-        if _outside_box(z, z, a, b):
+        # Exact test: z on segment [a, b]?  Not if outside its box (floats
+        # compare exactly), else on the integer points.
+        if not (min(a.real, b.real) <= z.real <= max(a.real, b.real)
+                and min(a.imag, b.imag) <= z.imag <= max(a.imag, b.imag)):
             return False
-        ax, ay = _frac(a.real), _frac(a.imag)
-        bx, by = _frac(b.real), _frac(b.imag)
-        zx, zy = _frac(z.real), _frac(z.imag)
-        if _cross(bx - ax, by - ay, zx - ax, zy - ay) != 0:
+        ((ax, ay), (bx, by), (zx, zy)), _ = _integer_points((a, b, z))
+        rx, ry, wx, wy = bx - ax, by - ay, zx - ax, zy - ay
+        if rx * wy - ry * wx != 0:
             return False
-        dot = (bx - ax) * (zx - ax) + (by - ay) * (zy - ay)
-        sq = (bx - ax) ** 2 + (by - ay) ** 2
-        if dot < 0 or dot > sq:
+        dot = rx * wx + ry * wy
+        if dot < 0 or dot > rx * rx + ry * ry:
             return False
         # the puncture lies on the segment; allowed only as the anchor
         # endpoint of the first/last segment
@@ -358,46 +351,45 @@ def base_linking(loop1: PLPath, loop2: PLPath) -> float:
 
 
 def _segment_intersection(a, b, c, d):
-    """Exact intersection of segments [a,b], [c,d].
+    """Exact intersection of segments [a,b], [c,d] with integer endpoints
+    (x, y), as `_integer_points` gives them.
 
     Returns ('proper', t, u, sign) with Fractions strictly inside (0,1) and
     the crossing sign, the sign of the nonzero cross(b - a, d - c); or
     ('none',), ('touch', t, u) for endpoint contact, ('overlap',) for
     collinear overlap of positive length.
     """
-    if _outside_box(a, b, c, d):
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = a, b, c, d
+    if (max(ax, bx) < min(cx, dx) or max(cx, dx) < min(ax, bx)
+            or max(ay, by) < min(cy, dy) or max(cy, dy) < min(ay, by)):
         return ("none",)
-    ax, ay = _frac(a.real), _frac(a.imag)
-    bx, by = _frac(b.real), _frac(b.imag)
-    cx, cy = _frac(c.real), _frac(c.imag)
-    dx, dy = _frac(d.real), _frac(d.imag)
     rx, ry = bx - ax, by - ay
     sx, sy = dx - cx, dy - cy
-    denom = _cross(rx, ry, sx, sy)
-    qpx, qpy = cx - ax, cy - ay
-    if denom == 0:
-        if _cross(qpx, qpy, rx, ry) != 0:
+    qx, qy = cx - ax, cy - ay
+    den = rx * sy - ry * sx
+    if den == 0:
+        if qx * ry - qy * rx != 0:
             return ("none",)
-        # collinear: check overlap extent via projection on r
+        # collinear: [c, d] runs from t0 = n0 / rr to t1 = n1 / rr along r
         rr = rx * rx + ry * ry
-        t0 = (qpx * rx + qpy * ry) / rr
-        t1 = t0 + (sx * rx + sy * ry) / rr
-        lo, hi = min(t0, t1), max(t0, t1)
-        if hi < 0 or lo > 1:
+        n0 = qx * rx + qy * ry
+        n1 = n0 + sx * rx + sy * ry
+        lo, hi = min(n0, n1), max(n0, n1)
+        if hi < 0 or lo > rr:
             return ("none",)
-        if hi == 0 or lo == 1:
+        if hi == 0 or lo == rr:
             # touching at a single shared endpoint
-            t = hi if hi == 0 else lo
-            u = (t - t0) / (t1 - t0)
-            return ("touch", t, u)
+            num = hi if hi == 0 else lo
+            return ("touch", Fraction(num, rr), Fraction(num - n0, n1 - n0))
         return ("overlap",)
-    t = _cross(qpx, qpy, sx, sy) / denom
-    u = _cross(qpx, qpy, rx, ry) / denom
-    if t < 0 or t > 1 or u < 0 or u > 1:
+    # t = tn / den and u = un / den, with den made positive
+    sign = 1 if den > 0 else -1
+    den, tn, un = sign * den, sign * (qx * sy - qy * sx), sign * (qx * ry - qy * rx)
+    if tn < 0 or tn > den or un < 0 or un > den:
         return ("none",)
-    if 0 < t < 1 and 0 < u < 1:
-        return ("proper", t, u, 1 if denom > 0 else -1)
-    return ("touch", t, u)
+    if 0 < tn < den and 0 < un < den:
+        return ("proper", Fraction(tn, den), Fraction(un, den), sign)
+    return ("touch", Fraction(tn, den), Fraction(un, den))
 
 
 def _tail_contact_skippable(
@@ -427,11 +419,11 @@ def _crossings(path1: PLPath, path2: PLPath, same: bool) -> List[Crossing]:
         t.point for t in path2.tails.values()
     }
     first, second = ("", "") if same else (" (first path)", " (second path)")
+    ints, scale = _integer_points(path1.points if same else path1.points + path2.points)
+    ints1, ints2 = ints[: len(path1.points)], ints[-len(path2.points):]
     for i in range(path1.n_segments):
-        a, b = path1.segment(i)
         for j in range(i + 1 if same else 0, path2.n_segments):
-            c, d = path2.segment(j)
-            res = _segment_intersection(a, b, c, d)
+            res = _segment_intersection(ints1[i], ints1[i + 1], ints2[j], ints2[j + 1])
             kind = res[0]
             if kind == "none":
                 continue
@@ -444,11 +436,11 @@ def _crossings(path1: PLPath, path2: PLPath, same: bool) -> List[Crossing]:
             if kind == "touch":
                 if same and j == i + 1:
                     continue  # shared vertex of adjacent segments
-                t, u = res[1], res[2]
-                pt = complex(
-                    float(_frac(a.real) + t * (_frac(b.real) - _frac(a.real))),
-                    float(_frac(a.imag) + t * (_frac(b.imag) - _frac(a.imag))),
-                )
+                # a + t (b - a) from the integers, rounded once per coordinate
+                (ax, ay), (bx, by), t = ints1[i], ints1[i + 1], res[1]
+                p, q = t.numerator, t.denominator
+                pt = complex((ax * q + p * (bx - ax)) / (q * scale),
+                             (ay * q + p * (by - ay)) / (q * scale))
                 if pt in shared_anchors:
                     continue  # terminal segments meet at a common anchor
                 if _tail_contact_skippable(path1, i, path2, j, pt):
@@ -458,6 +450,7 @@ def _crossings(path1: PLPath, path2: PLPath, same: bool) -> List[Crossing]:
                     f"{j}{second}"
                 )
             t, u, sign = res[1], res[2], res[3]
+            a, b = path1.segment(i)
             pt = a + (b - a) * float(t)
             out.append(
                 Crossing(

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from kzfox import RATIONAL, FreeSeries
+from kzfox import COMPLEX, RATIONAL, FreeSeries, cli
 from kzfox.cli import _random_series, load_path_file, main
 from kzfox.errors import ValidationError
 
@@ -386,6 +386,23 @@ def test_associator_degree_zero(capsys):
     (line,) = [l for l in out.splitlines() if l.strip()]
     record = json.loads(line)
     assert record["degree"] == 0
+
+
+def test_associator_record_is_judged_by_duality(capsys, monkeypatch):
+    """The associator record carries its duality discrepancy, tolerance and
+    verdict; a series that is not dual fails the run with exit code 2."""
+    assert main(["associator", "--degree", "6"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["check"] == "associator_duality"
+    assert record["max_discrepancy"] < 1e-15 and record["tolerance"] == 1e-4
+    assert record["passed"] is True
+    not_dual = FreeSeries(2, 2, {(): 1.0, (1,): 1.0}, COMPLEX)
+    monkeypatch.setattr(cli, "associator", lambda degree, accuracy: not_dual)
+    assert main(["associator", "--degree", "2"]) == 2
+    captured = capsys.readouterr()
+    record = json.loads(captured.out)
+    assert (record["max_discrepancy"], record["passed"]) == (1.0, False)
+    assert "[FAIL] associator_duality" in captured.err
 
 
 def test_negative_seed(capsys):

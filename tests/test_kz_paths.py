@@ -5,7 +5,6 @@ import cmath
 import dataclasses
 import math
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -235,35 +234,122 @@ def _segment_intersection_unfiltered(a, b, c, d):
     return ("touch", t, u)
 
 
+def _touches_unfiltered(path, a, b, z, k, idx):
+    """Reference: the exact puncture-on-segment test of `PLPath._touches` in
+    `Fraction`s, with no bounding-box test."""
+    ax, ay, bx, by, zx, zy = map(Fraction, (a.real, a.imag, b.real, b.imag, z.real, z.imag))
+    if (bx - ax) * (zy - ay) - (by - ay) * (zx - ax) != 0:
+        return False
+    dot = (bx - ax) * (zx - ax) + (by - ay) * (zy - ay)
+    if dot < 0 or dot > (bx - ax) ** 2 + (by - ay) ** 2:
+        return False
+    start, end = path.start, path.end
+    if k == 0 and start.kind == TANGENTIAL and start.puncture == idx and z == a:
+        return False
+    last = k == path.n_segments - 1
+    return not (last and end.kind == TANGENTIAL and end.puncture == idx and z == b)
+
+
+EPS = 2.0**-40
+TINY = 5e-324
+# degenerate cases that random draws reach only now and then, with the kind
+# of contact each one is
+SEGMENT_CASES = {
+    "proper, positive denominator": ([0, 2 + 2j, 2, 2j], "proper"),
+    "proper, negative denominator": ([0, 2 + 2j, 2j, 2], "proper"),
+    "end of [a, b] inside [c, d]": ([0, 1, -1j, 1j], "touch"),
+    "end of [c, d] inside [a, b]": ([0, 1, 0.5, 0.5 + 1j], "touch"),
+    "collinear, b = c": ([0, 1, 1, 2], "touch"),
+    "collinear, a = d": ([1, 2, 0, 1], "touch"),
+    "collinear overlap": ([0, 1, 0.5, 2], "overlap"),
+    "collinear, apart": ([0, 1, 1.5, 2], "none"),
+    "near-parallel crossing": ([0, 1 + 1j, complex(0.25, 0.25 - EPS),
+                                complex(0.75, 0.75 + EPS)], "proper"),
+    "parallel, EPS apart": ([0, 1 + 1j, complex(0.25, 0.25 + EPS),
+                             complex(0.75, 0.75 + EPS)], "none"),
+    "subnormal crossing": ([0, 2 * TINY, complex(TINY, -TINY), complex(TINY, TINY)],
+                           "proper"),
+    "subnormal and huge": ([complex(TINY, 0), complex(1e300, 1e300), 1e300,
+                            complex(0, 1e300)], "proper"),
+}
+
+
+@pytest.mark.parametrize("points, kind", SEGMENT_CASES.values(), ids=SEGMENT_CASES)
+def test_degenerate_segment_pairs_match_the_fraction_reference(points, kind):
+    a, b, c, d = (complex(p) for p in points)
+    ints, _ = kz_paths._integer_points((a, b, c, d))
+    result = kz_paths._segment_intersection(*ints)
+    assert result == _segment_intersection_unfiltered(a, b, c, d)
+    assert result[0] == kind
+
+
+@pytest.mark.parametrize(
+    "a, b, z, k, idx, on",
+    [(-1 - 1j, 1 + 1j, 0, 1, 1, True),  # on a diagonal segment
+     (-1 - 1j, 1 + 1j, complex(0, TINY), 1, 1, False),
+     (0, 1 + 1j, 0, 0, 1, False),  # the start anchor's own puncture
+     (0, 1 + 1j, 0, 1, 1, True),
+     (1 + 1j, 0, 0, 6, 1, False),  # the end anchor's own puncture
+     (1 + 1j, 0, 0, 6, 2, True),
+     (TINY, 1e300 + 1e300j, complex(1e300, 1e300) / 2, 1, 2, False)],
+)
+def test_puncture_cases_match_the_fraction_reference(a, b, z, k, idx, on):
+    a, b, z = complex(a), complex(b), complex(z)
+    path = _loop(LOOP_A1)
+    assert path._touches(a, b, z, k, idx) == _touches_unfiltered(path, a, b, z, k, idx) == on
+
+
 # grid coordinates (shared endpoints, collinear and touching pairs are
-# common), the same one ulp off the grid, and arbitrary floats
+# common), the same one ulp off the grid, arbitrary floats, and extreme
+# exponents, so that one point's coordinates can span the whole double range
 _coordinate = st.one_of(
     st.integers(-3, 3).map(lambda k: k / 2),
     st.tuples(st.integers(-3, 3), st.sampled_from([-math.inf, math.inf])).map(
         lambda kd: math.nextafter(kd[0] / 2, kd[1])
     ),
     st.floats(-2.0, 2.0),
+    st.sampled_from([5e-324, -5e-324, 2.0**-1000, -(2.0**-1000), 1e300, -1e300]),
 )
 _point = st.builds(complex, _coordinate, _coordinate)
 
 
+@st.composite
+def _segment_pairs(draw):
+    """Segments [a, b], [c, d]: four independent points, or d - c parallel to
+    b - a up to one ulp in one coordinate of d."""
+    a, b, c = draw(_point), draw(_point), draw(_point)
+    if draw(st.booleans()):
+        return a, b, c, draw(_point)
+    d = c + (b - a)
+    towards = draw(st.sampled_from([-math.inf, math.inf]))
+    if draw(st.booleans()):
+        d = complex(math.nextafter(d.real, towards), d.imag)
+    else:
+        d = complex(d.real, math.nextafter(d.imag, towards))
+    return a, b, c, d
+
+
 @settings(max_examples=400, deadline=None)
-@given(_point, _point, _point, _point)
-def test_segment_box_prefilter_changes_no_result(a, b, c, d):
-    assume(a != b and c != d)
-    assert kz_paths._segment_intersection(a, b, c, d) == (
+@given(_segment_pairs())
+def test_segment_box_prefilter_changes_no_result(points):
+    """The integer-coordinate intersection, box test included, equals the
+    `Fraction` reference without it."""
+    a, b, c, d = points
+    assume(a != b and c != d and cmath.isfinite(d))
+    ints, _ = kz_paths._integer_points(points)
+    assert kz_paths._segment_intersection(*ints) == (
         _segment_intersection_unfiltered(a, b, c, d)
     )
 
 
 @settings(max_examples=400, deadline=None)
-@given(_point, _point, _point, st.integers(0, 2), st.integers(1, 3))
+@given(_point, _point, _point, st.sampled_from([0, 1, 6]), st.integers(1, 3))
 def test_puncture_box_prefilter_changes_no_result(a, b, z, k, idx):
+    """`_touches`, box test included, equals the `Fraction` reference without
+    it, on the first, an inner and the last segment of a loop."""
     assume(a != b)  # a zero-length segment is rejected before `_touches` runs
     path = _loop(LOOP_A1)
-    filtered = path._touches(a, b, z, k, idx)
-    with mock.patch.object(kz_paths, "_outside_box", lambda *args: False):
-        assert path._touches(a, b, z, k, idx) == filtered
+    assert path._touches(a, b, z, k, idx) == _touches_unfiltered(path, a, b, z, k, idx)
 
 
 # ---------------------------------------------------------------------------

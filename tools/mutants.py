@@ -1,7 +1,8 @@
 """Mutation audit of the assembled identities: the corner rule of the pairing
 formula, the sign of every other assembled term, the bivector core, the exact
-gradient and the evaluation seed, and the generator images and cocycle of the
-pentagon projection.
+gradient and the evaluation seed, the generator images and cocycle of the
+pentagon projection, the exact crossing and puncture predicates, and the
+branch of the local frame.
 
 Each mutant is one text replacement in one file: the old text occurs exactly
 once there.  For each mutant the script copies `src/`, `tests/` and
@@ -32,6 +33,9 @@ THREE_WAY = ("tests/test_acceptance.py::test_criterion_7_three_way_bracket_agree
 SQUARE_MAPS = ("tests/test_trivial_extension.py::test_square_maps_equal_fox_derivatives",)
 BIVECTOR = ("tests/test_rep_space.py::test_bivector_core_matches_loop_construction",)
 GRADIENT = ("tests/test_rep_space.py::test_level_gradient_matches_finite_differences",)
+SEGMENTS = ("tests/test_kz_paths.py::test_degenerate_segment_pairs_match_the_fraction_reference",)
+PUNCTURE = ("tests/test_kz_paths.py::test_puncture_cases_match_the_fraction_reference",)
+PATHS = "src/kzfox/kz_paths.py"
 HOLONOMY = "src/kzfox/kz_holonomy.py"
 LEVELS = "src/kzfox/levels.py"
 EXTENSION = "src/kzfox/trivial_extension.py"
@@ -154,6 +158,23 @@ MUTANTS = [
            "u + v for u, v", "u - v for u, v", SQUARE_MAPS),
     Mutant("projection: crossed image dropped at the marked generator", EXTENSION,
            "im + crossed if i == marked", "im if i == marked", SQUARE_MAPS),
+    # the exact predicates on integer coordinates, and the frame's branch
+    Mutant("crossing: denominator sign not normalized", PATHS,
+           "den, tn, un = sign * den, sign * (qx * sy - qy * sx), sign * (qx * ry - qy * rx)",
+           "den, tn, un = den, qx * sy - qy * sx, qx * ry - qy * rx", SEGMENTS),
+    Mutant("crossing: 0 <= tn taken as proper", PATHS,
+           "if 0 < tn < den and 0 < un < den:", "if 0 <= tn < den and 0 < un < den:",
+           SEGMENTS),
+    Mutant("integer points: scale from the smallest denominator", PATHS,
+           "scale = max(den for _, den in ratios)", "scale = min(den for _, den in ratios)",
+           SEGMENTS),
+    Mutant("crossing: collinear touch at the far end read as overlap", PATHS,
+           "if hi == 0 or lo == rr:", "if hi == 0:", SEGMENTS),
+    Mutant("puncture: collinearity by the wrong cross product", PATHS,
+           "if rx * wy - ry * wx != 0:", "if rx * wy + ry * wx != 0:", PUNCTURE),
+    Mutant("local frame: branch sign flipped", HOLONOMY,
+           "c = math.log(r) / TWO_PI_I", "c = -math.log(r) / TWO_PI_I",
+           ("tests/test_kz_holonomy.py::test_associator_duality",)),
 ]
 
 
