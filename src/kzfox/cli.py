@@ -57,6 +57,7 @@ from .fox_calculus import (
 )
 from .free_hopf import RATIONAL, FreeSeries, TensorSeries, _accumulate, _graded_pairs
 from .kz_holonomy import (
+    DEFAULT_ACCURACY,
     ConnectionSpec,
     associator,
     coaction_check,
@@ -88,7 +89,7 @@ class RunConfig:
     """Validated bundle of command-line settings for one run."""
 
     degree: int
-    accuracy: float = 1e-10
+    accuracy: float = DEFAULT_ACCURACY
     tolerance: Optional[float] = None
     path_file: Optional[str] = None
     loops: Tuple[str, ...] = ()
@@ -563,7 +564,7 @@ def cli() -> None:
 
 @cli.command(name="associator")
 @click.option("--degree", type=int, default=3, show_default=True)
-@click.option("--accuracy", type=float, default=1e-10, show_default=True)
+@click.option("--accuracy", type=float, default=DEFAULT_ACCURACY, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def cmd_associator(degree: int, accuracy: float, out: Optional[str]) -> None:
     """Regularized holonomy of the straight path between two punctures,
@@ -580,7 +581,7 @@ def cmd_associator(degree: int, accuracy: float, out: Optional[str]) -> None:
 @cli.command(name="verify")
 @click.argument("which", type=click.Choice(tuple(_CAMPAIGNS)))
 @click.option("--degree", type=int, default=None, help="Comparison degree.")
-@click.option("--accuracy", type=float, default=1e-10, show_default=True)
+@click.option("--accuracy", type=float, default=DEFAULT_ACCURACY, show_default=True)
 @click.option("--tol", "tolerance", type=float, default=None, help="Override tolerance.")
 @click.option("--path", "path_file", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--loops", multiple=True, type=click.Path(exists=True, dir_okay=False))

@@ -425,8 +425,8 @@ def duality_discrepancy(phi: FreeSeries) -> float:
 # factors) and degree-lowering terms (Fox derivatives, reduced coaction).  At
 # word degree k the degree-lowering terms read the degree-(k+1) part of the
 # holonomy, so at truncation degree D the identities are exact only through
-# degree D-1; the assemblies below therefore return/compare series truncated
-# to D-1.
+# degree D-1; the assemblies below therefore return/compare level arrays
+# truncated to D-1.
 # ---------------------------------------------------------------------------
 def crossing_breakpoints(crossings: Sequence[Crossing]) -> List[float]:
     """Both parameters of each self-crossing: the breakpoints of a transport
@@ -463,8 +463,13 @@ def _coaction_geometry(path: PLPath, deg: int) -> Tuple[int, int, float]:
     return p, q, above((path, "out"), (path, "in")) if p == q else 0.0
 
 
-def _coaction_rhs(hol: HolonomyResult, cuts: Sequence[Crossing], rot: float) -> Levels:
-    """`mu_bar_rhs` as level arrays through degree D-1."""
+def mu_bar_rhs(hol: HolonomyResult, crossings: Sequence[Crossing], rot: float) -> Levels:
+    """Right-hand side of the reduced-coaction formula for the holonomy of a
+    path between tangential points p and q (p = q for loops), from the path's
+    `self_intersections` and snapped `rotation_number`, read off its
+    transport with breakpoints at `crossing_breakpoints(crossings)`; the
+    result is level arrays through degree D-1, the range on which the
+    assembly is exact."""
     h, n, deg = hol.levels, hol.path.punctures.n, len(hol.levels) - 1
     p, q, shift = _coaction_geometry(hol.path, deg)
     terms = [
@@ -473,24 +478,12 @@ def _coaction_rhs(hol: HolonomyResult, cuts: Sequence[Crossing], rot: float) -> 
         (-1.0, levels.mul(levels.letter(n, q, r_zeta_coefficients(deg)), h)),
         (-1.0, levels.fox(h, p, n, True)),
         (-1.0, levels.fox(h, q, n, False)),
-    ] + _crossing_terms(hol, hol, cuts, deg)
+    ] + _crossing_terms(hol, hol, crossings, deg)
     if p == q:
         closure = levels.letter(n, p, r_am_coefficients(deg - 1))
         closure[0] += shift
         terms.append((1.0, closure))
     return levels.combine(terms, n, deg - 1)
-
-
-def mu_bar_rhs(
-    hol: HolonomyResult, crossings: Sequence[Crossing], rot: float
-) -> FreeSeries:
-    """Right-hand side of the reduced-coaction formula for the holonomy of a
-    path between tangential points p and q (p = q for loops), from the path's
-    `self_intersections` and snapped `rotation_number`, read off its
-    transport with breakpoints at `crossing_breakpoints(crossings)`; the
-    result is truncated to degree D-1, the range on which the assembly is
-    exact."""
-    return levels.to_series(hol.path.punctures.n, _coaction_rhs(hol, crossings, rot))
 
 
 def transport_pair(
@@ -529,7 +522,7 @@ def rho_paths(
     path2: PLPath,
     path1: PLPath,
     accuracy: float = DEFAULT_ACCURACY,
-) -> FreeSeries:
+) -> Levels:
     """Right-hand side of the pairing formula for the holonomies h1, h2 of two
     paths (first argument = second factor of the pairing, as in rho(H2, H1)).
 
@@ -540,9 +533,9 @@ def rho_paths(
     (`strand_pairs`, with its sign and order [x>y]) adds the corner term
     sign * L (r_am(x_m) + [x>y]) R, with L = h2 when y leaves m and R = h1
     when x arrives there.  The terms are level arrays of the two transports
-    (`transport_pair`, which refuses D = 0), summed through degree D-1 and
-    converted to a series once; the anchors, the strand orders and the
-    degree are read before either transport.
+    (`transport_pair`, which refuses D = 0), summed through degree D-1; the
+    anchors, the strand orders and the degree are read before either
+    transport.
     """
     p, q, r, s = tangential_points(path1, path2)
     n, deg = conn.n_generators, conn.trunc_degree
@@ -560,7 +553,7 @@ def rho_paths(
         corner[0] += order
         corner = levels.mul(h2, corner) if y == "out" else corner
         terms.append((sign, levels.mul(corner, h1) if x == "in" else corner))
-    return levels.to_series(n, levels.combine(terms, n, deg - 1))
+    return levels.combine(terms, n, deg - 1)
 
 
 def goldman_bracket_check(
@@ -653,7 +646,7 @@ def coaction_check(
     rot = snap_half_integer(rotation_number(path))
     crossings = self_intersections(path)
     hol = holonomy_reg(conn, path, accuracy, crossing_breakpoints(crossings))
-    rhs = _coaction_rhs(hol, crossings, rot)
+    rhs = mu_bar_rhs(hol, crossings, rot)
     lhs = levels.mu_bar(hol.levels, conn.n_generators)
     return {
         "max_discrepancy": max(float(np.abs(a - b).max()) for a, b in zip(lhs, rhs)),

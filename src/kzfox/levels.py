@@ -17,6 +17,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .errors import ShapeError
 from .free_hopf import COMPLEX, FreeSeries
 
 Levels = List[np.ndarray]  # level k: the n^k words of length k, ravel order
@@ -146,8 +147,11 @@ def evaluate(levels: Levels, mats) -> np.ndarray:
     suffix v of length k, transposed as R[c, v, a]: its rows (c, first letter
     of v) make the step to k - 1 one (N x nN)(nN x n^(k-1) N) matmul against
     the stacked generators, with no transpose.  The top level enters already
-    contracted, R[c, v, a] = sum_i c_{iv} (M_i)[a, c]."""
+    contracted, R[c, v, a] = sum_i c_{iv} (M_i)[a, c].  Level 1 must hold one
+    entry per matrix (ShapeError)."""
     n, N, M = len(mats), mats[0].shape[0], np.stack(mats)
+    if len(levels) > 1 and len(levels[1]) != n:
+        raise ShapeError("series and matrix tuple have different generator counts")
     if len(levels) == 1:
         return levels[0][0] * np.eye(N, dtype=complex)
     stacked = M.transpose(2, 1, 0).reshape(N, N * n)  # stacked[c, (b, i)] = (M_i)[b, c]

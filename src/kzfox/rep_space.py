@@ -1,5 +1,5 @@
-"""Evaluation of free-algebra series on tuples of matrices and the induced
-Poisson geometry of their matrix entries.
+"""Evaluation of truncated series, as level arrays, on tuples of matrices and
+the induced Poisson geometry of their matrix entries.
 
 A point of the representation space is a tuple ``X = (X_1, ..., X_n)`` of
 complex ``N x N`` matrices, one per generator.  Matrix entries of evaluated
@@ -7,7 +7,10 @@ series are then smooth functions on that space, and the linear
 (Kirillov-Kostant-Souriau) Poisson structure induces a bracket on them.  This
 module provides
 
-* :func:`evaluate` -- truncated series evaluated on a matrix tuple,
+* :func:`evaluate` -- `levels.evaluate` itself, ``evaluate(levels,
+  X.matrices)``: level arrays evaluated on the matrices of a tuple; this
+  module calls it as ``levels.evaluate``, so one patch of the level module
+  sees every evaluation,
 * :func:`bivector_pi` -- the bivector collecting the non-crossing terms of
   the loop-holonomy bracket formula, as one core matrix in the adjoint
   operators, ``ad_c R ad_d + [c = m] ad_d + [d = m] ad_c`` on vectorized
@@ -30,10 +33,9 @@ import numpy as np
 from . import levels
 from .coefficients import r_am_coefficients
 from .errors import DomainError, ShapeError, ValidationError
-from .free_hopf import COMPLEX, FreeSeries
 from .kz_holonomy import DEFAULT_ACCURACY, ConnectionSpec, loop_pair_base, transport_pair
 from .kz_paths import PLPath, strand_pairs
-from .levels import Levels
+from .levels import Levels, evaluate
 
 # ---------------------------------------------------------------------------
 # matrix tuples
@@ -84,23 +86,8 @@ class MatrixTuple:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# the truncation tail
 # ---------------------------------------------------------------------------
-def evaluate(series: FreeSeries, X: MatrixTuple) -> np.ndarray:
-    """Evaluate a truncated series on a matrix tuple.
-
-    Returns ``sum_w c_w X_{w_1} ... X_{w_k}``, computed from the series'
-    level arrays by Horner's scheme with one matmul per degree.  The
-    truncation tail is not included; use :func:`tail_bound` for the
-    geometric advisory bound.
-    """
-    if series.backend != COMPLEX:
-        raise DomainError("evaluation requires the float backend")
-    if series.n != X.n:
-        raise ShapeError("series and matrix tuple have different generator counts")
-    return levels.evaluate(levels.from_series(series), X.matrices)
-
-
 def tail_bound(degree: int, X: MatrixTuple) -> float:
     """Geometric estimate of the discarded tail: sum over word lengths
     ``k > degree`` of ``(n * ||X||)^k``.  Advisory only (assumes order-one

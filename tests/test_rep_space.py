@@ -157,9 +157,11 @@ def vdb_bracket(
     legs: Dict[tuple, dict] = {}
     for (w1, w2), c in db.coeffs.items():
         legs.setdefault(w1, {})[w2] = complex(c)
-    left = {w1: evaluate(FreeSeries(X.n, db.degree, leg, COMPLEX), X)[i, v]
+    left = {w1: evaluate(levels.from_series(FreeSeries(X.n, db.degree, leg, COMPLEX)),
+                         X.matrices)[i, v]
             for w1, leg in legs.items()}
-    return complex(evaluate(FreeSeries(X.n, db.degree, left, COMPLEX), X)[u, j])
+    return complex(evaluate(levels.from_series(FreeSeries(X.n, db.degree, left, COMPLEX)),
+                            X.matrices)[u, j])
 
 
 # ---------------------------------------------------------------------------
@@ -198,19 +200,13 @@ def test_random_tuple_deterministic():
 def test_evaluate_generator():
     X = MatrixTuple.random(2, 3, seed=1)
     x1 = FreeSeries.generator(1, 2, 4, COMPLEX)
-    assert np.allclose(evaluate(x1, X), X.matrices[0])
-
-
-def test_evaluate_rejects_rational_backend():
-    X = MatrixTuple.random(2, 2)
-    with pytest.raises(DomainError):
-        evaluate(FreeSeries.generator(1, 2, 4, RATIONAL), X)
+    assert np.allclose(evaluate(levels.from_series(x1), X.matrices), X.matrices[0])
 
 
 def test_evaluate_rejects_generator_mismatch():
     X = MatrixTuple.random(3, 2)
-    with pytest.raises(ShapeError):
-        evaluate(FreeSeries.generator(1, 2, 4, COMPLEX), X)
+    with pytest.raises(ShapeError, match="different generator counts"):
+        evaluate(levels.from_series(FreeSeries.generator(1, 2, 4, COMPLEX)), X.matrices)
 
 
 def test_evaluate_exp_of_nilpotent_is_exact():
@@ -222,7 +218,7 @@ def test_evaluate_exp_of_nilpotent_is_exact():
     X = MatrixTuple([S])
     series = FreeSeries.generator(1, 1, 8, RATIONAL).exp().to_complex()
     expected = np.eye(3) + S + S @ S / 2.0
-    assert np.max(np.abs(evaluate(series, X) - expected)) < 1e-15
+    assert np.max(np.abs(evaluate(levels.from_series(series), X.matrices) - expected)) < 1e-15
 
 
 def test_evaluate_respects_multiplication_up_to_tail(rng):
@@ -231,8 +227,9 @@ def test_evaluate_respects_multiplication_up_to_tail(rng):
     coeffs_b = {(): 1.0, (2,): -0.5, (2, 1): 0.75}
     a = FreeSeries(2, 4, coeffs_a, COMPLEX)
     b = FreeSeries(2, 4, coeffs_b, COMPLEX)
-    lhs = evaluate(a * b, X)
-    rhs = evaluate(a, X) @ evaluate(b, X)
+    lhs = evaluate(levels.from_series(a * b), X.matrices)
+    rhs = (evaluate(levels.from_series(a), X.matrices)
+           @ evaluate(levels.from_series(b), X.matrices))
     assert np.max(np.abs(lhs - rhs)) <= 2.0 * tail_bound(4, X)
 
 
@@ -263,7 +260,8 @@ def test_level_evaluation_matches_word_products(monkeypatch):
                     }
                     series = FreeSeries(n, D, coeffs, COMPLEX)
                     worst = max(worst, _relative_error(
-                        evaluate(series, X), _reference_evaluate(series, X.matrices)
+                        evaluate(levels.from_series(series), X.matrices),
+                        _reference_evaluate(series, X.matrices),
                     ))
     assert worst <= 1e-14
 
@@ -288,7 +286,8 @@ def test_level_evaluation_matches_word_products(monkeypatch):
         X = MatrixTuple.random(3, N, radius=0.3, seed=N)
         a, b = dense(), dense()
         r = levels.rho_kks(levels.from_series(a), levels.from_series(b), 3)
-        rep_space._grouplike_double_bracket_tensor(r, X, evaluate(a, X), evaluate(b, X))
+        Ma, Mb = (evaluate(levels.from_series(s), X.matrices) for s in (a, b))
+        rep_space._grouplike_double_bracket_tensor(r, X, Ma, Mb)
         assert (N * N) in [size for size, _ in checked]
     assert max(err for _, err in checked) <= 1e-14
 

@@ -1,8 +1,8 @@
 """Mutation audit of the assembled identities: the corner rule of the pairing
 formula, the sign of every other assembled term, the bivector core, the exact
-gradient and the evaluation seed, the generator images and cocycle of the
-pentagon projection, the exact crossing and puncture predicates, and the
-branch of the local frame.
+gradient, the evaluation seed and its generator count check, the generator
+images and cocycle of the pentagon projection, the exact crossing and
+puncture predicates, and the branch of the local frame.
 
 Each mutant is one text replacement in one file: the old text occurs exactly
 once there.  For each mutant the script copies `src/`, `tests/` and
@@ -147,6 +147,9 @@ MUTANTS = [
     Mutant("evaluate: seed with the generators transposed", LEVELS,
            '"iv,iac->cva"', '"iv,ica->cva"',
            ("tests/test_rep_space.py::test_level_evaluation_matches_word_products",)),
+    Mutant("evaluate: generator count check inverted", LEVELS,
+           "len(levels[1]) != n", "len(levels[1]) == n",
+           ("tests/test_rep_space.py::test_evaluate_rejects_generator_mismatch",)),
     # the projection of the pentagon equation: generator images and cocycle
     Mutant("projection: crossed image +e", EXTENSION,
            "from_m(-one)", "from_m(one)", SQUARE_MAPS),
