@@ -281,28 +281,6 @@ def _transport_polyline(
     return states, total_err
 
 
-def _with_breakpoints(
-    path: PLPath, breakpoints: Sequence[float]
-) -> Tuple[List[complex], Dict[float, int]]:
-    """The path's points with a vertex added at each breakpoint, and the
-    index of each breakpoint's point among them."""
-    by_segment: Dict[int, List[Tuple[float, float]]] = {}
-    for t in sorted(set(breakpoints)):
-        if not 0.0 < t < 1.0:
-            raise DomainError(f"breakpoint {t} outside (0, 1)")
-        k, u = path.locate(t)
-        by_segment.setdefault(k, []).append((t, u))
-    points = [path.points[0]]
-    index: Dict[float, int] = {}
-    for k in range(path.n_segments):
-        a, b = path.segment(k)
-        for t, u in by_segment.get(k, ()):
-            points.append(a + (b - a) * u)
-            index[t] = len(points) - 1
-        points.append(b)
-    return points, index
-
-
 # ---------------------------------------------------------------------------
 # regularized holonomy
 # ---------------------------------------------------------------------------
@@ -351,7 +329,8 @@ def holonomy_reg(
     vertex or breakpoint on the tail), and the stretch from the tangential
     base point to the cut is supplied by the analytic local frame with its
     branch-fixed logarithmic factor.  The polyline between the cuts, with a
-    vertex added at each breakpoint, is transported once by adaptive
+    point added at each breakpoint by `PLPath.with_breakpoints` (none at a
+    vertex), is transported once by adaptive
     Gauss-Legendre quadrature; the requested accuracy is shared evenly among
     its segments and the frames.  `accuracy_estimate` is the summed
     subdivision residual of the polyline and of both local frames, and an
@@ -360,7 +339,7 @@ def holonomy_reg(
     evaluations (`panels`) and deepest subdivision (`max_depth`) of all."""
     if path.punctures.points != conn.punctures.points:
         raise ValidationError("path and connection use different punctures")
-    points, index = _with_breakpoints(path, breakpoints)
+    points, index = path.with_breakpoints(breakpoints)
     n_frames = (path.start.kind == TANGENTIAL) + (path.end.kind == TANGENTIAL)
     tol = accuracy / (len(points) - 1 + n_frames)
     report: dict = {}

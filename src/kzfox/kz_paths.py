@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CompositionError, DomainError, ValidationError
 
@@ -273,15 +274,36 @@ class PLPath:
         return self.points[k], self.points[k + 1]
 
     def locate(self, t: float) -> Tuple[int, float]:
-        """Map a global parameter to (segment index, local parameter)."""
+        """Map a global parameter to (segment index, local parameter); u lies
+        in (0, 1] for 0 < t < 1, and is exactly 1.0 at t = cum_params[k + 1]."""
         if not 0.0 <= t <= 1.0:
             raise DomainError(f"parameter {t} outside [0, 1]")
         cum = self.cum_params
+        k = bisect_left(cum, t, 1, self.n_segments) - 1
+        return k, (t - cum[k]) / (cum[k + 1] - cum[k])
+
+    def with_breakpoints(
+        self, breakpoints: Sequence[float]
+    ) -> Tuple[List[complex], Dict[float, int]]:
+        """The path's points with a point added at each breakpoint 0 < t < 1,
+        and the index of each breakpoint's point among them: the one map from
+        path parameters to points.  A breakpoint at a vertex is that vertex."""
+        by_segment: Dict[int, List[Tuple[float, float]]] = {}
+        for t in sorted(set(breakpoints)):
+            if not 0.0 < t < 1.0:
+                raise DomainError(f"breakpoint {t} outside (0, 1)")
+            k, u = self.locate(t)
+            by_segment.setdefault(k, []).append((t, u))
+        points = [self.points[0]]
+        index: Dict[float, int] = {}
         for k in range(self.n_segments):
-            if t <= cum[k + 1] or k == self.n_segments - 1:
-                width = cum[k + 1] - cum[k]
-                return k, (t - cum[k]) / width
-        raise DomainError("unreachable")
+            a, b = self.segment(k)
+            for t, u in by_segment.get(k, ()):
+                if u < 1.0:
+                    points.append(a + (b - a) * u)
+                index[t] = len(points) - (u < 1.0)
+            points.append(b)
+        return points, index
 
     def global_param(self, k: int, u: float) -> float:
         cum = self.cum_params
@@ -578,29 +600,14 @@ def compose(path2: PLPath, path1: PLPath) -> PLPath:
 def subpath(path: PLPath, t_from: float, t_to: float) -> PLPath:
     """Restriction of the path to [t_from, t_to].
 
-    Cuts at interior parameters produce regular anchors; the original anchors
-    are kept when the cut touches 0 or 1.
+    Cuts at interior parameters produce regular anchors at the points of
+    `PLPath.with_breakpoints`, so a cut at a vertex ends at that vertex; the
+    original anchors are kept when the cut touches 0 or 1.
     """
     if not 0.0 <= t_from < t_to <= 1.0:
         raise DomainError(f"need 0 <= from < to <= 1, got {t_from}, {t_to}")
-    k0, u0 = path.locate(t_from)
-    k1, u1 = path.locate(t_to)
-    a0, b0 = path.segment(k0)
-    a1, b1 = path.segment(k1)
-    p_from = a0 + (b0 - a0) * u0
-    p_to = a1 + (b1 - a1) * u1
-    start = path.start if t_from == 0.0 else Anchor.regular(p_from)
-    end = path.end if t_to == 1.0 else Anchor.regular(p_to)
-    inner = []
-    # vertices strictly between the cut points
-    if u1 == 0.0:
-        k1_excl = k1  # p_to is the vertex before segment k1
-    else:
-        k1_excl = k1 + 1
-    for k in range(k0 + 1, k1_excl):
-        inner.append(path.points[k])
-    if inner and inner[0] == p_from:
-        inner = inner[1:]
-    if inner and inner[-1] == p_to:
-        inner = inner[:-1]
-    return PLPath(path.punctures, start, end, inner)
+    points, index = path.with_breakpoints([t for t in (t_from, t_to) if 0.0 < t < 1.0])
+    i, j = index.get(t_from, 0), index.get(t_to, len(points) - 1)
+    start = path.start if t_from == 0.0 else Anchor.regular(points[i])
+    end = path.end if t_to == 1.0 else Anchor.regular(points[j])
+    return PLPath(path.punctures, start, end, points[i + 1 : j])

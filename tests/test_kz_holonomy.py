@@ -397,6 +397,23 @@ def test_multiplicativity_tangential_composition():
     assert (hc - hb * ha).norm_inf() < 1e-12
 
 
+@pytest.mark.parametrize(
+    "name", ["fig8.json", "loop_a4.json", "loop_bup.json", "path_embedded3.json"]
+)
+def test_a_breakpoint_at_a_vertex_leaves_the_transport_unchanged(load_path, name):
+    """A breakpoint at an interior vertex is that vertex: the transport runs
+    over the same segments and gives the same level arrays and panel count
+    as without it."""
+    path = load_path(name)
+    conn = ConnectionSpec(path.punctures, 5)
+    plain = holonomy_reg(conn, path)
+    for k in range(1, path.n_segments):
+        t = path.cum_params[k]
+        hol = holonomy_reg(conn, path, breakpoints=[t])
+        assert all(np.array_equal(a, b) for a, b in zip(hol.levels, plain.levels)), k
+        assert hol.regularization_report["panels"] == plain.regularization_report["panels"]
+
+
 @pytest.mark.parametrize("name", ["fig8.json", "loop_a4.json", "path_embedded3.json"])
 @pytest.mark.parametrize("t", [0.3, 0.61])
 def test_compose_at_a_regular_cut_restores_the_path(load_path, name, t):

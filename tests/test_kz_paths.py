@@ -5,6 +5,7 @@ import cmath
 import dataclasses
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -416,6 +417,22 @@ def test_subpath_preserves_anchors_at_ends():
     assert subpath(loop, 0.0, 1.0).start.kind == TANGENTIAL
     assert subpath(loop, 0.0, 0.5).start.kind == TANGENTIAL
     assert subpath(loop, 0.5, 1.0).end.kind == TANGENTIAL
+
+
+_FIXTURES = sorted(p.name for p in (Path(__file__).parent / "data").glob("*.json"))
+
+
+@pytest.mark.parametrize("name", _FIXTURES)
+def test_a_cut_at_a_vertex_is_that_vertex(load_path, name):
+    """A breakpoint at an interior vertex adds no point and maps to that
+    vertex, and the two subpaths cut there compose back to the path itself
+    (the interpolated point used to land one rounding step off the vertex)."""
+    path = load_path(name)
+    for k in range(1, path.n_segments):
+        t = path.cum_params[k]
+        assert path.with_breakpoints([t]) == (list(path.points), {t: k})
+        composite = compose(subpath(path, t, 1.0), subpath(path, 0.0, t))
+        assert composite.points == path.points, k
 
 
 def test_subpath_splits_at_crossing_parameter():

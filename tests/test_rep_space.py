@@ -653,19 +653,32 @@ def test_verify_theorem2_makes_no_series_products(load_path, count_series_calls)
 
 
 def test_verify_theorem2_evaluates_each_holonomy_once(load_path, monkeypatch):
-    """The evaluated double bracket reuses the evaluated holonomies: no
-    series is converted back to levels and evaluated through `evaluate`."""
+    """Every evaluation runs through `levels.evaluate`, and each holonomy's
+    level arrays are evaluated once: the two loops, four pieces per crossing,
+    then the bivector's r_am series on ad and route (iii)'s Kronecker
+    evaluation."""
     loop1, loop2 = load_path("loop_a4.json"), load_path("loop_bup.json")
     conn = ConnectionSpec(loop1.punctures, 5)
     X = MatrixTuple.random(3, 2, radius=0.1, seed=0)
-    calls = []
-    original = rep_space.evaluate
-    monkeypatch.setattr(
-        rep_space, "evaluate", lambda *args: calls.append(args) or original(*args)
-    )
+    calls, holonomies = [], []
+    for module, name, record in ((levels, "evaluate", calls),
+                                 (rep_space, "transport_pair", holonomies)):
+        original = getattr(module, name)
+
+        def recording(*args, _original=original, _record=record):
+            result = _original(*args)
+            _record.append((args, result))
+            return result
+
+        monkeypatch.setattr(module, name, recording)
     rep = verify_theorem2(conn, loop2, loop1, X)
     assert rep["max_discrepancy"] <= _tolerance(rep)
-    assert calls == []
+    assert rep["n_crossings"] == 2
+    assert len(calls) == 2 + 4 * rep["n_crossings"] + 2
+    evaluated = [id(args[0]) for args, _ in calls]
+    assert len(set(evaluated)) == len(evaluated)
+    ((_, (_, hol2, hol1)),) = holonomies
+    assert evaluated[:2] == [id(hol1.levels), id(hol2.levels)]
 
 
 def test_verify_poisson_converts_no_levels_to_series(data_dir, monkeypatch, capsys):

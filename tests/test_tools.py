@@ -80,7 +80,7 @@ def test_each_mutant_text_occurs_once_and_names_existing_tests():
     file, and each of its node ids names a test function of an existing test
     file.  No mutant is run."""
     mutants = _tool("mutants").MUTANTS
-    assert len(mutants) == 46
+    assert len(mutants) == 47
     for mutant in mutants:
         assert (ROOT / mutant.path).read_text(encoding="utf-8").count(mutant.old) == 1, mutant
         assert mutant.old != mutant.new

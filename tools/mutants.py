@@ -2,7 +2,8 @@
 formula, the sign of every other assembled term, the bivector core, the exact
 gradient, the evaluation seed and its generator count check, the generator
 images and cocycle of the pentagon projection, the exact crossing and
-puncture predicates, and the branch of the local frame.
+puncture predicates, the vertex rule of `PLPath.with_breakpoints`, and the
+branch of the local frame.
 
 Each mutant is one text replacement in one file: the old text occurs exactly
 once there.  For each mutant the script copies `src/`, `tests/` and
@@ -175,6 +176,9 @@ MUTANTS = [
            "if hi == 0 or lo == rr:", "if hi == 0:", SEGMENTS),
     Mutant("puncture: collinearity by the wrong cross product", PATHS,
            "if rx * wy - ry * wx != 0:", "if rx * wy + ry * wx != 0:", PUNCTURE),
+    Mutant("with_breakpoints: a point added at a vertex breakpoint", PATHS,
+           "if u < 1.0:", "if u <= 1.0:",
+           ("tests/test_kz_paths.py::test_a_cut_at_a_vertex_is_that_vertex",)),
     Mutant("local frame: branch sign flipped", HOLONOMY,
            "c = math.log(r) / TWO_PI_I", "c = -math.log(r) / TWO_PI_I",
            ("tests/test_kz_holonomy.py::test_associator_duality",)),
