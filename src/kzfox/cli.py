@@ -26,7 +26,6 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 import click
@@ -44,7 +43,7 @@ from .brackets_coactions import (
     double_derivation_right,
     mu_bar_kks,
 )
-from .errors import AccuracyError, KzfoxError, ValidationError
+from .errors import AccuracyError, DomainError, KzfoxError, ValidationError
 from .fox_calculus import (
     FoxPairing,
     d_left,
@@ -55,7 +54,7 @@ from .fox_calculus import (
     rho_left,
     rho_right,
 )
-from .free_hopf import RATIONAL, FreeSeries, TensorSeries, _accumulate, _graded_pairs
+from .free_hopf import RATIONAL, FreeSeries, TensorSeries, _accumulate, _from_coprime, _graded_pairs
 from .kz_holonomy import (
     DEFAULT_ACCURACY,
     ConnectionSpec,
@@ -212,15 +211,27 @@ def _write_records(out: Optional[str], name: str, records: List[dict]) -> None:
 # ---------------------------------------------------------------------------
 # exact identity suite (rational backend)
 # ---------------------------------------------------------------------------
+_NUMERATORS, _DENOMINATORS = range(-4, 5), range(1, 4)
+
+
 def _random_series(rng, n, degree, max_word=3) -> FreeSeries:
-    """Five random (word, coefficient) draws; the constructor sums repeated
-    words and drops zeros."""
+    """Five random terms drawn from `rng`: a length in 0..max_word, that many
+    letters in 1..n, then a numerator in -4..4 and a denominator in 1..3.
+    Words above the degree are dropped, repeated words summed and zeros
+    dropped.  `rng.choice(range(a, b + 1))` takes the draws of
+    `rng.randint(a, b)`, so the stream is that of `randint` draws."""
+    choice, letters, lengths = rng.choice, range(1, n + 1), range(max_word + 1)
 
     def draw():
-        word = tuple(rng.randint(1, n) for _ in range(rng.randint(0, max_word)))
-        return word, Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        word = tuple(choice(letters) for _ in range(choice(lengths)))
+        p, q = choice(_NUMERATORS), choice(_DENOMINATORS)
+        g = math.gcd(p, q)
+        return word, _from_coprime(p // g, q // g)
 
-    return FreeSeries(n, degree, [draw() for _ in range(5)], RATIONAL)
+    terms = [draw() for _ in range(5)]
+    return FreeSeries._trusted(
+        n, degree, ((w, c) for w, c in terms if len(w) <= degree), RATIONAL
+    )
 
 
 def _triple_coproduct(a: FreeSeries, split_left: bool) -> dict:
@@ -266,8 +277,12 @@ def algebra_suite(seed: int = 0, n: int = 2, degree: int = 4, cases: int = 12):
     ``cases`` and ``passed`` fields, and equality is exact (no tolerances).
     Identities that mix degree-preserving and degree-lowering terms are
     compared through degree ``degree - 1``, the range on which truncation
-    keeps them exact.
+    keeps them exact.  Degrees 0 and 1 are refused (`DomainError`): through
+    degree 0 those identities compare nothing, as the reduced coaction and
+    the pairing have no constant term.
     """
+    if degree < 2:
+        raise DomainError("the algebra suite needs truncation degree >= 2")
     rng = random.Random(seed)
     D = degree
     unit = FreeSeries.unit(n, D, RATIONAL)
@@ -365,12 +380,13 @@ def algebra_suite(seed: int = 0, n: int = 2, degree: int = 4, cases: int = 12):
 
     def db_derivations():
         a, b, c = rnd(2), rnd(2), rnd(2)
-        second = double_bracket_kks(a, b * c) == double_bracket_kks(a, c).map_left(
+        ac = double_bracket_kks(a, c)
+        second = double_bracket_kks(a, b * c) == ac.map_left(
             lambda s: b * s
         ) + double_bracket_kks(a, b).map_right(lambda s: s * c)
         first = double_bracket_kks(a * b, c) == double_bracket_kks(b, c).map_right(
             lambda s: a * s
-        ) + double_bracket_kks(a, c).map_left(lambda s: s * b)
+        ) + ac.map_left(lambda s: s * b)
         return second and first
 
     run("double_bracket_derivations", db_derivations)

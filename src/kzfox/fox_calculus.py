@@ -83,19 +83,21 @@ def rho_inner(g: FreeSeries) -> FoxPairing:
     return FoxPairing(func)
 
 
+_LEFT: dict = {}
+_RIGHT: dict = {}
+
+
 def rho_left(m: int) -> FoxPairing:
-    """rho_{L,m}(a, b) = d_left(m, a) (b - eps(b))."""
-
-    def func(a: FreeSeries, b: FreeSeries) -> FreeSeries:
-        return d_left(m, a) * _without_counit(b)
-
-    return FoxPairing(func)
+    """rho_{L,m}(a, b) = d_left(m, a) (b - eps(b)); one shared instance (and
+    letter tables) per letter m."""
+    if m not in _LEFT:
+        _LEFT[m] = FoxPairing(lambda a, b: d_left(m, a) * _without_counit(b))
+    return _LEFT[m]
 
 
 def rho_right(m: int) -> FoxPairing:
-    """rho_{R,m}(a, b) = (a - eps(a)) d_right(m, b)."""
-
-    def func(a: FreeSeries, b: FreeSeries) -> FreeSeries:
-        return _without_counit(a) * d_right(m, b)
-
-    return FoxPairing(func)
+    """rho_{R,m}(a, b) = (a - eps(a)) d_right(m, b); one shared instance per
+    letter m."""
+    if m not in _RIGHT:
+        _RIGHT[m] = FoxPairing(lambda a, b: _without_counit(a) * d_right(m, b))
+    return _RIGHT[m]

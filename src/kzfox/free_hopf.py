@@ -493,23 +493,21 @@ class TensorSeries(_Sparse):
         return FreeSeries._trusted(self.n, self.degree, terms, self.backend)
 
     def map_left(self, f: Callable[[FreeSeries], FreeSeries]) -> "TensorSeries":
-        """Apply a linear map (given on series) to the first slot."""
+        """Apply a linear map (given on series) to the first slot: f is called
+        once per distinct first leg, and image terms above D are dropped."""
         n, D, backend = self.n, self.degree, self.backend
-        terms = (
+        legs = dict.fromkeys(a for a, _ in self.coeffs)
+        images = {a: f(_monomial(a, n, D, backend)).coeffs.items() for a in legs}
+        return self._like(
             ((wa, b), c * ca)
             for (a, b), c in self.coeffs.items()
-            for wa, ca in f(_monomial(a, n, D, backend)).coeffs.items()
+            for wa, ca in images[a]
+            if len(wa) + len(b) <= D
         )
-        return TensorSeries(n, D, terms, backend)
 
     def map_right(self, f: Callable[[FreeSeries], FreeSeries]) -> "TensorSeries":
-        n, D, backend = self.n, self.degree, self.backend
-        terms = (
-            ((a, wb), c * cb)
-            for (a, b), c in self.coeffs.items()
-            for wb, cb in f(_monomial(b, n, D, backend)).coeffs.items()
-        )
-        return TensorSeries(n, D, terms, backend)
+        """`map_left` on the second slot."""
+        return self.swap().map_left(f).swap()
 
 
 class CyclicSeries(_Sparse):

@@ -99,14 +99,21 @@ def trivext_mul(u: TrivExtElement, v: TrivExtElement) -> TrivExtElement:
 # -- the projection of the distinguished generators ------------------------
 
 
+_IMAGES: dict = {}
+
+
 def generator_images(n: int, degree: int, backend) -> tuple:
-    """(z, w, crossed): z[i-1] = x_i tensor 1 and w[i-1] = 1 tensor x_i, both
-    with a zero M part, and crossed = -e, minus the M unit."""
-    one = FreeSeries.unit(n, degree, backend)
-    xs = [FreeSeries.generator(i, n, degree, backend) for i in range(1, n + 1)]
-    z = [TrivExtElement.from_tensor(TensorSeries.outer(x, one)) for x in xs]
-    w = [TrivExtElement.from_tensor(TensorSeries.outer(one, x)) for x in xs]
-    return z, w, TrivExtElement.from_m(-one)
+    """(z, w, crossed): the tuples z[i-1] = x_i tensor 1 and w[i-1] = 1 tensor
+    x_i, both with a zero M part, and crossed = -e, minus the M unit.  Built
+    once per shape and shared, so the elements must not be mutated."""
+    shape = (n, degree, backend)
+    if shape not in _IMAGES:
+        one = FreeSeries.unit(n, degree, backend)
+        xs = [FreeSeries.generator(i, n, degree, backend) for i in range(1, n + 1)]
+        z = tuple(TrivExtElement.from_tensor(TensorSeries.outer(x, one)) for x in xs)
+        w = tuple(TrivExtElement.from_tensor(TensorSeries.outer(one, x)) for x in xs)
+        _IMAGES[shape] = z, w, TrivExtElement.from_m(-one)
+    return _IMAGES[shape]
 
 
 # -- the three coproduct-like algebra maps ---------------------------------
@@ -115,7 +122,7 @@ def generator_images(n: int, degree: int, backend) -> tuple:
 def _algebra_map(a: FreeSeries, images) -> TrivExtElement:
     """Extend generator images multiplicatively and linearly to the series a.
 
-    images: list indexed by generator (1-based) of TrivExtElement.
+    images: sequence indexed by generator (1-based) of TrivExtElement.
     """
     n, D, backend = a.n, a.degree, a.backend
     cache: dict = {(): TrivExtElement.unit(n, D, backend)}

@@ -1,5 +1,6 @@
 """Command-line interface: argument handling, exit codes, JSON output."""
 
+import hashlib
 import json
 import os
 import random
@@ -530,6 +531,64 @@ def test_random_series_matches_the_dict_draw():
             assert _random_series(rng, n, degree, max_word) == _dict_draw(
                 ref, n, degree, max_word)
             assert rng.getstate() == ref.getstate()
+
+
+# sha256 of the draws below, recorded with `randint` draws into `Fraction`s
+DRAW_DIGEST = "c09113e3141c1ebba531cb9bf021bef1cd5e9dced10fbb4d6f9feab7b2d6bcf8"
+
+
+def test_random_series_draws_are_pinned():
+    """The suite's inputs are fixed: four series per seed 0..4, n = 2 and 3,
+    degree 2 and 4 and max_word 2 and 3, then the generator's next float,
+    hash to a digest recorded before the draws went straight into
+    `_Rational`s.  A change to the draw order, or to how `random` maps a seed
+    to its draws, changes it."""
+    digest = hashlib.sha256()
+    for seed in range(5):
+        for n in (2, 3):
+            for degree in (2, 4):
+                for max_word in (2, 3):
+                    rng = random.Random(seed)
+                    for _ in range(4):
+                        s = _random_series(rng, n, degree, max_word)
+                        for w in sorted(s.coeffs, key=lambda w: (len(w), w)):
+                            c = s.coeffs[w]
+                            digest.update(f"{seed} {n} {degree} {max_word} {w} "
+                                          f"{c.numerator}/{c.denominator};".encode())
+                    digest.update(repr(rng.random()).encode())
+    assert digest.hexdigest() == DRAW_DIGEST
+
+
+@pytest.mark.parametrize("degree, code", [(0, 1), (1, 1), (2, 0)])
+def test_algebra_suite_needs_degree_two(degree, code, capsys):
+    """Through degree D - 1 <= 0 the product rules of mu_bar and the coaction
+    compare nothing, so degrees 0 and 1 are refused before any draw."""
+    assert main(["verify", "algebra", "--degree", str(degree)]) == code
+    err = capsys.readouterr().err
+    assert ("error:" in err and "degree >= 2" in err) == (code == 1)
+
+
+def test_algebra_suite_builds_each_letter_table_once(monkeypatch):
+    """One suite builds at most one letter table per pairing and shape, and a
+    second suite rebuilds none of the shared pairings' tables: only those of
+    its fresh inner pairings, one per case of the cyclic-vanishing check."""
+    from kzfox import brackets_coactions
+    from kzfox.fox_calculus import rho_kks_pairing, rho_left, rho_right
+
+    builds = []
+    original = brackets_coactions._letter_table
+
+    def counting(rho, n, D, backend):
+        builds.append((rho, n, D, backend))
+        return original(rho, n, D, backend)
+
+    monkeypatch.setattr(brackets_coactions, "_letter_table", counting)
+    cli.algebra_suite(seed=883, degree=4)
+    assert len(builds) == len(set(builds)) <= 17
+    del builds[:]
+    cli.algebra_suite(seed=883, degree=4)
+    shared = {rho_kks_pairing(), *map(rho_left, (1, 2)), *map(rho_right, (1, 2))}
+    assert len(builds) == 12 and not shared & {rho for rho, *_ in builds}
 
 
 @pytest.mark.parametrize("pair, crossings", [(1, 3), (8, 1)])

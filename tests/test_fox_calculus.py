@@ -114,6 +114,14 @@ def test_transpose_involutive(rng):
             assert double(a, b) == rho(a, b)
 
 
+def test_left_and_right_pairings_are_shared():
+    """One pairing per family and letter, so its letter tables are kept."""
+    for m in (1, 2):
+        assert rho_left(m) is rho_left(m) and rho_right(m) is rho_right(m)
+        assert rho_left(m) is not rho_right(m)
+    assert rho_left(1) is not rho_left(2)
+
+
 # ---------------------------------------------------------------------------
 # Fox-pairing axioms for all four pairings
 # ---------------------------------------------------------------------------

@@ -109,6 +109,37 @@ def test_antipode_axiom(a):
     assert da.map_right(lambda s: s.antipode()).multiply_legs() == target
 
 
+def _map_per_term(t, f, left):
+    """The reference map: f on each term's leg, summed by the validating
+    constructor, which drops the terms above D."""
+    terms = []
+    for (a, b), c in t.items():
+        leg = a if left else b
+        for w, cw in f(FreeSeries.from_word(leg, t.n, t.degree, t.backend)).items():
+            terms.append(((w, b) if left else (a, w), c * cw))
+    return TensorSeries(t.n, t.degree, terms, t.backend)
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, COMPLEX])
+def test_map_legs_match_the_per_term_construction(backend):
+    """`map_left` and `map_right` call f once per distinct leg and equal the
+    per-term construction, also for images s*c and c*s that overshoot D
+    next to the other leg."""
+    rng = random.Random(17)
+    for _ in range(10):
+        a, b = random_series(rng, N, D), random_series(rng, N, D)
+        c = random_series(rng, N, D, 2)
+        if backend == COMPLEX:
+            a, b, c = a.to_complex(), b.to_complex(), dense_complex(rng, N, D)
+        t = TensorSeries.outer(a, b) + TensorSeries.outer(b, a)
+        for f in (lambda s: s * c, lambda s: c * s, FreeSeries.antipode):
+            for left, method in ((True, t.map_left), (False, t.map_right)):
+                seen = []
+                mapped = method(lambda s: seen.append(*s.coeffs) or f(s))
+                assert mapped == _map_per_term(t, f, left)
+                assert sorted(seen) == sorted({k[0 if left else 1] for k in t.coeffs})
+
+
 @given(series)
 def test_antipode_involutive(a):
     assert a.antipode().antipode() == a

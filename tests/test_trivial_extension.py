@@ -45,6 +45,15 @@ def test_generator_images():
     assert crossed == TrivExtElement.from_m(-one)
 
 
+def test_generator_images_are_shared_tuples():
+    """The table is built once per shape, and its image lists are tuples."""
+    z, w, crossed = images = generator_images(N, D, RATIONAL)
+    assert type(z) is tuple and type(w) is tuple
+    assert generator_images(N, D, RATIONAL) is images
+    assert generator_images(N, D + 1, RATIONAL) is not images
+    assert generator_images(N, D, COMPLEX) is not images
+
+
 def test_square_zero_part():
     e = TrivExtElement.m_unit(N, D, RATIONAL)
     assert trivext_mul(e, e).is_zero()

@@ -2,8 +2,9 @@
 formula, the sign of every other assembled term, the bivector core, the exact
 gradient, the evaluation seed and its generator count check, the generator
 images and cocycle of the pentagon projection, the exact crossing and
-puncture predicates, the vertex rule of `PLPath.with_breakpoints`, and the
-branch of the local frame.
+puncture predicates, the vertex rule of `PLPath.with_breakpoints`, the
+branch of the local frame, and the exact suite's leg-map degree filter, input
+draws and degree floor.
 
 Each mutant is one text replacement in one file: the old text occurs exactly
 once there.  For each mutant the script copies `src/`, `tests/` and
@@ -182,6 +183,17 @@ MUTANTS = [
     Mutant("local frame: branch sign flipped", HOLONOMY,
            "c = math.log(r) / TWO_PI_I", "c = -math.log(r) / TWO_PI_I",
            ("tests/test_kz_holonomy.py::test_associator_duality",)),
+    # the exact suite: the leg maps' degree filter, its draws, its degree floor
+    Mutant("map_left: terms of degree D dropped", "src/kzfox/free_hopf.py",
+           "if len(wa) + len(b) <= D", "if len(wa) + len(b) < D",
+           ("tests/test_free_hopf.py::test_map_legs_match_the_per_term_construction",)),
+    Mutant("draw: denominator drawn before numerator", "src/kzfox/cli.py",
+           "p, q = choice(_NUMERATORS), choice(_DENOMINATORS)",
+           "q, p = choice(_DENOMINATORS), choice(_NUMERATORS)",
+           ("tests/test_cli.py::test_random_series_draws_are_pinned",)),
+    Mutant("algebra suite: degrees 0 and 1 let through", "src/kzfox/cli.py",
+           "if degree < 2:", "if degree < 0:",
+           ("tests/test_cli.py::test_algebra_suite_needs_degree_two",)),
 ]
 
 
