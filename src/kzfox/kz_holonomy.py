@@ -44,6 +44,7 @@ from .coefficients import TWO_PI_I, r_am_coefficients, r_zeta_coefficients
 from .errors import AccuracyError, DomainError, ValidationError
 from .free_hopf import FreeSeries
 from .kz_paths import (
+    DEFAULT_ACCURACY,
     Anchor,
     Crossing,
     PLPath,
@@ -60,7 +61,6 @@ from .kz_paths import (
 )
 from .levels import Levels
 
-DEFAULT_ACCURACY = 1e-10
 # cutoff radius at a tangential anchor, as a fraction of its local scale
 _CUTOFF = 0.3
 _MAX_DEPTH = 48

@@ -28,6 +28,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CompositionError, DomainError, ValidationError
 
+# the accuracy requested of a transport along a path unless one is given
+DEFAULT_ACCURACY = 1e-10
 _TWO_PI = 2.0 * math.pi
 
 

@@ -33,8 +33,8 @@ import numpy as np
 from . import levels
 from .coefficients import r_am_coefficients
 from .errors import DomainError, ShapeError, ValidationError
-from .kz_holonomy import DEFAULT_ACCURACY, ConnectionSpec, loop_pair_base, transport_pair
-from .kz_paths import PLPath, strand_pairs
+from .kz_holonomy import ConnectionSpec, loop_pair_base, transport_pair
+from .kz_paths import DEFAULT_ACCURACY, PLPath, strand_pairs
 from .levels import Levels, evaluate
 
 # ---------------------------------------------------------------------------

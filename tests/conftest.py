@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from kzfox import COMPLEX, FreeSeries, RATIONAL
 from kzfox.cli import load_path_file
+from kzfox.free_hopf import COMPLEX, FreeSeries, RATIONAL
 from kzfox.kz_paths import Anchor, PLPath, PunctureConfig
 
 DATA = Path(__file__).parent / "data"

@@ -11,29 +11,28 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kzfox import (
-    Anchor,
-    COMPLEX,
-    ConnectionSpec,
-    FreeSeries,
-    MatrixTuple,
-    PLPath,
-    PunctureConfig,
-    associator,
-    compose,
-    holonomy_reg,
-    r_am_series,
-    r_zeta_series,
-    subpath,
-    verify_theorem2,
-)
-from kzfox.cli import algebra_suite, main
+from kzfox.cli import main
+from kzfox.coefficients import r_am_series, r_zeta_series
+from kzfox.exact_suite import algebra_suite
+from kzfox.free_hopf import COMPLEX, FreeSeries
 from kzfox.kz_holonomy import (
+    ConnectionSpec,
+    associator,
     coaction_check,
     goldman_bracket_check,
+    holonomy_reg,
     pentagon_projection_check,
 )
-from kzfox.kz_paths import rotation_number, snap_half_integer
+from kzfox.kz_paths import (
+    Anchor,
+    PLPath,
+    PunctureConfig,
+    compose,
+    rotation_number,
+    snap_half_integer,
+    subpath,
+)
+from kzfox.rep_space import MatrixTuple, verify_theorem2
 from kzfox.trivial_extension import _algebra_map, generator_images
 
 # shared geometry -----------------------------------------------------------

@@ -35,7 +35,12 @@ def test_campaigns_run_the_traced_maps(data_dir, capsys):
     time the code the campaigns run."""
     from kzfox.cli import main
 
-    tracer = _tracer().Tracer()
+    tracer_module = _tracer()
+    # `Tracer.install` wraps the loaded modules only, and `kzfox.cli` loads
+    # the numeric ones when a campaign runs: load every traced module first.
+    for module_name in {t[1] for t in tracer_module.TARGETS}:
+        importlib.import_module(module_name)
+    tracer = tracer_module.Tracer()
     tracer.install()
     try:
         assert main(["verify", "coaction", "--path", str(data_dir / "fig8.json"),

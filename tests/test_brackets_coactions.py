@@ -5,11 +5,14 @@ from typing import Dict, Tuple
 
 import pytest
 
-from kzfox import (
+from kzfox.brackets_coactions import (
     CyclicByFree,
-    FreeSeries,
-    RATIONAL,
-    TensorSeries,
+    CyclicWedge,
+    _coaction_terms,
+    alpha,
+    alpha_inv,
+    beta,
+    beta_inv,
     coaction_mu_kks,
     double_bracket_from_pairing,
     double_bracket_kks,
@@ -18,21 +21,9 @@ from kzfox import (
     mu_bar_kks,
     necklace_bracket,
     necklace_cobracket,
-    rho_inner,
-    rho_kks,
-    rho_kks_pairing,
-    rho_left,
-    rho_right,
 )
-from kzfox.brackets_coactions import (
-    CyclicWedge,
-    _coaction_terms,
-    alpha,
-    alpha_inv,
-    beta,
-    beta_inv,
-)
-from kzfox.free_hopf import Word
+from kzfox.fox_calculus import rho_inner, rho_kks, rho_kks_pairing, rho_left, rho_right
+from kzfox.free_hopf import FreeSeries, RATIONAL, TensorSeries, Word
 from conftest import dense_complex, random_series
 
 N = 2

@@ -10,9 +10,10 @@ from fractions import Fraction
 
 import pytest
 
-from kzfox import COMPLEX, RATIONAL, FreeSeries, cli
-from kzfox.cli import _random_series, load_path_file, main
+from kzfox.cli import load_path_file, main
 from kzfox.errors import ValidationError
+from kzfox.exact_suite import _random_series
+from kzfox.free_hopf import COMPLEX, RATIONAL, FreeSeries
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -397,8 +398,10 @@ def test_associator_record_is_judged_by_duality(capsys, monkeypatch):
     assert record["check"] == "associator_duality"
     assert record["max_discrepancy"] < 1e-15 and record["tolerance"] == 1e-4
     assert record["passed"] is True
+    from kzfox import kz_holonomy
+
     not_dual = FreeSeries(2, 2, {(): 1.0, (1,): 1.0}, COMPLEX)
-    monkeypatch.setattr(cli, "associator", lambda degree, accuracy: not_dual)
+    monkeypatch.setattr(kz_holonomy, "associator", lambda degree, accuracy: not_dual)
     assert main(["associator", "--degree", "2"]) == 2
     captured = capsys.readouterr()
     record = json.loads(captured.out)
@@ -512,7 +515,7 @@ def test_goldman_campaign_reaches_degree_7(tmp_path, capsys):
 
 
 def _dict_draw(rng, n, degree, max_word):
-    """The reference draw of `cli._random_series`: the same five draws summed
+    """The reference draw of `exact_suite._random_series`: the same five draws summed
     into a dict before the constructor."""
     coeffs = {}
     for _ in range(5):
@@ -572,7 +575,7 @@ def test_algebra_suite_builds_each_letter_table_once(monkeypatch):
     """One suite builds at most one letter table per pairing and shape, and a
     second suite rebuilds none of the shared pairings' tables: only those of
     its fresh inner pairings, one per case of the cyclic-vanishing check."""
-    from kzfox import brackets_coactions
+    from kzfox import brackets_coactions, exact_suite
     from kzfox.fox_calculus import rho_kks_pairing, rho_left, rho_right
 
     builds = []
@@ -583,10 +586,10 @@ def test_algebra_suite_builds_each_letter_table_once(monkeypatch):
         return original(rho, n, D, backend)
 
     monkeypatch.setattr(brackets_coactions, "_letter_table", counting)
-    cli.algebra_suite(seed=883, degree=4)
+    exact_suite.algebra_suite(seed=883, degree=4)
     assert len(builds) == len(set(builds)) <= 17
     del builds[:]
-    cli.algebra_suite(seed=883, degree=4)
+    exact_suite.algebra_suite(seed=883, degree=4)
     shared = {rho_kks_pairing(), *map(rho_left, (1, 2)), *map(rho_right, (1, 2))}
     assert len(builds) == 12 and not shared & {rho for rho, *_ in builds}
 
@@ -703,13 +706,13 @@ def test_campaign_scans_crossings_once(monkeypatch, capsys, which):
 def test_pentagon_makes_no_extension_products(monkeypatch, capsys):
     """The pentagon campaign runs the closed forms, not the square-zero
     extension: no algebra-map extension and no extension product."""
-    from kzfox import cli, trivial_extension
+    from kzfox import exact_suite, trivial_extension
 
     calls = {"_algebra_map": 0, "trivext_mul": 0}
     for module, name in (
         (trivial_extension, "_algebra_map"),
         (trivial_extension, "trivext_mul"),
-        (cli, "trivext_mul"),
+        (exact_suite, "trivext_mul"),
     ):
         def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls[_name] += 1
@@ -726,7 +729,7 @@ def test_pentagon_makes_no_extension_products(monkeypatch, capsys):
 def test_goldman_builds_no_double_bracket(monkeypatch, capsys):
     """The necklace bracket runs on cyclic classes: the goldman campaign
     builds no double-bracket series."""
-    from kzfox import brackets_coactions, cli
+    from kzfox import brackets_coactions, exact_suite
 
     calls = []
     original = brackets_coactions.double_bracket_from_pairing
@@ -735,7 +738,7 @@ def test_goldman_builds_no_double_bracket(monkeypatch, capsys):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for module in (brackets_coactions, cli):
+    for module in (brackets_coactions, exact_suite):
         monkeypatch.setattr(module, "double_bracket_from_pairing", counting)
     argv = ["verify", "goldman", "--loops", _path("loop_a1.json"),
             "--loops", _path("loop_b1.json")]

@@ -5,9 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from kzfox import COMPLEX, RATIONAL, bernoulli, r_am_series, r_zeta_series, zeta
-from kzfox.coefficients import zeta_from_bernoulli
+from kzfox.coefficients import (
+    bernoulli,
+    r_am_series,
+    r_zeta_series,
+    zeta,
+    zeta_from_bernoulli,
+)
 from kzfox.errors import DomainError
+from kzfox.free_hopf import COMPLEX, RATIONAL
 
 KNOWN_BERNOULLI = {
     2: Fraction(1, 6),

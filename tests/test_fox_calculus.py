@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from kzfox import (
-    FreeSeries,
-    RATIONAL,
+from kzfox.errors import ShapeError
+from kzfox.fox_calculus import (
     d_left,
     d_right,
     rho_inner,
@@ -16,7 +15,7 @@ from kzfox import (
     rho_left,
     rho_right,
 )
-from kzfox.errors import ShapeError
+from kzfox.free_hopf import FreeSeries, RATIONAL
 from conftest import random_series
 
 N = 2

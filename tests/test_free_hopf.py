@@ -9,25 +9,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kzfox import (
-    COMPLEX,
-    RATIONAL,
+from kzfox.brackets_coactions import (
     CyclicByFree,
-    CyclicSeries,
     CyclicWedge,
-    FreeSeries,
-    TensorSeries,
-    d_left,
-    d_right,
+    alpha,
+    alpha_inv,
+    beta,
+    beta_inv,
     double_bracket_kks,
     mu_bar_kks,
     necklace_bracket,
-    rho_kks,
 )
-from kzfox.brackets_coactions import alpha, alpha_inv, beta, beta_inv
-from kzfox.cli import _cbf_mul_free_left, _cbf_mul_free_right, _triple_coproduct
 from kzfox.errors import DomainError, ShapeError
-from kzfox.free_hopf import _Rational, _coerce, _split_memo, _split_words
+from kzfox.exact_suite import _cbf_mul_free_left, _cbf_mul_free_right, _triple_coproduct
+from kzfox.fox_calculus import d_left, d_right, rho_kks
+from kzfox.free_hopf import (
+    COMPLEX,
+    CyclicSeries,
+    FreeSeries,
+    RATIONAL,
+    TensorSeries,
+    _Rational,
+    _coerce,
+    _split_memo,
+    _split_words,
+)
 from kzfox.levels import from_series, to_series
 from kzfox.trivial_extension import delta_z
 from conftest import dense_complex, random_series

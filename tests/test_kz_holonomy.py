@@ -12,51 +12,45 @@ import time
 import numpy as np
 import pytest
 
-from kzfox import (
-    COMPLEX,
-    Anchor,
-    ConnectionSpec,
-    FreeSeries,
-    PLPath,
-    PunctureConfig,
-    associator,
-    compose,
-    holonomy_reg,
-    mu_bar_kks,
-    mu_bar_rhs,
-    necklace_bracket,
-    necklace_cobracket,
-    rho_kks,
-    rho_paths,
-    subpath,
-    zeta,
-)
 from kzfox import fox_calculus, kz_holonomy, levels
+from kzfox.brackets_coactions import mu_bar_kks, necklace_bracket, necklace_cobracket
 from kzfox.cli import load_path_file, main
 from kzfox.coefficients import (
     r_am_coefficients,
     r_am_series,
     r_zeta_coefficients,
     r_zeta_series,
+    zeta,
 )
 from kzfox.errors import AccuracyError, DomainError, KzfoxError, ValidationError
-from kzfox.fox_calculus import d_left, d_right
+from kzfox.fox_calculus import d_left, d_right, rho_kks
+from kzfox.free_hopf import COMPLEX, FreeSeries
 from kzfox.kz_holonomy import (
-    DEFAULT_ACCURACY,
+    ConnectionSpec,
+    associator,
     coaction_check,
     crossing_breakpoints,
     goldman_bracket_check,
+    holonomy_reg,
+    mu_bar_rhs,
     pentagon_projection_check,
+    rho_paths,
     transport_pair,
 )
 from kzfox.kz_paths import (
+    DEFAULT_ACCURACY,
+    Anchor,
+    PLPath,
+    PunctureConfig,
     above,
     base_linking,
+    compose,
     intersections,
     rotation_number,
     self_intersections,
     snap_half_integer,
     strand_pairs,
+    subpath,
 )
 from kzfox.trivial_extension import square_w, square_z, square_zw
 

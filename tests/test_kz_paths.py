@@ -11,19 +11,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kzfox import (
+from kzfox import kz_paths
+from kzfox.errors import CompositionError, DomainError, ValidationError
+from kzfox.kz_paths import (
     Anchor,
     PLPath,
     PunctureConfig,
+    REGULAR,
+    TANGENTIAL,
     compose,
     intersections,
     rotation_number,
     self_intersections,
+    snap_half_integer,
     subpath,
 )
-from kzfox import kz_paths
-from kzfox.errors import CompositionError, DomainError, ValidationError
-from kzfox.kz_paths import REGULAR, TANGENTIAL, snap_half_integer
 
 P3 = PunctureConfig([0.0, 1.0, 2.0])
 BASE = Anchor.tangential(1, 1.0)

@@ -9,23 +9,12 @@ from typing import Dict, Tuple
 
 import pytest
 
-from kzfox import (
-    COMPLEX,
-    RATIONAL,
-    CyclicByFree,
-    FreeSeries,
-    TensorSeries,
-    double_bracket_from_pairing,
-    rho_inner,
-    rho_kks,
-    rho_kks_pairing,
-    rho_left,
-    rho_right,
-)
 from kzfox import free_hopf
-from kzfox.cli import _cbf_mul_free_left, _cbf_mul_free_right
+from kzfox.brackets_coactions import CyclicByFree, double_bracket_from_pairing
 from kzfox.errors import ShapeError
-from kzfox.free_hopf import Word
+from kzfox.exact_suite import _cbf_mul_free_left, _cbf_mul_free_right
+from kzfox.fox_calculus import rho_inner, rho_kks, rho_kks_pairing, rho_left, rho_right
+from kzfox.free_hopf import COMPLEX, FreeSeries, RATIONAL, TensorSeries, Word
 from conftest import dense_complex, random_series
 
 SHAPES = [(n, D) for n in (1, 2, 3) for D in range(7)]

@@ -9,28 +9,22 @@ from typing import Dict
 import numpy as np
 import pytest
 
-from kzfox import (
-    Anchor,
-    COMPLEX,
-    ConnectionSpec,
-    FreeSeries,
-    MatrixTuple,
-    PLPath,
-    PunctureConfig,
-    RATIONAL,
-    TensorSeries,
-    bivector_pi,
-    double_bracket_kks,
-    evaluate,
-    holonomy_reg,
-    tail_bound,
-    verify_theorem2,
-)
 from kzfox import fox_calculus, levels, rep_space
+from kzfox.brackets_coactions import double_bracket_kks
 from kzfox.cli import main
 from kzfox.coefficients import r_am_series
 from kzfox.errors import DomainError, ShapeError, ValidationError
-from kzfox.rep_space import _oracle_tensor
+from kzfox.free_hopf import COMPLEX, FreeSeries, RATIONAL, TensorSeries
+from kzfox.kz_holonomy import ConnectionSpec, holonomy_reg
+from kzfox.kz_paths import Anchor, PLPath, PunctureConfig
+from kzfox.levels import evaluate
+from kzfox.rep_space import (
+    MatrixTuple,
+    _oracle_tensor,
+    bivector_pi,
+    tail_bound,
+    verify_theorem2,
+)
 
 from conftest import LOOP_PAIRS, random_loop_pairs
 

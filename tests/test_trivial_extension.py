@@ -5,23 +5,21 @@ from fractions import Fraction
 
 import pytest
 
-from kzfox import (
-    FreeSeries,
-    RATIONAL,
-    COMPLEX,
-    TensorSeries,
+from kzfox.brackets_coactions import mu_bar_kks
+from kzfox.errors import ShapeError, ValidationError
+from kzfox.fox_calculus import d_left, d_right
+from kzfox.free_hopf import FreeSeries, RATIONAL, COMPLEX, TensorSeries
+from kzfox.trivial_extension import (
     TrivExtElement,
-    d_left,
-    d_right,
+    delta_w,
+    delta_z,
+    delta_zw,
     generator_images,
-    mu_bar_kks,
     square_w,
     square_z,
     square_zw,
     trivext_mul,
 )
-from kzfox.errors import ShapeError, ValidationError
-from kzfox.trivial_extension import delta_z, delta_w, delta_zw
 from conftest import random_series
 
 N = 2

@@ -187,11 +187,11 @@ MUTANTS = [
     Mutant("map_left: terms of degree D dropped", "src/kzfox/free_hopf.py",
            "if len(wa) + len(b) <= D", "if len(wa) + len(b) < D",
            ("tests/test_free_hopf.py::test_map_legs_match_the_per_term_construction",)),
-    Mutant("draw: denominator drawn before numerator", "src/kzfox/cli.py",
+    Mutant("draw: denominator drawn before numerator", "src/kzfox/exact_suite.py",
            "p, q = choice(_NUMERATORS), choice(_DENOMINATORS)",
            "q, p = choice(_DENOMINATORS), choice(_NUMERATORS)",
            ("tests/test_cli.py::test_random_series_draws_are_pinned",)),
-    Mutant("algebra suite: degrees 0 and 1 let through", "src/kzfox/cli.py",
+    Mutant("algebra suite: degrees 0 and 1 let through", "src/kzfox/exact_suite.py",
            "if degree < 2:", "if degree < 0:",
            ("tests/test_cli.py::test_algebra_suite_needs_degree_two",)),
 ]
