@@ -50,20 +50,25 @@ from .trivial_extension import (
     trivext_mul,
 )
 
-_NUMERATORS, _DENOMINATORS = range(-4, 5), range(1, 4)
-
-
 def _random_series(rng, n, degree, max_word=3) -> FreeSeries:
     """Five random terms drawn from `rng`: a length in 0..max_word, that many
     letters in 1..n, then a numerator in -4..4 and a denominator in 1..3.
     Words above the degree are dropped, repeated words summed and zeros
-    dropped.  `rng.choice(range(a, b + 1))` takes the draws of
-    `rng.randint(a, b)`, so the stream is that of `randint` draws."""
-    choice, letters, lengths = rng.choice, range(1, n + 1), range(max_word + 1)
+    dropped.  Each draw below m takes k = m.bit_length() bits and redraws
+    while they read m or more, as `rng.randint` and `rng.choice` do, so the
+    stream is that of `randint` draws."""
+    bits = rng.getrandbits
+
+    def below(m):
+        k = m.bit_length()
+        r = bits(k)
+        while r >= m:
+            r = bits(k)
+        return r
 
     def draw():
-        word = tuple(choice(letters) for _ in range(choice(lengths)))
-        p, q = choice(_NUMERATORS), choice(_DENOMINATORS)
+        word = tuple(below(n) + 1 for _ in range(below(max_word + 1)))
+        p, q = below(9) - 4, below(3) + 1
         g = math.gcd(p, q)
         return word, _from_coprime(p // g, q // g)
 
@@ -193,8 +198,9 @@ def algebra_suite(seed: int = 0, n: int = 2, degree: int = 4, cases: int = 12):
     def fox_axioms(rho: FoxPairing):
         def check():
             a, b, c = rnd(2), rnd(2), rnd(2)
-            first_slot = rho(a * b, c) == a * rho(b, c) + rho(a, c).scale(b.counit())
-            second_slot = rho(a, b * c) == rho(a, b) * c + rho(a, c).scale(b.counit())
+            eps_term = rho(a, c).scale(b.counit())
+            first_slot = rho(a * b, c) == a * rho(b, c) + eps_term
+            second_slot = rho(a, b * c) == rho(a, b) * c + eps_term
             return first_slot and second_slot
 
         return check

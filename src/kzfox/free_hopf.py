@@ -3,8 +3,9 @@
 Series live in K<<x_1, ..., x_n>> cut at total degree D.  Words are tuples of
 generator indices in 1..n; the empty tuple is the unit monomial.  Every
 operation re-truncates its result to D (degrees above D are meaningless here,
-by design).  Two coefficient backends are supported: "rational" (exact, a
-lean `fractions.Fraction` subclass) and "complex" (IEEE double `complex`).
+by design).  Two coefficient backends are supported: "rational" (exact: an
+integral coefficient is stored as an `int`, any other as `_Rational`, a lean
+reduced `fractions.Fraction` subclass) and "complex" (IEEE double `complex`).
 """
 
 from __future__ import annotations
@@ -29,15 +30,19 @@ _FLOAT_DROP = 1e-300
 
 
 class _Rational(Fraction):
-    """The rational backend's stored coefficient, made by `_coerce`.  With
-    both operands of this type, +, - and * run the gcd-reduced algorithms of
-    `fractions` without `Fraction.__new__`; any other operand gets
-    `Fraction`'s own operator.  ==, hash, ordering, str, bool and abs are
-    inherited, so it equals and hashes like the `Fraction` of its value."""
+    """The rational backend's stored non-integral coefficient; an integral
+    one is stored as an `int`.  With a `_Rational` or `int` operand, on either
+    side, +, - and * run the gcd-reduced algorithms of `fractions` without
+    `Fraction.__new__` and give a canonical result (`_from_coprime`); any
+    other operand gets `Fraction`'s own operator.  ==, hash, ordering, str,
+    bool and abs are inherited, so it equals and hashes like the `Fraction`
+    of its value."""
 
     __slots__ = ()
 
     def __add__(a, b):
+        if type(b) is int:
+            return _from_coprime(a._numerator + b * a._denominator, a._denominator)
         if type(b) is not _Rational:
             return Fraction.__add__(a, b)
         na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
@@ -51,12 +56,22 @@ class _Rational(Fraction):
             return _from_coprime(t, s * db)
         return _from_coprime(t // g2, s * (db // g2))
 
+    __radd__ = __add__
+
     def __sub__(a, b):
-        if type(b) is not _Rational:
-            return Fraction.__sub__(a, b)
-        return a + -b
+        if type(b) is int or type(b) is _Rational:
+            return a + -b
+        return Fraction.__sub__(a, b)
+
+    def __rsub__(a, b):
+        if type(b) is int:
+            return _from_coprime(b * a._denominator - a._numerator, a._denominator)
+        return Fraction.__rsub__(a, b)
 
     def __mul__(a, b):
+        if type(b) is int:
+            g = gcd(b, a._denominator)
+            return _from_coprime(a._numerator * (b // g), a._denominator // g)
         if type(b) is not _Rational:
             return Fraction.__mul__(a, b)
         na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
@@ -70,6 +85,8 @@ class _Rational(Fraction):
             da //= g2
         return _from_coprime(na * nb, db * da)
 
+    __rmul__ = __mul__
+
     def __neg__(a):
         return _from_coprime(-a._numerator, a._denominator)
 
@@ -77,8 +94,12 @@ class _Rational(Fraction):
 _new_object = object.__new__
 
 
-def _from_coprime(numerator: int, denominator: int) -> _Rational:
-    """numerator/denominator, already reduced, without `Fraction.__new__`."""
+def _from_coprime(numerator: int, denominator: int):
+    """numerator/denominator, already reduced, in canonical form: the `int`
+    if the denominator is 1, else a `_Rational` built without
+    `Fraction.__new__`."""
+    if denominator == 1:
+        return numerator
     out = _new_object(_Rational)
     out._numerator = numerator
     out._denominator = denominator
@@ -90,16 +111,14 @@ def _coerce(backend: str, value):
     the common types are tested by identity, before any ABC check."""
     t = type(value)
     if backend == RATIONAL:
-        if t is _Rational:
+        if t is int or t is _Rational:
             return value
         if t is Fraction:
             return _from_coprime(value._numerator, value._denominator)
-        if t is int:
-            return _from_coprime(value, 1)
         if isinstance(value, (int, Fraction)):
             return _from_coprime(value.numerator, value.denominator)
         if isinstance(value, float) and value.is_integer():
-            return _from_coprime(int(value), 1)
+            return int(value)
         raise DomainError(f"cannot coerce {value!r} into the rational backend")
     if backend == COMPLEX:
         if t is complex or t is float or t is int or isinstance(value, Complex):
@@ -411,8 +430,9 @@ class FreeSeries(_Sparse):
         eps = self.counit()
         if (not eps) if self.backend == RATIONAL else abs(eps) < _FLOAT_DROP:
             raise DomainError("series with zero counit is not invertible")
-        u = FreeSeries.unit(self.n, self.degree, self.backend) - self.scale(1 / eps)
-        return u._power_series(lambda k: Fraction(1)).scale(1 / eps)
+        inv = Fraction(1) / eps  # exact for an `int` counit, complex on that backend
+        u = FreeSeries.unit(self.n, self.degree, self.backend) - self.scale(inv)
+        return u._power_series(lambda k: Fraction(1)).scale(inv)
 
     def is_grouplike(self, tol: float) -> bool:
         if abs(self.counit() - 1) > tol:

@@ -16,13 +16,14 @@ from kzfox.brackets_coactions import (
     alpha_inv,
     beta,
     beta_inv,
+    double_bracket_from_pairing,
     double_bracket_kks,
     mu_bar_kks,
     necklace_bracket,
 )
 from kzfox.errors import DomainError, ShapeError
 from kzfox.exact_suite import _cbf_mul_free_left, _cbf_mul_free_right, _triple_coproduct
-from kzfox.fox_calculus import d_left, d_right, rho_kks
+from kzfox.fox_calculus import d_left, d_right, rho_inner, rho_kks, rho_left, rho_right
 from kzfox.free_hopf import (
     COMPLEX,
     CyclicSeries,
@@ -35,7 +36,14 @@ from kzfox.free_hopf import (
     _split_words,
 )
 from kzfox.levels import from_series, to_series
-from kzfox.trivial_extension import delta_z
+from kzfox.trivial_extension import (
+    TrivExtElement,
+    delta_z,
+    square_w,
+    square_z,
+    square_zw,
+    trivext_mul,
+)
 from conftest import dense_complex, random_series
 
 N = 2
@@ -511,7 +519,8 @@ def test_trusted_results_make_no_normal_calls(monkeypatch):
     # inputs built, the constructor still checks and coerces outside input
     with pytest.raises(DomainError):
         FreeSeries(2, 4, {(1, 3): 1}, RATIONAL)
-    assert type(FreeSeries(2, 4, {(1,): 2}, RATIONAL).coefficient((1,))) is _Rational
+    assert type(FreeSeries(2, 4, {(1,): 2}, RATIONAL).coefficient((1,))) is int
+    assert type(FreeSeries(2, 4, {(1,): Fraction(1, 2)}, RATIONAL).coefficient((1,))) is _Rational
     assert issubclass(_Rational, Fraction)
     assert calls
     fixed = {"delta_z_tensor", "delta_z_m"}
@@ -538,6 +547,11 @@ fractions_ = st.builds(
 ) | st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(-2**65, 3**41)])
 
 
+def _stored_type(value):
+    """The rational backend's type for a stored value: `int` if integral."""
+    return int if value.denominator == 1 else _Rational
+
+
 def _assert_same_value(got, want, exact_type):
     assert type(got) is exact_type
     assert got == want and want == got
@@ -552,11 +566,12 @@ def _assert_same_value(got, want, exact_type):
 @given(fractions_, fractions_)
 def test_rational_scalar_matches_fraction(x, y):
     """+, -, * and unary - of two stored scalars give a reduced stored scalar
-    equal, hashing and printing like the Fraction result."""
+    equal, hashing and printing like the Fraction result: an int if integral,
+    else a _Rational."""
     a, b = _coerce(RATIONAL, x), _coerce(RATIONAL, y)
-    _assert_same_value(a, x, _Rational)
+    _assert_same_value(a, x, _stored_type(x))
     for got, want in ((a + b, x + y), (a - b, x - y), (a * b, x * y), (-a, -x)):
-        _assert_same_value(got, want, _Rational)
+        _assert_same_value(got, want, _stored_type(want))
     assert (a == b) == (x == y)
     assert (a < b) == (x < y)
 
@@ -564,8 +579,9 @@ def test_rational_scalar_matches_fraction(x, y):
 @settings(max_examples=60, deadline=None)
 @given(fractions_, st.integers(-BIG, BIG) | fractions_)
 def test_rational_scalar_with_other_operands_falls_back_to_fraction(x, other):
-    """An int or plain Fraction operand, on either side, gets Fraction's own
-    operator and a plain Fraction result."""
+    """An int operand, on either side, gets a stored result (an int if
+    integral, else a _Rational); a plain Fraction operand, on either side,
+    gets Fraction's own operator and a plain Fraction result."""
     a = _coerce(RATIONAL, x)
     pairs = (
         (a + other, x + other), (other + a, other + x),
@@ -573,7 +589,77 @@ def test_rational_scalar_with_other_operands_falls_back_to_fraction(x, other):
         (a * other, x * other), (other * a, other * x),
     )
     for got, want in pairs:
-        _assert_same_value(got, want, Fraction)
+        _assert_same_value(got, want, _stored_type(want) if type(other) is int else Fraction)
+
+
+def _assert_canonical(name, *results):
+    """Every stored coefficient is an int when integral, else a reduced
+    _Rational with denominator > 1: never a float or a plain Fraction."""
+    for r in results:
+        for c in r.coeffs.values():
+            if type(c) is not int:
+                assert type(c) is _Rational, (name, c)
+                assert c.denominator > 1, (name, c)
+                assert math.gcd(c.numerator, c.denominator) == 1, (name, c)
+
+
+def _fraction_power_series(u, coeff, degree):
+    """sum_k coeff(k) u^k through the degree, on a dict of Fractions with no
+    constant term: the reference for exp, log and inverse."""
+    out, power = {(): coeff(0)}, {(): Fraction(1)}
+    for k in range(1, degree + 1):
+        step = {}
+        for wp, cp in power.items():
+            for wu, cu in u.items():
+                if len(wp) + len(wu) <= degree:
+                    step[wp + wu] = step.get(wp + wu, 0) + cp * cu
+        power = step
+        for w, c in power.items():
+            out[w] = out.get(w, 0) + coeff(k) * c
+    return {w: c for w, c in out.items() if c}
+
+
+def test_rational_maps_store_canonical_coefficients():
+    """After every public rational map each stored coefficient is canonical
+    (`_assert_canonical`), on series with integral and non-integral
+    coefficients; inverse, log and exp of series with integral counits, such
+    as 2 + x1, equal a plain-Fraction reference."""
+    rng = random.Random(37)
+    one = FreeSeries.unit(N, D, RATIONAL)
+    x1, x2 = (FreeSeries.generator(i, N, D, RATIONAL) for i in (1, 2))
+    cases = [one.scale(2) + x1, one.scale(-3) + x1 * x2 + x2.scale(2),
+             _series({(): 2, (1,): Fraction(1, 2), (1, 2): 3, (2, 2): Fraction(-3, 4)})]
+    cases += [random_series(rng, N, D) for _ in range(6)]
+    for a, b in zip(cases, cases[1:]):
+        u = a - one.scale(a.counit())
+        unit_start = a if a.counit() else a + one
+        t = TensorSeries.outer(a, b)
+        ext = TrivExtElement.from_tensor(t) + TrivExtElement.from_m(b)
+        product = trivext_mul(ext, TrivExtElement.from_tensor(b.coproduct()))
+        results = {
+            "mul": a * b, "coproduct": a.coproduct(), "antipode": a.antipode(),
+            "exp": u.exp(), "log": (one + u).log(), "inverse": unit_start.inverse(),
+            "outer": t, "map_left": t.map_left(lambda s: b * s),
+            "map_right": t.map_right(lambda s: s * a),
+            "double_bracket": double_bracket_kks(a, b),
+            "double_bracket_inner": double_bracket_from_pairing(rho_inner(b), a, b),
+            "rho_kks": rho_kks(a, b), "rho_inner": rho_inner(b)(a, b),
+            "rho_left": rho_left(1)(a, b), "rho_right": rho_right(2)(a, b),
+            "trivext_mul": (product.tensor_part, product.m_part),
+            "square_z": square_z(1, a), "square_w": square_w(2, a),
+            "square_zw": square_zw(a),
+        }
+        for name, r in results.items():
+            _assert_canonical(name, *(r if isinstance(r, tuple) else (r,)))
+        eps = Fraction(unit_start.counit())
+        v = {w: -c / eps for w, c in unit_start.coeffs.items() if w}
+        fu = {w: Fraction(c) for w, c in u.coeffs.items()}
+        assert results["inverse"].coeffs == {
+            w: c / eps for w, c in _fraction_power_series(v, lambda k: 1, D).items()}
+        assert results["log"].coeffs == _fraction_power_series(
+            fu, lambda k: Fraction((-1) ** (k + 1), k) if k else 0, D)
+        assert results["exp"].coeffs == _fraction_power_series(
+            fu, lambda k: Fraction(1, math.factorial(k)), D)
 
 
 @pytest.mark.parametrize("backend", [RATIONAL, COMPLEX])

@@ -3,8 +3,8 @@ formula, the sign of every other assembled term, the bivector core, the exact
 gradient, the evaluation seed and its generator count check, the generator
 images and cocycle of the pentagon projection, the exact crossing and
 puncture predicates, the vertex rule of `PLPath.with_breakpoints`, the
-branch of the local frame, and the exact suite's leg-map degree filter, input
-draws and degree floor.
+branch of the local frame, the rational backend's canonical form, and the
+exact suite's leg-map degree filter, input draws and degree floor.
 
 Each mutant is one text replacement in one file: the old text occurs exactly
 once there.  For each mutant the script copies `src/`, `tests/` and
@@ -37,6 +37,7 @@ BIVECTOR = ("tests/test_rep_space.py::test_bivector_core_matches_loop_constructi
 GRADIENT = ("tests/test_rep_space.py::test_level_gradient_matches_finite_differences",)
 SEGMENTS = ("tests/test_kz_paths.py::test_degenerate_segment_pairs_match_the_fraction_reference",)
 PUNCTURE = ("tests/test_kz_paths.py::test_puncture_cases_match_the_fraction_reference",)
+CANONICAL = ("tests/test_free_hopf.py::test_rational_maps_store_canonical_coefficients",)
 PATHS = "src/kzfox/kz_paths.py"
 HOLONOMY = "src/kzfox/kz_holonomy.py"
 LEVELS = "src/kzfox/levels.py"
@@ -183,13 +184,18 @@ MUTANTS = [
     Mutant("local frame: branch sign flipped", HOLONOMY,
            "c = math.log(r) / TWO_PI_I", "c = -math.log(r) / TWO_PI_I",
            ("tests/test_kz_holonomy.py::test_associator_duality",)),
-    # the exact suite: the leg maps' degree filter, its draws, its degree floor
+    # the rational backend's canonical form, and the exact suite's leg-map
+    # degree filter, input draws and degree floor
+    Mutant("rational: denominator-1 values kept as _Rational", "src/kzfox/free_hopf.py",
+           "if denominator == 1:", "if denominator == 0:", CANONICAL),
+    Mutant("rational: int branch of __mul__ skips its gcd", "src/kzfox/free_hopf.py",
+           "g = gcd(b, a._denominator)", "g = 1", CANONICAL),
     Mutant("map_left: terms of degree D dropped", "src/kzfox/free_hopf.py",
            "if len(wa) + len(b) <= D", "if len(wa) + len(b) < D",
            ("tests/test_free_hopf.py::test_map_legs_match_the_per_term_construction",)),
     Mutant("draw: denominator drawn before numerator", "src/kzfox/exact_suite.py",
-           "p, q = choice(_NUMERATORS), choice(_DENOMINATORS)",
-           "q, p = choice(_DENOMINATORS), choice(_NUMERATORS)",
+           "p, q = below(9) - 4, below(3) + 1",
+           "q, p = below(3) + 1, below(9) - 4",
            ("tests/test_cli.py::test_random_series_draws_are_pinned",)),
     Mutant("algebra suite: degrees 0 and 1 let through", "src/kzfox/exact_suite.py",
            "if degree < 2:", "if degree < 0:",
